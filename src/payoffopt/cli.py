@@ -1,7 +1,8 @@
 """Command-line driver.
 
-Commands: ``optimize`` (best portfolio for a chain and strategy file),
-``sweep`` (repeat over cost targets or liquidity bounds), ``payoff``
+Commands: ``optimize`` (best portfolio for a chain and strategy file, found
+by one integer program over every ask/bid combination), ``sweep`` (repeat
+over cost targets or liquidity bounds, one such program per value), ``payoff``
 (payoff-curve CSV for a solved or stored portfolio), ``validate`` (quote
 quality report). Exit codes: 0 success, 1 no feasible portfolio, 2 bad
 input, 3 solver resource limit, 4 solver backend failure. All failures print
@@ -27,7 +28,6 @@ from .market_data import (
     validate_chain,
 )
 from .model_builder import (
-    CapacityError,
     CostTarget,
     PriceCombination,
     Relation,
@@ -63,7 +63,6 @@ class CliConfig:
     spec_path: Path | None
     output_format: str
     output_path: Path | None
-    threads: int | str
     axis: str | None = None
     values: str | None = None
     solution_path: Path | None = None
@@ -100,6 +99,13 @@ def _spec_int(data: dict, key: str) -> int:
     value = data[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{key} must be an integer: {value!r}")
+    return value
+
+
+def _spec_bool(data: dict, key: str) -> bool:
+    value = data.get(key, True)
+    if not isinstance(value, bool):
+        raise SpecError(f"{key} must be a boolean: {value!r}")
     return value
 
 
@@ -163,8 +169,8 @@ def load_run_config(data: dict) -> RunConfig:
         cost_target=cost_target,
         epsilon=_spec_money(data, "epsilon") if "epsilon" in data else 1,
         tail_loss_mode=mode,
-        balance_left_tail=bool(data.get("balance_left_tail", True)),
-        balance_right_tail=bool(data.get("balance_right_tail", True)),
+        balance_left_tail=_spec_bool(data, "balance_left_tail"),
+        balance_right_tail=_spec_bool(data, "balance_right_tail"),
     )
     return RunConfig(
         strategy=strategy,
@@ -172,18 +178,6 @@ def load_run_config(data: dict) -> RunConfig:
         put_anchor=_spec_int(data, "put_anchor"),
         n=_spec_int(data, "n"),
     )
-
-
-def _threads_arg(text: str) -> int | str:
-    if text == "auto":
-        return "auto"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer or 'auto': {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"thread count must be positive: {value}")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,7 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )
-    p_opt.add_argument("--threads", type=_threads_arg, default=1)
 
     p_sweep = sub.add_parser("sweep", help="repeat over cost or liquidity values")
     add_common(p_sweep)
@@ -215,14 +208,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
     )
-    p_sweep.add_argument("--threads", type=_threads_arg, default=1)
 
     p_payoff = sub.add_parser("payoff", help="emit payoff-curve CSV")
     add_common(p_payoff)
     p_payoff.add_argument(
         "--solution", type=Path, help="reuse a stored optimize --format json result"
     )
-    p_payoff.add_argument("--threads", type=_threads_arg, default=1)
 
     p_val = sub.add_parser("validate", help="report quote-quality violations")
     add_common(p_val, with_spec=False)
@@ -236,7 +227,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         spec_path=getattr(args, "spec", None),
         output_format=getattr(args, "format", "csv"),
         output_path=args.output,
-        threads=getattr(args, "threads", 1),
         axis=getattr(args, "axis", None),
         values=getattr(args, "values", None),
         solution_path=getattr(args, "solution", None),
@@ -306,7 +296,7 @@ def _cmd_optimize(config: CliConfig) -> int:
     chain = _load_chain(config.chain_path)
     run = _load_run_config(config.spec_path)  # type: ignore[arg-type]
     series = select_series(chain, run.n, run.call_anchor, run.put_anchor)
-    solution = optimize(run.strategy, series, workers=config.threads)
+    solution = optimize(run.strategy, series)
     if solution is None:
         print(
             f"error:infeasible:{_infeasible_detail(run.strategy, series)}",
@@ -328,9 +318,9 @@ def _cmd_sweep(config: CliConfig) -> int:
     series = select_series(chain, run.n, run.call_anchor, run.put_anchor)
     values = _parse_values(config)
     if config.axis == "cost":
-        report = sweep_cost(run.strategy, series, values, workers=config.threads)
+        report = sweep_cost(run.strategy, series, values)
     else:
-        report = sweep_liquidity(run.strategy, series, values, workers=config.threads)
+        report = sweep_liquidity(run.strategy, series, values)
     if config.output_format == "json":
         _emit(config, sweep_to_json(report))
     elif config.output_format == "csv":
@@ -356,7 +346,7 @@ def _cmd_payoff(config: CliConfig) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
     else:
-        solution = optimize(run.strategy, series, workers=config.threads)
+        solution = optimize(run.strategy, series)
         if solution is None:
             print(
                 f"error:infeasible:{_infeasible_detail(run.strategy, series)}",
@@ -406,8 +396,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _fail("solver", exc, 3)
     except SolverError as exc:
         return _fail("solver", exc, 4)
-    except CapacityError as exc:
-        return _fail("capacity", exc, 2)
     except SpecError as exc:
         return _fail("spec", exc, 2)
     except MarketDataError as exc:

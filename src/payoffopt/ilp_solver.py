@@ -21,9 +21,12 @@ exhaustion is never silently turned into a wrong answer.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
 import heapq
 import math
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -264,6 +267,31 @@ def _lexicographic_refine(
     return current
 
 
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes = (ctypes.c_void_p,)
+_fflush.restype = ctypes.c_int
+
+
+@contextlib.contextmanager
+def _stdout_discarded():
+    """Send file descriptor 1 to the null device for the duration.
+
+    HiGHS writes some diagnostics straight to fd 1, below ``sys.stdout``,
+    where they would corrupt the output a command prints there.
+    """
+    _fflush(None)
+    saved = os.dup(1)
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, 1)
+        yield
+    finally:
+        _fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
+        os.close(null)
+
+
 def _milp_once(
     objective: Sequence[int],
     constant: int,
@@ -290,27 +318,24 @@ def _milp_once(
         np.asarray([b[1] for b in bounds], dtype=float),
     )
     options = {"mip_rel_gap": 0.0, "node_limit": node_budget}
-    result = milp(
-        c,
-        constraints=constraints,
-        bounds=box,
-        integrality=np.ones(num_vars),
-        options=options,
-    )
-    if result.status in (2, 4):
-        # presolve can misreduce a feasible model to infeasible (seen with a
-        # fixed variable inside an equality row) or fail outright with
-        # "Solve error" (seen on an infeasible model whose LP relaxation is
-        # feasible); either verdict is settled by a presolve-off re-solve,
-        # and an infeasibility verdict only counts when reproduced there
-        result = milp(
-            c,
-            constraints=constraints,
-            bounds=box,
-            integrality=np.ones(num_vars),
-            options={**options, "presolve": False},
-        )
-        if result.status == 2:
+    # presolve can misreduce a feasible model to infeasible (seen with a fixed
+    # variable inside an equality row) or fail outright with "Solve error"
+    # (seen on an infeasible model whose LP relaxation is feasible); either
+    # verdict is settled by a presolve-off re-solve, and an infeasibility
+    # verdict only counts when reproduced there
+    retry = {**options, "presolve": False}
+    for attempt in (options, retry):
+        with _stdout_discarded():
+            result = milp(
+                c,
+                constraints=constraints,
+                bounds=box,
+                integrality=np.ones(num_vars),
+                options=attempt,
+            )
+        if result.status not in (2, 4):
+            break
+        if attempt is retry and result.status == 2:
             return None
     if result.status == 1:
         raise SolverResourceError(f"node budget of {node_budget} exhausted")

@@ -5,8 +5,9 @@ strike, falling after it. For a series of n calls and n puts there are
 2^(2n) ways to assign each slot an ask or bid price; each assignment (a
 "price combination") yields one bounded integer linear program over the 2n
 quantities, with sign consistency encoded in the variable bounds (ask slots
-trade long in [0, U], bid slots short in [L, 0]). The caller maximizes over
-all combinations.
+trade long in [0, U], bid slots short in [L, 0]). :func:`build_combined`
+joins all of them into one program with a binary side choice per slot, so
+one solve maximizes over every combination.
 
 Rows are emitted in a fixed order per subproblem:
 
@@ -188,11 +189,6 @@ def enumerate_combinations(n: int) -> Iterator[PriceCombination]:
     return (PriceCombination.from_index(n, index) for index in range(count))
 
 
-def unique_strikes(series: SeriesSelection) -> tuple[int, ...]:
-    """Sorted union of the series' call and put strikes."""
-    return series.unique_strikes
-
-
 Rational = int | Fraction
 
 
@@ -253,7 +249,8 @@ class Row:
 class IlpProblem:
     """A bounded integer linear program: maximize ``objective . x + constant``.
 
-    Slots 0..n-1 are call quantities, n..2n-1 puts. Objective coefficients
+    In a subproblem, slots 0..n-1 are call quantities and n..2n-1 puts (see
+    :func:`build_combined` for the combined layout). Objective coefficients
     and constant are integer cents; every slot has finite integer bounds.
     """
 
@@ -389,6 +386,71 @@ def build_subproblem(
         rows=tuple(rows),
         bounds=bounds,
     )
+
+
+def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
+    """One program covering every price combination at once.
+
+    Variables are ``[z_0..z_{2n-1}, p_0, r_0, p_1, r_1, ...]``. The binary
+    ``z_i`` is slot i's side (1 = ask, as in :class:`PriceCombination`),
+    ``p_i`` in [0, U] its long part, ``r_i`` in [L, 0] its short part, and
+    the quantity is ``x_i = p_i + r_i``. The rows ``p_i - U z_i <= 0`` and
+    ``r_i + L z_i >= L`` pin ``r_i`` to 0 on the ask side and ``p_i`` to 0
+    on the bid side, so fixing z leaves exactly that combination's
+    subproblem; with finite bounds this big-M disjunction is exact (Balas,
+    "Disjunctive programming", 1979). A slot's coefficients depend only on
+    its own side, so every row and the objective take the all-ask
+    subproblem's coefficients on p and the all-bid subproblem's on r.
+
+    The variable order makes the lexicographically smallest optimum (what
+    ``solve_ilp`` refines to) the lowest optimal combination index first and
+    then the lexicographically smallest quantities; :func:`decode_combined`
+    reads both back.
+    """
+    slots = 2 * series.n
+    ask = build_subproblem(
+        spec, series, PriceCombination.from_index(series.n, (1 << slots) - 1)
+    )
+    bid = build_subproblem(spec, series, PriceCombination.from_index(series.n, 0))
+    assert [(r.name, r.relation, r.rhs) for r in ask.rows] == [
+        (r.name, r.relation, r.rhs) for r in bid.rows
+    ]
+
+    def lift(ask_coeffs: Sequence[int], bid_coeffs: Sequence[int]) -> tuple[int, ...]:
+        interleaved = itertools.chain.from_iterable(zip(ask_coeffs, bid_coeffs))
+        return (0,) * slots + tuple(interleaved)
+
+    rows = [
+        Row(a.name, lift(a.coeffs, b.coeffs), a.relation, a.rhs)
+        for a, b in zip(ask.rows, bid.rows)
+    ]
+    width = 3 * slots
+    for i in range(slots):
+        coeffs = [0] * width
+        coeffs[i], coeffs[slots + 2 * i] = -spec.upper, 1
+        rows.append(Row(f"ask[{i}]", tuple(coeffs), Relation.LE, 0))
+        coeffs = [0] * width
+        coeffs[i], coeffs[slots + 2 * i + 1] = spec.lower, 1
+        rows.append(Row(f"bid[{i}]", tuple(coeffs), Relation.GE, spec.lower))
+    return IlpProblem(
+        objective=lift(ask.objective, bid.objective),
+        objective_constant=0,
+        rows=tuple(rows),
+        bounds=((0, 1),) * slots + ((0, spec.upper), (spec.lower, 0)) * slots,
+    )
+
+
+def decode_combined(
+    n: int, values: Sequence[int]
+) -> tuple[PriceCombination, tuple[int, ...]]:
+    """The combination and quantities of a :func:`build_combined` point."""
+    slots = 2 * n
+    index = 0
+    for bit in values[:slots]:
+        index = (index << 1) | bit
+    parts = values[slots:]
+    quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
+    return PriceCombination.from_index(n, index), quantities
 
 
 def check_feasible(portfolio: Portfolio, problem: IlpProblem) -> list[ConstraintViolation]:

@@ -1,14 +1,12 @@
-"""Search all price combinations for the best feasible portfolio.
+"""Find the best feasible portfolio over every price combination.
 
-One integer program per ask/bid combination; the winner is the highest
+Each ask/bid combination is one integer program; :func:`optimize` solves all
+of them at once as the single combined program of
+:func:`~payoffopt.model_builder.build_combined`. The winner is the highest
 objective, with ties broken by lowest combination index and then by the
-lexicographically smallest quantity vector. Infeasible combinations are
-counted, not errored. Results are bit-identical whether the scan runs
-sequentially or fanned out over combination ranges in worker processes.
-
-Lexicographic refinement only matters for the reported winner (two candidates
-with equal objective and equal index are the same subproblem), so the scan
-solves each combination without it and refines once at the end.
+lexicographically smallest quantity vector; the lexicographic refinement of
+:func:`~payoffopt.ilp_solver.solve_ilp` yields both tie-breaks because of
+the combined program's variable order.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,8 +24,10 @@ from .model_builder import (
     PriceCombination,
     Relation,
     StrategySpec,
+    build_combined,
     build_subproblem,
-    combination_count,
+    check_feasible,
+    decode_combined,
 )
 from .money import format_money
 from .payoff_engine import (
@@ -51,8 +49,6 @@ class PortfolioSolution:
     initial_cost: int
     total_contracts: int
     payoff_curve: PayoffCurve
-    combos_solved: int
-    combos_infeasible: int
 
 
 class SweepAxis(enum.Enum):
@@ -77,135 +73,38 @@ class SweepReport:
     points: tuple[SweepPoint, ...]
 
 
-_Scan = tuple[tuple[int, int] | None, int, int, tuple[int, SolverError] | None]
-
-
-def _scan_range(
-    spec: StrategySpec,
-    series: SeriesSelection,
-    start: int,
-    stop: int,
-    node_budget: int,
-) -> _Scan:
-    """Solve combinations [start, stop); returns (best, solved, infeasible,
-    error) where best is (objective, index) and error is (index, exception)."""
-    best: tuple[int, int] | None = None
-    solved = infeasible = 0
-    for index in range(start, stop):
-        combo = PriceCombination.from_index(series.n, index)
-        problem = build_subproblem(spec, series, combo)
-        try:
-            result = solve_ilp(problem, node_budget=node_budget, refine=False)
-        except SolverError as exc:
-            return best, solved, infeasible, (index, exc)
-        if result is None:
-            infeasible += 1
-            continue
-        solved += 1
-        if best is None or result.objective > best[0]:
-            best = (result.objective, index)
-    return best, solved, infeasible, None
-
-
-_WORKER_STATE: tuple[StrategySpec, SeriesSelection, int] | None = None
-
-
-def _init_worker(
-    spec: StrategySpec, series: SeriesSelection, node_budget: int
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (spec, series, node_budget)
-
-
-def _scan_chunk(chunk: tuple[int, int]) -> _Scan:
-    assert _WORKER_STATE is not None
-    spec, series, node_budget = _WORKER_STATE
-    return _scan_range(spec, series, chunk[0], chunk[1], node_budget)
-
-
-def _chunk_ranges(total: int, parts: int):
-    base, extra = divmod(total, parts)
-    start = 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        if size:
-            yield (start, start + size)
-            start += size
-
-
-def _resolve_workers(workers: int | str | None) -> int:
-    if workers in ("auto", None):
-        return os.cpu_count() or 1
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer or 'auto': {workers!r}")
-    return workers
-
-
 def optimize(
     spec: StrategySpec,
     series: SeriesSelection,
     *,
-    workers: int | str | None = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PortfolioSolution | None:
     """Best feasible portfolio over every price combination, or ``None``.
 
-    ``workers`` is a process count or ``"auto"``; 1 runs in-process. A solver
-    failure propagates as its own :class:`SolverError` subclass
+    A solver failure propagates as its own :class:`SolverError` subclass
     (:class:`SolverResourceError` for an exhausted budget,
-    :class:`SolverNumericalError` for a backend failure) naming the
-    combination index.
+    :class:`SolverNumericalError` for a backend failure).
     """
-    total = combination_count(series.n)
-    worker_count = _resolve_workers(workers)
-    if worker_count <= 1 or total < 4 * worker_count:
-        scans = [_scan_range(spec, series, 0, total, node_budget)]
-    else:
-        chunks = list(_chunk_ranges(total, 4 * worker_count))
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=worker_count,
-            initializer=_init_worker,
-            initargs=(spec, series, node_budget),
-        ) as pool:
-            scans = pool.map(_scan_chunk, chunks)
-
-    errors = [err for _, _, _, err in scans if err is not None]
-    if errors:
-        index, exc = min(errors, key=lambda e: e[0])
-        raise type(exc)(f"combination {index}: {exc}") from exc
-    solved = sum(s for _, s, _, _ in scans)
-    infeasible = sum(i for _, _, i, _ in scans)
-    candidates = [b for b, _, _, _ in scans if b is not None]
-    if not candidates:
-        return None
-    _, winner_index = min(candidates, key=lambda b: (-b[0], b[1]))
-
-    combo = PriceCombination.from_index(series.n, winner_index)
-    problem = build_subproblem(spec, series, combo)
-    try:
-        final = solve_ilp(problem, node_budget=node_budget, refine=True)
-    except SolverError as exc:
-        raise type(exc)(f"combination {winner_index}: {exc}") from exc
-    assert final is not None
-    portfolio = Portfolio(
-        series=series,
-        calls=final.x[: series.n],
-        puts=final.x[series.n :],
+    final = solve_ilp(
+        build_combined(spec, series), node_budget=node_budget, refine=True
     )
+    if final is None:
+        return None
+    combo, x = decode_combined(series.n, final.x)
+    portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
+    # the combined point passed the exact check; the decoded one must pass its
+    # own combination's program too
+    assert check_feasible(portfolio, build_subproblem(spec, series, combo)) == []
     prices = combo.contract_prices(series)
-    cost = initial_cost(portfolio, prices)
     # exact bookkeeping identity between the compiled objective and the engine
     assert final.objective == pnl(portfolio, prices, spec.expected_price)
     return PortfolioSolution(
         portfolio=portfolio,
         combination=combo,
         objective=final.objective,
-        initial_cost=cost,
+        initial_cost=initial_cost(portfolio, prices),
         total_contracts=portfolio.total_contracts,
         payoff_curve=payoff_curve(portfolio),
-        combos_solved=solved,
-        combos_infeasible=infeasible,
     )
 
 
@@ -213,15 +112,12 @@ def _sweep(
     axis: SweepAxis,
     specs: Sequence[tuple[int, StrategySpec]],
     series: SeriesSelection,
-    workers: int | str | None,
     node_budget: int,
 ) -> SweepReport:
     points = []
     for value, run_spec in specs:
         try:
-            solution = optimize(
-                run_spec, series, workers=workers, node_budget=node_budget
-            )
+            solution = optimize(run_spec, series, node_budget=node_budget)
             points.append(SweepPoint(value=value, solution=solution, error=None))
         except SolverError as exc:
             points.append(SweepPoint(value=value, solution=None, error=str(exc)))
@@ -234,7 +130,6 @@ def sweep_cost(
     series: SeriesSelection,
     cost_values: Sequence[int],
     *,
-    workers: int | str | None = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """One optimize run per cost target (cents), comparator preserved."""
@@ -247,7 +142,7 @@ def sweep_cost(
         (v, dataclasses.replace(spec, cost_target=CostTarget(comparator, v)))
         for v in cost_values
     ]
-    return _sweep(SweepAxis.COST, specs, series, workers, node_budget)
+    return _sweep(SweepAxis.COST, specs, series, node_budget)
 
 
 def sweep_liquidity(
@@ -255,7 +150,6 @@ def sweep_liquidity(
     series: SeriesSelection,
     bound_values: Sequence[int],
     *,
-    workers: int | str | None = 1,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """One optimize run per symmetric bound: quantities range in [-v, v]."""
@@ -267,7 +161,7 @@ def sweep_liquidity(
     specs = [
         (v, dataclasses.replace(spec, lower=-v, upper=v)) for v in bound_values
     ]
-    return _sweep(SweepAxis.LIQUIDITY, specs, series, workers, node_budget)
+    return _sweep(SweepAxis.LIQUIDITY, specs, series, node_budget)
 
 
 def solution_to_dict(solution: PortfolioSolution) -> dict:
@@ -277,8 +171,6 @@ def solution_to_dict(solution: PortfolioSolution) -> dict:
         "initial_cost": format_money(solution.initial_cost),
         "total_contracts": solution.total_contracts,
         "combination": solution.combination.bitstring,
-        "combos_solved": solution.combos_solved,
-        "combos_infeasible": solution.combos_infeasible,
         "quantities": {
             "call": {
                 str(k): x

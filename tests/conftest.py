@@ -64,8 +64,6 @@ def fixture_run_config():
 def full_run(fixture_series, fixture_run_config):
     """One timed full-scale optimization, shared by the acceptance tests."""
     start = time.perf_counter()
-    solution = optimize(
-        fixture_run_config.strategy, fixture_series, workers="auto"
-    )
+    solution = optimize(fixture_run_config.strategy, fixture_series)
     elapsed = time.perf_counter() - start
     return solution, elapsed

@@ -138,6 +138,21 @@ def small_series() -> SeriesSelection:
     )
 
 
+def base_spec(**overrides) -> StrategySpec:
+    """The worked-example strategy for :func:`small_series`."""
+    fields = dict(
+        expected_price=10500,
+        inflection=100,
+        max_loss=-500,
+        lower=-3,
+        upper=3,
+        balance_left_tail=False,
+        balance_right_tail=False,
+    )
+    fields.update(overrides)
+    return StrategySpec(**fields)
+
+
 def random_ilp(rng: random.Random) -> IlpProblem:
     """A small random boxed ILP; equalities kept rare to limit dead instances."""
     num = rng.randrange(1, 5)

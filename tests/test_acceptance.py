@@ -14,6 +14,7 @@ import pytest
 from payoffopt import (
     LpStatus,
     Portfolio,
+    PriceCombination,
     brute_force,
     build_subproblem,
     check_feasible,
@@ -26,17 +27,20 @@ from payoffopt import (
     solve_lp_relaxation,
     sweep_liquidity,
 )
+from payoffopt.model_builder import build_combined, decode_combined
 from support import (
     REFERENCE_COLUMNS,
+    base_spec,
     random_ilp,
     random_series,
     random_spec,
     reference_optimize,
     reference_series,
+    small_series,
 )
 
 TENTS = pytest.mark.criterion("reference portfolios: zero-sum tents, published totals")
-COMBOS = pytest.mark.criterion("price combinations: all 4^n enumerated and accounted")
+COMBOS = pytest.mark.criterion("price combinations: all 4^n covered exactly")
 AGREEMENT = pytest.mark.criterion("optimizer matches exhaustive reference search")
 LIQUIDITY = pytest.mark.criterion("deeper liquidity never shrinks the objective")
 RUNTIME = pytest.mark.criterion("full-scale run finishes inside the time envelope")
@@ -109,10 +113,36 @@ def test_six_slot_series_has_4096_combinations():
 
 
 @COMBOS
-def test_full_run_accounts_for_every_combination(full_run):
-    solution, _ = full_run
-    assert solution is not None
-    assert solution.combos_solved + solution.combos_infeasible == 4096
+def test_combined_program_is_exact_on_every_combination():
+    # pinning the side bits of the combined program to one combination must
+    # leave exactly that combination's subproblem
+    rng = random.Random(7219)
+    cases = [(base_spec(), small_series())]
+    for _ in range(20):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+    feasible = 0
+    for case, (spec, series) in enumerate(cases):
+        combined = build_combined(spec, series)
+        slots = 2 * series.n
+        for index in range(combination_count(series.n)):
+            combo = PriceCombination.from_index(series.n, index)
+            sides = tuple((int(b), int(b)) for b in combo.bitstring)
+            pinned = dataclasses.replace(
+                combined, bounds=sides + combined.bounds[slots:]
+            )
+            got = solve_ilp(pinned)
+            expected = brute_force(build_subproblem(spec, series, combo))
+            where = (case, index)
+            if expected is None:
+                assert got is None, where
+                continue
+            feasible += 1
+            assert got is not None, where
+            decoded, x = decode_combined(series.n, got.x)
+            assert decoded == combo, where
+            assert (got.objective, x) == (expected.objective, expected.x), where
+    assert feasible >= 50
 
 
 @AGREEMENT
@@ -150,7 +180,7 @@ def test_optimizer_matches_exhaustive_reference():
 def liquidity_sweep(fixture_run_config, fixture_series):
     spec = dataclasses.replace(fixture_run_config.strategy, cost_target=None)
     start = time.perf_counter()
-    report = sweep_liquidity(spec, fixture_series, [10, 50, 100], workers="auto")
+    report = sweep_liquidity(spec, fixture_series, [10, 50, 100])
     elapsed = time.perf_counter() - start
     return report, elapsed
 

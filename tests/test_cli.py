@@ -126,14 +126,6 @@ class TestOptimizeCommand:
             assert code == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_threads_flag(self, chain_path, make_spec, capsys):
-        code = invoke(
-            "optimize", "--chain", chain_path, "--spec", make_spec(),
-            "--threads", "2",
-        )
-        assert code == 0
-        assert capsys.readouterr().out == EXPECTED_TABLE
-
     def test_infeasible_exit_lists_constraints(self, chain_path, make_spec, capsys):
         spec = make_spec(balance_left_tail=True, balance_right_tail=True)
         assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 1
@@ -153,7 +145,7 @@ class TestOptimizeCommand:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error:solver:combination 0: MILP backend failed")
+        assert lines[0].startswith("error:solver:MILP backend failed")
 
 
 class TestSpecErrors:
@@ -223,6 +215,17 @@ class TestLoadRunConfig:
     def test_bool_rejected_for_int_fields(self):
         with pytest.raises(SpecError, match="must be an integer"):
             load_run_config({**SPEC, "n": True})
+
+    @pytest.mark.parametrize("key", ["balance_left_tail", "balance_right_tail"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1])
+    def test_non_bool_tail_flag_rejected(self, key, value):
+        with pytest.raises(SpecError, match=f"{key} must be a boolean"):
+            load_run_config({**SPEC, key: value})
+
+    @pytest.mark.parametrize("key", ["balance_left_tail", "balance_right_tail"])
+    def test_false_tail_flag_accepted(self, key):
+        config = load_run_config({**SPEC, key: False})
+        assert getattr(config.strategy, key) is False
 
     def test_cost_target_extra_key(self):
         with pytest.raises(SpecError, match="unknown cost_target key"):
@@ -306,6 +309,31 @@ class TestPayoffCommand:
         assert code == 0
         code = invoke(
             "payoff", "--chain", chain_path, "--spec", spec, "--solution", stored
+        )
+        assert code == 0
+        assert capsys.readouterr().out == EXPECTED_CURVE
+
+    def test_stored_solution_with_scan_counters(
+        self, chain_path, make_spec, tmp_path, capsys
+    ):
+        # documents written before the single-program optimizer carry the
+        # counters of the per-combination scan
+        stored = tmp_path / "solution.json"
+        stored.write_text(json.dumps({
+            "combination": "1010",
+            "combos_infeasible": 9,
+            "combos_solved": 7,
+            "initial_cost": "0.90",
+            "objective": "14.10",
+            "quantities": {
+                "call": {"100": 3, "110": -3},
+                "put": {"90": 3, "100": -3},
+            },
+            "total_contracts": 12,
+        }))
+        code = invoke(
+            "payoff", "--chain", chain_path, "--spec", make_spec(),
+            "--solution", stored,
         )
         assert code == 0
         assert capsys.readouterr().out == EXPECTED_CURVE
@@ -400,19 +428,3 @@ class TestArgumentParsing:
         assert code == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("threads", ["0", "-2", "many"])
-    def test_bad_thread_count(self, chain_path, make_spec, threads, capsys):
-        code = invoke(
-            "optimize", "--chain", chain_path, "--spec", make_spec(),
-            "--threads", threads,
-        )
-        assert code == 2
-        capsys.readouterr()
-
-    def test_auto_threads_accepted(self, chain_path, make_spec, capsys):
-        code = invoke(
-            "optimize", "--chain", chain_path, "--spec", make_spec(),
-            "--threads", "auto",
-        )
-        assert code == 0
-        capsys.readouterr()

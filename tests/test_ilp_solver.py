@@ -176,10 +176,13 @@ def presolve_solve_error_problem():
     )
 
 
-def test_presolve_solve_error_settles_as_infeasible():
+def test_presolve_solve_error_settles_as_infeasible(capfd):
     problem = presolve_solve_error_problem()
     assert solve_lp_relaxation(problem).status is LpStatus.OPTIMAL
     assert [route(problem) for route in ALL_ROUTES] == [None, None, None]
+    # HiGHS prints diagnostics for this program straight to file descriptor 1
+    out, _ = capfd.readouterr()
+    assert out == ""
 
 
 def test_repeated_solve_error_raises(monkeypatch):

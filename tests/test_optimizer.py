@@ -9,11 +9,9 @@ from payoffopt import (
     Relation,
     SolverNumericalError,
     SolverResourceError,
-    StrategySpec,
     SweepAxis,
     build_subproblem,
     check_feasible,
-    combination_count,
     optimize,
     solution_from_dict,
     solution_to_dict,
@@ -30,21 +28,13 @@ from payoffopt.optimizer import (
     sweep_to_csv,
     sweep_to_table,
 )
-from support import random_series, random_spec, reference_optimize, small_series
-
-
-def base_spec(**overrides):
-    fields = dict(
-        expected_price=10500,
-        inflection=100,
-        max_loss=-500,
-        lower=-3,
-        upper=3,
-        balance_left_tail=False,
-        balance_right_tail=False,
-    )
-    fields.update(overrides)
-    return StrategySpec(**fields)
+from support import (
+    base_spec,
+    random_series,
+    random_spec,
+    reference_optimize,
+    small_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +53,6 @@ class TestOptimize:
         assert sol.initial_cost == 90
         assert sol.total_contracts == 12
 
-    def test_counters_cover_every_combination(self, small_solution):
-        total = combination_count(2)
-        assert small_solution.combos_solved + small_solution.combos_infeasible == total
-        assert small_solution.combos_solved == 7
-
     def test_infeasible_run_returns_none(self):
         # with both tails pinned this instance has no solution
         spec = base_spec(balance_left_tail=True, balance_right_tail=True)
@@ -77,14 +62,6 @@ class TestOptimize:
         first = optimize(base_spec(), small_series())
         second = optimize(base_spec(), small_series())
         assert first == second
-
-    def test_parallel_matches_sequential(self, small_solution):
-        parallel = optimize(base_spec(), small_series(), workers=2)
-        assert parallel == small_solution
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError, match="workers"):
-            optimize(base_spec(), small_series(), workers=0)
 
     def test_matches_exhaustive_reference_on_random_instances(self):
         rng = random.Random(90125)
@@ -116,7 +93,7 @@ class TestOptimize:
             raise SolverResourceError("node budget of 3 exhausted")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        with pytest.raises(SolverResourceError, match="combination 0: node budget"):
+        with pytest.raises(SolverResourceError, match="node budget"):
             optimize(base_spec(), small_series())
 
     def test_numerical_error_names_combination(self, monkeypatch):
@@ -124,7 +101,7 @@ class TestOptimize:
             raise SolverNumericalError("MILP backend failed (status 4)")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        with pytest.raises(SolverNumericalError, match="combination 0: MILP backend"):
+        with pytest.raises(SolverNumericalError, match="MILP backend"):
             optimize(base_spec(), small_series())
 
 
@@ -184,7 +161,7 @@ class TestSweeps:
         report = sweep_liquidity(base_spec(), small_series(), [1, 2])
         for point in report.points:
             assert point.solution is None
-            assert point.error.startswith("combination 0: MILP backend failed")
+            assert point.error.startswith("MILP backend failed")
 
 
 class TestSerialization:
