@@ -6,8 +6,12 @@ Independent routes to the same answer:
   optimality gap. The search runs in floating point, but the returned point
   is re-verified and its objective recomputed in exact integer arithmetic
   before acceptance. Among optima the lexicographically smallest solution
-  vector is returned, found by a per-slot minimization pass after the
-  optimal value is known.
+  vector is returned: with the objective pinned at its optimal value, each
+  slot in turn is fixed at its minimum, starting from the first optimal
+  point. A slot that point already holds at its lower bound is fixed there
+  without a solve, so the pass costs at most one MILP per slot and often
+  fewer (lexicographic optimization as a sequence of epsilon-constraint
+  programs; Ehrgott, *Multicriteria Optimization*, 2005, ch. 5).
 * :func:`solve_ilp_reference`: pure-Python branch and bound over the LP
   relaxation. Much slower; kept as an in-tree cross-check with the same
   contract.
@@ -292,26 +296,35 @@ def _stdout_discarded():
         os.close(null)
 
 
+def _compile_rows(rows: Sequence[Row], num_vars: int) -> LinearConstraint:
+    """All rows as one ``lb <= A x <= ub`` constraint, built once per program."""
+    matrix = np.asarray([row.coeffs for row in rows], dtype=float)
+    rhs = np.asarray([row.rhs for row in rows], dtype=float)
+    lower = [row.relation is Relation.LE for row in rows]
+    upper = [row.relation is Relation.GE for row in rows]
+    return LinearConstraint(
+        matrix.reshape(len(rows), num_vars),
+        np.where(lower, -np.inf, rhs),
+        np.where(upper, np.inf, rhs),
+    )
+
+
 def _milp_once(
     objective: Sequence[int],
     constant: int,
     rows: Sequence[Row],
+    constraint: LinearConstraint,
     bounds: Sequence[tuple[int, int]],
     node_budget: int,
 ) -> tuple[int, tuple[int, ...]] | None:
-    """One exact MILP solve: (objective, x) or ``None`` when infeasible."""
+    """One exact MILP solve: (objective, x) or ``None`` when infeasible.
+
+    ``constraint`` is ``rows`` compiled by :func:`_compile_rows`; the rows
+    themselves serve the exact integer check of the returned point.
+    """
     num_vars = len(objective)
     if num_vars == 0:
         return (constant, ()) if _rows_hold(rows, ()) else None
-    constraints = []
-    for row in rows:
-        a = np.asarray(row.coeffs, dtype=float)
-        if row.relation is Relation.EQ:
-            constraints.append(LinearConstraint(a, row.rhs, row.rhs))
-        elif row.relation is Relation.LE:
-            constraints.append(LinearConstraint(a, -np.inf, row.rhs))
-        else:
-            constraints.append(LinearConstraint(a, row.rhs, np.inf))
     c = -np.asarray(objective, dtype=float)
     box = Bounds(
         np.asarray([b[0] for b in bounds], dtype=float),
@@ -328,7 +341,7 @@ def _milp_once(
         with _stdout_discarded():
             result = milp(
                 c,
-                constraints=constraints,
+                constraints=constraint,
                 bounds=box,
                 integrality=np.ones(num_vars),
                 options=attempt,
@@ -353,9 +366,14 @@ def _milp_once(
 
 
 def _milp_refine(
-    problem: IlpProblem, optimum: int, node_budget: int
+    problem: IlpProblem, optimum: int, seed: tuple[int, ...], node_budget: int
 ) -> tuple[int, ...]:
-    """Among optima, pin each slot in turn to its minimum value."""
+    """Among optima, fix each slot in turn at its minimum value.
+
+    ``seed`` is an optimal point. The current point stays feasible for every
+    slot fixed so far, so a slot it holds at its lower bound has that bound
+    as its minimum and is fixed without a solve.
+    """
     pin = Row(
         name="objective_pin",
         coeffs=problem.objective,
@@ -363,14 +381,16 @@ def _milp_refine(
         rhs=optimum - problem.objective_constant,
     )
     rows = problem.rows + (pin,)
+    constraint = _compile_rows(rows, problem.num_vars)
     bounds = list(problem.bounds)
-    x: tuple[int, ...] = ()
+    x = seed
     for j in range(problem.num_vars):
-        selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
-        result = _milp_once(selector, 0, rows, tuple(bounds), node_budget)
-        assert result is not None  # the optimum is attained, so never empty
-        value, x = result
-        bounds[j] = (-value, -value)
+        if x[j] > bounds[j][0]:
+            selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
+            result = _milp_once(selector, 0, rows, constraint, bounds, node_budget)
+            assert result is not None  # the current point is feasible
+            _, x = result
+        bounds[j] = (x[j], x[j])
     return x
 
 
@@ -384,7 +404,8 @@ def solve_ilp(
 
     Deterministic: repeated calls return identical results. With ``refine``
     (the default) the returned vector is the lexicographically smallest among
-    all optimal integer solutions; without it, any optimal vector.
+    all optimal integer solutions; without it, the first optimal vector found.
+    A refined solve makes at most one MILP call per variable after the first.
     """
     if problem.num_vars and problem.rows:
         # root LP infeasibility settles most subproblems at a fraction of a
@@ -401,6 +422,7 @@ def solve_ilp(
         problem.objective,
         problem.objective_constant,
         problem.rows,
+        _compile_rows(problem.rows, problem.num_vars),
         problem.bounds,
         node_budget,
     )
@@ -408,7 +430,7 @@ def solve_ilp(
         return None
     value, x = result
     if refine and problem.num_vars:
-        x = _milp_refine(problem, value, node_budget)
+        x = _milp_refine(problem, value, x, node_budget)
     return IntSolution(x=tuple(x), objective=value)
 
 

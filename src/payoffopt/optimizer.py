@@ -4,9 +4,11 @@ Each ask/bid combination is one integer program; :func:`optimize` solves all
 of them at once as the single combined program of
 :func:`~payoffopt.model_builder.build_combined`. The winner is the highest
 objective, with ties broken by lowest combination index and then by the
-lexicographically smallest quantity vector; the lexicographic refinement of
-:func:`~payoffopt.ilp_solver.solve_ilp` yields both tie-breaks because of
-the combined program's variable order.
+lexicographically smallest quantity vector. The combined solve finds the
+optimal value; one more solve of
+:func:`~payoffopt.model_builder.build_index_ranking` per block of 52 side
+bits finds the lowest optimal combination index, and the refined solve of
+that combination's subproblem finds the quantities.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ilp_solver import DEFAULT_NODE_BUDGET, SolverError, solve_ilp
+from .ilp_solver import (
+    DEFAULT_NODE_BUDGET,
+    SolverError,
+    SolverNumericalError,
+    solve_ilp,
+)
 from .market_data import SeriesSelection
 from .model_builder import (
     CostTarget,
@@ -25,9 +32,9 @@ from .model_builder import (
     Relation,
     StrategySpec,
     build_combined,
+    build_index_ranking,
     build_subproblem,
-    check_feasible,
-    decode_combined,
+    index_blocks,
 )
 from .money import format_money
 from .payoff_engine import (
@@ -81,20 +88,47 @@ def optimize(
 ) -> PortfolioSolution | None:
     """Best feasible portfolio over every price combination, or ``None``.
 
+    Three stages, at most 2n+3 MILP solves for n <= 26: the combined program
+    gives the optimal value; Stage A ranks the side bits of the optima and
+    gives the lowest optimal combination index (skipped when the first
+    point already has index 0); Stage B refines that combination's
+    subproblem to the lexicographically smallest quantities. With the side
+    bits fixed the combined program is exactly that subproblem, so its
+    optimum is the first one.
+
     A solver failure propagates as its own :class:`SolverError` subclass
     (:class:`SolverResourceError` for an exhausted budget,
     :class:`SolverNumericalError` for a backend failure).
     """
-    final = solve_ilp(
-        build_combined(spec, series), node_budget=node_budget, refine=True
-    )
-    if final is None:
+    combined = build_combined(spec, series)
+    first = solve_ilp(combined, node_budget=node_budget, refine=False)
+    if first is None:
         return None
-    combo, x = decode_combined(series.n, final.x)
+    slots = 2 * series.n
+    bits = first.x[:slots]
+    if any(bits):
+        bits = ()
+        for block in index_blocks(slots):
+            ranked = solve_ilp(
+                build_index_ranking(combined, first.objective, bits, block.stop),
+                node_budget=node_budget,
+                refine=False,
+            )
+            if ranked is None:
+                raise SolverNumericalError(
+                    "index ranking found no point at the combined optimum"
+                )
+            bits = ranked.x[: block.stop]
+    combo = PriceCombination.from_bits(bits)
+    final = solve_ilp(
+        build_subproblem(spec, series, combo), node_budget=node_budget, refine=True
+    )
+    if final is None or final.objective != first.objective:
+        raise SolverNumericalError(
+            f"combination {combo.index} does not reach the combined optimum"
+        )
+    x = final.x
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
-    # the combined point passed the exact check; the decoded one must pass its
-    # own combination's program too
-    assert check_feasible(portfolio, build_subproblem(spec, series, combo)) == []
     prices = combo.contract_prices(series)
     # exact bookkeeping identity between the compiled objective and the engine
     assert final.objective == pnl(portfolio, prices, spec.expected_price)

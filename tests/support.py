@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import payoffopt.ilp_solver
 from payoffopt import (
     CostTarget,
     IlpProblem,
@@ -106,6 +107,16 @@ def combo_for(calls: tuple[int, ...], puts: tuple[int, ...]) -> PriceCombination
     """The price combination whose slot bounds admit these quantities."""
     bits = "".join("1" if x > 0 else "0" for x in calls + puts)
     return PriceCombination.from_index(len(calls), int(bits, 2))
+
+
+def decode_combined(
+    n: int, values: tuple[int, ...]
+) -> tuple[PriceCombination, tuple[int, ...]]:
+    """The combination and quantities of a ``build_combined`` point."""
+    slots = 2 * n
+    parts = values[slots:]
+    quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
+    return PriceCombination.from_bits(values[:slots]), quantities
 
 
 def reference_series() -> SeriesSelection:
@@ -279,3 +290,18 @@ def reference_optimize(
         if best is None or value > best[0]:
             best = (value, index, x)
     return best
+
+
+def count_presolved_milps(monkeypatch) -> list[int]:
+    """Count ``milp`` calls with presolve on (presolve-off rechecks are
+    left out) until the test ends; the returned list grows one per call."""
+    calls: list[int] = []
+    real = payoffopt.ilp_solver.milp
+
+    def counting(*args, options, **kwargs):
+        if options.get("presolve", True):
+            calls.append(1)
+        return real(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting)
+    return calls

@@ -27,10 +27,12 @@ from payoffopt import (
     solve_lp_relaxation,
     sweep_liquidity,
 )
-from payoffopt.model_builder import build_combined, decode_combined
+from payoffopt.model_builder import build_combined
 from support import (
     REFERENCE_COLUMNS,
     base_spec,
+    count_presolved_milps,
+    decode_combined,
     random_ilp,
     random_series,
     random_spec,
@@ -145,17 +147,43 @@ def test_combined_program_is_exact_on_every_combination():
     assert feasible >= 50
 
 
+def record_first_solves(monkeypatch):
+    """Keep the result of the first ``solve_ilp`` call made in ``optimize``
+    since the returned list was last cleared: the combined solve."""
+    import payoffopt.optimizer as optimizer
+
+    first = []
+    real = optimizer.solve_ilp
+
+    def recording(problem, **kwargs):
+        result = real(problem, **kwargs)
+        if not first:
+            first.append(result)
+        return result
+
+    monkeypatch.setattr(optimizer, "solve_ilp", recording)
+    return first
+
+
 @AGREEMENT
-def test_optimizer_matches_exhaustive_reference():
+def test_optimizer_matches_exhaustive_reference(monkeypatch):
     rng = random.Random(20260823)
+    first = record_first_solves(monkeypatch)
     start = time.perf_counter()
     feasible = 0
+    moved = 0
     mismatches = []
     for i in range(220):
         series = random_series(rng)
         spec = random_spec(rng, series)
         expected = reference_optimize(spec, series)
+        first.clear()
         got = optimize(spec, series)
+        if got is not None:
+            # count the runs where Stage A moves the side bits off the
+            # first optimal point
+            first_combo, _ = decode_combined(series.n, first[0].x)
+            moved += first_combo != got.combination
         if expected is None:
             if got is not None:
                 mismatches.append((i, None, got))
@@ -173,6 +201,7 @@ def test_optimizer_matches_exhaustive_reference():
     elapsed = time.perf_counter() - start
     assert mismatches == []
     assert feasible >= 30
+    assert moved >= 1
     assert elapsed < 60
 
 
@@ -200,7 +229,14 @@ def test_objective_grows_with_liquidity(liquidity_sweep):
 
 def test_liquidity_sweep_regression_values(liquidity_sweep):
     report, _ = liquidity_sweep
-    assert [p.solution.objective for p in report.points] == [90000, 490000, 990000]
+    solutions = [p.solution for p in report.points]
+    assert [s.objective for s in solutions] == [90000, 490000, 990000]
+    assert [s.combination.index for s in solutions] == [1091, 1090, 1090]
+    assert [(s.portfolio.calls, s.portfolio.puts) for s in solutions] == [
+        ((0, 10, -2, -10, -8, 10), (0, 0, 0, -4, 1, 3)),
+        ((0, 41, 0, -41, -50, 50), (0, 0, 0, -41, 50, -9)),
+        ((0, 88, -1, -89, -98, 100), (0, 0, 0, -81, 88, -7)),
+    ]
 
 
 @RUNTIME
@@ -227,6 +263,29 @@ def test_full_run_regression_values(full_run):
     assert solution.portfolio.calls == (0, 4, 0, -10, 1, 5)
     assert solution.portfolio.puts == (0, 0, 0, -4, 8, -4)
     assert solution.total_contracts == 36
+
+
+@pytest.mark.parametrize(
+    "lots, bitstring, calls, puts",
+    [
+        (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4)),
+        (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4)),
+    ],
+)
+def test_fixture_tie_break_takes_at_most_2n_plus_3_milps(
+    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts
+):
+    # first solve, Stage A, Stage B's first solve and at most one refine
+    # step per subproblem slot; presolve-off rechecks are not counted
+    presolved = count_presolved_milps(monkeypatch)
+    spec = fixture_run_config.strategy
+    if lots is not None:
+        spec = dataclasses.replace(spec, lower=-lots, upper=lots)
+    solution = optimize(spec, fixture_series)
+    assert solution.objective == 40000
+    assert solution.combination.bitstring == bitstring
+    assert (solution.portfolio.calls, solution.portfolio.puts) == (calls, puts)
+    assert len(presolved) <= 2 * fixture_series.n + 3
 
 
 @EXACT

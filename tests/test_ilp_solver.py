@@ -17,7 +17,7 @@ from payoffopt import (
     solve_ilp_reference,
     solve_lp_relaxation,
 )
-from support import random_ilp
+from support import count_presolved_milps, random_ilp
 
 ALL_ROUTES = [solve_ilp, solve_ilp_reference, brute_force]
 
@@ -196,6 +196,38 @@ def test_repeated_solve_error_raises(monkeypatch):
     with pytest.raises(SolverNumericalError, match="status 4"):
         solve_ilp(fractional_problem())
     assert calls == [True, False]
+
+
+def test_root_lp_failure_falls_through_to_milp(monkeypatch):
+    problems = [fractional_problem(), infeasible_problem()]
+    rng = random.Random(4)
+    problems += [random_ilp(rng) for _ in range(10)]
+    unpatched = [solve_ilp(p) for p in problems]
+    lp_calls = []
+
+    def failing_linprog(*args, **kwargs):
+        lp_calls.append(1)
+        return OptimizeResult(status=4, x=None, fun=None, message="numerical")
+
+    monkeypatch.setattr("payoffopt.ilp_solver.linprog", failing_linprog)
+    assert [solve_ilp(p) for p in problems] == unpatched
+    assert len(lp_calls) == sum(1 for p in problems if p.rows)
+    assert unpatched[1] is None and unpatched[0] is not None
+
+
+def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
+    # every optimum has x1 = -1, its lower bound, so the refine fixes x1
+    # without a solve; x0 is free and x2 + x3 = 3 is tied
+    problem = IlpProblem(
+        objective=(0, -1, 1, 1),
+        objective_constant=0,
+        rows=(Row.of("cap", [0, 0, 1, 1], Relation.LE, 3),),
+        bounds=((-2, 2), (-1, 3), (0, 3), (0, 3)),
+    )
+    calls = count_presolved_milps(monkeypatch)
+    got = solve_ilp(problem)
+    assert got == brute_force(problem) == IntSolution(x=(-2, -1, 0, 3), objective=4)
+    assert len(calls) < 1 + problem.num_vars
 
 
 def test_brute_force_capacity_guard():

@@ -16,6 +16,7 @@ from payoffopt import (
     solution_from_dict,
     solution_to_dict,
     solution_to_json,
+    solve_ilp,
     sweep_cost,
     sweep_liquidity,
     sweep_to_dict,
@@ -102,6 +103,34 @@ class TestOptimize:
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
         with pytest.raises(SolverNumericalError, match="MILP backend"):
+            optimize(base_spec(), small_series())
+
+    @pytest.mark.parametrize(
+        "call, lowered, message",
+        [
+            (2, False, "index ranking"),
+            (3, False, "does not reach"),
+            (3, True, "does not reach"),
+        ],
+    )
+    def test_stage_missing_the_optimum_is_a_solver_error(
+        self, monkeypatch, call, lowered, message
+    ):
+        # call 1 is the combined solve, 2 Stage A, 3 Stage B; a later stage
+        # that misses the first optimum is a backend failure, not a verdict
+        calls = []
+
+        def inconsistent(problem, **kwargs):
+            calls.append(problem)
+            result = solve_ilp(problem, **kwargs)
+            if len(calls) != call:
+                return result
+            if lowered:
+                return dataclasses.replace(result, objective=result.objective - 1)
+            return None
+
+        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", inconsistent)
+        with pytest.raises(SolverNumericalError, match=message):
             optimize(base_spec(), small_series())
 
 
