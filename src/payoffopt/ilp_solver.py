@@ -6,12 +6,13 @@ Independent routes to the same answer:
   optimality gap. The search runs in floating point, but the returned point
   is re-verified and its objective recomputed in exact integer arithmetic
   before acceptance. Among optima the lexicographically smallest solution
-  vector is returned: with the objective pinned at its optimal value, each
-  slot in turn is fixed at its minimum, starting from the first optimal
-  point. A slot that point already holds at its lower bound is fixed there
-  without a solve, so the pass costs at most one MILP per slot and often
-  fewer (lexicographic optimization as a sequence of epsilon-constraint
-  programs; Ehrgott, *Multicriteria Optimization*, 2005, ch. 5).
+  vector is returned by :func:`lex_refine`: with the objective pinned at its
+  optimal value, the slots are minimized in blocks, one MILP per block whose
+  objective reads the block as one mixed-radix number, starting from the
+  first optimal point. A slot that point already holds at its lower bound
+  is fixed there without a solve (lexicographic optimization as a sequence
+  of epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*,
+  2005, ch. 5).
 * :func:`solve_ilp_reference`: pure-Python branch and bound over the LP
   relaxation. Much slower; kept as an in-tree cross-check with the same
   contract.
@@ -365,14 +366,44 @@ def _milp_once(
     return value, x
 
 
-def _milp_refine(
-    problem: IlpProblem, optimum: int, seed: tuple[int, ...], node_budget: int
-) -> tuple[int, ...]:
-    """Among optima, fix each slot in turn at its minimum value.
+# a block's mixed-radix key ranges over fewer than this many values; HiGHS
+# accepts a point within 1e-6 of integral (mip_feasibility_tolerance), so the
+# key of an accepted point can sit at most about range * 1e-6 < 0.5 off the
+# key of its rounded point, which keeps a better integer key from hiding
+_BLOCK_RANGE = 2**18
 
-    ``seed`` is an optimal point. The current point stays feasible for every
-    slot fixed so far, so a slot it holds at its lower bound has that bound
-    as its minimum and is fixed without a solve.
+
+def _block_size(widths: Sequence[int]) -> int:
+    """How many leading slots of ``widths`` form one block: as many as keep
+    the product of their widths within :data:`_BLOCK_RANGE`, at least one."""
+    size, product = 1, widths[0]
+    while size < len(widths) and product * widths[size] <= _BLOCK_RANGE:
+        product *= widths[size]
+        size += 1
+    return size
+
+
+def lex_refine(
+    problem: IlpProblem,
+    optimum: int,
+    seed: Sequence[int],
+    stop: int,
+    *,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> tuple[int, ...]:
+    """An optimal point whose slots ``[0, stop)`` are lexicographically
+    smallest among all points of ``problem`` with objective ``optimum``.
+
+    ``seed`` must be such a point; it is checked exactly against the bounds,
+    the rows and the objective pin. The current point stays feasible for
+    every slot fixed so far, so a slot it holds at its lower bound has that
+    bound as its minimum and is fixed without a solve. The other slots are
+    minimized in blocks, one MILP per block: the block's objective is the
+    mixed-radix number sum w_j (x_j - lo_j), with w_j the product of the
+    widths after slot j in the block.
+
+    A seed that fails the check, or a block solve that finds no point,
+    raises :class:`SolverNumericalError`.
     """
     pin = Row(
         name="objective_pin",
@@ -381,16 +412,31 @@ def _milp_refine(
         rhs=optimum - problem.objective_constant,
     )
     rows = problem.rows + (pin,)
-    constraint = _compile_rows(rows, problem.num_vars)
     bounds = list(problem.bounds)
-    x = seed
-    for j in range(problem.num_vars):
-        if x[j] > bounds[j][0]:
-            selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
-            result = _milp_once(selector, 0, rows, constraint, bounds, node_budget)
-            assert result is not None  # the current point is feasible
-            _, x = result
-        bounds[j] = (x[j], x[j])
+    x = tuple(seed)
+    if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
+        raise SolverNumericalError(f"seed point misses the optimum {optimum}")
+    constraint = _compile_rows(rows, problem.num_vars)
+    j = 0
+    while j < stop:
+        if x[j] == bounds[j][0]:
+            bounds[j] = (x[j], x[j])
+            j += 1
+            continue
+        widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
+        block = range(j, j + _block_size(widths))
+        key = [0] * problem.num_vars
+        weight = 1
+        for i in reversed(block):
+            key[i] = -weight
+            weight *= widths[i - j]
+        result = _milp_once(key, 0, rows, constraint, bounds, node_budget)
+        if result is None:
+            raise SolverNumericalError(f"no point at the optimum {optimum}")
+        _, x = result
+        for i in block:
+            bounds[i] = (x[i], x[i])
+        j = block.stop
     return x
 
 
@@ -405,7 +451,8 @@ def solve_ilp(
     Deterministic: repeated calls return identical results. With ``refine``
     (the default) the returned vector is the lexicographically smallest among
     all optimal integer solutions; without it, the first optimal vector found.
-    A refined solve makes at most one MILP call per variable after the first.
+    A refined solve makes at most one MILP call per :func:`lex_refine` block
+    after the first.
     """
     if problem.num_vars and problem.rows:
         # root LP infeasibility settles most subproblems at a fraction of a
@@ -430,7 +477,7 @@ def solve_ilp(
         return None
     value, x = result
     if refine and problem.num_vars:
-        x = _milp_refine(problem, value, x, node_budget)
+        x = lex_refine(problem, value, x, problem.num_vars, node_budget=node_budget)
     return IntSolution(x=tuple(x), objective=value)
 
 

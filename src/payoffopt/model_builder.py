@@ -414,8 +414,9 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     ``solve_ilp`` refines to) the lowest optimal combination index first and
     then the lexicographically smallest quantities.
     :func:`~payoffopt.optimizer.optimize` reaches the same answer in fewer
-    solves: :func:`build_index_ranking` finds the lowest optimal index, and
-    that combination's subproblem, refined, gives the quantities.
+    solves: it refines only the side bits here, decodes that point with
+    :func:`decode_combined`, and refines the quantities on that
+    combination's own subproblem.
     """
     slots = 2 * series.n
     ask = build_subproblem(
@@ -450,48 +451,15 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     )
 
 
-# weights up to 2^51 keep every block sum below 2^53, exact in a double
-INDEX_BLOCK_BITS = 52
-
-
-def index_blocks(slots: int) -> tuple[range, ...]:
-    """Side-bit positions in blocks of at most :data:`INDEX_BLOCK_BITS`,
-    most significant first; one block for every n <= 26."""
-    return tuple(
-        range(start, min(start + INDEX_BLOCK_BITS, slots))
-        for start in range(0, slots, INDEX_BLOCK_BITS)
-    )
-
-
-def build_index_ranking(
-    combined: IlpProblem, optimum: int, fixed: Sequence[int], stop: int
-) -> IlpProblem:
-    """The :func:`build_combined` program held at the objective ``optimum``,
-    ranking the side bits from ``len(fixed)`` up to ``stop`` as a binary
-    number.
-
-    ``fixed`` holds the bits in front of that block. The program minimizes
-    sum 2^(stop-1-i) z_i over the block, so its optimum carries the lowest
-    block bits among the optimal combinations with that prefix. Solving the
-    blocks of :func:`index_blocks` in order gives the lowest optimal
-    combination index.
-    """
-    start = len(fixed)
-    objective = [0] * combined.num_vars
-    for i in range(start, stop):
-        objective[i] = -(1 << (stop - 1 - i))
-    pin = Row(
-        "objective_pin",
-        combined.objective,
-        Relation.EQ,
-        optimum - combined.objective_constant,
-    )
-    return IlpProblem(
-        objective=tuple(objective),
-        objective_constant=0,
-        rows=combined.rows + (pin,),
-        bounds=tuple((b, b) for b in fixed) + combined.bounds[start:],
-    )
+def decode_combined(
+    n: int, values: Sequence[int]
+) -> tuple[PriceCombination, tuple[int, ...]]:
+    """The combination and quantities ``x_i = p_i + r_i`` of a
+    :func:`build_combined` point."""
+    slots = 2 * n
+    parts = values[slots:]
+    quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
+    return PriceCombination.from_bits(values[:slots]), quantities
 
 
 def check_feasible(portfolio: Portfolio, problem: IlpProblem) -> list[ConstraintViolation]:

@@ -5,10 +5,9 @@ of them at once as the single combined program of
 :func:`~payoffopt.model_builder.build_combined`. The winner is the highest
 objective, with ties broken by lowest combination index and then by the
 lexicographically smallest quantity vector. The combined solve finds the
-optimal value; one more solve of
-:func:`~payoffopt.model_builder.build_index_ranking` per block of 52 side
-bits finds the lowest optimal combination index, and the refined solve of
-that combination's subproblem finds the quantities.
+optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
+finds the lowest optimal combination index, and on that combination's
+subproblem, seeded with the same point, the quantities.
 """
 
 from __future__ import annotations
@@ -19,12 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ilp_solver import (
-    DEFAULT_NODE_BUDGET,
-    SolverError,
-    SolverNumericalError,
-    solve_ilp,
-)
+from .ilp_solver import DEFAULT_NODE_BUDGET, SolverError, lex_refine, solve_ilp
 from .market_data import SeriesSelection
 from .model_builder import (
     CostTarget,
@@ -32,9 +26,8 @@ from .model_builder import (
     Relation,
     StrategySpec,
     build_combined,
-    build_index_ranking,
     build_subproblem,
-    index_blocks,
+    decode_combined,
 )
 from .money import format_money
 from .payoff_engine import (
@@ -88,54 +81,37 @@ def optimize(
 ) -> PortfolioSolution | None:
     """Best feasible portfolio over every price combination, or ``None``.
 
-    Three stages, at most 2n+3 MILP solves for n <= 26: the combined program
-    gives the optimal value; Stage A ranks the side bits of the optima and
-    gives the lowest optimal combination index (skipped when the first
-    point already has index 0); Stage B refines that combination's
-    subproblem to the lexicographically smallest quantities. With the side
-    bits fixed the combined program is exactly that subproblem, so its
-    optimum is the first one.
+    The combined solve gives the optimal value. Stage A refines its side
+    bits to the lowest optimal combination index; Stage B refines that
+    combination's subproblem to the lexicographically smallest quantities,
+    seeded with the Stage-A point's quantities. With the side bits fixed the
+    combined program is exactly that subproblem, so the seed is one of its
+    optima. Both stages are :func:`~payoffopt.ilp_solver.lex_refine` calls.
 
     A solver failure propagates as its own :class:`SolverError` subclass
     (:class:`SolverResourceError` for an exhausted budget,
-    :class:`SolverNumericalError` for a backend failure).
+    :class:`SolverNumericalError` for a backend failure or a stage that
+    misses the first optimum).
     """
     combined = build_combined(spec, series)
     first = solve_ilp(combined, node_budget=node_budget, refine=False)
     if first is None:
         return None
     slots = 2 * series.n
-    bits = first.x[:slots]
-    if any(bits):
-        bits = ()
-        for block in index_blocks(slots):
-            ranked = solve_ilp(
-                build_index_ranking(combined, first.objective, bits, block.stop),
-                node_budget=node_budget,
-                refine=False,
-            )
-            if ranked is None:
-                raise SolverNumericalError(
-                    "index ranking found no point at the combined optimum"
-                )
-            bits = ranked.x[: block.stop]
-    combo = PriceCombination.from_bits(bits)
-    final = solve_ilp(
-        build_subproblem(spec, series, combo), node_budget=node_budget, refine=True
+    ranked = lex_refine(
+        combined, first.objective, first.x, slots, node_budget=node_budget
     )
-    if final is None or final.objective != first.objective:
-        raise SolverNumericalError(
-            f"combination {combo.index} does not reach the combined optimum"
-        )
-    x = final.x
+    combo, seed = decode_combined(series.n, ranked)
+    subproblem = build_subproblem(spec, series, combo)
+    x = lex_refine(subproblem, first.objective, seed, slots, node_budget=node_budget)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     prices = combo.contract_prices(series)
     # exact bookkeeping identity between the compiled objective and the engine
-    assert final.objective == pnl(portfolio, prices, spec.expected_price)
+    assert first.objective == pnl(portfolio, prices, spec.expected_price)
     return PortfolioSolution(
         portfolio=portfolio,
         combination=combo,
-        objective=final.objective,
+        objective=first.objective,
         initial_cost=initial_cost(portfolio, prices),
         total_contracts=portfolio.total_contracts,
         payoff_curve=payoff_curve(portfolio),

@@ -8,6 +8,7 @@ production optimizer is a genuine two-route check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from payoffopt import (
     TailLossMode,
     build_subproblem,
     combination_count,
+    solve_ilp,
 )
 
 CALL_STRIKES = (8050, 8150, 8250, 8350, 8400, 8500)
@@ -107,16 +109,6 @@ def combo_for(calls: tuple[int, ...], puts: tuple[int, ...]) -> PriceCombination
     """The price combination whose slot bounds admit these quantities."""
     bits = "".join("1" if x > 0 else "0" for x in calls + puts)
     return PriceCombination.from_index(len(calls), int(bits, 2))
-
-
-def decode_combined(
-    n: int, values: tuple[int, ...]
-) -> tuple[PriceCombination, tuple[int, ...]]:
-    """The combination and quantities of a ``build_combined`` point."""
-    slots = 2 * n
-    parts = values[slots:]
-    quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
-    return PriceCombination.from_bits(values[:slots]), quantities
 
 
 def reference_series() -> SeriesSelection:
@@ -292,16 +284,78 @@ def reference_optimize(
     return best
 
 
-def count_presolved_milps(monkeypatch) -> list[int]:
-    """Count ``milp`` calls with presolve on (presolve-off rechecks are
-    left out) until the test ends; the returned list grows one per call."""
-    calls: list[int] = []
-    real = payoffopt.ilp_solver.milp
+def slotwise_refine(
+    problem: IlpProblem, optimum: int, stop: int
+) -> tuple[int, ...]:
+    """Oracle for ``lex_refine``: an optimal point whose slots ``[0, stop)``
+    are lexicographically smallest, by one solve per slot.
 
-    def counting(*args, options, **kwargs):
+    With the objective pinned at ``optimum``, each slot in turn is minimized
+    and fixed, without skipping a slot at its lower bound.
+    """
+    pin = Row(
+        "objective_pin",
+        problem.objective,
+        Relation.EQ,
+        optimum - problem.objective_constant,
+    )
+    bounds = list(problem.bounds)
+    x = None
+    for j in range(stop):
+        selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
+        found = solve_ilp(
+            IlpProblem(selector, 0, problem.rows + (pin,), tuple(bounds)),
+            refine=False,
+        )
+        assert found is not None, f"slot {j}: no point at the optimum"
+        x = found.x
+        bounds[j] = (x[j], x[j])
+    return x
+
+
+def random_wide_ilp(rng: random.Random) -> IlpProblem:
+    """A random boxed ILP with wide bounds and many tied optima: zero and
+    small objective coefficients, few rows."""
+    num = rng.randrange(3, 7)
+    bounds = []
+    for _ in range(num):
+        lo = rng.randrange(-200, 1)
+        bounds.append((lo, lo + rng.choice([1, 9, 60, 150, 400])))
+    rows = tuple(
+        Row.of(
+            f"r{i}",
+            [rng.randrange(-3, 4) for _ in range(num)],
+            rng.choice([Relation.LE, Relation.GE, Relation.EQ]),
+            rng.randrange(-40, 41),
+        )
+        for i in range(rng.randrange(1, 3))
+    )
+    return IlpProblem(
+        objective=tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(num)),
+        objective_constant=rng.randrange(-100, 101),
+        rows=rows,
+        bounds=tuple(bounds),
+    )
+
+
+def count_solver_calls(monkeypatch) -> Counter:
+    """Count ``linprog`` calls and ``milp`` calls with presolve on
+    (presolve-off rechecks are left out) in ``payoffopt.ilp_solver`` until
+    the test ends; the returned counter has keys ``"linprog"`` and
+    ``"milp"`` and grows as calls are made."""
+    calls: Counter = Counter()
+    real_linprog = payoffopt.ilp_solver.linprog
+    real_milp = payoffopt.ilp_solver.milp
+
+    def counting_linprog(*args, **kwargs):
+        calls["linprog"] += 1
+        return real_linprog(*args, **kwargs)
+
+    def counting_milp(*args, options, **kwargs):
         if options.get("presolve", True):
-            calls.append(1)
-        return real(*args, options=options, **kwargs)
+            calls["milp"] += 1
+        return real_milp(*args, options=options, **kwargs)
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting)
+    monkeypatch.setattr(payoffopt.ilp_solver, "linprog", counting_linprog)
+    monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)
     return calls

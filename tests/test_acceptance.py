@@ -27,17 +27,18 @@ from payoffopt import (
     solve_lp_relaxation,
     sweep_liquidity,
 )
-from payoffopt.model_builder import build_combined
+from payoffopt.ilp_solver import lex_refine
+from payoffopt.model_builder import build_combined, decode_combined
 from support import (
     REFERENCE_COLUMNS,
     base_spec,
-    count_presolved_milps,
-    decode_combined,
+    count_solver_calls,
     random_ilp,
     random_series,
     random_spec,
     reference_optimize,
     reference_series,
+    slotwise_refine,
     small_series,
 )
 
@@ -266,18 +267,19 @@ def test_full_run_regression_values(full_run):
 
 
 @pytest.mark.parametrize(
-    "lots, bitstring, calls, puts",
+    "lots, bitstring, calls, puts, milps",
     [
-        (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4)),
-        (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4)),
+        (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4), 5),
+        (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4), 8),
     ],
 )
-def test_fixture_tie_break_takes_at_most_2n_plus_3_milps(
-    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts
+def test_fixture_tie_break_solve_counts(
+    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts, milps
 ):
-    # first solve, Stage A, Stage B's first solve and at most one refine
-    # step per subproblem slot; presolve-off rechecks are not counted
-    presolved = count_presolved_milps(monkeypatch)
+    # one root LP for the first solve; MILPs: the first solve, one Stage-A
+    # block (12 side bits) and Stage B's blocks (4 slots of width 21, or 2
+    # of width 201); presolve-off rechecks are not counted
+    counted = count_solver_calls(monkeypatch)
     spec = fixture_run_config.strategy
     if lots is not None:
         spec = dataclasses.replace(spec, lower=-lots, upper=lots)
@@ -285,7 +287,28 @@ def test_fixture_tie_break_takes_at_most_2n_plus_3_milps(
     assert solution.objective == 40000
     assert solution.combination.bitstring == bitstring
     assert (solution.portfolio.calls, solution.portfolio.puts) == (calls, puts)
-    assert len(presolved) <= 2 * fixture_series.n + 3
+    assert counted["linprog"] == 1
+    assert counted["milp"] <= milps
+
+
+@pytest.mark.parametrize("lots", [50, 100])
+def test_fixture_lex_refine_matches_slotwise_oracle(
+    fixture_run_config, fixture_series, lots
+):
+    # at these bounds Stage B spans six blocks of two slots each
+    spec = dataclasses.replace(fixture_run_config.strategy, lower=-lots, upper=lots)
+    combined = build_combined(spec, fixture_series)
+    first = solve_ilp(combined, refine=False)
+    slots = 2 * fixture_series.n
+    ranked = lex_refine(combined, first.objective, first.x, slots)
+    assert ranked[:slots] == slotwise_refine(combined, first.objective, slots)[:slots]
+    combo, seed = decode_combined(fixture_series.n, ranked)
+    subproblem = build_subproblem(spec, fixture_series, combo)
+    got = lex_refine(subproblem, first.objective, seed, slots)
+    assert got == slotwise_refine(subproblem, first.objective, slots)
+    solution = optimize(spec, fixture_series)
+    assert solution.combination == combo
+    assert solution.portfolio.calls + solution.portfolio.puts == got
 
 
 @EXACT

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from payoffopt import (
     solve_ilp_reference,
     solve_lp_relaxation,
 )
-from support import count_presolved_milps, random_ilp
+from payoffopt.ilp_solver import _BLOCK_RANGE, _block_size, lex_refine
+from support import count_solver_calls, random_ilp, random_wide_ilp, slotwise_refine
 
 ALL_ROUTES = [solve_ilp, solve_ilp_reference, brute_force]
 
@@ -216,18 +218,99 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
 
 
 def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
-    # every optimum has x1 = -1, its lower bound, so the refine fixes x1
-    # without a solve; x0 is free and x2 + x3 = 3 is tied
+    # every optimum has x1 = -1, its lower bound; x0 is free and x2 + x3 = 3
+    # is tied
     problem = IlpProblem(
         objective=(0, -1, 1, 1),
         objective_constant=0,
         rows=(Row.of("cap", [0, 0, 1, 1], Relation.LE, 3),),
         bounds=((-2, 2), (-1, 3), (0, 3), (0, 3)),
     )
-    calls = count_presolved_milps(monkeypatch)
-    got = solve_ilp(problem)
-    assert got == brute_force(problem) == IntSolution(x=(-2, -1, 0, 3), objective=4)
-    assert len(calls) < 1 + problem.num_vars
+    expected = IntSolution(x=(-2, -1, 0, 3), objective=4)
+    assert solve_ilp(problem) == brute_force(problem) == expected
+    calls = count_solver_calls(monkeypatch)
+    # from the answer itself the first three slots sit at their lower
+    # bounds and are fixed without a solve; only x3 takes one
+    assert lex_refine(problem, 4, expected.x, 3) == expected.x
+    assert calls["milp"] == 0
+    assert lex_refine(problem, 4, expected.x, 4) == expected.x
+    assert calls["milp"] == 1
+
+
+def split(widths):
+    """Block sizes ``lex_refine`` takes when no slot is at its lower bound."""
+    sizes, start = [], 0
+    while start < len(widths):
+        sizes.append(_block_size(widths[start:]))
+        start += sizes[-1]
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "widths, sizes",
+    [
+        ([2] * 12, [12]),
+        ([11] * 12, [5, 5, 2]),
+        ([101] * 12, [2] * 6),
+        ([2] * 54, [18, 18, 18]),
+        ([2**18 + 1, 2, 2**17, 3], [1, 2, 1]),
+    ],
+    ids=["12-binary", "12-width-11", "12-width-101", "54-binary", "oversized"],
+)
+def test_block_split(monkeypatch, widths, sizes):
+    assert split(widths) == sizes
+    start = 0
+    for size in sizes:
+        assert math.prod(widths[start : start + size]) <= _BLOCK_RANGE or size == 1
+        start += size
+    # every slot has bounds [-1, width - 2] and a row x >= 0, so no point
+    # holds a slot at its lower bound: from the upper bounds each block
+    # takes exactly one MILP, and the refine lands on all zeros
+    num = len(widths)
+    problem = IlpProblem(
+        objective=(0,) * num,
+        objective_constant=7,
+        rows=tuple(
+            Row.of(f"floor{j}", [int(i == j) for i in range(num)], Relation.GE, 0)
+            for j in range(num)
+        ),
+        bounds=tuple((-1, w - 2) for w in widths),
+    )
+    calls = count_solver_calls(monkeypatch)
+    seed = tuple(w - 2 for w in widths)
+    assert lex_refine(problem, 7, seed, num) == (0,) * num
+    assert calls["milp"] == len(sizes)
+
+
+def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
+    rng = random.Random(1207)
+    calls = count_solver_calls(monkeypatch)
+    feasible = multi_block = checked = 0
+    for case in range(60):
+        problem = random_wide_ilp(rng)
+        first = solve_ilp(problem, refine=False)
+        if first is None:
+            continue
+        feasible += 1
+        before = calls["milp"]
+        got = lex_refine(problem, first.objective, first.x, problem.num_vars)
+        multi_block += calls["milp"] - before > 1
+        assert got == slotwise_refine(problem, first.objective, problem.num_vars), case
+        assert solve_ilp(problem) == IntSolution(got, first.objective), case
+        if math.prod(hi - lo + 1 for lo, hi in problem.bounds) <= 2_000_000:
+            checked += 1
+            assert brute_force(problem) == IntSolution(got, first.objective), case
+    assert feasible >= 20
+    assert multi_block >= 5
+    assert checked >= 5
+
+
+def test_lex_refine_rejects_a_seed_off_the_optimum():
+    problem = fractional_problem()
+    with pytest.raises(SolverNumericalError, match="seed"):
+        lex_refine(problem, 2, (1,), 1)
+    with pytest.raises(SolverNumericalError, match="seed"):
+        lex_refine(problem, 3, (3,), 1)
 
 
 def test_brute_force_capacity_guard():

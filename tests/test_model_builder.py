@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -20,18 +19,9 @@ from payoffopt import (
     combination_count,
     enumerate_combinations,
 )
-from payoffopt.model_builder import (
-    INDEX_BLOCK_BITS,
-    build_combined,
-    build_index_ranking,
-    index_blocks,
-)
 from support import (
     REFERENCE_COLUMNS,
-    base_spec,
     combo_for,
-    random_series,
-    random_spec,
     reference_series,
     small_series,
 )
@@ -370,46 +360,3 @@ class TestCheckFeasible:
         with pytest.raises(ValueError, match="slots"):
             check_feasible(portfolio, problem)
 
-
-class TestIndexRanking:
-    def test_one_block_up_to_26_slots_per_side(self):
-        assert index_blocks(0) == ()
-        assert index_blocks(12) == (range(0, 12),)
-        assert index_blocks(52) == (range(0, 52),)
-
-    def test_block_split_at_54_bits(self):
-        # n = 27: the weights of one 54-bit block would pass 2^53
-        rng = random.Random(27)
-        series = random_series(rng, n=27)
-        combined = build_combined(random_spec(rng, series), series)
-        blocks = index_blocks(54)
-        assert blocks == (range(0, INDEX_BLOCK_BITS), range(INDEX_BLOCK_BITS, 54))
-        fixed = (1, 0) * 26
-        for prefix, block in ((), blocks[0]), (fixed, blocks[1]):
-            ranked = build_index_ranking(combined, 12345, prefix, block.stop)
-            weights = [-c for c in ranked.objective]
-            assert weights[: block.start] == [0] * block.start
-            assert weights[block.start : block.stop] == [
-                1 << (block.stop - 1 - i) for i in block
-            ]
-            assert weights[block.stop :] == [0] * (ranked.num_vars - block.stop)
-            assert sum(weights) < 2**53
-            assert all(float(w) == w for w in weights)
-            assert ranked.bounds[: block.start] == tuple((b, b) for b in prefix)
-            assert ranked.bounds[block.start :] == combined.bounds[block.start :]
-            pin = ranked.rows[-1]
-            assert ranked.rows[:-1] == combined.rows
-            assert (pin.coeffs, pin.relation, pin.rhs) == (
-                combined.objective,
-                Relation.EQ,
-                12345,
-            )
-
-    def test_ranking_orders_by_combination_index(self):
-        series = small_series()
-        combined = build_combined(base_spec(), series)
-        ranked = build_index_ranking(combined, 0, (), 4)
-        for index in range(16):
-            point = PriceCombination.from_index(2, index).bitstring
-            bits = tuple(int(b) for b in point) + (0,) * 8
-            assert -ranked.objective_value(bits) == index

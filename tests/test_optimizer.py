@@ -3,7 +3,10 @@ import json
 import random
 
 import pytest
+from scipy.optimize import OptimizeResult
 
+import payoffopt.ilp_solver
+import payoffopt.optimizer
 from payoffopt import (
     CostTarget,
     Relation,
@@ -16,7 +19,6 @@ from payoffopt import (
     solution_from_dict,
     solution_to_dict,
     solution_to_json,
-    solve_ilp,
     sweep_cost,
     sweep_liquidity,
     sweep_to_dict,
@@ -31,6 +33,7 @@ from payoffopt.optimizer import (
 )
 from support import (
     base_spec,
+    count_solver_calls,
     random_series,
     random_spec,
     reference_optimize,
@@ -105,33 +108,59 @@ class TestOptimize:
         with pytest.raises(SolverNumericalError, match="MILP backend"):
             optimize(base_spec(), small_series())
 
-    @pytest.mark.parametrize(
-        "call, lowered, message",
-        [
-            (2, False, "index ranking"),
-            (3, False, "does not reach"),
-            (3, True, "does not reach"),
-        ],
-    )
-    def test_stage_missing_the_optimum_is_a_solver_error(
-        self, monkeypatch, call, lowered, message
-    ):
-        # call 1 is the combined solve, 2 Stage A, 3 Stage B; a later stage
-        # that misses the first optimum is a backend failure, not a verdict
-        calls = []
+    @pytest.mark.parametrize("stage", ["stage-a-no-point", "stage-b-seed"])
+    def test_stage_missing_the_optimum_is_a_solver_error(self, monkeypatch, stage):
+        # a later stage that misses the first optimum is a backend failure,
+        # not a verdict
+        if stage == "stage-a-no-point":
+            # every MILP after the first solve, the Stage-A block's included,
+            # answers infeasible
+            real = payoffopt.ilp_solver.milp
+            calls = []
 
-        def inconsistent(problem, **kwargs):
-            calls.append(problem)
-            result = solve_ilp(problem, **kwargs)
-            if len(calls) != call:
-                return result
-            if lowered:
-                return dataclasses.replace(result, objective=result.objective - 1)
-            return None
+            def no_point_after_first(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 1:
+                    return real(*args, **kwargs)
+                return OptimizeResult(status=2, x=None, message="infeasible")
 
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", inconsistent)
+            monkeypatch.setattr(payoffopt.ilp_solver, "milp", no_point_after_first)
+            message = "no point at the optimum"
+        else:
+            # Stage B's subproblem disagrees with the combined program by
+            # one cent, so the seed decoded from Stage A misses its optimum
+            real = payoffopt.optimizer.build_subproblem
+
+            def shifted(*args):
+                problem = real(*args)
+                return dataclasses.replace(
+                    problem, objective_constant=problem.objective_constant - 1
+                )
+
+            monkeypatch.setattr(payoffopt.optimizer, "build_subproblem", shifted)
+            message = "seed point misses"
         with pytest.raises(SolverNumericalError, match=message):
             optimize(base_spec(), small_series())
+
+    def test_feasible_run_makes_one_lp_and_at_most_three_milps(self, monkeypatch):
+        # the first solve's root LP is the only LP: Stage A and Stage B
+        # start from known optimal points; on these small series each stage
+        # is one block
+        rng = random.Random(90125)
+        cases = [(base_spec(), small_series())]
+        for _ in range(30):
+            series = random_series(rng)
+            cases.append((random_spec(rng, series), series))
+        calls = count_solver_calls(monkeypatch)
+        feasible = 0
+        for spec, series in cases:
+            calls.clear()
+            if optimize(spec, series) is None:
+                continue
+            feasible += 1
+            assert calls["linprog"] == 1
+            assert calls["milp"] <= 3
+        assert feasible >= 5
 
 
 class TestSweeps:
