@@ -12,7 +12,11 @@ Independent routes to the same answer:
   first optimal point. A slot that point already holds at its lower bound
   is fixed there without a solve (lexicographic optimization as a sequence
   of epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*,
-  2005, ch. 5).
+  2005, ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor,
+  *Math. Prog. Comp.* 2023) is switched off: on these small programs it is
+  a fixed cost of about 12 ms per call, most of the solve. It only proposes
+  incumbents, so the proven optimum, and the unique lexicographically
+  smallest optimal point the refine returns, cannot change.
 * :func:`solve_ilp_reference`: pure-Python branch and bound over the LP
   relaxation. Much slower; kept as an in-tree cross-check with the same
   contract.
@@ -32,6 +36,7 @@ import enum
 import heapq
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -310,6 +315,14 @@ def _compile_rows(rows: Sequence[Row], num_vars: int) -> LinearConstraint:
     )
 
 
+# scipy's RuntimeWarning about an option it passes on verbatim, and the
+# OptimizeWarning of a HiGHS too old to know the option (which then runs the
+# heuristic: same answers, slower)
+_FEASIBILITY_JUMP_WARNING = (
+    r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'"
+)
+
+
 def _milp_once(
     objective: Sequence[int],
     constant: int,
@@ -331,7 +344,12 @@ def _milp_once(
         np.asarray([b[0] for b in bounds], dtype=float),
         np.asarray([b[1] for b in bounds], dtype=float),
     )
-    options = {"mip_rel_gap": 0.0, "node_limit": node_budget}
+    options = {
+        "mip_rel_gap": 0.0,
+        "node_limit": node_budget,
+        # a fixed cost of about 12 ms per call here; see the module docstring
+        "mip_heuristic_run_feasibility_jump": False,
+    }
     # presolve can misreduce a feasible model to infeasible (seen with a fixed
     # variable inside an equality row) or fail outright with "Solve error"
     # (seen on an infeasible model whose LP relaxation is feasible); either
@@ -339,7 +357,10 @@ def _milp_once(
     # verdict only counts when reproduced there
     retry = {**options, "presolve": False}
     for attempt in (options, retry):
-        with _stdout_discarded():
+        with _stdout_discarded(), warnings.catch_warnings():
+            # scipy passes options it does not know to HiGHS verbatim, with a
+            # warning that would otherwise land on stderr
+            warnings.filterwarnings("ignore", _FEASIBILITY_JUMP_WARNING)
             result = milp(
                 c,
                 constraints=constraint,

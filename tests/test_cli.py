@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import payoffopt
+from conftest import FIXTURES
 from payoffopt import Relation, SolverNumericalError, SpecError, TailLossMode
 from payoffopt.cli import CliError, load_run_config, run
 
@@ -146,6 +153,40 @@ class TestOptimizeCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:solver:MILP backend failed")
+
+
+FIXTURE_OPTIMIZE = (
+    "optimize", "--chain", FIXTURES / "chain.csv", "--spec", FIXTURES / "spec.json",
+)
+
+
+class TestFixtureCommand:
+    def test_feasible_run_writes_nothing_unasked(self, capfd):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert invoke(*FIXTURE_OPTIMIZE) == 0
+        out, err = capfd.readouterr()
+        assert "max F" in out
+        assert err == ""
+        assert caught == []
+
+    @pytest.mark.parametrize("module", ["payoffopt", "payoffopt.cli"])
+    def test_python_dash_m_matches_run(self, module, capsys):
+        expected_code = invoke(*FIXTURE_OPTIMIZE, "--format", "json")
+        expected_out = capsys.readouterr().out
+        src = str(Path(payoffopt.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        completed = subprocess.run(
+            [sys.executable, "-m", module, *map(str, FIXTURE_OPTIMIZE), "--format", "json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert (completed.returncode, completed.stdout) == (expected_code, expected_out)
+        assert expected_code == 0 and expected_out
+        assert completed.stderr == ""
 
 
 class TestSpecErrors:

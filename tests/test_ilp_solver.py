@@ -1,8 +1,17 @@
 import math
 import random
+import re
+import warnings
 
+import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import (
+    Bounds,
+    LinearConstraint,
+    OptimizeResult,
+    OptimizeWarning,
+    milp,
+)
 
 from payoffopt import (
     CapacityError,
@@ -18,7 +27,12 @@ from payoffopt import (
     solve_ilp_reference,
     solve_lp_relaxation,
 )
-from payoffopt.ilp_solver import _BLOCK_RANGE, _block_size, lex_refine
+from payoffopt.ilp_solver import (
+    _BLOCK_RANGE,
+    _FEASIBILITY_JUMP_WARNING,
+    _block_size,
+    lex_refine,
+)
 from support import count_solver_calls, random_ilp, random_wide_ilp, slotwise_refine
 
 ALL_ROUTES = [solve_ilp, solve_ilp_reference, brute_force]
@@ -198,6 +212,47 @@ def test_repeated_solve_error_raises(monkeypatch):
     with pytest.raises(SolverNumericalError, match="status 4"):
         solve_ilp(fractional_problem())
     assert calls == [True, False]
+
+
+def test_feasibility_jump_off_in_both_attempts(monkeypatch):
+    seen = []
+
+    def failing_milp(*args, options, **kwargs):
+        seen.append(dict(options))
+        return OptimizeResult(status=4, x=None, message="Solve error")
+
+    monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_milp)
+    with pytest.raises(SolverNumericalError):
+        solve_ilp(fractional_problem())
+    assert [o.get("presolve", True) for o in seen] == [True, False]
+    assert all(o["mip_heuristic_run_feasibility_jump"] is False for o in seen)
+
+
+def test_highs_recognises_feasibility_jump_option():
+    # HiGHS raises an OptimizeWarning for an option it ignores; scipy's own
+    # RuntimeWarning about passing the option on is what _milp_once filters
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = milp(
+            -np.ones(1),
+            constraints=LinearConstraint([[2.0]], -np.inf, 5.0),
+            bounds=Bounds(0, 10),
+            integrality=np.ones(1),
+            options={"mip_heuristic_run_feasibility_jump": False},
+        )
+    assert result.status == 0 and list(result.x) == [2.0]
+    assert not [w for w in caught if issubclass(w.category, OptimizeWarning)]
+    assert all(re.match(_FEASIBILITY_JUMP_WARNING, str(w.message)) for w in caught)
+
+
+def test_other_milp_warnings_still_surface(monkeypatch):
+    def warning_milp(*args, **kwargs):
+        warnings.warn("unrelated backend notice", RuntimeWarning)
+        return milp(*args, **kwargs)
+
+    monkeypatch.setattr("payoffopt.ilp_solver.milp", warning_milp)
+    with pytest.warns(RuntimeWarning, match="unrelated backend notice"):
+        assert solve_ilp(fractional_problem()) == IntSolution(x=(2,), objective=2)
 
 
 def test_root_lp_failure_falls_through_to_milp(monkeypatch):
