@@ -12,6 +12,7 @@ one machine-parseable ``error:<category>:<detail>`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -180,7 +181,10 @@ def load_run_config(data: dict) -> RunConfig:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every
+    :func:`run` call; ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(
         prog="payoffopt",
         description="Option portfolio construction with a prescribed payoff shape.",

@@ -16,7 +16,10 @@ Independent routes to the same answer:
   *Math. Prog. Comp.* 2023) is switched off: on these small programs it is
   a fixed cost of about 12 ms per call, most of the solve. It only proposes
   incumbents, so the proven optimum, and the unique lexicographically
-  smallest optimal point the refine returns, cannot change.
+  smallest optimal point the refine returns, cannot change. Each program's
+  rows are compiled once into a sparse matrix, and a root LP on them (the
+  same ``milp`` call with no integrality) settles most infeasible programs
+  before any MILP.
 * :func:`solve_ilp_reference`: pure-Python branch and bound over the LP
   relaxation. Much slower; kept as an in-tree cross-check with the same
   contract.
@@ -42,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_array
 
 from .model_builder import CapacityError, IlpProblem, Relation, Row
 
@@ -107,7 +111,12 @@ class _Budget:
 
 
 class _Relaxation:
-    """LP matrices for one problem, rebuilt once and re-solved per node."""
+    """LP matrices for one problem, rebuilt once and re-solved per node.
+
+    Serves only the reference routes, :func:`solve_lp_relaxation` and
+    :func:`solve_ilp_reference`; :func:`solve_ilp` solves its root LP
+    through ``milp`` on the rows it compiles for its MILPs.
+    """
 
     def __init__(self, objective: Sequence[int], rows: Sequence[Row]) -> None:
         self.num_vars = len(objective)
@@ -303,15 +312,26 @@ def _stdout_discarded():
 
 
 def _compile_rows(rows: Sequence[Row], num_vars: int) -> LinearConstraint:
-    """All rows as one ``lb <= A x <= ub`` constraint, built once per program."""
+    """All rows as one ``lb <= A x <= ub`` constraint, built once per program.
+
+    ``A`` is sparse in the column layout HiGHS takes, so ``milp`` uses it
+    as it is instead of converting a dense matrix on every call.
+    """
     matrix = np.asarray([row.coeffs for row in rows], dtype=float)
     rhs = np.asarray([row.rhs for row in rows], dtype=float)
     lower = [row.relation is Relation.LE for row in rows]
     upper = [row.relation is Relation.GE for row in rows]
     return LinearConstraint(
-        matrix.reshape(len(rows), num_vars),
+        csc_array(matrix.reshape(len(rows), num_vars)),
         np.where(lower, -np.inf, rhs),
         np.where(upper, np.inf, rhs),
+    )
+
+
+def _box(bounds: Sequence[tuple[int, int]]) -> Bounds:
+    return Bounds(
+        np.asarray([b[0] for b in bounds], dtype=float),
+        np.asarray([b[1] for b in bounds], dtype=float),
     )
 
 
@@ -329,21 +349,19 @@ def _milp_once(
     rows: Sequence[Row],
     constraint: LinearConstraint,
     bounds: Sequence[tuple[int, int]],
+    box: Bounds,
     node_budget: int,
 ) -> tuple[int, tuple[int, ...]] | None:
     """One exact MILP solve: (objective, x) or ``None`` when infeasible.
 
-    ``constraint`` is ``rows`` compiled by :func:`_compile_rows`; the rows
-    themselves serve the exact integer check of the returned point.
+    ``constraint`` is ``rows`` compiled by :func:`_compile_rows` and ``box``
+    is ``bounds`` built by :func:`_box`; the rows and bounds themselves
+    serve the exact integer check of the returned point.
     """
     num_vars = len(objective)
     if num_vars == 0:
         return (constant, ()) if _rows_hold(rows, ()) else None
     c = -np.asarray(objective, dtype=float)
-    box = Bounds(
-        np.asarray([b[0] for b in bounds], dtype=float),
-        np.asarray([b[1] for b in bounds], dtype=float),
-    )
     options = {
         "mip_rel_gap": 0.0,
         "node_limit": node_budget,
@@ -451,7 +469,9 @@ def lex_refine(
         for i in reversed(block):
             key[i] = -weight
             weight *= widths[i - j]
-        result = _milp_once(key, 0, rows, constraint, bounds, node_budget)
+        result = _milp_once(
+            key, 0, rows, constraint, bounds, _box(bounds), node_budget
+        )
         if result is None:
             raise SolverNumericalError(f"no point at the optimum {optimum}")
         _, x = result
@@ -475,23 +495,27 @@ def solve_ilp(
     A refined solve makes at most one MILP call per :func:`lex_refine` block
     after the first.
     """
+    constraint = _compile_rows(problem.rows, problem.num_vars)
+    box = _box(problem.bounds)
     if problem.num_vars and problem.rows:
         # root LP infeasibility settles most subproblems at a fraction of a
-        # full MILP call's cost
-        try:
-            status, _, _ = _Relaxation(
-                problem.objective, problem.rows
-            ).solve(problem.bounds)
-        except SolverNumericalError:
-            status = LpStatus.OPTIMAL
-        if status is LpStatus.INFEASIBLE:
+        # full MILP call's cost; any verdict but a proven infeasible one
+        # (status 2) is left to the MILP
+        with _stdout_discarded():
+            root = milp(
+                -np.asarray(problem.objective, dtype=float),
+                constraints=constraint,
+                bounds=box,
+            )
+        if root.status == 2:
             return None
     result = _milp_once(
         problem.objective,
         problem.objective_constant,
         problem.rows,
-        _compile_rows(problem.rows, problem.num_vars),
+        constraint,
         problem.bounds,
+        box,
         node_budget,
     )
     if result is None:

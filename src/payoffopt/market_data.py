@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Mapping, Union
 
-from .money import MoneyError, format_money, parse_money
+from .money import MoneyError, format_money, is_digits, parse_money
 
 
 class Right(enum.Enum):
@@ -186,7 +186,10 @@ def _read_text(source: Source) -> str:
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
     if isinstance(source, bytes):
-        return source.decode("utf-8")
+        try:
+            return source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"chain is not UTF-8 text: {exc}") from exc
     return source
 
 
@@ -247,9 +250,9 @@ def _parse_csv(text: str) -> OptionChain:
         if len(fields) != 5:
             raise ParseError(f"row {row}: expected 5 fields, got {len(fields)}")
         raw_strike, raw_right, raw_bid, raw_ask, raw_volume = fields
-        if not raw_strike.isdigit():
+        if not is_digits(raw_strike):
             raise ParseError(f"row {row}: bad strike {raw_strike!r}")
-        if not raw_volume.isdigit():
+        if not is_digits(raw_volume):
             raise ParseError(f"row {row}: bad volume {raw_volume!r}")
         try:
             right = _parse_right(raw_right)

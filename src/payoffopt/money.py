@@ -35,12 +35,21 @@ def parse_money(value: int | float | str) -> int:
         sign = -1 if text[0] == "-" else 1
         text = text[1:]
     whole, dot, frac = text.partition(".")
-    if not whole.isdigit() or (dot and not frac.isdigit()):
+    if not is_digits(whole) or (dot and not is_digits(frac)):
         raise MoneyError(f"not a money amount: {value!r}")
     if len(frac) > 2:
         raise MoneyError(f"more than two decimal places: {value!r}")
-    cents = int(whole) * CENTS + int(frac.ljust(2, "0") or 0)
+    try:
+        cents = int(whole) * CENTS + int(frac.ljust(2, "0"))
+    except ValueError as exc:  # beyond Python's int-string digit limit
+        raise MoneyError(f"amount has too many digits: {len(whole)}") from exc
     return sign * cents
+
+
+def is_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits ``0``-``9`` only;
+    :meth:`str.isdigit` also accepts ``"²"`` and other scripts' digits."""
+    return text.isascii() and text.isdigit()
 
 
 def format_money(cents: int, *, trim: bool = False) -> str:

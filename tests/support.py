@@ -339,10 +339,13 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
 
 
 def count_solver_calls(monkeypatch) -> Counter:
-    """Count ``linprog`` calls and ``milp`` calls with presolve on
-    (presolve-off rechecks are left out) in ``payoffopt.ilp_solver`` until
-    the test ends; the returned counter has keys ``"linprog"`` and
-    ``"milp"`` and grows as calls are made."""
+    """Count solver calls in ``payoffopt.ilp_solver`` until the test ends.
+
+    The returned counter grows as calls are made. Its keys: ``"root_lp"``,
+    ``milp`` calls without integrality (the root LP of :func:`solve_ilp`);
+    ``"milp"``, ``milp`` calls with integrality and presolve on
+    (presolve-off rechecks are left out); ``"linprog"``, ``linprog`` calls.
+    """
     calls: Counter = Counter()
     real_linprog = payoffopt.ilp_solver.linprog
     real_milp = payoffopt.ilp_solver.milp
@@ -351,10 +354,12 @@ def count_solver_calls(monkeypatch) -> Counter:
         calls["linprog"] += 1
         return real_linprog(*args, **kwargs)
 
-    def counting_milp(*args, options, **kwargs):
-        if options.get("presolve", True):
+    def counting_milp(*args, **kwargs):
+        if kwargs.get("integrality") is None:
+            calls["root_lp"] += 1
+        elif kwargs["options"].get("presolve", True):
             calls["milp"] += 1
-        return real_milp(*args, options=options, **kwargs)
+        return real_milp(*args, **kwargs)
 
     monkeypatch.setattr(payoffopt.ilp_solver, "linprog", counting_linprog)
     monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)

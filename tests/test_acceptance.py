@@ -206,6 +206,42 @@ def test_optimizer_matches_exhaustive_reference(monkeypatch):
     assert elapsed < 60
 
 
+def test_root_lp_verdict_matches_linprog(
+    monkeypatch, fixture_run_config, fixture_series
+):
+    # solve_ilp's root LP (milp without integrality on the compiled rows)
+    # and the linprog relaxation give the same verdict on every combined
+    # program of the corpus above and on the fixture's
+    import payoffopt.ilp_solver as ilp_solver
+
+    verdicts = []
+    real = ilp_solver.milp
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if kwargs.get("integrality") is None:
+            verdicts.append(result.status)
+        return result
+
+    monkeypatch.setattr(ilp_solver, "milp", recording)
+    rng = random.Random(20260823)
+    cases = []
+    for _ in range(220):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+    cases.append((fixture_run_config.strategy, fixture_series))
+    infeasible = 0
+    for i, (spec, series) in enumerate(cases):
+        combined = build_combined(spec, series)
+        verdicts.clear()
+        solve_ilp(combined, refine=False)
+        assert len(verdicts) == 1, i
+        relaxed = solve_lp_relaxation(combined).status is LpStatus.INFEASIBLE
+        assert (verdicts[0] == 2) == relaxed, i
+        infeasible += relaxed
+    assert infeasible >= 100
+
+
 @pytest.fixture(scope="module")
 def liquidity_sweep(fixture_run_config, fixture_series):
     spec = dataclasses.replace(fixture_run_config.strategy, cost_target=None)
@@ -287,7 +323,7 @@ def test_fixture_tie_break_solve_counts(
     assert solution.objective == 40000
     assert solution.combination.bitstring == bitstring
     assert (solution.portfolio.calls, solution.portfolio.puts) == (calls, puts)
-    assert counted["linprog"] == 1
+    assert counted["root_lp"] == 1
     assert counted["milp"] <= milps
 
 

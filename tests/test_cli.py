@@ -10,7 +10,8 @@ import pytest
 import payoffopt
 from conftest import FIXTURES
 from payoffopt import Relation, SolverNumericalError, SpecError, TailLossMode
-from payoffopt.cli import CliError, load_run_config, run
+from payoffopt.cli import CliError, _build_parser, load_run_config, run
+from support import count_solver_calls
 
 CHAIN_CSV = (
     "underlying=99.50\n"
@@ -170,6 +171,13 @@ class TestFixtureCommand:
         assert err == ""
         assert caught == []
 
+    def test_solves_its_root_lp_without_linprog(self, monkeypatch, capsys):
+        calls = count_solver_calls(monkeypatch)
+        assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
+        capsys.readouterr()
+        assert calls["linprog"] == 0
+        assert calls["root_lp"] == 1
+
     @pytest.mark.parametrize("module", ["payoffopt", "payoffopt.cli"])
     def test_python_dash_m_matches_run(self, module, capsys):
         expected_code = invoke(*FIXTURE_OPTIMIZE, "--format", "json")
@@ -211,6 +219,14 @@ class TestSpecErrors:
 
     def test_bad_money_value(self, chain_path, make_spec, capsys):
         self.check(chain_path, make_spec(max_loss="5.001"), capsys, "bad max_loss")
+
+    def test_non_ascii_digit_in_money(self, chain_path, make_spec, capsys):
+        spec = make_spec(epsilon="\u00b2")
+        assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:spec:bad epsilon")
+        assert len(captured.err.splitlines()) == 1
 
     def test_invalid_json(self, chain_path, tmp_path, capsys):
         path = tmp_path / "spec.json"
@@ -302,6 +318,23 @@ class TestChainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:chain:")
         assert "row 4" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            CHAIN_CSV.replace("underlying=99.50", "underlying=8067.6\u00b2").encode(),
+            CHAIN_CSV.replace("call,4.00", "call,4.\u00e9").encode("latin-1"),
+        ],
+        ids=["non-ascii-digit", "not-utf8"],
+    )
+    def test_undecodable_chain_is_a_chain_error(self, tmp_path, content, capsys):
+        path = tmp_path / "chain.csv"
+        path.write_bytes(content)
+        assert invoke("validate", "--chain", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:chain:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_unknown_anchor(self, chain_path, make_spec, capsys):
         spec = make_spec(call_anchor=105)
@@ -460,6 +493,20 @@ class TestArgumentParsing:
     def test_subcommand_required(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_bad_arguments_leave_the_next_run_unchanged(
+        self, chain_path, make_spec, capsys
+    ):
+        good = ("optimize", "--chain", chain_path, "--spec", make_spec(), "--format", "json")
+        _build_parser.cache_clear()
+        alone = (invoke(*good), *capsys.readouterr())
+        assert alone[0] == 0 and alone[1]
+        assert invoke("optimize", "--chain", chain_path, "--format", "xml") == 2
+        capsys.readouterr()
+        assert (invoke(*good), *capsys.readouterr()) == alone
 
     def test_unknown_format(self, chain_path, make_spec, capsys):
         code = invoke(

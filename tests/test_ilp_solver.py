@@ -204,7 +204,10 @@ def test_presolve_solve_error_settles_as_infeasible(capfd):
 def test_repeated_solve_error_raises(monkeypatch):
     calls = []
 
-    def failing_milp(*args, options, **kwargs):
+    def failing_milp(*args, integrality=None, options=None, **kwargs):
+        if integrality is None:
+            # the root LP, whose feasible verdict hands over to the MILP
+            return milp(*args, **kwargs)
         calls.append(options.get("presolve", True))
         return OptimizeResult(status=4, x=None, message="Solve error")
 
@@ -217,7 +220,9 @@ def test_repeated_solve_error_raises(monkeypatch):
 def test_feasibility_jump_off_in_both_attempts(monkeypatch):
     seen = []
 
-    def failing_milp(*args, options, **kwargs):
+    def failing_milp(*args, integrality=None, options=None, **kwargs):
+        if integrality is None:
+            return milp(*args, **kwargs)
         seen.append(dict(options))
         return OptimizeResult(status=4, x=None, message="Solve error")
 
@@ -262,11 +267,13 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     unpatched = [solve_ilp(p) for p in problems]
     lp_calls = []
 
-    def failing_linprog(*args, **kwargs):
+    def failing_root_lp(*args, **kwargs):
+        if kwargs.get("integrality") is not None:
+            return milp(*args, **kwargs)
         lp_calls.append(1)
         return OptimizeResult(status=4, x=None, fun=None, message="numerical")
 
-    monkeypatch.setattr("payoffopt.ilp_solver.linprog", failing_linprog)
+    monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_root_lp)
     assert [solve_ilp(p) for p in problems] == unpatched
     assert len(lp_calls) == sum(1 for p in problems if p.rows)
     assert unpatched[1] is None and unpatched[0] is not None

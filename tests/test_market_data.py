@@ -90,6 +90,9 @@ def test_no_quotes_is_schema_error():
         ("100,call,1.005,2.00,5", "bad bid"),
         ("100,call,1.00,x,5", "bad ask"),
         ("100,call,1.00,2.00,-5", "bad volume"),
+        ("\u0661\u0660\u0660,call,1.00,2.00,5", "bad strike"),
+        ("100,call,1.00,2.00,\u00b2", "bad volume"),
+        ("100,call,1.00,2.0\u00b2,5", "bad ask"),
         ("100,call,1.00,2.00", "expected 5 fields"),
     ],
 )
@@ -97,6 +100,11 @@ def test_malformed_record_names_row(row, fragment):
     with pytest.raises(ParseError, match="row 4") as err:
         parse_chain("\n".join(SMALL_CSV.splitlines()[:3]) + "\n" + row + "\n")
     assert fragment in str(err.value)
+
+
+def test_non_utf8_bytes_are_a_parse_error():
+    with pytest.raises(ParseError, match="not UTF-8"):
+        parse_chain(SMALL_CSV.encode() + b"100,put,4.\xe9,4.30,3\n")
 
 
 def test_duplicate_quote_rejected():

@@ -40,6 +40,26 @@ def test_parse_rejects(bad):
         parse_money(bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "\u00b2",  # superscript two
+        "8067.6\u00b2",
+        "\u0661\u0662.5",  # Arabic-Indic twelve
+        "\uff11\uff12",  # fullwidth twelve
+        "1.\u0665",
+    ],
+)
+def test_parse_rejects_non_ascii_digits(bad):
+    with pytest.raises(MoneyError):
+        parse_money(bad)
+
+
+def test_parse_rejects_too_many_digits_with_money_error():
+    with pytest.raises(MoneyError, match="too many digits"):
+        parse_money("9" * 5000)
+
+
 def test_format_two_places():
     assert format_money(806760) == "8067.60"
     assert format_money(-10000) == "-100.00"
