@@ -40,10 +40,10 @@ from .model_builder import (
 from .money import MoneyError, parse_money
 from .optimizer import (
     optimize,
-    render_table,
     solution_from_dict,
     solution_to_csv,
     solution_to_json,
+    solution_to_table,
     sweep_cost,
     sweep_liquidity,
     sweep_to_csv,
@@ -251,6 +251,8 @@ def _load_run_config(path: Path) -> RunConfig:
         data = json.loads(path.read_text())
     except OSError as exc:
         raise SpecError(f"cannot read strategy {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"strategy {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid strategy JSON: {exc}") from exc
     return load_run_config(data)
@@ -312,7 +314,7 @@ def _cmd_optimize(config: CliConfig) -> int:
     elif config.output_format == "csv":
         _emit(config, solution_to_csv(solution))
     else:
-        _emit(config, render_table([("", solution)], series))
+        _emit(config, solution_to_table(solution))
     return 0
 
 
@@ -343,6 +345,8 @@ def _cmd_payoff(config: CliConfig) -> int:
             data = json.loads(config.solution_path.read_text())
         except OSError as exc:
             raise CliError(f"cannot read solution: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CliError(f"solution is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid solution JSON: {exc}") from exc
         try:

@@ -1,42 +1,35 @@
-"""Exact solvers for bounded integer linear programs.
+"""Exact solver for bounded integer linear programs.
 
-Independent routes to the same answer:
+:func:`solve_ilp` is HiGHS branch and cut (scipy's ``milp``) with a zero
+optimality gap. The search runs in floating point, but the returned point is
+re-verified and its objective recomputed in exact integer arithmetic before
+acceptance. Among optima the lexicographically smallest solution vector is
+returned by :func:`lex_refine`: with the objective pinned at its optimal
+value, the slots are minimized in blocks, one MILP per block whose objective
+reads the block as one mixed-radix number, starting from the first optimal
+point. A slot that point already holds at its lower bound is fixed there
+without a solve (lexicographic optimization as a sequence of
+epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*, 2005,
+ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor, *Math. Prog.
+Comp.* 2023) is switched off: on these small programs it is a fixed cost of
+about 12 ms per call, most of the solve. It only proposes incumbents, so the
+proven optimum, and the unique lexicographically smallest optimal point the
+refine returns, cannot change. Each program's rows are compiled once into a
+sparse matrix, and a root LP on them (the same ``milp`` call with no
+integrality) settles most infeasible programs before any MILP.
 
-* :func:`solve_ilp`: HiGHS branch and cut (scipy's ``milp``) with a zero
-  optimality gap. The search runs in floating point, but the returned point
-  is re-verified and its objective recomputed in exact integer arithmetic
-  before acceptance. Among optima the lexicographically smallest solution
-  vector is returned by :func:`lex_refine`: with the objective pinned at its
-  optimal value, the slots are minimized in blocks, one MILP per block whose
-  objective reads the block as one mixed-radix number, starting from the
-  first optimal point. A slot that point already holds at its lower bound
-  is fixed there without a solve (lexicographic optimization as a sequence
-  of epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*,
-  2005, ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor,
-  *Math. Prog. Comp.* 2023) is switched off: on these small programs it is
-  a fixed cost of about 12 ms per call, most of the solve. It only proposes
-  incumbents, so the proven optimum, and the unique lexicographically
-  smallest optimal point the refine returns, cannot change. Each program's
-  rows are compiled once into a sparse matrix, and a root LP on them (the
-  same ``milp`` call with no integrality) settles most infeasible programs
-  before any MILP.
-* :func:`solve_ilp_reference`: pure-Python branch and bound over the LP
-  relaxation. Much slower; kept as an in-tree cross-check with the same
-  contract.
-* :func:`brute_force`: chunked exhaustive enumeration of the bound box in
-  int64, used as the oracle in tests.
+:func:`brute_force` enumerates the bound box exhaustively in int64 chunks
+under the same contract; it is the oracle the tests compare against.
 
-All return ``None`` for an infeasible problem and raise
-:class:`SolverResourceError` when the node budget runs out; a budget
-exhaustion is never silently turned into a wrong answer.
+Both return ``None`` for an infeasible problem. Every MILP runs under the
+node limit :data:`NODE_BUDGET`; running out raises
+:class:`SolverResourceError`, never a silently wrong answer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import enum
-import heapq
 import math
 import os
 import warnings
@@ -44,21 +37,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_array
 
 from .model_builder import CapacityError, IlpProblem, Relation, Row
 
-DEFAULT_NODE_BUDGET = 10_000_000
+# HiGHS node limit of every MILP call
+NODE_BUDGET = 10_000_000
+# most points brute_force will enumerate
 BRUTE_FORCE_LIMIT = 100_000_000
-
-# distance from an LP coordinate to the nearest integer below which the
-# node counts as integral and is handed to the exact verifier
-_INTEGRALITY_TOL = 1e-6
-# slack added before flooring a float LP bound to an integer cent bound;
-# must exceed any plausible LP objective error (overshooting only costs
-# pruning strength, undershooting would prune the optimum)
-_BOUND_TOL = 0.5
 
 
 class SolverError(RuntimeError):
@@ -73,20 +60,6 @@ class SolverNumericalError(SolverError):
     """The LP backend failed or returned something unusable."""
 
 
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    """Continuous relaxation result; ``x`` is empty when infeasible."""
-
-    status: LpStatus
-    x: tuple[float, ...]
-    objective: float | None
-
-
 @dataclass(frozen=True)
 class IntSolution:
     """An exact integer optimum: slot values and objective in cents."""
@@ -95,195 +68,12 @@ class IntSolution:
     objective: int
 
 
-class _Budget:
-    __slots__ = ("remaining", "initial")
-
-    def __init__(self, nodes: int) -> None:
-        self.remaining = nodes
-        self.initial = nodes
-
-    def spend(self) -> None:
-        if self.remaining <= 0:
-            raise SolverResourceError(
-                f"node budget of {self.initial} exhausted"
-            )
-        self.remaining -= 1
-
-
-class _Relaxation:
-    """LP matrices for one problem, rebuilt once and re-solved per node.
-
-    Serves only the reference routes, :func:`solve_lp_relaxation` and
-    :func:`solve_ilp_reference`; :func:`solve_ilp` solves its root LP
-    through ``milp`` on the rows it compiles for its MILPs.
-    """
-
-    def __init__(self, objective: Sequence[int], rows: Sequence[Row]) -> None:
-        self.num_vars = len(objective)
-        self.c_min = -np.asarray(objective, dtype=float)
-        ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-        for row in rows:
-            if row.relation is Relation.EQ:
-                eq_rows.append(row.coeffs)
-                eq_rhs.append(row.rhs)
-            elif row.relation is Relation.LE:
-                ub_rows.append(row.coeffs)
-                ub_rhs.append(row.rhs)
-            else:
-                ub_rows.append([-c for c in row.coeffs])
-                ub_rhs.append(-row.rhs)
-        self.a_ub = np.asarray(ub_rows, dtype=float) if ub_rows else None
-        self.b_ub = np.asarray(ub_rhs, dtype=float) if ub_rows else None
-        self.a_eq = np.asarray(eq_rows, dtype=float) if eq_rows else None
-        self.b_eq = np.asarray(eq_rhs, dtype=float) if eq_rows else None
-
-    def solve(
-        self, bounds: Sequence[tuple[int, int]]
-    ) -> tuple[LpStatus, tuple[float, ...], float]:
-        result = linprog(
-            self.c_min,
-            A_ub=self.a_ub,
-            b_ub=self.b_ub,
-            A_eq=self.a_eq,
-            b_eq=self.b_eq,
-            bounds=list(bounds),
-            method="highs",
-        )
-        if result.status == 0:
-            return LpStatus.OPTIMAL, tuple(float(v) for v in result.x), -float(
-                result.fun
-            )
-        if result.status == 2:
-            return LpStatus.INFEASIBLE, (), math.nan
-        raise SolverNumericalError(
-            f"LP backend failed (status {result.status}): {result.message}"
-        )
-
-
 def _rows_hold(rows: Sequence[Row], x: Sequence[int]) -> bool:
     return all(row.satisfied(x) for row in rows)
 
 
 def _within_bounds(x: Sequence[int], bounds: Sequence[tuple[int, int]]) -> bool:
     return all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
-
-
-def solve_lp_relaxation(problem: IlpProblem) -> LpSolution:
-    """Solve the continuous relaxation; deterministic for identical input."""
-    if problem.num_vars == 0:
-        if _rows_hold(problem.rows, ()):
-            return LpSolution(LpStatus.OPTIMAL, (), float(problem.objective_constant))
-        return LpSolution(LpStatus.INFEASIBLE, (), None)
-    relax = _Relaxation(problem.objective, problem.rows)
-    status, x, value = relax.solve(problem.bounds)
-    if status is LpStatus.INFEASIBLE:
-        return LpSolution(LpStatus.INFEASIBLE, (), None)
-    return LpSolution(status, x, value + problem.objective_constant)
-
-
-def _branch_and_bound(
-    objective: tuple[int, ...],
-    constant: int,
-    rows: tuple[Row, ...],
-    bounds: tuple[tuple[int, int], ...],
-    budget: _Budget,
-    incumbent: tuple[int, tuple[int, ...]] | None = None,
-) -> tuple[int, tuple[int, ...]] | None:
-    """Maximize ``objective . x + constant`` over integer x in bounds.
-
-    Keeps the first incumbent found at each objective value (no lexicographic
-    guarantee; see :func:`solve_ilp` for the refinement pass). ``incumbent``
-    seeds the search with a known-feasible solution for pruning.
-    """
-    num_vars = len(objective)
-    if num_vars == 0:
-        return (constant, ()) if _rows_hold(rows, ()) else None
-
-    best_val: int | None = None
-    best_x: tuple[int, ...] | None = None
-    if incumbent is not None:
-        best_val, best_x = incumbent
-
-    relax = _Relaxation(objective, rows)
-    heap: list[tuple[int, int, int, tuple[tuple[int, int], ...], tuple[float, ...]]] = []
-    seq = 0
-
-    def push(node_bounds: tuple[tuple[int, int], ...], depth: int) -> None:
-        nonlocal seq
-        budget.spend()
-        status, x_lp, lp_val = relax.solve(node_bounds)
-        if status is LpStatus.INFEASIBLE:
-            return
-        bound = math.floor(lp_val + constant + _BOUND_TOL)
-        if best_val is not None and bound <= best_val:
-            return
-        seq += 1
-        heapq.heappush(heap, (-bound, -depth, -seq, node_bounds, x_lp))
-
-    push(bounds, 0)
-    while heap:
-        neg_bound, neg_depth, _, node_bounds, x_lp = heapq.heappop(heap)
-        if best_val is not None and -neg_bound <= best_val:
-            continue
-        rounded = tuple(round(v) for v in x_lp)
-        distances = [abs(v - r) for v, r in zip(x_lp, rounded)]
-        if max(distances) <= _INTEGRALITY_TOL:
-            # integral vertex: exact acceptance in integer arithmetic
-            if _within_bounds(rounded, bounds) and _rows_hold(rows, rounded):
-                value = (
-                    sum(c * v for c, v in zip(objective, rounded)) + constant
-                )
-                if best_val is None or value > best_val:
-                    best_val, best_x = value, rounded
-                continue
-        splittable = [
-            i for i in range(num_vars) if node_bounds[i][0] < node_bounds[i][1]
-        ]
-        if not splittable:
-            # fully fixed point that fails the exact integer checks: the LP
-            # accepted it within float tolerance, but the node is dead
-            continue
-        branch_var = max(splittable, key=lambda i: (distances[i], -i))
-        lo, hi = node_bounds[branch_var]
-        split = min(max(math.floor(x_lp[branch_var]), lo), hi - 1)
-        depth = -neg_depth + 1
-        left = list(node_bounds)
-        left[branch_var] = (lo, split)
-        push(tuple(left), depth)
-        right = list(node_bounds)
-        right[branch_var] = (split + 1, hi)
-        push(tuple(right), depth)
-
-    if best_val is None or best_x is None:
-        return None
-    return best_val, best_x
-
-
-def _lexicographic_refine(
-    problem: IlpProblem,
-    optimum: int,
-    seed: tuple[int, ...],
-    budget: _Budget,
-) -> tuple[int, ...]:
-    """Among optima, pin each slot in turn to its minimum value."""
-    pin = Row(
-        name="objective_pin",
-        coeffs=problem.objective,
-        relation=Relation.EQ,
-        rhs=optimum - problem.objective_constant,
-    )
-    rows = problem.rows + (pin,)
-    bounds = list(problem.bounds)
-    current = seed
-    for j in range(problem.num_vars):
-        selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
-        result = _branch_and_bound(
-            selector, 0, rows, tuple(bounds), budget, incumbent=(-current[j], current)
-        )
-        assert result is not None  # seeded with a feasible point
-        value, current = result
-        bounds[j] = (-value, -value)
-    return current
 
 
 _fflush = ctypes.CDLL(None).fflush
@@ -350,7 +140,6 @@ def _milp_once(
     constraint: LinearConstraint,
     bounds: Sequence[tuple[int, int]],
     box: Bounds,
-    node_budget: int,
 ) -> tuple[int, tuple[int, ...]] | None:
     """One exact MILP solve: (objective, x) or ``None`` when infeasible.
 
@@ -364,7 +153,7 @@ def _milp_once(
     c = -np.asarray(objective, dtype=float)
     options = {
         "mip_rel_gap": 0.0,
-        "node_limit": node_budget,
+        "node_limit": NODE_BUDGET,
         # a fixed cost of about 12 ms per call here; see the module docstring
         "mip_heuristic_run_feasibility_jump": False,
     }
@@ -391,7 +180,7 @@ def _milp_once(
         if attempt is retry and result.status == 2:
             return None
     if result.status == 1:
-        raise SolverResourceError(f"node budget of {node_budget} exhausted")
+        raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
     if result.status != 0 or result.x is None:
         raise SolverNumericalError(
             f"MILP backend failed (status {result.status}): {result.message}"
@@ -427,8 +216,6 @@ def lex_refine(
     optimum: int,
     seed: Sequence[int],
     stop: int,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> tuple[int, ...]:
     """An optimal point whose slots ``[0, stop)`` are lexicographically
     smallest among all points of ``problem`` with objective ``optimum``.
@@ -469,9 +256,7 @@ def lex_refine(
         for i in reversed(block):
             key[i] = -weight
             weight *= widths[i - j]
-        result = _milp_once(
-            key, 0, rows, constraint, bounds, _box(bounds), node_budget
-        )
+        result = _milp_once(key, 0, rows, constraint, bounds, _box(bounds))
         if result is None:
             raise SolverNumericalError(f"no point at the optimum {optimum}")
         _, x = result
@@ -484,7 +269,6 @@ def lex_refine(
 def solve_ilp(
     problem: IlpProblem,
     *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     refine: bool = True,
 ) -> IntSolution | None:
     """Exact integer optimum, or ``None`` when infeasible.
@@ -516,57 +300,27 @@ def solve_ilp(
         constraint,
         problem.bounds,
         box,
-        node_budget,
     )
     if result is None:
         return None
     value, x = result
     if refine and problem.num_vars:
-        x = lex_refine(problem, value, x, problem.num_vars, node_budget=node_budget)
+        x = lex_refine(problem, value, x, problem.num_vars)
     return IntSolution(x=tuple(x), objective=value)
 
 
-def solve_ilp_reference(
-    problem: IlpProblem,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    refine: bool = True,
-) -> IntSolution | None:
-    """Same contract as :func:`solve_ilp`, solved by the in-tree search.
-
-    Orders of magnitude slower than the HiGHS route on hard instances; meant
-    for cross-checking small problems, not production runs.
-    """
-    budget = _Budget(node_budget)
-    result = _branch_and_bound(
-        problem.objective,
-        problem.objective_constant,
-        problem.rows,
-        problem.bounds,
-        budget,
-    )
-    if result is None:
-        return None
-    value, x = result
-    if refine and problem.num_vars:
-        x = _lexicographic_refine(problem, value, x, budget)
-    return IntSolution(x=tuple(x), objective=value)
-
-
-def brute_force(
-    problem: IlpProblem, *, max_points: int = BRUTE_FORCE_LIMIT
-) -> IntSolution | None:
+def brute_force(problem: IlpProblem) -> IntSolution | None:
     """Exhaustively enumerate the bound box; oracle twin of :func:`solve_ilp`.
 
     Same contract: maximal objective, lexicographically smallest vector among
     optima, ``None`` when infeasible. Raises :class:`CapacityError` when the
-    box holds more than ``max_points`` points.
+    box holds more than :data:`BRUTE_FORCE_LIMIT` points.
     """
     widths = [hi - lo + 1 for lo, hi in problem.bounds]
     total = math.prod(widths)
-    if total > max_points:
+    if total > BRUTE_FORCE_LIMIT:
         raise CapacityError(
-            f"bound box holds {total} points, above the {max_points} limit"
+            f"bound box holds {total} points, above the {BRUTE_FORCE_LIMIT} limit"
         )
     if problem.num_vars == 0:
         if _rows_hold(problem.rows, ()):

@@ -289,6 +289,17 @@ def _parse_csv(text: str) -> OptionChain:
     )
 
 
+def _json_count(item: dict, key: str, row: int) -> int:
+    """A quote's strike or volume: a JSON integer, or a string of ASCII
+    digits as in the CSV form; a fraction, a bool or other text is an error."""
+    value = item[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and is_digits(value):
+        return int(value)
+    raise ParseError(f"quote {row}: bad {key} {value!r}")
+
+
 def _parse_json(text: str) -> OptionChain:
     try:
         data = json.loads(text)
@@ -311,11 +322,11 @@ def _parse_json(text: str) -> OptionChain:
             ask = item.get("ask")
             quotes.append(
                 OptionQuote(
-                    strike=int(item["strike"]),
+                    strike=_json_count(item, "strike", row),
                     right=_parse_right(str(item["right"])),
                     bid=None if bid is None else parse_money(bid),
                     ask=None if ask is None else parse_money(ask),
-                    volume=int(item["volume"]),
+                    volume=_json_count(item, "volume", row),
                 )
             )
         except KeyError as exc:

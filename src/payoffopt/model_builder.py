@@ -29,13 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .market_data import SeriesSelection, Side
 from .money import CENTS
 from .payoff_engine import ContractPrices, Portfolio
-
-MAX_COMBINATION_BITS = 63
 
 
 class SpecError(ValueError):
@@ -43,7 +41,8 @@ class SpecError(ValueError):
 
 
 class CapacityError(ValueError):
-    """The requested enumeration exceeds a hard safety limit."""
+    """A bound box too large for :func:`~payoffopt.ilp_solver.brute_force`:
+    more than :data:`~payoffopt.ilp_solver.BRUTE_FORCE_LIMIT` points."""
 
 
 class Relation(enum.Enum):
@@ -179,24 +178,6 @@ def _encode_sides(sides: tuple[Side, ...]) -> int:
     return index
 
 
-def combination_count(n: int) -> int:
-    """2^(2n), guarded against absurd enumerations."""
-    if n < 0:
-        raise ValueError(f"series length must be non-negative: {n}")
-    if 2 * n > MAX_COMBINATION_BITS:
-        raise CapacityError(
-            f"2^{2 * n} combinations exceed the index capacity of "
-            f"{MAX_COMBINATION_BITS} bits"
-        )
-    return 1 << (2 * n)
-
-
-def enumerate_combinations(n: int) -> Iterator[PriceCombination]:
-    """All 2^(2n) price combinations in increasing index order."""
-    count = combination_count(n)
-    return (PriceCombination.from_index(n, index) for index in range(count))
-
-
 Rational = int | Fraction
 
 
@@ -283,21 +264,6 @@ class IlpProblem:
 
     def objective_value(self, x: Sequence[int]) -> int:
         return sum(c * v for c, v in zip(self.objective, x)) + self.objective_constant
-
-    def debug_text(self) -> str:
-        """Plain-text dump: objective, bounds, rows. Money entries are in cents."""
-        lines = [
-            "max " + " ".join(str(c) for c in self.objective)
-            + f" + {self.objective_constant}"
-        ]
-        for slot, (lo, hi) in enumerate(self.bounds):
-            lines.append(f"bounds {slot} {lo} {hi}")
-        for row in self.rows:
-            lines.append(
-                " ".join(str(c) for c in row.coeffs)
-                + f" {row.relation.value} {row.rhs}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ilp_solver import DEFAULT_NODE_BUDGET, SolverError, lex_refine, solve_ilp
+from .ilp_solver import SolverError, lex_refine, solve_ilp
 from .market_data import SeriesSelection
 from .model_builder import (
     CostTarget,
@@ -74,10 +74,7 @@ class SweepReport:
 
 
 def optimize(
-    spec: StrategySpec,
-    series: SeriesSelection,
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    spec: StrategySpec, series: SeriesSelection
 ) -> PortfolioSolution | None:
     """Best feasible portfolio over every price combination, or ``None``.
 
@@ -94,16 +91,14 @@ def optimize(
     misses the first optimum).
     """
     combined = build_combined(spec, series)
-    first = solve_ilp(combined, node_budget=node_budget, refine=False)
+    first = solve_ilp(combined, refine=False)
     if first is None:
         return None
     slots = 2 * series.n
-    ranked = lex_refine(
-        combined, first.objective, first.x, slots, node_budget=node_budget
-    )
+    ranked = lex_refine(combined, first.objective, first.x, slots)
     combo, seed = decode_combined(series.n, ranked)
     subproblem = build_subproblem(spec, series, combo)
-    x = lex_refine(subproblem, first.objective, seed, slots, node_budget=node_budget)
+    x = lex_refine(subproblem, first.objective, seed, slots)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     prices = combo.contract_prices(series)
     # exact bookkeeping identity between the compiled objective and the engine
@@ -122,12 +117,11 @@ def _sweep(
     axis: SweepAxis,
     specs: Sequence[tuple[int, StrategySpec]],
     series: SeriesSelection,
-    node_budget: int,
 ) -> SweepReport:
     points = []
     for value, run_spec in specs:
         try:
-            solution = optimize(run_spec, series, node_budget=node_budget)
+            solution = optimize(run_spec, series)
             points.append(SweepPoint(value=value, solution=solution, error=None))
         except SolverError as exc:
             points.append(SweepPoint(value=value, solution=None, error=str(exc)))
@@ -139,8 +133,6 @@ def sweep_cost(
     spec: StrategySpec,
     series: SeriesSelection,
     cost_values: Sequence[int],
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """One optimize run per cost target (cents), comparator preserved."""
     if not cost_values:
@@ -152,15 +144,13 @@ def sweep_cost(
         (v, dataclasses.replace(spec, cost_target=CostTarget(comparator, v)))
         for v in cost_values
     ]
-    return _sweep(SweepAxis.COST, specs, series, node_budget)
+    return _sweep(SweepAxis.COST, specs, series)
 
 
 def sweep_liquidity(
     spec: StrategySpec,
     series: SeriesSelection,
     bound_values: Sequence[int],
-    *,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SweepReport:
     """One optimize run per symmetric bound: quantities range in [-v, v]."""
     if not bound_values:
@@ -171,7 +161,7 @@ def sweep_liquidity(
     specs = [
         (v, dataclasses.replace(spec, lower=-v, upper=v)) for v in bound_values
     ]
-    return _sweep(SweepAxis.LIQUIDITY, specs, series, node_budget)
+    return _sweep(SweepAxis.LIQUIDITY, specs, series)
 
 
 def solution_to_dict(solution: PortfolioSolution) -> dict:
@@ -244,6 +234,19 @@ def sweep_point_label(axis: SweepAxis, value: int) -> str:
     return f"|L|={value}"
 
 
+def _quantity_cells(
+    series: SeriesSelection, portfolio: Portfolio
+) -> list[tuple[int, str, str]]:
+    """(strike, call cell, put cell) for each unique strike of ``series``;
+    a cell holds the quantity, or ``""`` where that leg lacks the strike."""
+    calls = dict(zip(series.call_strikes, portfolio.calls))
+    puts = dict(zip(series.put_strikes, portfolio.puts))
+    return [
+        (k, str(calls.get(k, "")), str(puts.get(k, "")))
+        for k in series.unique_strikes
+    ]
+
+
 def render_table(
     blocks: Sequence[tuple[str, PortfolioSolution | None]],
     series: SeriesSelection,
@@ -254,32 +257,19 @@ def render_table(
     leg's series, ``infeasible`` in the footer for empty outcomes.
     """
     strikes = series.unique_strikes
-    call_index = {k: i for i, k in enumerate(series.call_strikes)}
-    put_index = {k: i for i, k in enumerate(series.put_strikes)}
-
     label_col = ["Strike"] + [str(k) for k in strikes] + [
         "max F",
         "Total number of contracts",
     ]
     columns: list[tuple[str, list[str], list[str], str, str]] = []
     for label, solution in blocks:
-        calls, puts = [], []
-        for k in strikes:
-            if solution is None:
-                calls.append("")
-                puts.append("")
-                continue
-            calls.append(
-                str(solution.portfolio.calls[call_index[k]])
-                if k in call_index
-                else ""
-            )
-            puts.append(
-                str(solution.portfolio.puts[put_index[k]]) if k in put_index else ""
-            )
         if solution is None:
+            calls = puts = [""] * len(strikes)
             footer_obj, footer_total = "infeasible", ""
         else:
+            cells = _quantity_cells(series, solution.portfolio)
+            calls = [call for _, call, _ in cells]
+            puts = [put for _, _, put in cells]
             footer_obj = format_money(solution.objective, trim=True)
             footer_total = str(solution.total_contracts)
         columns.append((label, calls, puts, footer_obj, footer_total))
@@ -326,13 +316,8 @@ def sweep_to_table(report: SweepReport, series: SeriesSelection) -> str:
 
 
 def solution_to_csv(solution: PortfolioSolution) -> str:
-    series = solution.portfolio.series
-    call_index = {k: i for i, k in enumerate(series.call_strikes)}
-    put_index = {k: i for i, k in enumerate(series.put_strikes)}
     lines = ["strike,call,put"]
-    for k in series.unique_strikes:
-        call = solution.portfolio.calls[call_index[k]] if k in call_index else ""
-        put = solution.portfolio.puts[put_index[k]] if k in put_index else ""
+    for k, call, put in _quantity_cells(solution.portfolio.series, solution.portfolio):
         lines.append(f"{k},{call},{put}")
     lines.append(f"max_F,{format_money(solution.objective, trim=True)}")
     lines.append(f"total_contracts,{solution.total_contracts}")
@@ -340,8 +325,6 @@ def solution_to_csv(solution: PortfolioSolution) -> str:
 
 
 def sweep_to_csv(report: SweepReport, series: SeriesSelection) -> str:
-    call_index = {k: i for i, k in enumerate(series.call_strikes)}
-    put_index = {k: i for i, k in enumerate(series.put_strikes)}
     lines = ["value,strike,call,put"]
     for p in report.points:
         value = (
@@ -355,10 +338,7 @@ def sweep_to_csv(report: SweepReport, series: SeriesSelection) -> str:
         if p.solution is None:
             lines.append(f"{value},infeasible,,")
             continue
-        portfolio = p.solution.portfolio
-        for k in series.unique_strikes:
-            call = portfolio.calls[call_index[k]] if k in call_index else ""
-            put = portfolio.puts[put_index[k]] if k in put_index else ""
+        for k, call, put in _quantity_cells(series, p.solution.portfolio):
             lines.append(f"{value},{k},{call},{put}")
         lines.append(f"{value},max_F,{format_money(p.solution.objective, trim=True)},")
         lines.append(f"{value},total_contracts,{p.solution.total_contracts},")

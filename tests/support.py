@@ -1,8 +1,9 @@
 """Shared test helpers: random instances and exhaustive reference solvers.
 
-The reference optimizer here enumerates every price combination crossed with
-the full integer box using its own numpy code path, so agreement with the
-production optimizer is a genuine two-route check.
+The reference optimizer here solves every price combination's subproblem
+separately with ``brute_force``, which enumerates the full integer box, so
+agreement with the production optimizer (one combined program solved by
+HiGHS) is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 import payoffopt.ilp_solver
 from payoffopt import (
@@ -24,8 +26,8 @@ from payoffopt import (
     Side,
     StrategySpec,
     TailLossMode,
+    brute_force,
     build_subproblem,
-    combination_count,
     solve_ilp,
 )
 
@@ -240,48 +242,45 @@ def random_spec(rng: random.Random, series: SeriesSelection) -> StrategySpec:
     )
 
 
-def enumerate_problem(problem) -> tuple[int, tuple[int, ...]] | None:
-    """Best point of one subproblem by full-box enumeration, lex tie-break."""
-    lows = np.array([lo for lo, _ in problem.bounds], dtype=np.int64)
-    widths = tuple(hi - lo + 1 for lo, hi in problem.bounds)
-    if problem.num_vars == 0:
-        raise ValueError("empty problems are not exercised here")
-    grid = np.indices(widths).reshape(problem.num_vars, -1).T + lows
-    ok = np.ones(len(grid), dtype=bool)
-    for row in problem.rows:
-        vals = grid @ np.asarray(row.coeffs, dtype=np.int64)
-        if row.relation is Relation.LE:
-            ok &= vals <= row.rhs
-        elif row.relation is Relation.GE:
-            ok &= vals >= row.rhs
-        else:
-            ok &= vals == row.rhs
-    if not ok.any():
-        return None
-    values = grid @ np.asarray(problem.objective, dtype=np.int64)
-    values = np.where(ok, values, np.iinfo(np.int64).min)
-    # np.indices varies the last axis fastest, so the grid is in ascending
-    # lexicographic order and the first argmax is the lex-smallest optimum
-    i = int(np.argmax(values))
-    top = int(values[i]) + problem.objective_constant
-    return top, tuple(int(v) for v in grid[i])
-
-
 def reference_optimize(
     spec: StrategySpec, series: SeriesSelection
 ) -> tuple[int, int, tuple[int, ...]] | None:
     """(objective, combination index, x) by exhausting combos x boxes."""
     best = None
-    for index in range(combination_count(series.n)):
+    for index in range(1 << (2 * series.n)):
         combo = PriceCombination.from_index(series.n, index)
-        problem = build_subproblem(spec, series, combo)
-        found = enumerate_problem(problem)
-        if found is None:
-            continue
-        value, x = found
-        if best is None or value > best[0]:
-            best = (value, index, x)
+        found = brute_force(build_subproblem(spec, series, combo))
+        if found is not None and (best is None or found.objective > best[0]):
+            best = (found.objective, index, found.x)
     return best
+
+
+def lp_relaxation(problem: IlpProblem) -> tuple[float, tuple[float, ...]] | None:
+    """(objective, x) of the continuous relaxation by scipy's ``linprog``, or
+    ``None`` when it is infeasible; a check on the root LP that
+    ``solve_ilp`` solves through ``milp``."""
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for row in problem.rows:
+        if row.relation is Relation.EQ:
+            eq_rows.append(row.coeffs)
+            eq_rhs.append(row.rhs)
+        else:
+            sign = 1 if row.relation is Relation.LE else -1
+            ub_rows.append([sign * c for c in row.coeffs])
+            ub_rhs.append(sign * row.rhs)
+    result = linprog(
+        -np.asarray(problem.objective, dtype=float),
+        A_ub=np.asarray(ub_rows, dtype=float) if ub_rows else None,
+        b_ub=ub_rhs or None,
+        A_eq=np.asarray(eq_rows, dtype=float) if eq_rows else None,
+        b_eq=eq_rhs or None,
+        bounds=problem.bounds,
+        method="highs",
+    )
+    if result.status == 2:
+        return None
+    assert result.status == 0, result.message
+    return problem.objective_constant - result.fun, tuple(result.x)
 
 
 def slotwise_refine(
@@ -344,15 +343,10 @@ def count_solver_calls(monkeypatch) -> Counter:
     The returned counter grows as calls are made. Its keys: ``"root_lp"``,
     ``milp`` calls without integrality (the root LP of :func:`solve_ilp`);
     ``"milp"``, ``milp`` calls with integrality and presolve on
-    (presolve-off rechecks are left out); ``"linprog"``, ``linprog`` calls.
+    (presolve-off rechecks are left out).
     """
     calls: Counter = Counter()
-    real_linprog = payoffopt.ilp_solver.linprog
     real_milp = payoffopt.ilp_solver.milp
-
-    def counting_linprog(*args, **kwargs):
-        calls["linprog"] += 1
-        return real_linprog(*args, **kwargs)
 
     def counting_milp(*args, **kwargs):
         if kwargs.get("integrality") is None:
@@ -361,6 +355,5 @@ def count_solver_calls(monkeypatch) -> Counter:
             calls["milp"] += 1
         return real_milp(*args, **kwargs)
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "linprog", counting_linprog)
     monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)
     return calls

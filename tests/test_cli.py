@@ -6,10 +6,12 @@ import warnings
 from pathlib import Path
 
 import pytest
+from scipy.optimize import OptimizeResult
 
 import payoffopt
+import payoffopt.ilp_solver
 from conftest import FIXTURES
-from payoffopt import Relation, SolverNumericalError, SpecError, TailLossMode
+from payoffopt import Relation, SpecError, TailLossMode
 from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from support import count_solver_calls
 
@@ -143,17 +145,43 @@ class TestOptimizeCommand:
         for name in ("tail_calls", "tail_puts", "balance_left", "positivity"):
             assert name in err
 
-    def test_numerical_failure_exit(self, chain_path, make_spec, monkeypatch, capsys):
-        def explode(problem, **kwargs):
-            raise SolverNumericalError("MILP backend failed (status 4)")
+    def fail_every_milp(self, monkeypatch, status):
+        """Make every MILP with integrality end with this HiGHS status (the
+        root LP runs for real); returns the options of each such call."""
+        real_milp = payoffopt.ilp_solver.milp
+        seen = []
 
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        assert invoke("optimize", "--chain", chain_path, "--spec", make_spec()) == 4
+        def failing_milp(*args, integrality=None, options=None, **kwargs):
+            if integrality is None:
+                return real_milp(*args, **kwargs)
+            seen.append(options)
+            return OptimizeResult(status=status, x=None, message="fake")
+
+        monkeypatch.setattr(payoffopt.ilp_solver, "milp", failing_milp)
+        return seen
+
+    def check_solver_failure(self, chain_path, make_spec, capsys, code, message):
+        assert invoke("optimize", "--chain", chain_path, "--spec", make_spec()) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error:solver:MILP backend failed")
+        assert lines[0].startswith(f"error:solver:{message}")
+
+    def test_numerical_failure_exit(self, chain_path, make_spec, monkeypatch, capsys):
+        seen = self.fail_every_milp(monkeypatch, 4)
+        self.check_solver_failure(
+            chain_path, make_spec, capsys, 4, "MILP backend failed (status 4)"
+        )
+        # a "Solve error" is retried once with presolve off
+        assert [o.get("presolve", True) for o in seen] == [True, False]
+
+    def test_node_limit_exit(self, chain_path, make_spec, monkeypatch, capsys):
+        seen = self.fail_every_milp(monkeypatch, 1)
+        self.check_solver_failure(
+            chain_path, make_spec, capsys, 3, "node budget of 10000000 exhausted"
+        )
+        assert [o["node_limit"] for o in seen] == [payoffopt.ilp_solver.NODE_BUDGET]
 
 
 FIXTURE_OPTIMIZE = (
@@ -172,10 +200,12 @@ class TestFixtureCommand:
         assert caught == []
 
     def test_solves_its_root_lp_without_linprog(self, monkeypatch, capsys):
+        # the root LP is a milp call without integrality; ilp_solver does
+        # not import linprog at all
+        assert not hasattr(payoffopt.ilp_solver, "linprog")
         calls = count_solver_calls(monkeypatch)
         assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
         capsys.readouterr()
-        assert calls["linprog"] == 0
         assert calls["root_lp"] == 1
 
     @pytest.mark.parametrize("module", ["payoffopt", "payoffopt.cli"])
@@ -237,6 +267,16 @@ class TestSpecErrors:
         self.check(
             chain_path, tmp_path / "absent.json", capsys, "cannot read strategy"
         )
+
+    def test_undecodable_file(self, chain_path, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"tail_loss_mode": "pnl\xe9"}')
+        assert invoke("optimize", "--chain", chain_path, "--spec", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:spec:")
+        assert "not UTF-8" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestLoadRunConfig:
@@ -421,6 +461,21 @@ class TestPayoffCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:args:invalid solution JSON")
+
+    def test_undecodable_solution_file(
+        self, chain_path, make_spec, tmp_path, capsys
+    ):
+        stored = tmp_path / "solution.json"
+        stored.write_bytes(b'{"combination": "1\xe90"}')
+        code = invoke(
+            "payoff", "--chain", chain_path, "--spec", make_spec(),
+            "--solution", stored,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:args:solution is not UTF-8")
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_solution_file(self, chain_path, make_spec, tmp_path, capsys):
         code = invoke(

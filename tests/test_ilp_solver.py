@@ -14,18 +14,15 @@ from scipy.optimize import (
 )
 
 from payoffopt import (
+    BRUTE_FORCE_LIMIT,
     CapacityError,
     IlpProblem,
     IntSolution,
-    LpStatus,
     Relation,
     Row,
     SolverNumericalError,
-    SolverResourceError,
     brute_force,
     solve_ilp,
-    solve_ilp_reference,
-    solve_lp_relaxation,
 )
 from payoffopt.ilp_solver import (
     _BLOCK_RANGE,
@@ -33,9 +30,15 @@ from payoffopt.ilp_solver import (
     _block_size,
     lex_refine,
 )
-from support import count_solver_calls, random_ilp, random_wide_ilp, slotwise_refine
+from support import (
+    count_solver_calls,
+    lp_relaxation,
+    random_ilp,
+    random_wide_ilp,
+    slotwise_refine,
+)
 
-ALL_ROUTES = [solve_ilp, solve_ilp_reference, brute_force]
+ALL_ROUTES = [solve_ilp, brute_force]
 
 
 def fractional_problem():
@@ -66,10 +69,9 @@ def test_fractional_bound_rounds_down(solver):
 
 
 def test_relaxation_is_fractional():
-    lp = solve_lp_relaxation(fractional_problem())
-    assert lp.status is LpStatus.OPTIMAL
-    assert lp.objective == pytest.approx(2.5)
-    assert lp.x[0] == pytest.approx(2.5)
+    objective, x = lp_relaxation(fractional_problem())
+    assert objective == pytest.approx(2.5)
+    assert x[0] == pytest.approx(2.5)
 
 
 @pytest.mark.parametrize("solver", ALL_ROUTES)
@@ -78,10 +80,7 @@ def test_infeasible_returns_none(solver):
 
 
 def test_relaxation_reports_infeasible():
-    lp = solve_lp_relaxation(infeasible_problem())
-    assert lp.status is LpStatus.INFEASIBLE
-    assert lp.x == ()
-    assert lp.objective is None
+    assert lp_relaxation(infeasible_problem()) is None
 
 
 @pytest.mark.parametrize("solver", ALL_ROUTES)
@@ -95,11 +94,6 @@ def test_zero_variable_problems(solver):
         bounds=(),
     )
     assert solver(dead) is None
-
-
-def test_reference_node_budget_exhaustion():
-    with pytest.raises(SolverResourceError, match="node budget"):
-        solve_ilp_reference(fractional_problem(), node_budget=1)
 
 
 @pytest.mark.parametrize("solver", ALL_ROUTES)
@@ -131,11 +125,10 @@ def test_unrefined_objective_still_exact():
         rows=(Row.of("cap", [1, 1], Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
-    for solver in (solve_ilp, solve_ilp_reference):
-        result = solver(tied, refine=False)
-        assert result is not None
-        assert result.objective == 8
-        assert tied.objective_value(result.x) == 8
+    result = solve_ilp(tied, refine=False)
+    assert result is not None
+    assert result.objective == 8
+    assert tied.objective_value(result.x) == 8
 
 
 def test_routes_agree_on_random_instances():
@@ -145,17 +138,16 @@ def test_routes_agree_on_random_instances():
     for i in range(80):
         problem = random_ilp(rng)
         fast = solve_ilp(problem)
-        slow = solve_ilp_reference(problem)
         exhaustive = brute_force(problem)
-        if not (fast == slow == exhaustive):
-            disagreements.append((i, fast, slow, exhaustive))
+        if fast != exhaustive:
+            disagreements.append((i, fast, exhaustive))
             continue
         if fast is None:
             continue
         feasible += 1
-        lp = solve_lp_relaxation(problem)
-        assert lp.status is LpStatus.OPTIMAL
-        assert lp.objective + 1e-6 >= fast.objective
+        relaxed = lp_relaxation(problem)
+        assert relaxed is not None
+        assert relaxed[0] + 1e-6 >= fast.objective
     assert disagreements == []
     assert feasible >= 20
 
@@ -194,8 +186,8 @@ def presolve_solve_error_problem():
 
 def test_presolve_solve_error_settles_as_infeasible(capfd):
     problem = presolve_solve_error_problem()
-    assert solve_lp_relaxation(problem).status is LpStatus.OPTIMAL
-    assert [route(problem) for route in ALL_ROUTES] == [None, None, None]
+    assert lp_relaxation(problem) is not None
+    assert [route(problem) for route in ALL_ROUTES] == [None, None]
     # HiGHS prints diagnostics for this program straight to file descriptor 1
     out, _ = capfd.readouterr()
     assert out == ""
@@ -377,10 +369,12 @@ def test_lex_refine_rejects_a_seed_off_the_optimum():
 
 def test_brute_force_capacity_guard():
     wide = IlpProblem(
-        objective=(1, 1, 1, 1),
+        objective=(1,) * 5,
         objective_constant=0,
         rows=(),
-        bounds=((0, 99),) * 4,
+        bounds=((0, 99),) * 5,
     )
+    # refused before any enumeration
+    assert 100**5 > BRUTE_FORCE_LIMIT
     with pytest.raises(CapacityError, match="points"):
-        brute_force(wide, max_points=1000)
+        brute_force(wide)

@@ -94,11 +94,32 @@ def test_no_quotes_is_schema_error():
         ("100,call,1.00,2.00,\u00b2", "bad volume"),
         ("100,call,1.00,2.0\u00b2,5", "bad ask"),
         ("100,call,1.00,2.00", "expected 5 fields"),
+        # a dict is one quote of a JSON chain, overriding a well-formed one
+        pytest.param({"strike": 7950.7}, "bad strike", id="json-fractional-strike"),
+        pytest.param({"volume": 12.9}, "bad volume", id="json-fractional-volume"),
+        pytest.param(
+            {"strike": "\u0661\u0660\u0660"}, "bad strike", id="json-arabic-indic-strike"
+        ),
+        pytest.param({"strike": True}, "bad strike", id="json-bool-strike"),
+        pytest.param({"volume": "12.9"}, "bad volume", id="json-decimal-text-volume"),
     ],
 )
 def test_malformed_record_names_row(row, fragment):
-    with pytest.raises(ParseError, match="row 4") as err:
-        parse_chain("\n".join(SMALL_CSV.splitlines()[:3]) + "\n" + row + "\n")
+    if isinstance(row, dict):
+        quote = {"strike": 100, "right": "call", "bid": "1.00", "ask": "2.00", "volume": 5}
+        document = json.dumps(
+            {
+                "underlying_price": "99.50",
+                "valuation_date": "2026-08-20",
+                "expiry_date": "2026-09-16",
+                "quotes": [{**quote, **row}],
+            }
+        )
+        with pytest.raises(ParseError, match="quote 1") as err:
+            parse_chain(document, "json")
+    else:
+        with pytest.raises(ParseError, match="row 4") as err:
+            parse_chain("\n".join(SMALL_CSV.splitlines()[:3]) + "\n" + row + "\n")
     assert fragment in str(err.value)
 
 
@@ -139,6 +160,14 @@ def test_json_round_trip():
     data = json.loads(text)
     assert data["underlying_price"] == "99.50"
     assert {q["strike"] for q in data["quotes"]} == {90, 100, 110}
+
+
+def test_json_strike_and_volume_may_be_digit_strings():
+    chain = parse_chain(SMALL_CSV)
+    data = json.loads(chain_to_json(chain))
+    for item in data["quotes"]:
+        item["strike"], item["volume"] = str(item["strike"]), str(item["volume"])
+    assert parse_chain(json.dumps(data), "json") == chain
 
 
 def test_unknown_format_rejected():

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from payoffopt import (
-    CapacityError,
     CostTarget,
     IlpProblem,
     Portfolio,
@@ -16,8 +15,6 @@ from payoffopt import (
     TailLossMode,
     build_subproblem,
     check_feasible,
-    combination_count,
-    enumerate_combinations,
 )
 from support import (
     REFERENCE_COLUMNS,
@@ -71,27 +68,6 @@ class TestPriceCombination:
     def test_contract_prices_length_check(self):
         with pytest.raises(ValueError, match="share one length"):
             PriceCombination.from_index(3, 0).contract_prices(small_series())
-
-
-def test_combination_count():
-    assert combination_count(0) == 1
-    assert combination_count(2) == 16
-    assert combination_count(6) == 4096
-
-
-def test_combination_count_capacity():
-    assert combination_count(31) == 1 << 62
-    with pytest.raises(CapacityError):
-        combination_count(32)
-    with pytest.raises(ValueError):
-        combination_count(-1)
-
-
-def test_enumerate_combinations():
-    combos = list(enumerate_combinations(2))
-    assert [c.index for c in combos] == list(range(16))
-    assert combos[0].bitstring == "0000"
-    assert combos[-1].bitstring == "1111"
 
 
 class TestRow:
@@ -173,24 +149,19 @@ class TestBuildSubproblem:
             "positivity",
         ]
 
-    def test_small_problem_debug_text(self):
+    def test_small_problem_rows(self):
         problem = build_subproblem(
             tent_spec(), small_series(), PriceCombination.from_index(2, 10)
         )
-        assert problem.debug_text() == (
-            "max 80 -100 -90 -380 + 0\n"
-            "bounds 0 0 3\n"
-            "bounds 1 -3 0\n"
-            "bounds 2 0 3\n"
-            "bounds 3 -3 0\n"
-            "1 1 0 0 = 0\n"
-            "0 0 1 1 = 0\n"
-            "0 0 0 -1 >= 0\n"
-            "1 0 0 0 >= 0\n"
-            "-420 -100 8910 9620 = -500\n"
-            "-10420 -11100 -90 -380 = -500\n"
-            "80 -100 -90 -380 >= 1\n"
-        )
+        assert [(r.coeffs, r.relation.value, r.rhs) for r in problem.rows] == [
+            ((1, 1, 0, 0), "=", 0),
+            ((0, 0, 1, 1), "=", 0),
+            ((0, 0, 0, -1), ">=", 0),
+            ((1, 0, 0, 0), ">=", 0),
+            ((-420, -100, 8910, 9620), "=", -500),
+            ((-10420, -11100, -90, -380), "=", -500),
+            ((80, -100, -90, -380), ">=", 1),
+        ]
 
     def test_slope_relation_flips_after_inflection(self):
         problem = build_subproblem(
