@@ -11,12 +11,10 @@ the resulting piecewise-linear payoff exactly, in cents.
 """
 
 from .ilp_solver import (
-    BRUTE_FORCE_LIMIT,
     IntSolution,
     SolverError,
     SolverNumericalError,
     SolverResourceError,
-    brute_force,
     solve_ilp,
 )
 from .market_data import (
@@ -30,17 +28,12 @@ from .market_data import (
     SelectionError,
     SeriesSelection,
     Side,
-    ValidationReport,
     Violation,
-    chain_to_csv,
-    chain_to_json,
     parse_chain,
     select_series,
     validate_chain,
 )
 from .model_builder import (
-    CapacityError,
-    ConstraintViolation,
     CostTarget,
     IlpProblem,
     PriceCombination,
@@ -50,7 +43,6 @@ from .model_builder import (
     StrategySpec,
     TailLossMode,
     build_subproblem,
-    check_feasible,
 )
 from .money import MoneyError, format_money, parse_money
 from .optimizer import (
@@ -83,9 +75,6 @@ from .payoff_engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "CapacityError",
-    "ConstraintViolation",
     "ContractPrices",
     "CostTarget",
     "DuplicateQuoteError",
@@ -117,13 +106,8 @@ __all__ = [
     "SweepPoint",
     "SweepReport",
     "TailLossMode",
-    "ValidationReport",
     "Violation",
-    "brute_force",
     "build_subproblem",
-    "chain_to_csv",
-    "chain_to_json",
-    "check_feasible",
     "curve_to_csv",
     "format_money",
     "initial_cost",

@@ -37,7 +37,7 @@ from .model_builder import (
     TailLossMode,
     build_subproblem,
 )
-from .money import MoneyError, parse_money
+from .money import MoneyError, is_digits, parse_money
 from .optimizer import (
     optimize,
     solution_from_dict,
@@ -55,18 +55,6 @@ from .payoff_engine import curve_to_csv, payoff_curve
 
 class CliError(ValueError):
     """Bad command-line argument values (not covered by argparse itself)."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    chain_path: Path
-    spec_path: Path | None
-    output_format: str
-    output_path: Path | None
-    axis: str | None = None
-    values: str | None = None
-    solution_path: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -224,19 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        chain_path=args.chain,
-        spec_path=getattr(args, "spec", None),
-        output_format=getattr(args, "format", "csv"),
-        output_path=args.output,
-        axis=getattr(args, "axis", None),
-        values=getattr(args, "values", None),
-        solution_path=getattr(args, "solution", None),
-    )
-
-
 def _load_chain(path: Path) -> OptionChain:
     fmt = "json" if path.suffix.lower() == ".json" else "csv"
     try:
@@ -258,91 +233,97 @@ def _load_run_config(path: Path) -> RunConfig:
     return load_run_config(data)
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.output_path is None:
+def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, SeriesSelection]:
+    """The strategy file and the series it selects from the chain."""
+    chain = _load_chain(args.chain)
+    run = _load_run_config(args.spec)
+    return run, select_series(chain, run.n, run.call_anchor, run.put_anchor)
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output is None:
         sys.stdout.write(text)
-    else:
-        config.output_path.write_text(text)
+        return
+    try:
+        args.output.write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.output}: {exc}") from exc
 
 
-def _infeasible_detail(spec: StrategySpec, series: SeriesSelection) -> str:
+def _infeasible(spec: StrategySpec, series: SeriesSelection) -> int:
+    """Report a run without a feasible portfolio; returns its exit code."""
     problem = build_subproblem(
         spec, series, PriceCombination.from_index(series.n, 0)
     )
     names = ",".join(row.name for row in problem.rows)
-    return f"no feasible portfolio; constraints attempted: {names}"
+    print(
+        f"error:infeasible:no feasible portfolio; constraints attempted: {names}",
+        file=sys.stderr,
+    )
+    return 1
 
 
-def _parse_values(config: CliConfig) -> list[int]:
-    assert config.values is not None
+def _parse_values(axis: str, values: str) -> list[int]:
     out = []
-    for piece in config.values.split(","):
+    for piece in values.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if config.axis == "cost":
+        if axis == "cost":
             try:
                 out.append(parse_money(piece))
             except MoneyError as exc:
                 raise CliError(f"bad cost value {piece!r}: {exc}") from exc
-        else:
-            try:
-                value = int(piece)
-            except ValueError as exc:
-                raise CliError(f"bad liquidity value {piece!r}") from exc
-            if value <= 0:
-                raise CliError(f"liquidity bound must be positive: {value}")
-            out.append(value)
+            continue
+        if not is_digits(piece):
+            raise CliError(f"bad liquidity value {piece!r}")
+        try:
+            value = int(piece)
+        except ValueError as exc:  # beyond Python's int-string digit limit
+            raise CliError(f"bad liquidity value {piece!r}") from exc
+        if value <= 0:
+            raise CliError(f"liquidity bound must be positive: {value}")
+        out.append(value)
     if not out:
         raise CliError("no values given")
     return out
 
 
-def _cmd_optimize(config: CliConfig) -> int:
-    chain = _load_chain(config.chain_path)
-    run = _load_run_config(config.spec_path)  # type: ignore[arg-type]
-    series = select_series(chain, run.n, run.call_anchor, run.put_anchor)
+def _cmd_optimize(args: argparse.Namespace) -> int:
+    run, series = _load_inputs(args)
     solution = optimize(run.strategy, series)
     if solution is None:
-        print(
-            f"error:infeasible:{_infeasible_detail(run.strategy, series)}",
-            file=sys.stderr,
-        )
-        return 1
-    if config.output_format == "json":
-        _emit(config, solution_to_json(solution))
-    elif config.output_format == "csv":
-        _emit(config, solution_to_csv(solution))
+        return _infeasible(run.strategy, series)
+    if args.format == "json":
+        _emit(args, solution_to_json(solution))
+    elif args.format == "csv":
+        _emit(args, solution_to_csv(solution))
     else:
-        _emit(config, solution_to_table(solution))
+        _emit(args, solution_to_table(solution))
     return 0
 
 
-def _cmd_sweep(config: CliConfig) -> int:
-    chain = _load_chain(config.chain_path)
-    run = _load_run_config(config.spec_path)  # type: ignore[arg-type]
-    series = select_series(chain, run.n, run.call_anchor, run.put_anchor)
-    values = _parse_values(config)
-    if config.axis == "cost":
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    run, series = _load_inputs(args)
+    values = _parse_values(args.axis, args.values)
+    if args.axis == "cost":
         report = sweep_cost(run.strategy, series, values)
     else:
         report = sweep_liquidity(run.strategy, series, values)
-    if config.output_format == "json":
-        _emit(config, sweep_to_json(report))
-    elif config.output_format == "csv":
-        _emit(config, sweep_to_csv(report, series))
+    if args.format == "json":
+        _emit(args, sweep_to_json(report))
+    elif args.format == "csv":
+        _emit(args, sweep_to_csv(report, series))
     else:
-        _emit(config, sweep_to_table(report, series))
+        _emit(args, sweep_to_table(report, series))
     return 0
 
 
-def _cmd_payoff(config: CliConfig) -> int:
-    chain = _load_chain(config.chain_path)
-    run = _load_run_config(config.spec_path)  # type: ignore[arg-type]
-    series = select_series(chain, run.n, run.call_anchor, run.put_anchor)
-    if config.solution_path is not None:
+def _cmd_payoff(args: argparse.Namespace) -> int:
+    run, series = _load_inputs(args)
+    if args.solution is not None:
         try:
-            data = json.loads(config.solution_path.read_text())
+            data = json.loads(args.solution.read_text())
         except OSError as exc:
             raise CliError(f"cannot read solution: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -356,21 +337,16 @@ def _cmd_payoff(config: CliConfig) -> int:
     else:
         solution = optimize(run.strategy, series)
         if solution is None:
-            print(
-                f"error:infeasible:{_infeasible_detail(run.strategy, series)}",
-                file=sys.stderr,
-            )
-            return 1
+            return _infeasible(run.strategy, series)
         portfolio = solution.portfolio
-    _emit(config, curve_to_csv(payoff_curve(portfolio)))
+    _emit(args, curve_to_csv(payoff_curve(portfolio)))
     return 0
 
 
-def _cmd_validate(config: CliConfig) -> int:
-    chain = _load_chain(config.chain_path)
-    report = validate_chain(chain)
+def _cmd_validate(args: argparse.Namespace) -> int:
+    report = validate_chain(_load_chain(args.chain))
     lines = [f"{v.kind}: {v.message}" for v in report]
-    _emit(config, "\n".join(lines) + "\n" if lines else "")
+    _emit(args, "\n".join(lines) + "\n" if lines else "")
     if report:
         print(f"error:validation:{len(report)} violations", file=sys.stderr)
         return 2
@@ -397,9 +373,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except SolverResourceError as exc:
         return _fail("solver", exc, 3)
     except SolverError as exc:

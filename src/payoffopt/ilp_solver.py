@@ -18,19 +18,16 @@ refine returns, cannot change. Each program's rows are compiled once into a
 sparse matrix, and a root LP on them (the same ``milp`` call with no
 integrality) settles most infeasible programs before any MILP.
 
-:func:`brute_force` enumerates the bound box exhaustively in int64 chunks
-under the same contract; it is the oracle the tests compare against.
-
-Both return ``None`` for an infeasible problem. Every MILP runs under the
-node limit :data:`NODE_BUDGET`; running out raises
-:class:`SolverResourceError`, never a silently wrong answer.
+An infeasible problem gives ``None``. Every MILP runs under the node limit
+:data:`NODE_BUDGET`; running out raises :class:`SolverResourceError`, never
+a silently wrong answer. The tests compare against an exhaustive
+enumeration of the bound box under the same contract.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -40,12 +37,10 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csc_array
 
-from .model_builder import CapacityError, IlpProblem, Relation, Row
+from .model_builder import IlpProblem, Relation, Row
 
 # HiGHS node limit of every MILP call
 NODE_BUDGET = 10_000_000
-# most points brute_force will enumerate
-BRUTE_FORCE_LIMIT = 100_000_000
 
 
 class SolverError(RuntimeError):
@@ -308,64 +303,3 @@ def solve_ilp(
         x = lex_refine(problem, value, x, problem.num_vars)
     return IntSolution(x=tuple(x), objective=value)
 
-
-def brute_force(problem: IlpProblem) -> IntSolution | None:
-    """Exhaustively enumerate the bound box; oracle twin of :func:`solve_ilp`.
-
-    Same contract: maximal objective, lexicographically smallest vector among
-    optima, ``None`` when infeasible. Raises :class:`CapacityError` when the
-    box holds more than :data:`BRUTE_FORCE_LIMIT` points.
-    """
-    widths = [hi - lo + 1 for lo, hi in problem.bounds]
-    total = math.prod(widths)
-    if total > BRUTE_FORCE_LIMIT:
-        raise CapacityError(
-            f"bound box holds {total} points, above the {BRUTE_FORCE_LIMIT} limit"
-        )
-    if problem.num_vars == 0:
-        if _rows_hold(problem.rows, ()):
-            return IntSolution((), problem.objective_constant)
-        return None
-
-    lows = np.array([lo for lo, _ in problem.bounds], dtype=np.int64)
-    widths_arr = np.array(widths, dtype=np.int64)
-    weights = np.ones(problem.num_vars, dtype=np.int64)
-    for j in range(problem.num_vars - 2, -1, -1):
-        weights[j] = weights[j + 1] * widths_arr[j + 1]
-    coeff_matrix = (
-        np.array([row.coeffs for row in problem.rows], dtype=np.int64).T
-        if problem.rows
-        else None
-    )
-    c = np.array(problem.objective, dtype=np.int64)
-    best: tuple[int, tuple[int, ...]] | None = None
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        grid = lows[None, :] + (idx[:, None] // weights[None, :]) % widths_arr[None, :]
-        if coeff_matrix is not None:
-            values = grid @ coeff_matrix
-            mask = np.ones(len(idx), dtype=bool)
-            for r, row in enumerate(problem.rows):
-                col = values[:, r]
-                if row.relation is Relation.LE:
-                    mask &= col <= row.rhs
-                elif row.relation is Relation.GE:
-                    mask &= col >= row.rhs
-                else:
-                    mask &= col == row.rhs
-            if not mask.any():
-                continue
-        else:
-            mask = np.ones(len(idx), dtype=bool)
-        objective = grid @ c + problem.objective_constant
-        masked = np.where(mask, objective, np.iinfo(np.int64).min)
-        top = int(masked.max())
-        if best is None or top > best[0]:
-            # argmax takes the first maximum; the grid is in lexicographic
-            # order, so this is the lex-smallest optimum of the chunk
-            i = int(np.argmax(masked))
-            best = (top, tuple(int(v) for v in grid[i]))
-    if best is None:
-        return None
-    return IntSolution(x=best[1], objective=best[0])

@@ -175,8 +175,6 @@ class Violation:
     right: Right
 
 
-ValidationReport = list[Violation]
-
 _HEADER_KEYS = ("underlying", "valuation", "expiry")
 
 Source = Union[str, bytes, IO[str], IO[bytes]]
@@ -347,38 +345,6 @@ def _parse_json(text: str) -> OptionChain:
         expiry_date=_parse_date(str(data["expiry_date"]), "expiry"),
         quotes=tuple(quotes),
     )
-
-
-def chain_to_csv(chain: OptionChain) -> str:
-    lines = [
-        f"underlying={format_money(chain.underlying_price)}",
-        f"valuation={chain.valuation_date.isoformat()}",
-        f"expiry={chain.expiry_date.isoformat()}",
-    ]
-    for q in chain.quotes:
-        bid = "" if q.bid is None else format_money(q.bid)
-        ask = "" if q.ask is None else format_money(q.ask)
-        lines.append(f"{q.strike},{q.right.value},{bid},{ask},{q.volume}")
-    return "\n".join(lines) + "\n"
-
-
-def chain_to_json(chain: OptionChain) -> str:
-    obj = {
-        "underlying_price": format_money(chain.underlying_price),
-        "valuation_date": chain.valuation_date.isoformat(),
-        "expiry_date": chain.expiry_date.isoformat(),
-        "quotes": [
-            {
-                "strike": q.strike,
-                "right": q.right.value,
-                "bid": None if q.bid is None else format_money(q.bid),
-                "ask": None if q.ask is None else format_money(q.ask),
-                "volume": q.volume,
-            }
-            for q in chain.quotes
-        ],
-    }
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def validate_chain(chain: OptionChain) -> list[Violation]:

@@ -18,31 +18,24 @@ Rows are emitted in a fixed order per subproblem:
 4. a positivity row requiring value >= epsilon at the expected price,
 5. an optional cost row (net debit compared against a target).
 
-All data are integers (cents) after row normalization, so feasibility is
-checked in exact arithmetic.
+Every coefficient and right-hand side is an integer (cents or contract
+counts), so feasibility is checked in exact arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .market_data import SeriesSelection, Side
 from .money import CENTS
-from .payoff_engine import ContractPrices, Portfolio
+from .payoff_engine import ContractPrices
 
 
 class SpecError(ValueError):
     """The strategy spec is internally invalid or incompatible with a series."""
-
-
-class CapacityError(ValueError):
-    """A bound box too large for :func:`~payoffopt.ilp_solver.brute_force`:
-    more than :data:`~payoffopt.ilp_solver.BRUTE_FORCE_LIMIT` points."""
 
 
 class Relation(enum.Enum):
@@ -178,45 +171,15 @@ def _encode_sides(sides: tuple[Side, ...]) -> int:
     return index
 
 
-Rational = int | Fraction
-
-
-def _common_integer_scale(values: Sequence[Rational]) -> int:
-    denominators = [
-        v.denominator for v in values if isinstance(v, Fraction) and v.denominator != 1
-    ]
-    return math.lcm(*denominators) if denominators else 1
-
-
 @dataclass(frozen=True)
 class Row:
-    """One linear constraint ``coeffs . x  <relation>  rhs``.
-
-    Inputs may be ints or Fractions; the row is normalized at construction to
-    a common integer scaling (feasible set unchanged), so evaluation is exact
-    integer arithmetic. Residuals are reported in the scaled units.
-    """
+    """One linear constraint ``coeffs . x  <relation>  rhs`` over integers,
+    so evaluation is exact."""
 
     name: str
     coeffs: tuple[int, ...]
     relation: Relation
     rhs: int
-
-    @classmethod
-    def of(
-        cls,
-        name: str,
-        coeffs: Sequence[Rational],
-        relation: Relation,
-        rhs: Rational,
-    ) -> "Row":
-        scale = _common_integer_scale([*coeffs, rhs])
-        return cls(
-            name=name,
-            coeffs=tuple(int(c * scale) for c in coeffs),
-            relation=relation,
-            rhs=int(rhs * scale),
-        )
 
     def evaluate(self, x: Sequence[int]) -> int:
         return sum(c * v for c, v in zip(self.coeffs, x))
@@ -262,19 +225,6 @@ class IlpProblem:
     def num_vars(self) -> int:
         return len(self.objective)
 
-    def objective_value(self, x: Sequence[int]) -> int:
-        return sum(c * v for c, v in zip(self.objective, x)) + self.objective_constant
-
-
-@dataclass(frozen=True)
-class ConstraintViolation:
-    """One exact infeasibility found by :func:`check_feasible`."""
-
-    kind: str
-    index: int
-    name: str
-    residual: int
-
 
 def build_subproblem(
     spec: StrategySpec, series: SeriesSelection, combo: PriceCombination
@@ -303,52 +253,40 @@ def build_subproblem(
     )
 
     rows: list[Row] = [
-        Row.of("tail_calls", [1] * n + [0] * n, Relation.EQ, 0),
-        Row.of("tail_puts", [0] * n + [1] * n, Relation.EQ, 0),
+        Row("tail_calls", (1,) * n + (0,) * n, Relation.EQ, 0),
+        Row("tail_puts", (0,) * n + (1,) * n, Relation.EQ, 0),
     ]
     for lo, hi in zip(strikes, strikes[1:]):
-        coeffs = [1 if k <= lo else 0 for k in series.call_strikes]
-        coeffs += [-1 if k >= hi else 0 for k in series.put_strikes]
+        coeffs = tuple(1 if k <= lo else 0 for k in series.call_strikes)
+        coeffs += tuple(-1 if k >= hi else 0 for k in series.put_strikes)
         relation = Relation.GE if lo <= spec.inflection else Relation.LE
-        rows.append(Row.of(f"slope[{lo},{hi}]", coeffs, relation, 0))
+        rows.append(Row(f"slope[{lo},{hi}]", coeffs, relation, 0))
 
     pnl_mode = spec.tail_loss_mode is TailLossMode.PNL
-    cost_coeffs = list(price_vec)
+    tails = []
     if spec.balance_left_tail:
         # left tail payoff constant is sum(put_strike * put_qty)
-        payoff_coeffs = [0] * n + [k * CENTS for k in series.put_strikes]
-        if pnl_mode:
-            coeffs = [p - c for p, c in zip(payoff_coeffs, cost_coeffs)]
-            rows.append(Row.of("balance_left", coeffs, Relation.EQ, spec.max_loss))
-        else:
-            rows.append(
-                Row.of("balance_left", payoff_coeffs, Relation.EQ, -spec.max_loss)
-            )
+        tails.append(
+            ("balance_left", (0,) * n + tuple(k * CENTS for k in series.put_strikes))
+        )
     if spec.balance_right_tail:
         # right tail payoff constant is -sum(call_strike * call_qty)
-        payoff_coeffs = [-k * CENTS for k in series.call_strikes] + [0] * n
+        tails.append(
+            ("balance_right", tuple(-k * CENTS for k in series.call_strikes) + (0,) * n)
+        )
+    for name, payoff_coeffs in tails:
         if pnl_mode:
-            coeffs = [p - c for p, c in zip(payoff_coeffs, cost_coeffs)]
-            rows.append(Row.of("balance_right", coeffs, Relation.EQ, spec.max_loss))
+            coeffs = tuple(p - c for p, c in zip(payoff_coeffs, price_vec))
+            rows.append(Row(name, coeffs, Relation.EQ, spec.max_loss))
         else:
-            rows.append(
-                Row.of("balance_right", payoff_coeffs, Relation.EQ, -spec.max_loss)
-            )
+            rows.append(Row(name, payoff_coeffs, Relation.EQ, -spec.max_loss))
 
-    positivity_coeffs = (
-        list(objective) if pnl_mode else call_intrinsic + put_intrinsic
-    )
-    rows.append(Row.of("positivity", positivity_coeffs, Relation.GE, spec.epsilon))
+    positivity_coeffs = objective if pnl_mode else tuple(call_intrinsic + put_intrinsic)
+    rows.append(Row("positivity", positivity_coeffs, Relation.GE, spec.epsilon))
 
     if spec.cost_target is not None:
-        rows.append(
-            Row.of(
-                "cost",
-                cost_coeffs,
-                spec.cost_target.comparator,
-                spec.cost_target.value,
-            )
-        )
+        target = spec.cost_target
+        rows.append(Row("cost", price_vec, target.comparator, target.value))
 
     bounds = tuple(
         (0, spec.upper) if side is Side.ASK else (spec.lower, 0)
@@ -427,21 +365,3 @@ def decode_combined(
     quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
     return PriceCombination.from_bits(values[:slots]), quantities
 
-
-def check_feasible(portfolio: Portfolio, problem: IlpProblem) -> list[ConstraintViolation]:
-    """Exactly evaluate every bound and row; empty report means feasible."""
-    x = portfolio.calls + portfolio.puts
-    if len(x) != problem.num_vars:
-        raise ValueError(
-            f"portfolio has {len(x)} slots, problem expects {problem.num_vars}"
-        )
-    report: list[ConstraintViolation] = []
-    for i, (v, (lo, hi)) in enumerate(zip(x, problem.bounds)):
-        if v < lo:
-            report.append(ConstraintViolation("bound", i, f"slot {i}", v - lo))
-        elif v > hi:
-            report.append(ConstraintViolation("bound", i, f"slot {i}", v - hi))
-    for i, row in enumerate(problem.rows):
-        if not row.satisfied(x):
-            report.append(ConstraintViolation("row", i, row.name, row.residual(x)))
-    return report

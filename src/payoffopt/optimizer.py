@@ -188,22 +188,47 @@ def solution_to_json(solution: PortfolioSolution) -> str:
     return json.dumps(solution_to_dict(solution), sort_keys=True, indent=2) + "\n"
 
 
+def _stored_leg(
+    quantities: object, leg: str, strikes: Sequence[int]
+) -> tuple[int, ...]:
+    """One leg of a stored ``quantities`` object: a JSON integer (not a bool)
+    for each strike of the series, and no other strike."""
+    stored = quantities.get(leg) if isinstance(quantities, dict) else None
+    if not isinstance(stored, dict):
+        raise ValueError(f"solution {leg} quantities must be an object")
+    if set(stored) != {str(k) for k in strikes}:
+        raise ValueError(
+            f"solution {leg} strikes {sorted(stored)} do not match "
+            f"the series strikes {list(strikes)}"
+        )
+    values = tuple(stored[str(k)] for k in strikes)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"solution {leg} quantity must be an integer: {value!r}")
+    return values
+
+
 def solution_from_dict(
-    data: dict, series: SeriesSelection
+    data: object, series: SeriesSelection
 ) -> tuple[Portfolio, PriceCombination]:
-    """Rebuild the portfolio and combination of a serialized solution."""
-    try:
-        quantities = data["quantities"]
-        calls = tuple(int(quantities["call"][str(k)]) for k in series.call_strikes)
-        puts = tuple(int(quantities["put"][str(k)]) for k in series.put_strikes)
-        bits = str(data["combination"])
-    except KeyError as exc:
-        raise ValueError(f"solution data missing {exc.args[0]!r}") from exc
-    if len(bits) != 2 * series.n:
+    """Rebuild the portfolio and combination of a serialized solution.
+
+    Any shape other than the one :func:`solution_to_dict` writes raises
+    :class:`ValueError`; keys it does not read are ignored.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("solution must be a JSON object")
+    for key in ("quantities", "combination"):
+        if key not in data:
+            raise ValueError(f"solution data missing {key!r}")
+    calls = _stored_leg(data["quantities"], "call", series.call_strikes)
+    puts = _stored_leg(data["quantities"], "put", series.put_strikes)
+    bits = data["combination"]
+    if not isinstance(bits, str) or len(bits) != 2 * series.n or set(bits) - {"0", "1"}:
         raise ValueError(
             f"combination bitstring {bits!r} does not fit a series of {series.n}"
         )
-    combo = PriceCombination.from_index(series.n, int(bits, 2) if bits else 0)
+    combo = PriceCombination.from_bits([int(b) for b in bits])
     return Portfolio(series=series, calls=calls, puts=puts), combo
 
 

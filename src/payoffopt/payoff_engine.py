@@ -59,30 +59,6 @@ class ContractPrices:
         ):
             raise ValueError("price and side tuples must share one length")
 
-    @classmethod
-    def from_quantities(
-        cls, series: SeriesSelection, calls: tuple[int, ...], puts: tuple[int, ...]
-    ) -> "ContractPrices":
-        """Resolve sides from quantity signs: ask if long, bid if not.
-
-        Quantity 0 lands on the bid branch; its cost contribution is zero
-        either way, this only fixes the reported side.
-        """
-        call_sides = tuple(Side.ASK if x > 0 else Side.BID for x in calls)
-        put_sides = tuple(Side.ASK if x > 0 else Side.BID for x in puts)
-        return cls(
-            call_prices=tuple(
-                series.call_asks[i] if s is Side.ASK else series.call_bids[i]
-                for i, s in enumerate(call_sides)
-            ),
-            put_prices=tuple(
-                series.put_asks[i] if s is Side.ASK else series.put_bids[i]
-                for i, s in enumerate(put_sides)
-            ),
-            call_sides=call_sides,
-            put_sides=put_sides,
-        )
-
 
 @dataclass(frozen=True)
 class PayoffCurve:

@@ -1,16 +1,20 @@
-"""Shared test helpers: random instances and exhaustive reference solvers.
+"""Shared test helpers: random instances, exhaustive reference solvers and
+exact checks the library itself does not need.
 
 The reference optimizer here solves every price combination's subproblem
-separately with ``brute_force``, which enumerates the full integer box, so
-agreement with the production optimizer (one combined program solved by
+separately with :func:`brute_force`, which enumerates the full integer box,
+so agreement with the production optimizer (one combined program solved by
 HiGHS) is a genuine two-route check.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -19,6 +23,9 @@ import payoffopt.ilp_solver
 from payoffopt import (
     CostTarget,
     IlpProblem,
+    IntSolution,
+    OptionChain,
+    Portfolio,
     PriceCombination,
     Relation,
     Row,
@@ -26,10 +33,149 @@ from payoffopt import (
     Side,
     StrategySpec,
     TailLossMode,
-    brute_force,
     build_subproblem,
+    format_money,
     solve_ilp,
 )
+
+# most points brute_force will enumerate
+BRUTE_FORCE_LIMIT = 100_000_000
+
+
+class CapacityError(ValueError):
+    """A bound box too large for :func:`brute_force`: more than
+    :data:`BRUTE_FORCE_LIMIT` points."""
+
+
+def objective_value(problem: IlpProblem, x: Sequence[int]) -> int:
+    """``problem``'s objective at ``x``, constant included."""
+    return sum(c * v for c, v in zip(problem.objective, x)) + problem.objective_constant
+
+
+def brute_force(problem: IlpProblem) -> IntSolution | None:
+    """Exhaustively enumerate the bound box in int64 chunks; oracle twin of
+    ``solve_ilp``.
+
+    Same contract: maximal objective, lexicographically smallest vector among
+    optima, ``None`` when infeasible. Raises :class:`CapacityError` when the
+    box holds more than :data:`BRUTE_FORCE_LIMIT` points.
+    """
+    widths = [hi - lo + 1 for lo, hi in problem.bounds]
+    total = math.prod(widths)
+    if total > BRUTE_FORCE_LIMIT:
+        raise CapacityError(
+            f"bound box holds {total} points, above the {BRUTE_FORCE_LIMIT} limit"
+        )
+    if problem.num_vars == 0:
+        if all(row.satisfied(()) for row in problem.rows):
+            return IntSolution((), problem.objective_constant)
+        return None
+
+    lows = np.array([lo for lo, _ in problem.bounds], dtype=np.int64)
+    widths_arr = np.array(widths, dtype=np.int64)
+    weights = np.ones(problem.num_vars, dtype=np.int64)
+    for j in range(problem.num_vars - 2, -1, -1):
+        weights[j] = weights[j + 1] * widths_arr[j + 1]
+    coeff_matrix = (
+        np.array([row.coeffs for row in problem.rows], dtype=np.int64).T
+        if problem.rows
+        else None
+    )
+    c = np.array(problem.objective, dtype=np.int64)
+    best: tuple[int, tuple[int, ...]] | None = None
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        grid = lows[None, :] + (idx[:, None] // weights[None, :]) % widths_arr[None, :]
+        if coeff_matrix is not None:
+            values = grid @ coeff_matrix
+            mask = np.ones(len(idx), dtype=bool)
+            for r, row in enumerate(problem.rows):
+                col = values[:, r]
+                if row.relation is Relation.LE:
+                    mask &= col <= row.rhs
+                elif row.relation is Relation.GE:
+                    mask &= col >= row.rhs
+                else:
+                    mask &= col == row.rhs
+            if not mask.any():
+                continue
+        else:
+            mask = np.ones(len(idx), dtype=bool)
+        objective = grid @ c + problem.objective_constant
+        masked = np.where(mask, objective, np.iinfo(np.int64).min)
+        top = int(masked.max())
+        if best is None or top > best[0]:
+            # argmax takes the first maximum; the grid is in lexicographic
+            # order, so this is the lex-smallest optimum of the chunk
+            i = int(np.argmax(masked))
+            best = (top, tuple(int(v) for v in grid[i]))
+    if best is None:
+        return None
+    return IntSolution(x=best[1], objective=best[0])
+
+
+@dataclass(frozen=True)
+class ConstraintViolation:
+    """One exact infeasibility found by :func:`check_feasible`."""
+
+    kind: str
+    index: int
+    name: str
+    residual: int
+
+
+def check_feasible(portfolio: Portfolio, problem: IlpProblem) -> list[ConstraintViolation]:
+    """Exactly evaluate every bound and row; empty report means feasible."""
+    x = portfolio.calls + portfolio.puts
+    if len(x) != problem.num_vars:
+        raise ValueError(
+            f"portfolio has {len(x)} slots, problem expects {problem.num_vars}"
+        )
+    report: list[ConstraintViolation] = []
+    for i, (v, (lo, hi)) in enumerate(zip(x, problem.bounds)):
+        if v < lo:
+            report.append(ConstraintViolation("bound", i, f"slot {i}", v - lo))
+        elif v > hi:
+            report.append(ConstraintViolation("bound", i, f"slot {i}", v - hi))
+    for i, row in enumerate(problem.rows):
+        if not row.satisfied(x):
+            report.append(ConstraintViolation("row", i, row.name, row.residual(x)))
+    return report
+
+
+def chain_to_csv(chain: OptionChain) -> str:
+    """The CSV form ``parse_chain`` reads, one record per quote in order."""
+    lines = [
+        f"underlying={format_money(chain.underlying_price)}",
+        f"valuation={chain.valuation_date.isoformat()}",
+        f"expiry={chain.expiry_date.isoformat()}",
+    ]
+    for q in chain.quotes:
+        bid = "" if q.bid is None else format_money(q.bid)
+        ask = "" if q.ask is None else format_money(q.ask)
+        lines.append(f"{q.strike},{q.right.value},{bid},{ask},{q.volume}")
+    return "\n".join(lines) + "\n"
+
+
+def chain_to_json(chain: OptionChain) -> str:
+    """The JSON form ``parse_chain(..., "json")`` reads."""
+    obj = {
+        "underlying_price": format_money(chain.underlying_price),
+        "valuation_date": chain.valuation_date.isoformat(),
+        "expiry_date": chain.expiry_date.isoformat(),
+        "quotes": [
+            {
+                "strike": q.strike,
+                "right": q.right.value,
+                "bid": None if q.bid is None else format_money(q.bid),
+                "ask": None if q.ask is None else format_money(q.ask),
+                "volume": q.volume,
+            }
+            for q in chain.quotes
+        ],
+    }
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 CALL_STRIKES = (8050, 8150, 8250, 8350, 8400, 8500)
 PUT_STRIKES = (7850, 7950, 8050, 8150, 8250, 8350)
@@ -172,9 +318,9 @@ def random_ilp(rng: random.Random) -> IlpProblem:
         Relation.EQ,
     ]
     rows = tuple(
-        Row.of(
+        Row(
             f"r{i}",
-            [rng.randrange(-6, 7) for _ in range(num)],
+            tuple(rng.randrange(-6, 7) for _ in range(num)),
             rng.choice(relations),
             rng.randrange(-12, 13),
         )
@@ -321,9 +467,9 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
         lo = rng.randrange(-200, 1)
         bounds.append((lo, lo + rng.choice([1, 9, 60, 150, 400])))
     rows = tuple(
-        Row.of(
+        Row(
             f"r{i}",
-            [rng.randrange(-3, 4) for _ in range(num)],
+            tuple(rng.randrange(-3, 4) for _ in range(num)),
             rng.choice([Relation.LE, Relation.GE, Relation.EQ]),
             rng.randrange(-40, 41),
         )

@@ -14,9 +14,7 @@ import pytest
 from payoffopt import (
     Portfolio,
     PriceCombination,
-    brute_force,
     build_subproblem,
-    check_feasible,
     optimize,
     payoff,
     payoff_curve,
@@ -28,6 +26,8 @@ from payoffopt.model_builder import build_combined, decode_combined
 from support import (
     REFERENCE_COLUMNS,
     base_spec,
+    brute_force,
+    check_feasible,
     count_solver_calls,
     lp_relaxation,
     random_ilp,

@@ -1,8 +1,11 @@
+import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,19 @@ class TestOptimizeCommand:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert out.read_text() == EXPECTED_TABLE
+
+    def test_unwritable_output_is_an_args_error(
+        self, chain_path, make_spec, tmp_path, capsys
+    ):
+        out = tmp_path / "missing" / "result.txt"
+        code = invoke(
+            "optimize", "--chain", chain_path, "--spec", make_spec(), "-o", out
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:args:cannot write {out}")
+        assert len(captured.err.splitlines()) == 1
 
     def test_repeat_runs_byte_identical(self, chain_path, make_spec, tmp_path):
         spec = make_spec()
@@ -407,6 +423,14 @@ class TestValidateCommand:
         assert "crossed" in out.read_text()
         assert capsys.readouterr().out == ""
 
+    def test_unwritable_output_is_an_args_error(self, chain_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert invoke("validate", "--chain", chain_path, "-o", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error:args:cannot write {out}")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestPayoffCommand:
     def test_direct_curve(self, chain_path, make_spec, capsys):
@@ -430,8 +454,7 @@ class TestPayoffCommand:
     def test_stored_solution_with_scan_counters(
         self, chain_path, make_spec, tmp_path, capsys
     ):
-        # documents written before the single-program optimizer carry the
-        # counters of the per-combination scan
+        # keys the reader does not use are ignored
         stored = tmp_path / "solution.json"
         stored.write_text(json.dumps({
             "combination": "1010",
@@ -477,6 +500,103 @@ class TestPayoffCommand:
         assert captured.err.startswith("error:args:solution is not UTF-8")
         assert len(captured.err.splitlines()) == 1
 
+    STORED = {
+        "combination": "1010",
+        "quantities": {
+            "call": {"100": 3, "110": -3},
+            "put": {"90": 3, "100": -3},
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "document, fragment",
+        [
+            ([STORED], "must be a JSON object"),
+            ("1010", "must be a JSON object"),
+            ({"combination": "1010"}, "missing 'quantities'"),
+            ({**STORED, "quantities": [3, -3]}, "call quantities must be an object"),
+            (
+                {**STORED, "quantities": {"call": [3, -3], "put": {}}},
+                "call quantities must be an object",
+            ),
+            (
+                {**STORED, "quantities": {**STORED["quantities"], "call": {"100": 3}}},
+                "call strikes",
+            ),
+            (
+                {
+                    **STORED,
+                    "quantities": {
+                        **STORED["quantities"],
+                        "put": {"90": 3, "100": -3, "110": 0},
+                    },
+                },
+                "put strikes",
+            ),
+            (
+                {
+                    **STORED,
+                    "quantities": {
+                        **STORED["quantities"],
+                        "call": {"100": 4.7, "110": -3},
+                    },
+                },
+                "must be an integer: 4.7",
+            ),
+            (
+                {
+                    **STORED,
+                    "quantities": {
+                        **STORED["quantities"],
+                        "put": {"90": True, "100": -3},
+                    },
+                },
+                "must be an integer: True",
+            ),
+            (
+                {
+                    **STORED,
+                    "quantities": {
+                        **STORED["quantities"],
+                        "call": {"100": "3", "110": -3},
+                    },
+                },
+                "must be an integer: '3'",
+            ),
+            ({**STORED, "combination": 1010}, "does not fit"),
+            ({**STORED, "combination": "1 10"}, "does not fit"),
+        ],
+        ids=[
+            "top-level-array",
+            "top-level-string",
+            "no-quantities",
+            "quantities-array",
+            "leg-array",
+            "missing-strike",
+            "extra-strike",
+            "fractional-quantity",
+            "bool-quantity",
+            "string-quantity",
+            "numeric-combination",
+            "non-binary-combination",
+        ],
+    )
+    def test_malformed_solution_is_an_args_error(
+        self, chain_path, make_spec, tmp_path, capsys, document, fragment
+    ):
+        stored = tmp_path / "solution.json"
+        stored.write_text(json.dumps(document))
+        code = invoke(
+            "payoff", "--chain", chain_path, "--spec", make_spec(),
+            "--solution", stored,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:args:")
+        assert fragment in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_missing_solution_file(self, chain_path, make_spec, tmp_path, capsys):
         code = invoke(
             "payoff", "--chain", chain_path, "--spec", make_spec(),
@@ -520,12 +640,21 @@ class TestSweepCommand:
         assert "|L|=1" in out and "|L|=2" in out
 
     def test_bad_liquidity_value(self, chain_path, make_spec, capsys):
-        code = invoke(
-            "sweep", "--chain", chain_path, "--spec", make_spec(),
-            "--axis", "liquidity", "--values", "0",
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:args:")
+        spec = make_spec()
+        # zero, negative, other scripts' digits, underscores, signs, fractions
+        # and a number beyond Python's int-string digit limit
+        for values in (
+            "0", "-5", "\u0661\u0660,1_0", "1_0", "+5", "\u00b2", "2.5", "9" * 5000,
+        ):
+            code = invoke(
+                "sweep", "--chain", chain_path, "--spec", spec,
+                "--axis", "liquidity", "--values", values,
+            )
+            assert code == 2, values
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:args:"), values
+            assert len(captured.err.splitlines()) == 1
 
     def test_bad_cost_value(self, chain_path, make_spec, capsys):
         code = invoke(
@@ -571,3 +700,57 @@ class TestArgumentParsing:
         assert code == 2
         capsys.readouterr()
 
+
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+
+
+class TestTracerContract:
+    """``benchmark/tracing.py`` times layers by replacing module attributes,
+    so the names it wraps must exist and be looked up at call time."""
+
+    @pytest.fixture(scope="class")
+    def tracing(self):
+        # executed from its source text, so nothing is written beside it
+        module = types.ModuleType("benchmark_tracing")
+        exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+        return module
+
+    def test_every_wrapped_name_resolves(self, tracing):
+        assert tracing.WRAPPED
+        for module_name, names in tracing.WRAPPED.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                assert callable(getattr(module, name, None)), (module_name, name)
+
+    def test_wrapped_names_are_looked_up_at_call_time(
+        self, tracing, monkeypatch, capsys
+    ):
+        calls = []
+
+        def counting(label, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((label, kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module_name, names in tracing.WRAPPED.items():
+            module = importlib.import_module(module_name)
+            for name in names:
+                label = f"{module_name}.{name}"
+                monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+        assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["objective"] == "400.00"
+        assert Counter(label for label, _ in calls) == {
+            "payoffopt.cli.parse_chain": 1,
+            "payoffopt.cli.select_series": 1,
+            "payoffopt.cli.optimize": 1,
+            "payoffopt.cli.solution_to_json": 1,
+            "payoffopt.optimizer.solve_ilp": 1,
+            "payoffopt.optimizer.build_subproblem": 1,
+            "payoffopt.optimizer.payoff_curve": 1,
+        }
+        # the tracer tells the first solve by this keyword
+        solve = [kw for label, kw in calls if label.endswith(".solve_ilp")]
+        assert solve == [{"refine": False}]

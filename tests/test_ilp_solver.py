@@ -14,14 +14,11 @@ from scipy.optimize import (
 )
 
 from payoffopt import (
-    BRUTE_FORCE_LIMIT,
-    CapacityError,
     IlpProblem,
     IntSolution,
     Relation,
     Row,
     SolverNumericalError,
-    brute_force,
     solve_ilp,
 )
 from payoffopt.ilp_solver import (
@@ -31,8 +28,12 @@ from payoffopt.ilp_solver import (
     lex_refine,
 )
 from support import (
+    BRUTE_FORCE_LIMIT,
+    CapacityError,
+    brute_force,
     count_solver_calls,
     lp_relaxation,
+    objective_value,
     random_ilp,
     random_wide_ilp,
     slotwise_refine,
@@ -46,7 +47,7 @@ def fractional_problem():
     return IlpProblem(
         objective=(1,),
         objective_constant=0,
-        rows=(Row.of("half", [2], Relation.LE, 5),),
+        rows=(Row("half", (2,), Relation.LE, 5),),
         bounds=((0, 10),),
     )
 
@@ -56,8 +57,8 @@ def infeasible_problem():
         objective=(1,),
         objective_constant=0,
         rows=(
-            Row.of("low", [1], Relation.GE, 1),
-            Row.of("high", [1], Relation.LE, -1),
+            Row("low", (1,), Relation.GE, 1),
+            Row("high", (1,), Relation.LE, -1),
         ),
         bounds=((-5, 5),),
     )
@@ -90,7 +91,7 @@ def test_zero_variable_problems(solver):
     dead = IlpProblem(
         objective=(),
         objective_constant=0,
-        rows=(Row.of("never", [], Relation.LE, -1),),
+        rows=(Row("never", (), Relation.LE, -1),),
         bounds=(),
     )
     assert solver(dead) is None
@@ -112,7 +113,7 @@ def test_refinement_orders_ties_lexicographically(solver):
     tied = IlpProblem(
         objective=(1, 1),
         objective_constant=0,
-        rows=(Row.of("cap", [1, 1], Relation.LE, 3),),
+        rows=(Row("cap", (1, 1), Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
     assert solver(tied) == IntSolution(x=(0, 3), objective=3)
@@ -122,13 +123,13 @@ def test_unrefined_objective_still_exact():
     tied = IlpProblem(
         objective=(1, 1),
         objective_constant=5,
-        rows=(Row.of("cap", [1, 1], Relation.LE, 3),),
+        rows=(Row("cap", (1, 1), Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
     result = solve_ilp(tied, refine=False)
     assert result is not None
     assert result.objective == 8
-    assert tied.objective_value(result.x) == 8
+    assert objective_value(tied, result.x) == 8
 
 
 def test_routes_agree_on_random_instances():
@@ -168,17 +169,15 @@ def presolve_solve_error_problem():
         objective=(1683, -1016, -751, 294, 2401, 2870),
         objective_constant=0,
         rows=(
-            Row.of("tail_calls", [1, 1, 1, 0, 0, 0], Relation.EQ, 0),
-            Row.of("tail_puts", [0, 0, 0, 1, 1, 1], Relation.EQ, 0),
-            Row.of("slope[137,157]", [1, 0, 0, -1, -1, -1], Relation.GE, 0),
-            Row.of("slope[157,167]", [1, 1, 0, -1, -1, -1], Relation.GE, 0),
-            Row.of("slope[167,177]", [1, 1, 0, 0, -1, -1], Relation.LE, 0),
-            Row.of("slope[177,187]", [1, 1, 1, 0, -1, -1], Relation.LE, 0),
-            Row.of("slope[187,197]", [1, 1, 1, 0, 0, -1], Relation.LE, 0),
-            Row.of(
-                "positivity", [2150, 150, 0, 850, 2850, 3850], Relation.GE, 1
-            ),
-            Row.of("cost", [467, 1166, 751, 556, 449, 980], Relation.EQ, -546),
+            Row("tail_calls", (1, 1, 1, 0, 0, 0), Relation.EQ, 0),
+            Row("tail_puts", (0, 0, 0, 1, 1, 1), Relation.EQ, 0),
+            Row("slope[137,157]", (1, 0, 0, -1, -1, -1), Relation.GE, 0),
+            Row("slope[157,167]", (1, 1, 0, -1, -1, -1), Relation.GE, 0),
+            Row("slope[167,177]", (1, 1, 0, 0, -1, -1), Relation.LE, 0),
+            Row("slope[177,187]", (1, 1, 1, 0, -1, -1), Relation.LE, 0),
+            Row("slope[187,197]", (1, 1, 1, 0, 0, -1), Relation.LE, 0),
+            Row("positivity", (2150, 150, 0, 850, 2850, 3850), Relation.GE, 1),
+            Row("cost", (467, 1166, 751, 556, 449, 980), Relation.EQ, -546),
         ),
         bounds=((0, 1), (-1, 0), (-1, 0), (-1, 0), (0, 1), (-1, 0)),
     )
@@ -277,7 +276,7 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
     problem = IlpProblem(
         objective=(0, -1, 1, 1),
         objective_constant=0,
-        rows=(Row.of("cap", [0, 0, 1, 1], Relation.LE, 3),),
+        rows=(Row("cap", (0, 0, 1, 1), Relation.LE, 3),),
         bounds=((-2, 2), (-1, 3), (0, 3), (0, 3)),
     )
     expected = IntSolution(x=(-2, -1, 0, 3), objective=4)
@@ -325,7 +324,7 @@ def test_block_split(monkeypatch, widths, sizes):
         objective=(0,) * num,
         objective_constant=7,
         rows=tuple(
-            Row.of(f"floor{j}", [int(i == j) for i in range(num)], Relation.GE, 0)
+            Row(f"floor{j}", tuple(int(i == j) for i in range(num)), Relation.GE, 0)
             for j in range(num)
         ),
         bounds=tuple((-1, w - 2) for w in widths),

@@ -12,13 +12,12 @@ from payoffopt import (
     SchemaError,
     SelectionError,
     SeriesSelection,
-    chain_to_csv,
-    chain_to_json,
     parse_chain,
     select_series,
     validate_chain,
 )
 from conftest import FIXTURES
+from support import chain_to_csv, chain_to_json
 
 SMALL_CSV = """\
 underlying=99.50

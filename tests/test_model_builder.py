@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from payoffopt import (
@@ -14,11 +12,13 @@ from payoffopt import (
     StrategySpec,
     TailLossMode,
     build_subproblem,
-    check_feasible,
 )
+from payoffopt.model_builder import build_combined
 from support import (
     REFERENCE_COLUMNS,
+    check_feasible,
     combo_for,
+    objective_value,
     reference_series,
     small_series,
 )
@@ -71,20 +71,25 @@ class TestPriceCombination:
 
 
 class TestRow:
-    def test_fractions_scaled_to_integers(self):
-        row = Row.of("r", [1, Fraction(1, 2)], Relation.LE, Fraction(5, 2))
-        assert row.coeffs == (2, 1)
-        assert row.rhs == 5
-
     def test_integer_coeffs_kept_verbatim(self):
-        row = Row.of("r", [3, -6], Relation.GE, 9)
-        assert row.coeffs == (3, -6)
-        assert row.rhs == 9
-
-    def test_mixed_denominators_use_lcm(self):
-        row = Row.of("r", [Fraction(1, 3), Fraction(1, 4)], Relation.EQ, 1)
-        assert row.coeffs == (4, 3)
-        assert row.rhs == 12
+        # every compiled row holds plain ints, so the exact check of a solver
+        # point never rounds
+        cost = CostTarget(Relation.LE, 150)
+        payoff_only = TailLossMode.PAYOFF_ONLY
+        for problem in (
+            build_subproblem(
+                tent_spec(cost_target=cost, tail_loss_mode=payoff_only),
+                small_series(),
+                PriceCombination.from_index(2, 10),
+            ),
+            build_subproblem(
+                tent_spec(), small_series(), PriceCombination.from_index(2, 5)
+            ),
+            build_combined(tent_spec(cost_target=cost), small_series()),
+        ):
+            for row in problem.rows:
+                assert isinstance(row.coeffs, tuple)
+                assert all(type(c) is int for c in (*row.coeffs, row.rhs)), row
 
     @pytest.mark.parametrize(
         "relation,x,ok",
@@ -98,7 +103,7 @@ class TestRow:
         ],
     )
     def test_satisfied(self, relation, x, ok):
-        row = Row.of("r", [1, 1], relation, 3)
+        row = Row("r", (1, 1), relation, 3)
         assert row.satisfied(x) is ok
         assert row.residual(x) == sum(x) - 3
 
@@ -261,7 +266,7 @@ class TestIlpProblemValidation:
             IlpProblem(
                 objective=(1, 2),
                 objective_constant=0,
-                rows=(Row.of("r", [1], Relation.LE, 0),),
+                rows=(Row("r", (1,), Relation.LE, 0),),
                 bounds=((0, 1), (0, 1)),
             )
 
@@ -278,7 +283,7 @@ class TestIlpProblemValidation:
         problem = IlpProblem(
             objective=(3, -2), objective_constant=7, rows=(), bounds=((0, 5), (-5, 0))
         )
-        assert problem.objective_value((2, -1)) == 3 * 2 + 2 + 7
+        assert objective_value(problem, (2, -1)) == 3 * 2 + 2 + 7
 
 
 def _column_problem(inflection):

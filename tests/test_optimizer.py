@@ -14,7 +14,6 @@ from payoffopt import (
     SolverResourceError,
     SweepAxis,
     build_subproblem,
-    check_feasible,
     optimize,
     solution_from_dict,
     solution_to_dict,
@@ -33,6 +32,7 @@ from payoffopt.optimizer import (
 )
 from support import (
     base_spec,
+    check_feasible,
     count_solver_calls,
     random_series,
     random_spec,

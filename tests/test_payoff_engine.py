@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from payoffopt import (
     ContractPrices,
     Portfolio,
+    PriceCombination,
     PriceConsistencyError,
     SeriesSelection,
     Side,
@@ -86,7 +87,7 @@ def test_column_curve_csv(column_1_portfolio):
 
 def test_initial_cost_and_pnl():
     portfolio = Portfolio(series=small_series(), calls=(3, -3), puts=(3, -3))
-    prices = ContractPrices.from_quantities(small_series(), (3, -3), (3, -3))
+    prices = PriceCombination.from_index(2, 0b1010).contract_prices(small_series())
     assert prices.call_sides == (Side.ASK, Side.BID)
     assert prices.put_sides == (Side.ASK, Side.BID)
     # long at ask, short at bid: 3*4.20 - 3*1.00 + 3*0.90 - 3*3.80
@@ -96,11 +97,11 @@ def test_initial_cost_and_pnl():
 
 
 def test_zero_quantity_lands_on_bid():
-    prices = ContractPrices.from_quantities(small_series(), (0, 2), (-1, 0))
-    assert prices.call_sides == (Side.BID, Side.ASK)
-    assert prices.put_sides == (Side.BID, Side.BID)
+    # a zero quantity is accepted on either side and costs nothing there
     portfolio = Portfolio(series=small_series(), calls=(0, 2), puts=(-1, 0))
-    assert initial_cost(portfolio, prices) == 2 * 110 - 80
+    for index in (0b0100, 0b1101):  # zero slots at bid, then at ask
+        prices = PriceCombination.from_index(2, index).contract_prices(small_series())
+        assert initial_cost(portfolio, prices) == 2 * 110 - 80
 
 
 def test_inconsistent_sides_rejected():
