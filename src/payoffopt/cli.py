@@ -228,7 +228,7 @@ def _load_run_config(path: Path) -> RunConfig:
         raise SpecError(f"cannot read strategy {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SpecError(f"strategy {path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise SpecError(f"invalid strategy JSON: {exc}") from exc
     return load_run_config(data)
 
@@ -328,7 +328,7 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
             raise CliError(f"cannot read solution: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CliError(f"solution is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer past the digit limit
             raise CliError(f"invalid solution JSON: {exc}") from exc
         try:
             portfolio, _ = solution_from_dict(data, series)

@@ -14,9 +14,17 @@ ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor, *Math. Prog.
 Comp.* 2023) is switched off: on these small programs it is a fixed cost of
 about 12 ms per call, most of the solve. It only proposes incumbents, so the
 proven optimum, and the unique lexicographically smallest optimal point the
-refine returns, cannot change. Each program's rows are compiled once into a
-sparse matrix, and a root LP on them (the same ``milp`` call with no
-integrality) settles most infeasible programs before any MILP.
+refine returns, cannot change.
+
+Before any HiGHS call, :func:`solve_ilp` asks whether the equality rows alone
+have an integer solution at all, whatever the bounds. It decides this in
+exact integer arithmetic by column-style Euclidean elimination to Hermite
+normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
+Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
+program is infeasible without a solver call and without a presolve-off
+recheck. Otherwise the program's rows are compiled once into a sparse matrix,
+and a root LP on them (the same ``milp`` call with no integrality) settles
+most of the remaining infeasible programs before any MILP.
 
 An infeasible problem gives ``None``. Every MILP runs under the node limit
 :data:`NODE_BUDGET`; running out raises :class:`SolverResourceError`, never
@@ -96,6 +104,42 @@ def _stdout_discarded():
         os.close(null)
 
 
+def _equalities_lack_integer_point(problem: IlpProblem) -> bool:
+    """Whether ``problem``'s equality rows have no integer solution, bounds
+    ignored; a proof of infeasibility when true.
+
+    Unimodular column operations (Euclid on each row in turn) bring the
+    equality matrix to echelon form; the variable of each row's pivot
+    column is then forced to a single value, which must be an integer, and
+    a row left with no pivot must already hold.
+    """
+    equalities = [row for row in problem.rows if row.relation is Relation.EQ]
+    rhs = [row.rhs for row in equalities]
+    columns = [list(col) for col in zip(*(row.coeffs for row in equalities))]
+    for i in range(len(equalities)):
+        live = [col for col in columns if col[i]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not pivot:
+                    q = col[i] // pivot[i]
+                    for k in range(i, len(col)):
+                        col[k] -= q * pivot[k]
+            live = [col for col in live if col[i]]
+        if not live:
+            if rhs[i]:
+                return True
+            continue
+        pivot = live[0]
+        value, remainder = divmod(rhs[i], pivot[i])
+        if remainder:
+            return True
+        for k in range(i + 1, len(rhs)):
+            rhs[k] -= value * pivot[k]
+        columns = [col for col in columns if col is not pivot]
+    return False
+
+
 def _compile_rows(rows: Sequence[Row], num_vars: int) -> LinearConstraint:
     """All rows as one ``lb <= A x <= ub`` constraint, built once per program.
 
@@ -126,6 +170,21 @@ def _box(bounds: Sequence[tuple[int, int]]) -> Bounds:
 _FEASIBILITY_JUMP_WARNING = (
     r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'"
 )
+
+
+def _root_lp_infeasible(
+    objective: Sequence[int], constraint: LinearConstraint, box: Bounds
+) -> bool:
+    """Whether the LP relaxation is proven infeasible (HiGHS status 2).
+
+    It settles most infeasible programs at a fraction of a MILP call's cost;
+    any other outcome, a failure included, leaves the verdict to the MILP.
+    """
+    with _stdout_discarded():
+        root = milp(
+            -np.asarray(objective, dtype=float), constraints=constraint, bounds=box
+        )
+    return root.status == 2
 
 
 def _milp_once(
@@ -224,7 +283,8 @@ def lex_refine(
     widths after slot j in the block.
 
     A seed that fails the check, or a block solve that finds no point,
-    raises :class:`SolverNumericalError`.
+    raises :class:`SolverNumericalError`. The seed proves the program
+    feasible, so no exact equality check runs here.
     """
     pin = Row(
         name="objective_pin",
@@ -274,20 +334,16 @@ def solve_ilp(
     A refined solve makes at most one MILP call per :func:`lex_refine` block
     after the first.
     """
+    if _equalities_lack_integer_point(problem):
+        return None
     constraint = _compile_rows(problem.rows, problem.num_vars)
     box = _box(problem.bounds)
-    if problem.num_vars and problem.rows:
-        # root LP infeasibility settles most subproblems at a fraction of a
-        # full MILP call's cost; any verdict but a proven infeasible one
-        # (status 2) is left to the MILP
-        with _stdout_discarded():
-            root = milp(
-                -np.asarray(problem.objective, dtype=float),
-                constraints=constraint,
-                bounds=box,
-            )
-        if root.status == 2:
-            return None
+    if (
+        problem.num_vars
+        and problem.rows
+        and _root_lp_infeasible(problem.objective, constraint, box)
+    ):
+        return None
     result = _milp_once(
         problem.objective,
         problem.objective_constant,

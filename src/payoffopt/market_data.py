@@ -301,7 +301,7 @@ def _json_count(item: dict, key: str, row: int) -> int:
 def _parse_json(text: str) -> OptionChain:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("chain JSON must be an object")

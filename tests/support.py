@@ -334,6 +334,35 @@ def random_ilp(rng: random.Random) -> IlpProblem:
     )
 
 
+def random_equality_ilp(rng: random.Random) -> IlpProblem:
+    """A small boxed ILP whose rows are mostly equalities, some sharing a
+    factor, so that many have no integer solution whatever the bounds."""
+    num = rng.randrange(1, 5)
+    bounds = tuple(
+        (rng.randrange(-4, 1), rng.randrange(0, 5)) for _ in range(num)
+    )
+    rows = []
+    for i in range(rng.randrange(1, 4)):
+        scale = rng.choice([1, 1, 2, 3, 6])
+        coeffs = tuple(scale * rng.randrange(-3, 4) for _ in range(num))
+        rows.append(Row(f"e{i}", coeffs, Relation.EQ, rng.randrange(-12, 13)))
+    if rng.random() < 0.5:
+        rows.append(
+            Row(
+                "cap",
+                tuple(rng.randrange(-6, 7) for _ in range(num)),
+                Relation.LE,
+                rng.randrange(-12, 13),
+            )
+        )
+    return IlpProblem(
+        objective=tuple(rng.randrange(-50, 51) for _ in range(num)),
+        objective_constant=0,
+        rows=tuple(rows),
+        bounds=bounds,
+    )
+
+
 def random_series(rng: random.Random, n: int | None = None) -> SeriesSelection:
     """A small series with random strikes and unconstrained random prices."""
     if n is None:
@@ -488,8 +517,8 @@ def count_solver_calls(monkeypatch) -> Counter:
 
     The returned counter grows as calls are made. Its keys: ``"root_lp"``,
     ``milp`` calls without integrality (the root LP of :func:`solve_ilp`);
-    ``"milp"``, ``milp`` calls with integrality and presolve on
-    (presolve-off rechecks are left out).
+    ``"milp"``, ``milp`` calls with integrality and presolve on;
+    ``"recheck"``, the presolve-off rechecks.
     """
     calls: Counter = Counter()
     real_milp = payoffopt.ilp_solver.milp
@@ -499,6 +528,8 @@ def count_solver_calls(monkeypatch) -> Counter:
             calls["root_lp"] += 1
         elif kwargs["options"].get("presolve", True):
             calls["milp"] += 1
+        else:
+            calls["recheck"] += 1
         return real_milp(*args, **kwargs)
 
     monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)

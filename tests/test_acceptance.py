@@ -21,7 +21,7 @@ from payoffopt import (
     solve_ilp,
     sweep_liquidity,
 )
-from payoffopt.ilp_solver import lex_refine
+from payoffopt.ilp_solver import _equalities_lack_integer_point, lex_refine
 from payoffopt.model_builder import build_combined, decode_combined
 from support import (
     REFERENCE_COLUMNS,
@@ -30,6 +30,7 @@ from support import (
     check_feasible,
     count_solver_calls,
     lp_relaxation,
+    random_equality_ilp,
     random_ilp,
     random_series,
     random_spec,
@@ -214,7 +215,9 @@ def test_root_lp_verdict_matches_linprog(
 ):
     # solve_ilp's root LP (milp without integrality on the compiled rows)
     # and scipy's linprog relaxation give the same verdict on every combined
-    # program of the corpus above and on the fixture's
+    # program of the corpus above and on the fixture's; solve_ilp runs that
+    # root LP exactly once unless the exact equality check settled the
+    # program first
     import payoffopt.ilp_solver as ilp_solver
 
     verdicts = []
@@ -237,12 +240,37 @@ def test_root_lp_verdict_matches_linprog(
     for i, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
         verdicts.clear()
-        solve_ilp(combined, refine=False)
-        assert len(verdicts) == 1, i
+        lp_infeasible = ilp_solver._root_lp_infeasible(
+            combined.objective,
+            ilp_solver._compile_rows(combined.rows, combined.num_vars),
+            ilp_solver._box(combined.bounds),
+        )
+        [status] = verdicts
         relaxed = lp_relaxation(combined) is None
-        assert (verdicts[0] == 2) == relaxed, i
+        assert lp_infeasible == relaxed == (status == 2), i
         infeasible += relaxed
+        verdicts.clear()
+        solve_ilp(combined, refine=False)
+        settled = ilp_solver._equalities_lack_integer_point(combined)
+        assert verdicts == ([] if settled else [status]), i
     assert infeasible >= 100
+
+
+def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
+    # HiGHS calls are deterministic. One optimize per strategy of the seeded
+    # corpus makes 312 of them, 12 presolve-off rechecks included: the exact
+    # equality check settles 70 combined programs with none, so a lost
+    # pre-check shows here as more calls (414 without it)
+    calls = count_solver_calls(monkeypatch)
+    rng = random.Random(20260823)
+    for _ in range(220):
+        series = random_series(rng)
+        optimize(random_spec(rng, series), series)
+    assert dict(calls) == {"root_lp": 150, "milp": 150, "recheck": 12}
+    calls.clear()
+    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    # no presolve-off recheck on the fixture
+    assert dict(calls) == {"root_lp": 1, "milp": 5}
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +393,54 @@ def test_solver_exact_on_random_integer_programs():
             assert relaxed[0] + 1e-6 >= fast.objective
     elapsed = time.perf_counter() - start
     assert elapsed < 60
+
+
+@EXACT
+def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
+    # whenever the check claims that the equality rows have no integer
+    # point, exhaustive search finds no point either: on random programs,
+    # on every combination's subproblem of the seeded corpus, and on the
+    # corpus's and the fixture's combined programs (exhausted through their
+    # subproblems, which the combined program covers exactly)
+    rng = random.Random(13013)
+    fired = fired_past_lp = 0
+    for case in range(400):
+        problem = random_equality_ilp(rng)
+        if _equalities_lack_integer_point(problem):
+            fired += 1
+            fired_past_lp += lp_relaxation(problem) is not None
+            assert brute_force(problem) is None, case
+            assert solve_ilp(problem) is None, case
+    assert fired >= 311
+    assert fired_past_lp >= 93
+
+    rng = random.Random(20260823)
+    cases = []
+    for _ in range(220):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+    cases.append((fixture_run_config.strategy, fixture_series))
+    combined_fired = subproblem_fired = 0
+    for case, (spec, series) in enumerate(cases):
+        combined = _equalities_lack_integer_point(build_combined(spec, series))
+        combined_fired += combined
+        if series.n > 3:
+            assert not combined  # the fixture is feasible
+            continue
+        for index in range(1 << (2 * series.n)):
+            combo = PriceCombination.from_index(series.n, index)
+            subproblem = build_subproblem(spec, series, combo)
+            settled = _equalities_lack_integer_point(subproblem)
+            subproblem_fired += settled
+            # a combined program without integer point leaves none to any
+            # of its subproblems
+            assert settled or not combined, (case, index)
+            if settled:
+                assert brute_force(subproblem) is None, (case, index)
+        if combined:
+            assert reference_optimize(spec, series) is None, case
+    assert combined_fired == 70
+    assert subproblem_fired >= 2467
 
 
 @IDENTITIES

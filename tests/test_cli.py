@@ -284,6 +284,17 @@ class TestSpecErrors:
             chain_path, tmp_path / "absent.json", capsys, "cannot read strategy"
         )
 
+    def test_integer_past_the_digit_limit(self, chain_path, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer longer than
+        # Python's int-string limit (4300 digits), not a JSONDecodeError
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(SPEC).replace('"n": 2', '"n": ' + "9" * 5000))
+        assert invoke("optimize", "--chain", chain_path, "--spec", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:spec:invalid strategy JSON")
+        assert len(captured.err.splitlines()) == 1
+
     def test_undecodable_file(self, chain_path, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_bytes(b'{"tail_loss_mode": "pnl\xe9"}')
@@ -392,6 +403,17 @@ class TestChainErrors:
         assert captured.err.startswith("error:chain:")
         assert len(captured.err.splitlines()) == 1
 
+    def test_json_integer_past_the_digit_limit(self, tmp_path, capsys):
+        text = (FIXTURES / "chain.json").read_text()
+        assert '"volume": 214' in text
+        path = tmp_path / "chain.json"
+        path.write_text(text.replace('"volume": 214', '"volume": ' + "9" * 5000))
+        assert invoke("validate", "--chain", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:chain:invalid JSON")
+        assert len(captured.err.splitlines()) == 1
+
     def test_unknown_anchor(self, chain_path, make_spec, capsys):
         spec = make_spec(call_anchor=105)
         assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 2
@@ -484,6 +506,25 @@ class TestPayoffCommand:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:args:invalid solution JSON")
+
+    def test_solution_integer_past_the_digit_limit(
+        self, chain_path, make_spec, tmp_path, capsys
+    ):
+        stored = tmp_path / "solution.json"
+        stored.write_text(
+            '{"combination": "1010", "quantities": {"call": {"100": '
+            + "9" * 5000
+            + ', "110": -3}, "put": {"90": 3, "100": -3}}}'
+        )
+        code = invoke(
+            "payoff", "--chain", chain_path, "--spec", make_spec(),
+            "--solution", stored,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:args:invalid solution JSON")
+        assert len(captured.err.splitlines()) == 1
 
     def test_undecodable_solution_file(
         self, chain_path, make_spec, tmp_path, capsys

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -25,6 +26,8 @@ from payoffopt.ilp_solver import (
     _BLOCK_RANGE,
     _FEASIBILITY_JUMP_WARNING,
     _block_size,
+    _equalities_lack_integer_point,
+    _within_bounds,
     lex_refine,
 )
 from support import (
@@ -62,6 +65,120 @@ def infeasible_problem():
         ),
         bounds=((-5, 5),),
     )
+
+
+def gcd_problem():
+    # 2x + 4y is even, so no integer point, while x = 1.5 solves the LP
+    return IlpProblem(
+        objective=(1, 1),
+        objective_constant=0,
+        rows=(Row("odd", (2, 4), Relation.EQ, 3),),
+        bounds=((-5, 5), (-5, 5)),
+    )
+
+
+def joint_problem():
+    # each row alone has integer solutions; together they force x = y = 1/2
+    return IlpProblem(
+        objective=(1, -1),
+        objective_constant=0,
+        rows=(
+            Row("sum", (1, 1), Relation.EQ, 1),
+            Row("diff", (1, -1), Relation.EQ, 0),
+        ),
+        bounds=((-5, 5), (-5, 5)),
+    )
+
+
+# a point of strike_sized_problem
+STRIKE_SIZED_POINT = (2, -3, 1, 0, 1, -1)
+
+
+def strike_sized_problem():
+    # the tail, tail-balance and cost rows of a 3 + 3 slot subproblem at
+    # fixture-sized strikes (cents) and prices, all held by STRIKE_SIZED_POINT
+    prices = (12200, 7300, 3950, 1700, 2800, 4750)
+    balance_left = tuple(
+        k * 100 - p for k, p in zip((0, 0, 0, 7850, 7950, 8050), prices)
+    )
+    balance_right = tuple(
+        -k * 100 - p for k, p in zip((8050, 8150, 8250, 0, 0, 0), prices)
+    )
+    rows = [
+        Row("tail_calls", (1, 1, 1, 0, 0, 0), Relation.EQ, 0),
+        Row("tail_puts", (0, 0, 0, 1, 1, 1), Relation.EQ, 0),
+        Row("slope", (1, 1, 0, -1, 0, 0), Relation.GE, -3),
+    ]
+    for name, coeffs in [
+        ("balance_left", balance_left),
+        ("balance_right", balance_right),
+        ("cost", prices),
+    ]:
+        rhs = sum(c * v for c, v in zip(coeffs, STRIKE_SIZED_POINT))
+        rows.append(Row(name, coeffs, Relation.EQ, rhs))
+    return IlpProblem(
+        objective=(5, -2, 1, 3, -4, 2),
+        objective_constant=0,
+        rows=tuple(rows),
+        bounds=((-3, 3),) * 6,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, settled",
+    [
+        (gcd_problem, True),
+        (joint_problem, True),
+        (strike_sized_problem, False),
+        (infeasible_problem, False),
+        (fractional_problem, False),
+    ],
+    ids=["gcd", "joint", "strike-sized", "infeasible-no-eq", "feasible-no-eq"],
+)
+def test_exact_equality_check(monkeypatch, make, settled):
+    problem = make()
+    assert _equalities_lack_integer_point(problem) is settled
+    expected = brute_force(problem)
+    calls = count_solver_calls(monkeypatch)
+    assert solve_ilp(problem) == expected
+    if settled:
+        # a proof needs no solver call, not even the root LP or a recheck
+        assert expected is None
+        assert sum(calls.values()) == 0
+    else:
+        assert calls["root_lp"] == 1
+
+
+def test_exact_check_hand_cases_are_what_they_claim():
+    problem = strike_sized_problem()
+    assert all(row.satisfied(STRIKE_SIZED_POINT) for row in problem.rows)
+    assert _within_bounds(STRIKE_SIZED_POINT, problem.bounds)
+    assert max(abs(c) for row in problem.rows for c in row.coeffs) > 800_000
+    # each row of the joint case alone has an integer point
+    for row in joint_problem().rows:
+        alone = dataclasses.replace(joint_problem(), rows=(row,))
+        assert brute_force(alone) is not None
+    # both settled cases have a feasible LP relaxation: the root LP cannot
+    # settle them, only a MILP or the exact check can
+    assert lp_relaxation(joint_problem()) is not None
+    assert lp_relaxation(gcd_problem()) is not None
+
+
+def test_exact_equality_check_on_degenerate_rows():
+    # no variables: a nonzero right-hand side cannot hold
+    dead = IlpProblem((), 0, (Row("never", (), Relation.EQ, 1),), ())
+    assert _equalities_lack_integer_point(dead)
+    # an all-zero row holds only with a zero right-hand side; a repeated row
+    # adds nothing
+    for rhs, settled in [(0, False), (2, True)]:
+        rows = (
+            Row("zero", (0, 0), Relation.EQ, rhs),
+            Row("a", (3, 6), Relation.EQ, 9),
+            Row("b", (3, 6), Relation.EQ, 9),
+        )
+        problem = IlpProblem((1, 1), 0, rows, ((-9, 9), (-9, 9)))
+        assert _equalities_lack_integer_point(problem) is settled
+        assert (brute_force(problem) is None) is settled
 
 
 @pytest.mark.parametrize("solver", ALL_ROUTES)
@@ -252,22 +369,34 @@ def test_other_milp_warnings_still_surface(monkeypatch):
 
 
 def test_root_lp_failure_falls_through_to_milp(monkeypatch):
-    problems = [fractional_problem(), infeasible_problem()]
+    problems = [fractional_problem(), infeasible_problem(), gcd_problem()]
     rng = random.Random(4)
     problems += [random_ilp(rng) for _ in range(10)]
     unpatched = [solve_ilp(p) for p in problems]
+    settled = [_equalities_lack_integer_point(p) for p in problems]
     lp_calls = []
+    milp_calls = []
 
     def failing_root_lp(*args, **kwargs):
         if kwargs.get("integrality") is not None:
+            milp_calls.append(1)
             return milp(*args, **kwargs)
         lp_calls.append(1)
         return OptimizeResult(status=4, x=None, fun=None, message="numerical")
 
     monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_root_lp)
-    assert [solve_ilp(p) for p in problems] == unpatched
-    assert len(lp_calls) == sum(1 for p in problems if p.rows)
+    for problem, expected, exact in zip(problems, unpatched, settled):
+        lp_calls.clear()
+        milp_calls.clear()
+        assert solve_ilp(problem) == expected
+        if exact:
+            # settled in exact arithmetic: no solver call at all
+            assert expected is None
+            assert lp_calls == milp_calls == []
+        else:
+            assert len(lp_calls) == bool(problem.rows)
     assert unpatched[1] is None and unpatched[0] is not None
+    assert settled[2] and not any(settled[:2])
 
 
 def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):

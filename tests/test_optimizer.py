@@ -143,6 +143,10 @@ class TestOptimize:
             message = "seed point misses"
         with pytest.raises(SolverNumericalError, match=message):
             optimize(base_spec(), small_series())
+        if stage == "stage-a-no-point":
+            # the real first solve, then the Stage-A block and its
+            # presolve-off recheck, both faked
+            assert len(calls) == 3
 
     def test_feasible_run_makes_one_lp_and_at_most_three_milps(self, monkeypatch):
         # the first solve's root LP is the only LP: Stage A and Stage B
