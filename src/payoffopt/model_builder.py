@@ -7,7 +7,10 @@ strike, falling after it. For a series of n calls and n puts there are
 quantities, with sign consistency encoded in the variable bounds (ask slots
 trade long in [0, U], bid slots short in [L, 0]). :func:`build_combined`
 joins all of them into one program with a binary side choice per slot, so
-one solve maximizes over every combination.
+one solve maximizes over every combination. A side row per slot lets that
+choice be ask only when the slot buys, so each quantity vector has one side
+vector and the solver does not search copies of one optimum that differ
+only in the sides of slots that trade nothing.
 
 Rows are emitted in a fixed order per subproblem:
 
@@ -308,19 +311,40 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     ``p_i`` in [0, U] its long part, ``r_i`` in [L, 0] its short part, and
     the quantity is ``x_i = p_i + r_i``. The rows ``p_i - U z_i <= 0`` and
     ``r_i + L z_i >= L`` pin ``r_i`` to 0 on the ask side and ``p_i`` to 0
-    on the bid side, so fixing z leaves exactly that combination's
-    subproblem; with finite bounds this big-M disjunction is exact (Balas,
-    "Disjunctive programming", 1979). A slot's coefficients depend only on
-    its own side, so every row and the objective take the all-ask
+    on the bid side; with finite bounds this big-M disjunction is exact
+    (Balas, "Disjunctive programming", 1979). A slot's coefficients depend
+    only on its own side, so every row and the objective take the all-ask
     subproblem's coefficients on p and the all-bid subproblem's on r.
+
+    The row ``z_i - p_i <= 0`` lets a slot take the ask side only when it
+    buys at least one lot, so ``z_i = [x_i >= 1]``. Without it a slot at
+    zero lots fits either side, every optimum has a copy per side vector of
+    its zero slots, and the solver searches them all (symmetry-breaking
+    rows; Sherali & Smith, *Management Science* 2001; Margot, "Symmetry in
+    integer linear programming", 2010). Fixing z leaves that combination's
+    subproblem with each ask slot's lower bound raised to 1. Answers cannot
+    move:
+
+    - The optimum value is kept. Setting every zero slot's bit to 0 turns
+      any point of the program without side rows into a point of this one:
+      the slot's ``p_i`` and ``r_i`` are 0, so its link rows hold on either
+      side, and z appears in no other row nor in the objective.
+    - The lowest optimal combination index is kept. No optimal point of the
+      lowest optimal combination holds an ask slot at zero lots, or flipping
+      that slot to bid would give a lower optimal index with the same point.
+      So every such point satisfies the side rows.
+    - The seed of :func:`~payoffopt.optimizer.optimize`'s quantity refine
+      stays valid. With z fixed this program restricts that combination's
+      subproblem, so a point of it at the overall optimum is one of the
+      subproblem's optima.
 
     The variable order makes the lexicographically smallest optimum (what
     ``solve_ilp`` refines to) the lowest optimal combination index first and
-    then the lexicographically smallest quantities.
-    :func:`~payoffopt.optimizer.optimize` reaches the same answer in fewer
-    solves: it refines only the side bits here, decodes that point with
-    :func:`decode_combined`, and refines the quantities on that
-    combination's own subproblem.
+    then, among points that buy at least one lot in every ask slot, the
+    lexicographically smallest quantities.
+    :func:`~payoffopt.optimizer.optimize` refines only the side bits here,
+    decodes that point with :func:`decode_combined`, and refines the
+    quantities on that combination's own subproblem.
     """
     slots = 2 * series.n
     ask = build_subproblem(
@@ -347,6 +371,9 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
         coeffs = [0] * width
         coeffs[i], coeffs[slots + 2 * i + 1] = spec.lower, 1
         rows.append(Row(f"bid[{i}]", tuple(coeffs), Relation.GE, spec.lower))
+        coeffs = [0] * width
+        coeffs[i], coeffs[slots + 2 * i] = 1, -1
+        rows.append(Row(f"side[{i}]", tuple(coeffs), Relation.LE, 0))
     return IlpProblem(
         objective=lift(ask.objective, bid.objective),
         objective_constant=0,

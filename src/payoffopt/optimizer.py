@@ -81,9 +81,19 @@ def optimize(
     The combined solve gives the optimal value. Stage A refines its side
     bits to the lowest optimal combination index; Stage B refines that
     combination's subproblem to the lexicographically smallest quantities,
-    seeded with the Stage-A point's quantities. With the side bits fixed the
-    combined program is exactly that subproblem, so the seed is one of its
-    optima. Both stages are :func:`~payoffopt.ilp_solver.lex_refine` calls.
+    seeded with the Stage-A point's quantities. Both stages are
+    :func:`~payoffopt.ilp_solver.lex_refine` calls.
+
+    The combined program's side rows (a slot takes the ask side only when
+    it buys) move no answer. The optimal value stays, because zeroing the
+    side bits of slots that trade nothing maps every optimum into the
+    program. Stage A still finds the lowest optimal index, because none of
+    that combination's optimal points holds an ask slot at zero lots (the
+    bid side would give a lower index). The Stage-A point stays a valid
+    seed, because with the side bits fixed the combined program is that
+    combination's subproblem with each ask slot at one lot or more, and a
+    point of that restriction at the overall optimum is one of the
+    subproblem's optima.
 
     A solver failure propagates as its own :class:`SolverError` subclass
     (:class:`SolverResourceError` for an exhausted budget,

@@ -512,25 +512,43 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
     )
 
 
-def count_solver_calls(monkeypatch) -> Counter:
+class SolverCalls(Counter):
+    """Solver calls per kind, with ``nodes``: HiGHS's ``mip_node_count``
+    summed per kind."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.nodes: Counter = Counter()
+
+    def clear(self) -> None:
+        super().clear()
+        self.nodes.clear()
+
+
+def count_solver_calls(monkeypatch) -> SolverCalls:
     """Count solver calls in ``payoffopt.ilp_solver`` until the test ends.
 
     The returned counter grows as calls are made. Its keys: ``"root_lp"``,
     ``milp`` calls without integrality (the root LP of :func:`solve_ilp`);
     ``"milp"``, ``milp`` calls with integrality and presolve on;
-    ``"recheck"``, the presolve-off rechecks.
+    ``"recheck"``, the presolve-off rechecks. Its ``nodes`` counter has the
+    same keys.
     """
-    calls: Counter = Counter()
+    calls = SolverCalls()
     real_milp = payoffopt.ilp_solver.milp
 
     def counting_milp(*args, **kwargs):
         if kwargs.get("integrality") is None:
-            calls["root_lp"] += 1
+            kind = "root_lp"
         elif kwargs["options"].get("presolve", True):
-            calls["milp"] += 1
+            kind = "milp"
         else:
-            calls["recheck"] += 1
-        return real_milp(*args, **kwargs)
+            kind = "recheck"
+        calls[kind] += 1
+        result = real_milp(*args, **kwargs)
+        # None on a root LP
+        calls.nodes[kind] += getattr(result, "mip_node_count", None) or 0
+        return result
 
     monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)
     return calls

@@ -8,10 +8,12 @@ seeded random corpus large enough to be meaningful.
 import dataclasses
 import random
 import time
+import warnings
 
 import pytest
 
 from payoffopt import (
+    IntSolution,
     Portfolio,
     PriceCombination,
     build_subproblem,
@@ -119,13 +121,25 @@ def test_six_slot_series_has_4096_combinations(fixture_run_config, fixture_serie
         PriceCombination.from_index(6, 4096)
 
 
+def bought_subproblem(spec, series, combo):
+    """``combo``'s subproblem with every ask slot bought at least once: what
+    the combined program leaves when its side bits are pinned to ``combo``."""
+    subproblem = build_subproblem(spec, series, combo)
+    bounds = tuple(
+        (1, hi) if bit == "1" else (lo, hi)
+        for bit, (lo, hi) in zip(combo.bitstring, subproblem.bounds)
+    )
+    return dataclasses.replace(subproblem, bounds=bounds)
+
+
 @COMBOS
 def test_combined_program_is_exact_on_every_combination():
     # pinning the side bits of the combined program to one combination must
-    # leave exactly that combination's subproblem
+    # leave exactly that combination's subproblem with every ask slot bought
+    # at least once (the side rows z_i <= p_i)
     rng = random.Random(7219)
     cases = [(base_spec(), small_series())]
-    for _ in range(20):
+    for _ in range(40):
         series = random_series(rng)
         cases.append((random_spec(rng, series), series))
     feasible = 0
@@ -139,7 +153,7 @@ def test_combined_program_is_exact_on_every_combination():
                 combined, bounds=sides + combined.bounds[slots:]
             )
             got = solve_ilp(pinned)
-            expected = brute_force(build_subproblem(spec, series, combo))
+            expected = brute_force(bought_subproblem(spec, series, combo))
             where = (case, index)
             if expected is None:
                 assert got is None, where
@@ -152,43 +166,17 @@ def test_combined_program_is_exact_on_every_combination():
     assert feasible >= 50
 
 
-def record_first_solves(monkeypatch):
-    """Keep the result of the first ``solve_ilp`` call made in ``optimize``
-    since the returned list was last cleared: the combined solve."""
-    import payoffopt.optimizer as optimizer
-
-    first = []
-    real = optimizer.solve_ilp
-
-    def recording(problem, **kwargs):
-        result = real(problem, **kwargs)
-        if not first:
-            first.append(result)
-        return result
-
-    monkeypatch.setattr(optimizer, "solve_ilp", recording)
-    return first
-
-
 @AGREEMENT
-def test_optimizer_matches_exhaustive_reference(monkeypatch):
+def test_optimizer_matches_exhaustive_reference():
     rng = random.Random(20260823)
-    first = record_first_solves(monkeypatch)
     start = time.perf_counter()
     feasible = 0
-    moved = 0
     mismatches = []
     for i in range(220):
         series = random_series(rng)
         spec = random_spec(rng, series)
         expected = reference_optimize(spec, series)
-        first.clear()
         got = optimize(spec, series)
-        if got is not None:
-            # count the runs where Stage A moves the side bits off the
-            # first optimal point
-            first_combo, _ = decode_combined(series.n, first[0].x)
-            moved += first_combo != got.combination
         if expected is None:
             if got is not None:
                 mismatches.append((i, None, got))
@@ -206,8 +194,95 @@ def test_optimizer_matches_exhaustive_reference(monkeypatch):
     elapsed = time.perf_counter() - start
     assert mismatches == []
     assert feasible >= 30
-    assert moved >= 1
     assert elapsed < 60
+
+
+def priced_at_intrinsic(spec, series):
+    """``series`` with every slot's ask and bid at its intrinsic value at
+    ``spec``'s expected price: every portfolio is worth 0 there, so every
+    feasible portfolio is optimal and optimal combinations tie."""
+    calls = tuple(max(spec.expected_price - k * 100, 0) for k in series.call_strikes)
+    puts = tuple(max(k * 100 - spec.expected_price, 0) for k in series.put_strikes)
+    return dataclasses.replace(
+        series, call_asks=calls, call_bids=calls, put_asks=puts, put_bids=puts
+    )
+
+
+def combined_point(x):
+    """The :func:`build_combined` point of the quantities ``x`` in normal
+    form: ``z_i = [x_i >= 1]``, ``p = x+``, ``r = x-``."""
+    sides = tuple(int(v >= 1) for v in x)
+    return sides + tuple(part for v in x for part in (max(v, 0), min(v, 0)))
+
+
+@AGREEMENT
+def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
+    # on the seeded corpus no optimum lies in two combinations, so the first
+    # solve already lands on the lowest one and leaves Stage A nothing to
+    # lower; priced at intrinsic value, optima tie across combinations.
+    # optimize gets every optimal point of a higher combination as its first
+    # solve and must still reach the reference answer. Each seed is the
+    # brute_force optimum of a higher combination with its ask slots bought
+    # at least once, in normal form, so it lies in that combination and in
+    # the combined program
+    import payoffopt.optimizer as optimizer
+
+    seeded = []
+    monkeypatch.setattr(optimizer, "solve_ilp", lambda problem, **_: seeded[-1])
+    rng = random.Random(20260823)
+    cases = seeds = 0
+    for i in range(220):
+        series = random_series(rng)
+        spec = random_spec(rng, series)
+        series = priced_at_intrinsic(spec, series)
+        expected = reference_optimize(spec, series)
+        if expected is None:
+            continue
+        objective, index, x = expected
+        higher = 0
+        for above in range(index + 1, 1 << (2 * series.n)):
+            combo = PriceCombination.from_index(series.n, above)
+            found = brute_force(bought_subproblem(spec, series, combo))
+            if found is None or found.objective != objective:
+                continue
+            point = combined_point(found.x)
+            assert decode_combined(series.n, point) == (combo, found.x)
+            seeded.append(IntSolution(x=point, objective=objective))
+            got = optimize(spec, series)
+            assert got.objective == objective, (i, above)
+            assert got.combination.index == index, (i, above)
+            assert got.portfolio.calls + got.portfolio.puts == x, (i, above)
+            higher += 1
+        cases += higher > 0
+        seeds += higher
+    assert cases >= 12
+    assert seeds >= 100
+
+
+def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
+    # the fact the side rows rest on: a slot is on the ask side exactly when
+    # it buys, in the first solve's point (z_i = [p_i >= 1]) and in every
+    # answer, on the fixture and on the seeded corpus
+    rng = random.Random(20260823)
+    cases = [(fixture_run_config.strategy, fixture_series)]
+    for _ in range(220):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+    feasible = 0
+    for i, (spec, series) in enumerate(cases):
+        slots = 2 * series.n
+        first = solve_ilp(build_combined(spec, series), refine=False)
+        got = optimize(spec, series)
+        assert (first is None) == (got is None), i
+        if got is None:
+            continue
+        feasible += 1
+        longs = first.x[slots::2]
+        assert first.x[:slots] == tuple(int(p >= 1) for p in longs), i
+        bits = tuple(int(b) for b in got.combination.bitstring)
+        quantities = got.portfolio.calls + got.portfolio.puts
+        assert bits == tuple(int(q > 0) for q in quantities), i
+    assert feasible >= 40
 
 
 def test_root_lp_verdict_matches_linprog(
@@ -271,6 +346,68 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     assert optimize(fixture_run_config.strategy, fixture_series) is not None
     # no presolve-off recheck on the fixture
     assert dict(calls) == {"root_lp": 1, "milp": 5}
+    # the side rows leave one side vector per quantity vector: HiGHS proves
+    # the fixture's first solve at about its root (32 nodes without them)
+    calls.clear()
+    combined = build_combined(fixture_run_config.strategy, fixture_series)
+    solve_ilp(combined, refine=False)
+    assert calls["milp"] == 1
+    assert calls.nodes["milp"] <= 8
+
+
+@AGREEMENT
+def test_answers_do_not_depend_on_highs_random_seed(
+    monkeypatch, fixture_run_config, fixture_series
+):
+    # the answer is unique by definition (objective, then lowest combination
+    # index, then smallest quantities), so no change of HiGHS's search path
+    # may move it: each random_seed must give the default run's answers,
+    # infeasible verdicts included
+    import payoffopt.ilp_solver as ilp_solver
+
+    fixture = fixture_run_config.strategy
+    cases = [
+        (fixture, fixture_series),
+        (dataclasses.replace(fixture, lower=-100, upper=100), fixture_series),
+        (dataclasses.replace(fixture, cost_target=None), fixture_series),
+    ]
+    rng = random.Random(20260823)
+    for _ in range(60):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+
+    def answers():
+        found = []
+        for spec, series in cases:
+            got = optimize(spec, series)
+            if got is not None:
+                quantities = got.portfolio.calls + got.portfolio.puts
+                got = (got.objective, got.combination.index, quantities)
+            found.append(got)
+        return found
+
+    calls = count_solver_calls(monkeypatch)
+    expected = answers()
+    assert sum(got is not None for got in expected) >= 11
+    nodes = {calls.nodes["milp"]}
+    counting_milp = ilp_solver.milp
+    for seed in (1, 2, 3):
+
+        def reseeded(*args, seed=seed, **kwargs):
+            kwargs["options"] = {**(kwargs.get("options") or {}), "random_seed": seed}
+            with warnings.catch_warnings():
+                # scipy passes random_seed to HiGHS verbatim, with a warning
+                warnings.filterwarnings(
+                    "ignore", "Unrecognized options", RuntimeWarning
+                )
+                return counting_milp(*args, **kwargs)
+
+        monkeypatch.setattr(ilp_solver, "milp", reseeded)
+        calls.clear()
+        assert answers() == expected, seed
+        nodes.add(calls.nodes["milp"])
+    # the seeds do move HiGHS's search
+    assert len(nodes) > 1
 
 
 @pytest.fixture(scope="module")

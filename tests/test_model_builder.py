@@ -336,3 +336,34 @@ class TestCheckFeasible:
         with pytest.raises(ValueError, match="slots"):
             check_feasible(portfolio, problem)
 
+
+
+class TestBuildCombined:
+    def test_link_rows_per_slot(self):
+        # after the subproblem's rows, each slot i has its ask row
+        # p_i - U z_i <= 0, its bid row r_i + L z_i >= L and its side row
+        # z_i - p_i <= 0, over [z_0..z_3, p_0, r_0, ..., p_3, r_3]
+        spec = tent_spec(lower=-2, upper=5)
+        series = small_series()
+        bid = build_subproblem(spec, series, PriceCombination.from_index(2, 0))
+        link = build_combined(spec, series).rows[len(bid.rows) :]
+        assert [(r.name, r.relation, r.rhs) for r in link] == [
+            (f"{kind}[{i}]", relation, rhs)
+            for i in range(4)
+            for kind, relation, rhs in (
+                ("ask", Relation.LE, 0),
+                ("bid", Relation.GE, -2),
+                ("side", Relation.LE, 0),
+            )
+        ]
+        for i in range(4):
+            ask, bid, side = (list(r.coeffs) for r in link[3 * i : 3 * i + 3])
+            expected = [0] * 12
+            expected[i], expected[4 + 2 * i] = -5, 1
+            assert ask == expected
+            expected = [0] * 12
+            expected[i], expected[4 + 2 * i + 1] = -2, 1
+            assert bid == expected
+            expected = [0] * 12
+            expected[i], expected[4 + 2 * i] = 1, -1
+            assert side == expected
