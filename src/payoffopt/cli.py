@@ -334,12 +334,13 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
             portfolio, _ = solution_from_dict(data, series)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+        curve = payoff_curve(portfolio)
     else:
         solution = optimize(run.strategy, series)
         if solution is None:
             return _infeasible(run.strategy, series)
-        portfolio = solution.portfolio
-    _emit(args, curve_to_csv(payoff_curve(portfolio)))
+        curve = solution.payoff_curve
+    _emit(args, curve_to_csv(curve))
     return 0
 
 

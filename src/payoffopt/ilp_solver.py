@@ -26,7 +26,9 @@ recheck. Otherwise the program's rows are compiled once into a sparse matrix,
 and a root LP on them (the same ``milp`` call with no integrality) settles
 most of the remaining infeasible programs before any MILP.
 
-An infeasible problem gives ``None``. Every MILP runs under the node limit
+An infeasible problem gives ``None``. A program HiGHS rejects as a model
+error, or one with a number beyond floating point, raises
+:class:`SolverNumericalError` instead. Every MILP runs under the node limit
 :data:`NODE_BUDGET`; running out raises :class:`SolverResourceError`, never
 a silently wrong answer. The tests compare against an exhaustive
 enumeration of the bound box under the same contract.
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 from scipy.sparse import csc_array
 
 from .model_builder import IlpProblem, Relation, Row
@@ -172,10 +174,20 @@ _FEASIBILITY_JUMP_WARNING = (
 )
 
 
+def _proven_infeasible(result: OptimizeResult) -> bool:
+    """Whether HiGHS proved the program infeasible.
+
+    scipy gives a model HiGHS rejects (its ``kModelError``, for instance a
+    matrix entry of 1e15 or more) the same status 2 as an infeasible one;
+    only the message tells the infeasible model status apart.
+    """
+    return result.status == 2 and result.message.startswith("The problem is infeasible")
+
+
 def _root_lp_infeasible(
     objective: Sequence[int], constraint: LinearConstraint, box: Bounds
 ) -> bool:
-    """Whether the LP relaxation is proven infeasible (HiGHS status 2).
+    """Whether the LP relaxation is proven infeasible.
 
     It settles most infeasible programs at a fraction of a MILP call's cost;
     any other outcome, a failure included, leaves the verdict to the MILP.
@@ -184,12 +196,11 @@ def _root_lp_infeasible(
         root = milp(
             -np.asarray(objective, dtype=float), constraints=constraint, bounds=box
         )
-    return root.status == 2
+    return _proven_infeasible(root)
 
 
 def _milp_once(
     objective: Sequence[int],
-    constant: int,
     rows: Sequence[Row],
     constraint: LinearConstraint,
     bounds: Sequence[tuple[int, int]],
@@ -201,9 +212,6 @@ def _milp_once(
     is ``bounds`` built by :func:`_box`; the rows and bounds themselves
     serve the exact integer check of the returned point.
     """
-    num_vars = len(objective)
-    if num_vars == 0:
-        return (constant, ()) if _rows_hold(rows, ()) else None
     c = -np.asarray(objective, dtype=float)
     options = {
         "mip_rel_gap": 0.0,
@@ -226,12 +234,12 @@ def _milp_once(
                 c,
                 constraints=constraint,
                 bounds=box,
-                integrality=np.ones(num_vars),
+                integrality=np.ones(len(objective)),
                 options=attempt,
             )
         if result.status not in (2, 4):
             break
-        if attempt is retry and result.status == 2:
+        if attempt is retry and _proven_infeasible(result):
             return None
     if result.status == 1:
         raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
@@ -244,8 +252,7 @@ def _milp_once(
         raise SolverNumericalError(
             "MILP point fails exact integer verification"
         )
-    value = sum(c * v for c, v in zip(objective, x)) + constant
-    return value, x
+    return sum(c * v for c, v in zip(objective, x)), x
 
 
 # a block's mixed-radix key ranges over fewer than this many values; HiGHS
@@ -290,7 +297,7 @@ def lex_refine(
         name="objective_pin",
         coeffs=problem.objective,
         relation=Relation.EQ,
-        rhs=optimum - problem.objective_constant,
+        rhs=optimum,
     )
     rows = problem.rows + (pin,)
     bounds = list(problem.bounds)
@@ -311,7 +318,7 @@ def lex_refine(
         for i in reversed(block):
             key[i] = -weight
             weight *= widths[i - j]
-        result = _milp_once(key, 0, rows, constraint, bounds, _box(bounds))
+        result = _milp_once(key, rows, constraint, bounds, _box(bounds))
         if result is None:
             raise SolverNumericalError(f"no point at the optimum {optimum}")
         _, x = result
@@ -336,26 +343,20 @@ def solve_ilp(
     """
     if _equalities_lack_integer_point(problem):
         return None
-    constraint = _compile_rows(problem.rows, problem.num_vars)
-    box = _box(problem.bounds)
-    if (
-        problem.num_vars
-        and problem.rows
-        and _root_lp_infeasible(problem.objective, constraint, box)
-    ):
+    try:
+        constraint = _compile_rows(problem.rows, problem.num_vars)
+        box = _box(problem.bounds)
+    except OverflowError as exc:
+        raise SolverNumericalError(f"program exceeds floating point: {exc}") from exc
+    if _root_lp_infeasible(problem.objective, constraint, box):
         return None
     result = _milp_once(
-        problem.objective,
-        problem.objective_constant,
-        problem.rows,
-        constraint,
-        problem.bounds,
-        box,
+        problem.objective, problem.rows, constraint, problem.bounds, box
     )
     if result is None:
         return None
     value, x = result
-    if refine and problem.num_vars:
+    if refine:
         x = lex_refine(problem, value, x, problem.num_vars)
     return IntSolution(x=tuple(x), objective=value)
 

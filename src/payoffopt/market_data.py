@@ -22,7 +22,7 @@ import enum
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Mapping, Union
+from typing import Mapping
 
 from .money import MoneyError, format_money, is_digits, parse_money
 
@@ -98,7 +98,9 @@ class OptionChain:
 
     def __post_init__(self) -> None:
         if self.underlying_price <= 0:
-            raise ValueError("underlying price must be positive")
+            raise SchemaError(
+                f"underlying price must be positive: {format_money(self.underlying_price)}"
+            )
         if self.expiry_date < self.valuation_date:
             raise SchemaError(
                 f"expiry {self.expiry_date} precedes valuation {self.valuation_date}"
@@ -177,12 +179,8 @@ class Violation:
 
 _HEADER_KEYS = ("underlying", "valuation", "expiry")
 
-Source = Union[str, bytes, IO[str], IO[bytes]]
 
-
-def _read_text(source: Source) -> str:
-    if hasattr(source, "read"):
-        source = source.read()  # type: ignore[union-attr]
+def _read_text(source: str | bytes) -> str:
     if isinstance(source, bytes):
         try:
             return source.decode("utf-8")
@@ -215,8 +213,8 @@ def _parse_right(text: str) -> Right:
         raise ParseError(f"bad right {text!r} (expected call or put)") from exc
 
 
-def parse_chain(source: Source, format: str = "csv") -> OptionChain:
-    """Parse a chain from CSV or JSON text/bytes/stream.
+def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
+    """Parse a chain from CSV or JSON text, or its UTF-8 bytes.
 
     Raises :class:`SchemaError` for a missing header field or an empty quote
     section, :class:`ParseError` for a malformed record (the message names the
@@ -266,7 +264,7 @@ def _parse_csv(text: str) -> OptionChain:
                     volume=int(raw_volume),
                 )
             )
-        except (DuplicateQuoteError, ParseError):
+        except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(f"row {row}: {exc}") from exc
@@ -331,7 +329,7 @@ def _parse_json(text: str) -> OptionChain:
             raise ParseError(f"quote {row}: missing field {exc.args[0]!r}") from exc
         except (MoneyError, TypeError) as exc:
             raise ParseError(f"quote {row}: {exc}") from exc
-        except (DuplicateQuoteError, ParseError):
+        except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(f"quote {row}: {exc}") from exc

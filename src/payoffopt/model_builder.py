@@ -202,19 +202,21 @@ class Row:
 
 @dataclass(frozen=True)
 class IlpProblem:
-    """A bounded integer linear program: maximize ``objective . x + constant``.
+    """A bounded integer linear program: maximize ``objective . x``.
 
     In a subproblem, slots 0..n-1 are call quantities and n..2n-1 puts (see
     :func:`build_combined` for the combined layout). Objective coefficients
-    and constant are integer cents; every slot has finite integer bounds.
+    are integer cents; there is at least one slot, and every slot has finite
+    integer bounds.
     """
 
     objective: tuple[int, ...]
-    objective_constant: int
     rows: tuple[Row, ...]
     bounds: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        if not self.objective:
+            raise ValueError("a program needs at least one variable")
         if len(self.bounds) != len(self.objective):
             raise ValueError("one bound pair per objective coefficient required")
         for row in self.rows:
@@ -295,12 +297,7 @@ def build_subproblem(
         (0, spec.upper) if side is Side.ASK else (spec.lower, 0)
         for side in itertools.chain(combo.call_sides, combo.put_sides)
     )
-    return IlpProblem(
-        objective=objective,
-        objective_constant=0,
-        rows=tuple(rows),
-        bounds=bounds,
-    )
+    return IlpProblem(objective=objective, rows=tuple(rows), bounds=bounds)
 
 
 def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
@@ -376,7 +373,6 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
         rows.append(Row(f"side[{i}]", tuple(coeffs), Relation.LE, 0))
     return IlpProblem(
         objective=lift(ask.objective, bid.objective),
-        objective_constant=0,
         rows=tuple(rows),
         bounds=((0, 1),) * slots + ((0, spec.upper), (spec.lower, 0)) * slots,
     )

@@ -167,11 +167,10 @@ def curve_to_csv(curve: PayoffCurve) -> str:
     """Render ``price,value`` rows: breakpoints plus one sample beyond each tail.
 
     The tail samples sit one local strike spacing outside the grid so the
-    linear tails plot correctly.
+    linear tails plot correctly. Every series has a strike, so a curve has
+    at least one breakpoint.
     """
     bp = curve.breakpoints
-    if not bp:
-        return "price,value\n"
     left_step = bp[1] - bp[0] if len(bp) > 1 else 1
     right_step = bp[-1] - bp[-2] if len(bp) > 1 else 1
     rows = [

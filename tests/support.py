@@ -20,26 +20,30 @@ import numpy as np
 from scipy.optimize import linprog
 
 import payoffopt.ilp_solver
-from payoffopt import (
+from payoffopt.ilp_solver import IntSolution, solve_ilp
+from payoffopt.market_data import OptionChain, SeriesSelection
+from payoffopt.model_builder import (
     CostTarget,
     IlpProblem,
-    IntSolution,
-    OptionChain,
-    Portfolio,
     PriceCombination,
     Relation,
     Row,
-    SeriesSelection,
-    Side,
     StrategySpec,
     TailLossMode,
     build_subproblem,
-    format_money,
-    solve_ilp,
 )
+from payoffopt.money import format_money
+from payoffopt.payoff_engine import Portfolio
 
 # most points brute_force will enumerate
 BRUTE_FORCE_LIMIT = 100_000_000
+
+# the message of scipy's ``milp`` when HiGHS proves a program infeasible,
+# for fake results; a model error shares its status 2 but not this message
+INFEASIBLE = (
+    "The problem is infeasible. "
+    "(HiGHS Status 8: model_status is Infeasible; primal_status is None)"
+)
 
 
 class CapacityError(ValueError):
@@ -48,8 +52,8 @@ class CapacityError(ValueError):
 
 
 def objective_value(problem: IlpProblem, x: Sequence[int]) -> int:
-    """``problem``'s objective at ``x``, constant included."""
-    return sum(c * v for c, v in zip(problem.objective, x)) + problem.objective_constant
+    """``problem``'s objective at ``x``."""
+    return sum(c * v for c, v in zip(problem.objective, x))
 
 
 def brute_force(problem: IlpProblem) -> IntSolution | None:
@@ -66,11 +70,6 @@ def brute_force(problem: IlpProblem) -> IntSolution | None:
         raise CapacityError(
             f"bound box holds {total} points, above the {BRUTE_FORCE_LIMIT} limit"
         )
-    if problem.num_vars == 0:
-        if all(row.satisfied(()) for row in problem.rows):
-            return IntSolution((), problem.objective_constant)
-        return None
-
     lows = np.array([lo for lo, _ in problem.bounds], dtype=np.int64)
     widths_arr = np.array(widths, dtype=np.int64)
     weights = np.ones(problem.num_vars, dtype=np.int64)
@@ -102,7 +101,7 @@ def brute_force(problem: IlpProblem) -> IntSolution | None:
                 continue
         else:
             mask = np.ones(len(idx), dtype=bool)
-        objective = grid @ c + problem.objective_constant
+        objective = grid @ c
         masked = np.where(mask, objective, np.iinfo(np.int64).min)
         top = int(masked.max())
         if best is None or top > best[0]:
@@ -326,12 +325,9 @@ def random_ilp(rng: random.Random) -> IlpProblem:
         )
         for i in range(rng.randrange(0, 5))
     )
-    return IlpProblem(
-        objective=tuple(rng.randrange(-50, 51) for _ in range(num)),
-        objective_constant=rng.randrange(-100, 101),
-        rows=rows,
-        bounds=bounds,
-    )
+    objective = tuple(rng.randrange(-50, 51) for _ in range(num))
+    rng.randrange(-100, 101)  # unused; keeps the seeded instances stable
+    return IlpProblem(objective=objective, rows=rows, bounds=bounds)
 
 
 def random_equality_ilp(rng: random.Random) -> IlpProblem:
@@ -357,7 +353,6 @@ def random_equality_ilp(rng: random.Random) -> IlpProblem:
         )
     return IlpProblem(
         objective=tuple(rng.randrange(-50, 51) for _ in range(num)),
-        objective_constant=0,
         rows=tuple(rows),
         bounds=bounds,
     )
@@ -455,7 +450,7 @@ def lp_relaxation(problem: IlpProblem) -> tuple[float, tuple[float, ...]] | None
     if result.status == 2:
         return None
     assert result.status == 0, result.message
-    return problem.objective_constant - result.fun, tuple(result.x)
+    return -result.fun, tuple(result.x)
 
 
 def slotwise_refine(
@@ -467,18 +462,13 @@ def slotwise_refine(
     With the objective pinned at ``optimum``, each slot in turn is minimized
     and fixed, without skipping a slot at its lower bound.
     """
-    pin = Row(
-        "objective_pin",
-        problem.objective,
-        Relation.EQ,
-        optimum - problem.objective_constant,
-    )
+    pin = Row("objective_pin", problem.objective, Relation.EQ, optimum)
     bounds = list(problem.bounds)
     x = None
     for j in range(stop):
         selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
         found = solve_ilp(
-            IlpProblem(selector, 0, problem.rows + (pin,), tuple(bounds)),
+            IlpProblem(selector, problem.rows + (pin,), tuple(bounds)),
             refine=False,
         )
         assert found is not None, f"slot {j}: no point at the optimum"
@@ -504,12 +494,9 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
         )
         for i in range(rng.randrange(1, 3))
     )
-    return IlpProblem(
-        objective=tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(num)),
-        objective_constant=rng.randrange(-100, 101),
-        rows=rows,
-        bounds=tuple(bounds),
-    )
+    objective = tuple(rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(num))
+    rng.randrange(-100, 101)  # unused; keeps the seeded instances stable
+    return IlpProblem(objective=objective, rows=rows, bounds=tuple(bounds))
 
 
 class SolverCalls(Counter):

@@ -12,19 +12,21 @@ import warnings
 
 import pytest
 
-from payoffopt import (
+from payoffopt import optimize
+from payoffopt.ilp_solver import (
     IntSolution,
-    Portfolio,
-    PriceCombination,
-    build_subproblem,
-    optimize,
-    payoff,
-    payoff_curve,
+    _equalities_lack_integer_point,
+    lex_refine,
     solve_ilp,
-    sweep_liquidity,
 )
-from payoffopt.ilp_solver import _equalities_lack_integer_point, lex_refine
-from payoffopt.model_builder import build_combined, decode_combined
+from payoffopt.model_builder import (
+    PriceCombination,
+    build_combined,
+    build_subproblem,
+    decode_combined,
+)
+from payoffopt.optimizer import sweep_liquidity
+from payoffopt.payoff_engine import Portfolio, payoff, payoff_curve
 from support import (
     REFERENCE_COLUMNS,
     base_spec,
@@ -355,6 +357,35 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     assert calls.nodes["milp"] <= 8
 
 
+def invariance_cases(fixture_run_config, fixture_series, count):
+    """The fixture, its ±100 and no-cost variants, and the first ``count``
+    strategies of the seeded generator."""
+    fixture = fixture_run_config.strategy
+    cases = [
+        (fixture, fixture_series),
+        (dataclasses.replace(fixture, lower=-100, upper=100), fixture_series),
+        (dataclasses.replace(fixture, cost_target=None), fixture_series),
+    ]
+    rng = random.Random(20260823)
+    for _ in range(count):
+        series = random_series(rng)
+        cases.append((random_spec(rng, series), series))
+    return cases
+
+
+def unique_answers(cases):
+    """(objective, combination index, quantities) of each case, or ``None``
+    when it is infeasible."""
+    found = []
+    for spec, series in cases:
+        got = optimize(spec, series)
+        if got is not None:
+            quantities = got.portfolio.calls + got.portfolio.puts
+            got = (got.objective, got.combination.index, quantities)
+        found.append(got)
+    return found
+
+
 @AGREEMENT
 def test_answers_do_not_depend_on_highs_random_seed(
     monkeypatch, fixture_run_config, fixture_series
@@ -365,29 +396,9 @@ def test_answers_do_not_depend_on_highs_random_seed(
     # infeasible verdicts included
     import payoffopt.ilp_solver as ilp_solver
 
-    fixture = fixture_run_config.strategy
-    cases = [
-        (fixture, fixture_series),
-        (dataclasses.replace(fixture, lower=-100, upper=100), fixture_series),
-        (dataclasses.replace(fixture, cost_target=None), fixture_series),
-    ]
-    rng = random.Random(20260823)
-    for _ in range(60):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
-
-    def answers():
-        found = []
-        for spec, series in cases:
-            got = optimize(spec, series)
-            if got is not None:
-                quantities = got.portfolio.calls + got.portfolio.puts
-                got = (got.objective, got.combination.index, quantities)
-            found.append(got)
-        return found
-
+    cases = invariance_cases(fixture_run_config, fixture_series, 60)
     calls = count_solver_calls(monkeypatch)
-    expected = answers()
+    expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 11
     nodes = {calls.nodes["milp"]}
     counting_milp = ilp_solver.milp
@@ -404,10 +415,52 @@ def test_answers_do_not_depend_on_highs_random_seed(
 
         monkeypatch.setattr(ilp_solver, "milp", reseeded)
         calls.clear()
-        assert answers() == expected, seed
+        assert unique_answers(cases) == expected, seed
         nodes.add(calls.nodes["milp"])
     # the seeds do move HiGHS's search
     assert len(nodes) > 1
+
+
+@AGREEMENT
+def test_answers_do_not_depend_on_row_order(
+    monkeypatch, fixture_run_config, fixture_series
+):
+    # the order of the rows handed to HiGHS is another part of its search
+    # path: each seeded shuffle of the compiled rows must give the default
+    # run's answers; the Row tuples that the exact checks read keep their
+    # order
+    import payoffopt.ilp_solver as ilp_solver
+
+    start = time.perf_counter()
+    cases = invariance_cases(fixture_run_config, fixture_series, 30)
+    real_milp, real_compile = ilp_solver.milp, ilp_solver._compile_rows
+    nodes = []
+
+    def recording_milp(*args, **kwargs):
+        result = real_milp(*args, **kwargs)
+        if kwargs.get("integrality") is not None:
+            nodes.append(getattr(result, "mip_node_count", None))
+        return result
+
+    monkeypatch.setattr(ilp_solver, "milp", recording_milp)
+    expected = unique_answers(cases)
+    assert sum(got is not None for got in expected) >= 6
+    default_nodes = list(nodes)
+    moved = False
+    for seed in (1, 2):
+
+        def shuffled(rows, num_vars, shuffle=random.Random(seed).shuffle):
+            rows = list(rows)
+            shuffle(rows)
+            return real_compile(rows, num_vars)
+
+        monkeypatch.setattr(ilp_solver, "_compile_rows", shuffled)
+        nodes.clear()
+        assert unique_answers(cases) == expected, seed
+        moved |= nodes != default_nodes
+    # the shuffles do move HiGHS's search
+    assert moved
+    assert time.perf_counter() - start < 30
 
 
 @pytest.fixture(scope="module")
@@ -623,6 +676,6 @@ def test_payoff_identities_on_random_portfolios():
 
 
 def test_fixture_chain_is_clean(fixture_chain):
-    from payoffopt import validate_chain
+    from payoffopt.market_data import validate_chain
 
     assert validate_chain(fixture_chain) == []

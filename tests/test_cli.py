@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import types
@@ -14,9 +15,10 @@ from scipy.optimize import OptimizeResult
 import payoffopt
 import payoffopt.ilp_solver
 from conftest import FIXTURES
-from payoffopt import Relation, SpecError, TailLossMode
+from payoffopt import SpecError, parse_chain
 from payoffopt.cli import CliError, _build_parser, load_run_config, run
-from support import count_solver_calls
+from payoffopt.model_builder import Relation, TailLossMode
+from support import chain_to_json, count_solver_calls
 
 CHAIN_CSV = (
     "underlying=99.50\n"
@@ -198,6 +200,28 @@ class TestOptimizeCommand:
             chain_path, make_spec, capsys, 3, "node budget of 10000000 exhausted"
         )
         assert [o["node_limit"] for o in seen] == [payoffopt.ilp_solver.NODE_BUDGET]
+
+    @pytest.mark.parametrize(
+        "bound, detail",
+        [
+            # HiGHS rejects the ask/bid link rows' coefficient as a model error
+            (10**15, "MILP backend failed (status 2): (HiGHS Status 2: Model error)"),
+            (10**400, "program exceeds floating point: int too large to convert to float"),
+        ],
+        ids=["1e15", "1e400"],
+    )
+    @pytest.mark.parametrize("command", ["optimize", "payoff"])
+    def test_unrepresentable_bound_is_a_solver_error(
+        self, tmp_path, command, bound, detail, capsys
+    ):
+        spec = json.loads((FIXTURES / "spec.json").read_text())
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, "lower": -bound, "upper": bound}))
+        chain = FIXTURES / "chain.csv"
+        assert invoke(command, "--chain", chain, "--spec", path) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error:solver:{detail}\n"
 
 
 FIXTURE_OPTIMIZE = (
@@ -414,6 +438,24 @@ class TestChainErrors:
         assert captured.err.startswith("error:chain:invalid JSON")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["validate", "optimize"])
+    @pytest.mark.parametrize("name", ["chain.csv", "chain.json"])
+    def test_underlying_price_not_positive(
+        self, tmp_path, make_spec, name, command, capsys
+    ):
+        if name == "chain.csv":
+            text = CHAIN_CSV.replace("underlying=99.50", "underlying=0.00")
+        else:
+            text = chain_to_json(parse_chain(CHAIN_CSV))
+            text = text.replace('"underlying_price": "99.50"', '"underlying_price": "0"')
+        path = tmp_path / name
+        path.write_text(text)
+        args = ["--spec", make_spec()] if command == "optimize" else []
+        assert invoke(command, "--chain", path, *args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:chain:underlying price must be positive: 0.00\n"
+
     def test_unknown_anchor(self, chain_path, make_spec, capsys):
         spec = make_spec(call_anchor=105)
         assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 2
@@ -456,6 +498,16 @@ class TestValidateCommand:
 
 class TestPayoffCommand:
     def test_direct_curve(self, chain_path, make_spec, capsys):
+        assert invoke("payoff", "--chain", chain_path, "--spec", make_spec()) == 0
+        assert capsys.readouterr().out == EXPECTED_CURVE
+
+    def test_direct_curve_is_the_one_optimize_attached(
+        self, chain_path, make_spec, monkeypatch, capsys
+    ):
+        def again(portfolio):
+            raise AssertionError("payoff curve evaluated twice")
+
+        monkeypatch.setattr("payoffopt.cli.payoff_curve", again)
         assert invoke("payoff", "--chain", chain_path, "--spec", make_spec()) == 0
         assert capsys.readouterr().out == EXPECTED_CURVE
 
@@ -671,6 +723,22 @@ class TestSweepCommand:
         assert data["points"][0]["solution"]["objective"] == "9.40"
         assert data["points"][1]["solution"] is None
 
+    def test_unrepresentable_bounds_fail_only_their_points(self, capsys):
+        spec = FIXTURES / "spec.json"
+        values = f"10,{10**15},{10**400}"
+        code = invoke(
+            "sweep", "--chain", FIXTURES / "chain.csv", "--spec", spec,
+            "--axis", "liquidity", "--values", values, "--format", "json",
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        points = json.loads(captured.out)["points"]
+        assert points[0]["solution"]["objective"] == "400.00"
+        assert [p["solution"] for p in points[1:]] == [None, None]
+        assert points[1]["error"].endswith("(HiGHS Status 2: Model error)")
+        assert points[2]["error"].startswith("program exceeds floating point")
+
     def test_table_default(self, chain_path, make_spec, capsys):
         code = invoke(
             "sweep", "--chain", chain_path, "--spec", make_spec(),
@@ -741,6 +809,14 @@ class TestArgumentParsing:
         assert code == 2
         capsys.readouterr()
 
+
+
+def test_package_exports_the_readme_library_list():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(payoffopt.__all__)
+    assert all(hasattr(payoffopt, name) for name in listed)
 
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"

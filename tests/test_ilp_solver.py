@@ -14,24 +14,21 @@ from scipy.optimize import (
     milp,
 )
 
-from payoffopt import (
-    IlpProblem,
-    IntSolution,
-    Relation,
-    Row,
-    SolverNumericalError,
-    solve_ilp,
-)
 from payoffopt.ilp_solver import (
+    IntSolution,
+    SolverNumericalError,
     _BLOCK_RANGE,
     _FEASIBILITY_JUMP_WARNING,
     _block_size,
     _equalities_lack_integer_point,
     _within_bounds,
     lex_refine,
+    solve_ilp,
 )
+from payoffopt.model_builder import IlpProblem, Relation, Row
 from support import (
     BRUTE_FORCE_LIMIT,
+    INFEASIBLE,
     CapacityError,
     brute_force,
     count_solver_calls,
@@ -49,7 +46,6 @@ def fractional_problem():
     # LP optimum x = 2.5, integer optimum x = 2
     return IlpProblem(
         objective=(1,),
-        objective_constant=0,
         rows=(Row("half", (2,), Relation.LE, 5),),
         bounds=((0, 10),),
     )
@@ -58,7 +54,6 @@ def fractional_problem():
 def infeasible_problem():
     return IlpProblem(
         objective=(1,),
-        objective_constant=0,
         rows=(
             Row("low", (1,), Relation.GE, 1),
             Row("high", (1,), Relation.LE, -1),
@@ -71,7 +66,6 @@ def gcd_problem():
     # 2x + 4y is even, so no integer point, while x = 1.5 solves the LP
     return IlpProblem(
         objective=(1, 1),
-        objective_constant=0,
         rows=(Row("odd", (2, 4), Relation.EQ, 3),),
         bounds=((-5, 5), (-5, 5)),
     )
@@ -81,7 +75,6 @@ def joint_problem():
     # each row alone has integer solutions; together they force x = y = 1/2
     return IlpProblem(
         objective=(1, -1),
-        objective_constant=0,
         rows=(
             Row("sum", (1, 1), Relation.EQ, 1),
             Row("diff", (1, -1), Relation.EQ, 0),
@@ -118,7 +111,6 @@ def strike_sized_problem():
         rows.append(Row(name, coeffs, Relation.EQ, rhs))
     return IlpProblem(
         objective=(5, -2, 1, 3, -4, 2),
-        objective_constant=0,
         rows=tuple(rows),
         bounds=((-3, 3),) * 6,
     )
@@ -165,9 +157,6 @@ def test_exact_check_hand_cases_are_what_they_claim():
 
 
 def test_exact_equality_check_on_degenerate_rows():
-    # no variables: a nonzero right-hand side cannot hold
-    dead = IlpProblem((), 0, (Row("never", (), Relation.EQ, 1),), ())
-    assert _equalities_lack_integer_point(dead)
     # an all-zero row holds only with a zero right-hand side; a repeated row
     # adds nothing
     for rhs, settled in [(0, False), (2, True)]:
@@ -176,7 +165,7 @@ def test_exact_equality_check_on_degenerate_rows():
             Row("a", (3, 6), Relation.EQ, 9),
             Row("b", (3, 6), Relation.EQ, 9),
         )
-        problem = IlpProblem((1, 1), 0, rows, ((-9, 9), (-9, 9)))
+        problem = IlpProblem((1, 1), rows, ((-9, 9), (-9, 9)))
         assert _equalities_lack_integer_point(problem) is settled
         assert (brute_force(problem) is None) is settled
 
@@ -202,23 +191,9 @@ def test_relaxation_reports_infeasible():
 
 
 @pytest.mark.parametrize("solver", ALL_ROUTES)
-def test_zero_variable_problems(solver):
-    empty = IlpProblem(objective=(), objective_constant=7, rows=(), bounds=())
-    assert solver(empty) == IntSolution(x=(), objective=7)
-    dead = IlpProblem(
-        objective=(),
-        objective_constant=0,
-        rows=(Row("never", (), Relation.LE, -1),),
-        bounds=(),
-    )
-    assert solver(dead) is None
-
-
-@pytest.mark.parametrize("solver", ALL_ROUTES)
 def test_refinement_picks_box_lows_under_flat_objective(solver):
     flat = IlpProblem(
         objective=(0, 0),
-        objective_constant=0,
         rows=(),
         bounds=((-2, 3), (-1, 4)),
     )
@@ -229,7 +204,6 @@ def test_refinement_picks_box_lows_under_flat_objective(solver):
 def test_refinement_orders_ties_lexicographically(solver):
     tied = IlpProblem(
         objective=(1, 1),
-        objective_constant=0,
         rows=(Row("cap", (1, 1), Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
@@ -239,14 +213,13 @@ def test_refinement_orders_ties_lexicographically(solver):
 def test_unrefined_objective_still_exact():
     tied = IlpProblem(
         objective=(1, 1),
-        objective_constant=5,
         rows=(Row("cap", (1, 1), Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
     result = solve_ilp(tied, refine=False)
     assert result is not None
-    assert result.objective == 8
-    assert objective_value(tied, result.x) == 8
+    assert result.objective == 3
+    assert objective_value(tied, result.x) == 3
 
 
 def test_routes_agree_on_random_instances():
@@ -284,7 +257,6 @@ def presolve_solve_error_problem():
     # "Solve error" (status 4) rather than an infeasibility verdict
     return IlpProblem(
         objective=(1683, -1016, -751, 294, 2401, 2870),
-        objective_constant=0,
         rows=(
             Row("tail_calls", (1, 1, 1, 0, 0, 0), Relation.EQ, 0),
             Row("tail_puts", (0, 0, 0, 1, 1, 1), Relation.EQ, 0),
@@ -323,6 +295,44 @@ def test_repeated_solve_error_raises(monkeypatch):
     with pytest.raises(SolverNumericalError, match="status 4"):
         solve_ilp(fractional_problem())
     assert calls == [True, False]
+
+
+@pytest.mark.parametrize(
+    "message, calls",
+    [(INFEASIBLE, [None]), ("(HiGHS Status 2: Model error)", [None, True, False])],
+    ids=["infeasible", "model-error"],
+)
+def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, message, calls):
+    # scipy gives a model HiGHS rejects the status 2 of an infeasible one;
+    # only a proven infeasibility may settle the program
+    seen = []
+
+    def status_2(*args, integrality=None, options=None, **kwargs):
+        seen.append(None if integrality is None else options.get("presolve", True))
+        return OptimizeResult(status=2, x=None, message=message)
+
+    monkeypatch.setattr("payoffopt.ilp_solver.milp", status_2)
+    if message == INFEASIBLE:
+        assert solve_ilp(fractional_problem()) is None
+    else:
+        with pytest.raises(SolverNumericalError, match="Model error"):
+            solve_ilp(fractional_problem())
+    assert seen == calls
+
+
+@pytest.mark.parametrize(
+    "coefficient, message",
+    [(10**15, "Model error"), (10**400, "exceeds floating point")],
+    ids=["1e15", "1e400"],
+)
+def test_unrepresentable_program_is_a_solver_error(coefficient, message):
+    problem = IlpProblem(
+        objective=(1,),
+        rows=(Row("huge", (coefficient,), Relation.LE, coefficient),),
+        bounds=((0, 1),),
+    )
+    with pytest.raises(SolverNumericalError, match=message):
+        solve_ilp(problem)
 
 
 def test_feasibility_jump_off_in_both_attempts(monkeypatch):
@@ -394,7 +404,8 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
             assert expected is None
             assert lp_calls == milp_calls == []
         else:
-            assert len(lp_calls) == bool(problem.rows)
+            # a program without rows gets its root LP too
+            assert len(lp_calls) == 1
     assert unpatched[1] is None and unpatched[0] is not None
     assert settled[2] and not any(settled[:2])
 
@@ -404,7 +415,6 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
     # is tied
     problem = IlpProblem(
         objective=(0, -1, 1, 1),
-        objective_constant=0,
         rows=(Row("cap", (0, 0, 1, 1), Relation.LE, 3),),
         bounds=((-2, 2), (-1, 3), (0, 3), (0, 3)),
     )
@@ -451,7 +461,6 @@ def test_block_split(monkeypatch, widths, sizes):
     num = len(widths)
     problem = IlpProblem(
         objective=(0,) * num,
-        objective_constant=7,
         rows=tuple(
             Row(f"floor{j}", tuple(int(i == j) for i in range(num)), Relation.GE, 0)
             for j in range(num)
@@ -460,7 +469,7 @@ def test_block_split(monkeypatch, widths, sizes):
     )
     calls = count_solver_calls(monkeypatch)
     seed = tuple(w - 2 for w in widths)
-    assert lex_refine(problem, 7, seed, num) == (0,) * num
+    assert lex_refine(problem, 0, seed, num) == (0,) * num
     assert calls["milp"] == len(sizes)
 
 
@@ -498,7 +507,6 @@ def test_lex_refine_rejects_a_seed_off_the_optimum():
 def test_brute_force_capacity_guard():
     wide = IlpProblem(
         objective=(1,) * 5,
-        objective_constant=0,
         rows=(),
         bounds=((0, 99),) * 5,
     )

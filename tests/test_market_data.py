@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from payoffopt import (
+from payoffopt import parse_chain, select_series
+from payoffopt.market_data import (
     DuplicateQuoteError,
     OptionChain,
     OptionQuote,
@@ -12,8 +13,6 @@ from payoffopt import (
     SchemaError,
     SelectionError,
     SeriesSelection,
-    parse_chain,
-    select_series,
     validate_chain,
 )
 from conftest import FIXTURES
@@ -55,12 +54,8 @@ def test_parse_small_chain():
     assert chain.strikes(Right.PUT) == (90, 100)
 
 
-def test_parse_accepts_bytes_and_streams(tmp_path):
+def test_parse_accepts_bytes():
     assert parse_chain(SMALL_CSV.encode()) == parse_chain(SMALL_CSV)
-    path = tmp_path / "chain.csv"
-    path.write_text(SMALL_CSV)
-    with open(path) as fh:
-        assert parse_chain(fh) == parse_chain(SMALL_CSV)
 
 
 def test_missing_side_is_none():

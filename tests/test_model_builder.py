@@ -1,24 +1,23 @@
 import pytest
 
-from payoffopt import (
+from payoffopt import SpecError
+from payoffopt.market_data import Side
+from payoffopt.model_builder import (
     CostTarget,
     IlpProblem,
-    Portfolio,
     PriceCombination,
     Relation,
     Row,
-    Side,
-    SpecError,
     StrategySpec,
     TailLossMode,
+    build_combined,
     build_subproblem,
 )
-from payoffopt.model_builder import build_combined
+from payoffopt.payoff_engine import Portfolio
 from support import (
     REFERENCE_COLUMNS,
     check_feasible,
     combo_for,
-    objective_value,
     reference_series,
     small_series,
 )
@@ -142,7 +141,6 @@ class TestBuildSubproblem:
             tent_spec(), small_series(), PriceCombination.from_index(2, 10)
         )
         assert problem.objective == (80, -100, -90, -380)
-        assert problem.objective_constant == 0
         assert problem.bounds == ((0, 3), (-3, 0), (0, 3), (-3, 0))
         assert [r.name for r in problem.rows] == [
             "tail_calls",
@@ -265,7 +263,6 @@ class TestIlpProblemValidation:
         with pytest.raises(ValueError, match="wrong width"):
             IlpProblem(
                 objective=(1, 2),
-                objective_constant=0,
                 rows=(Row("r", (1,), Relation.LE, 0),),
                 bounds=((0, 1), (0, 1)),
             )
@@ -274,16 +271,13 @@ class TestIlpProblemValidation:
         with pytest.raises(ValueError, match="empty bound"):
             IlpProblem(
                 objective=(1,),
-                objective_constant=0,
                 rows=(),
                 bounds=((2, 1),),
             )
 
-    def test_objective_value_includes_constant(self):
-        problem = IlpProblem(
-            objective=(3, -2), objective_constant=7, rows=(), bounds=((0, 5), (-5, 0))
-        )
-        assert objective_value(problem, (2, -1)) == 3 * 2 + 2 + 7
+    def test_zero_variables_rejected(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            IlpProblem(objective=(), rows=(), bounds=())
 
 
 def _column_problem(inflection):
@@ -330,9 +324,7 @@ class TestCheckFeasible:
 
     def test_width_mismatch(self):
         portfolio = Portfolio(series=small_series(), calls=(0, 0), puts=(0, 0))
-        problem = IlpProblem(
-            objective=(1,), objective_constant=0, rows=(), bounds=((0, 1),)
-        )
+        problem = IlpProblem(objective=(1,), rows=(), bounds=((0, 1),))
         with pytest.raises(ValueError, match="slots"):
             check_feasible(portfolio, problem)
 

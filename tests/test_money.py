@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from payoffopt import MoneyError, format_money, parse_money
+from payoffopt.money import MoneyError, format_money, parse_money
 
 
 @pytest.mark.parametrize(

@@ -7,30 +7,26 @@ from scipy.optimize import OptimizeResult
 
 import payoffopt.ilp_solver
 import payoffopt.optimizer
-from payoffopt import (
-    CostTarget,
-    Relation,
-    SolverNumericalError,
-    SolverResourceError,
+from payoffopt import optimize
+from payoffopt.ilp_solver import SolverNumericalError, SolverResourceError
+from payoffopt.model_builder import CostTarget, Relation, build_subproblem
+from payoffopt.optimizer import (
     SweepAxis,
-    build_subproblem,
-    optimize,
     solution_from_dict,
+    solution_to_csv,
     solution_to_dict,
     solution_to_json,
+    solution_to_table,
     sweep_cost,
     sweep_liquidity,
-    sweep_to_dict,
-    sweep_to_json,
-)
-from payoffopt.optimizer import (
-    solution_to_csv,
-    solution_to_table,
     sweep_point_label,
     sweep_to_csv,
+    sweep_to_dict,
+    sweep_to_json,
     sweep_to_table,
 )
 from support import (
+    INFEASIBLE,
     base_spec,
     check_feasible,
     count_solver_calls,
@@ -124,20 +120,20 @@ class TestOptimize:
                 calls.append(1)
                 if len(calls) == 1:
                     return real(*args, **kwargs)
-                return OptimizeResult(status=2, x=None, message="infeasible")
+                return OptimizeResult(status=2, x=None, message=INFEASIBLE)
 
             monkeypatch.setattr(payoffopt.ilp_solver, "milp", no_point_after_first)
             message = "no point at the optimum"
         else:
-            # Stage B's subproblem disagrees with the combined program by
-            # one cent, so the seed decoded from Stage A misses its optimum
+            # Stage B's subproblem values the first call one cent per lot
+            # above the combined program, so the seed decoded from Stage A
+            # (which buys that call) misses its optimum
             real = payoffopt.optimizer.build_subproblem
 
             def shifted(*args):
                 problem = real(*args)
-                return dataclasses.replace(
-                    problem, objective_constant=problem.objective_constant - 1
-                )
+                objective = (problem.objective[0] + 1,) + problem.objective[1:]
+                return dataclasses.replace(problem, objective=objective)
 
             monkeypatch.setattr(payoffopt.optimizer, "build_subproblem", shifted)
             message = "seed point misses"

@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from payoffopt import (
+from payoffopt.market_data import SeriesSelection, Side
+from payoffopt.model_builder import PriceCombination
+from payoffopt.payoff_engine import (
     ContractPrices,
     Portfolio,
-    PriceCombination,
     PriceConsistencyError,
-    SeriesSelection,
-    Side,
     curve_to_csv,
     initial_cost,
     interval_slope,
