@@ -5,8 +5,10 @@ by one integer program over every ask/bid combination), ``sweep`` (repeat
 over cost targets or liquidity bounds, one such program per value), ``payoff``
 (payoff-curve CSV for a solved or stored portfolio), ``validate`` (quote
 quality report). Exit codes: 0 success, 1 no feasible portfolio, 2 bad
-input, 3 solver resource limit, 4 solver backend failure. All failures print
-one machine-parseable ``error:<category>:<detail>`` line to stderr.
+input, 3 solver resource limit, 4 solver backend failure, 5 internal error
+(any other exception, a defect: ``error:internal:<Type>: <detail>``). All
+failures print one machine-parseable ``error:<category>:<detail>`` line to
+stderr.
 """
 
 from __future__ import annotations
@@ -195,7 +197,10 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--axis", choices=("cost", "liquidity"), required=True)
     p_sweep.add_argument(
-        "--values", required=True, help="comma-separated parameter values"
+        "--values",
+        required=True,
+        help="comma-separated parameter values; write --values=-1.00,... "
+        "when the first value is negative",
     )
     p_sweep.add_argument(
         "--format", choices=("table", "json", "csv"), default="table"
@@ -362,9 +367,9 @@ _COMMANDS = {
 }
 
 
-def _fail(category: str, exc: BaseException, code: int) -> int:
-    detail = " ".join(str(exc).split())
-    print(f"error:{category}:{detail}", file=sys.stderr)
+def _fail(category: str, detail: object, code: int) -> int:
+    text = " ".join(str(detail).split())
+    print(f"error:{category}:{text}", file=sys.stderr)
     return code
 
 
@@ -386,8 +391,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _fail("chain", exc, 2)
     except CliError as exc:
         return _fail("args", exc, 2)
-    except MoneyError as exc:
-        return _fail("args", exc, 2)
+    except Exception as exc:  # a defect, not a verdict: exit 1 means infeasible
+        return _fail("internal", f"{type(exc).__name__}: {exc}", 5)
 
 
 def main() -> None:

@@ -34,13 +34,6 @@ class Right(enum.Enum):
     PUT = "put"
 
 
-class Side(enum.Enum):
-    """Quote side: ask (buy from the market) or bid (sell to the market)."""
-
-    ASK = "ask"
-    BID = "bid"
-
-
 class MarketDataError(ValueError):
     """Base class for chain parsing, schema, and selection failures."""
 
@@ -367,10 +360,9 @@ def validate_chain(chain: OptionChain) -> list[Violation]:
                 )
             )
     for right in (Right.CALL, Right.PUT):
-        for side in (Side.ASK, Side.BID):
+        for side in ("ask", "bid"):
             ladder = [
-                (s, getattr(chain.quote(s, right), side.value))
-                for s in chain.strikes(right)
+                (s, getattr(chain.quote(s, right), side)) for s in chain.strikes(right)
             ]
             ladder = [(s, p) for s, p in ladder if p is not None]
             for (_, prev), (strike, price) in zip(ladder, ladder[1:]):
@@ -383,7 +375,7 @@ def validate_chain(chain: OptionChain) -> list[Violation]:
                         Violation(
                             kind="monotonicity",
                             message=(
-                                f"{right.value} {side.value} not strictly "
+                                f"{right.value} {side} not strictly "
                                 f"{direction} at strike {strike}"
                             ),
                             strike=strike,
@@ -420,11 +412,9 @@ def select_series(
         for s in strikes:
             q = chain.quote(s, right)
             assert q is not None
-            for side in (Side.ASK, Side.BID):
-                if getattr(q, side.value) is None:
-                    raise SelectionError(
-                        f"{right.value} {side.value} missing at strike {s}"
-                    )
+            for side in ("ask", "bid"):
+                if getattr(q, side) is None:
+                    raise SelectionError(f"{right.value} {side} missing at strike {s}")
             out.append(q)
         return out
 

@@ -7,7 +7,8 @@ strike, falling after it. For a series of n calls and n puts there are
 quantities, with sign consistency encoded in the variable bounds (ask slots
 trade long in [0, U], bid slots short in [L, 0]). :func:`build_combined`
 joins all of them into one program with a binary side choice per slot, so
-one solve maximizes over every combination. A side row per slot lets that
+one solve maximizes over every combination; its side bits ``z`` are
+:attr:`PriceCombination.bits`. A side row per slot lets that
 choice be ask only when the slot buys, so each quantity vector has one side
 vector and the solver does not search copies of one optimum that differ
 only in the sides of slots that trade nothing.
@@ -32,9 +33,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .market_data import SeriesSelection, Side
+from .market_data import SeriesSelection
 from .money import CENTS
-from .payoff_engine import ContractPrices
 
 
 class SpecError(ValueError):
@@ -106,72 +106,48 @@ class StrategySpec:
 
 @dataclass(frozen=True)
 class PriceCombination:
-    """One ask/bid assignment per slot, calls first.
+    """One ask/bid choice per slot: ``bits[i]`` is 1 when slot i trades at
+    its ask (long) and 0 at its bid (short), calls first.
 
-    ``index`` is the big-endian encoding of the side bits (ask=1): the first
+    These are the side bits ``z`` of :func:`build_combined` and, as text,
+    a solution's ``combination``. ``index`` reads them big-endian: the first
     call slot is the most significant bit, the last put slot the least.
     """
 
-    index: int
-    call_sides: tuple[Side, ...]
-    put_sides: tuple[Side, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.call_sides) != len(self.put_sides):
-            raise ValueError("call and put side tuples must share one length")
-        if self.index != _encode_sides(self.call_sides + self.put_sides):
-            raise ValueError(f"index {self.index} does not match the side bits")
+    bits: tuple[int, ...]
 
     @classmethod
     def from_index(cls, n: int, index: int) -> "PriceCombination":
-        if n < 0:
-            raise ValueError(f"series length must be non-negative: {n}")
-        if not 0 <= index < (1 << (2 * n)):
-            raise ValueError(f"combination index {index} outside [0, {1 << (2 * n)})")
-        bits = 2 * n
-        sides = tuple(
-            Side.ASK if (index >> (bits - 1 - i)) & 1 else Side.BID
-            for i in range(bits)
-        )
-        return cls(index=index, call_sides=sides[:n], put_sides=sides[n:])
+        slots = 2 * n
+        if not 0 <= index < (1 << slots):
+            raise ValueError(f"combination index {index} outside [0, {1 << slots})")
+        return cls(tuple((index >> (slots - 1 - i)) & 1 for i in range(slots)))
 
     @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "PriceCombination":
-        """The combination with these side bits (1 = ask), calls first."""
-        index = 0
-        for bit in bits:
-            index = (index << 1) | bit
-        return cls.from_index(len(bits) // 2, index)
+    def parse(cls, text: object, n: int) -> "PriceCombination":
+        """The combination a :attr:`bitstring` of a series of n writes."""
+        if not isinstance(text, str) or len(text) != 2 * n or set(text) - {"0", "1"}:
+            raise ValueError(
+                f"combination bitstring {text!r} does not fit a series of {n}"
+            )
+        return cls(tuple(int(b) for b in text))
+
+    @property
+    def index(self) -> int:
+        return int(self.bitstring, 2)
 
     @property
     def bitstring(self) -> str:
-        """Side bits as text, most significant first; empty for n=0."""
-        bits = len(self.call_sides) + len(self.put_sides)
-        return format(self.index, f"0{bits}b") if bits else ""
+        """The side bits as text, most significant first."""
+        return "".join(str(b) for b in self.bits)
 
-    def contract_prices(self, series: SeriesSelection) -> ContractPrices:
-        """Resolve this combination against a series' quotes."""
-        if len(self.call_sides) != series.n:
+    def prices(self, series: SeriesSelection) -> tuple[int, ...]:
+        """One price in cents per slot: the ask where the bit is 1, else the bid."""
+        if len(self.bits) != 2 * series.n:
             raise ValueError("combination and series must share one length")
-        return ContractPrices(
-            call_prices=tuple(
-                series.call_asks[i] if s is Side.ASK else series.call_bids[i]
-                for i, s in enumerate(self.call_sides)
-            ),
-            put_prices=tuple(
-                series.put_asks[i] if s is Side.ASK else series.put_bids[i]
-                for i, s in enumerate(self.put_sides)
-            ),
-            call_sides=self.call_sides,
-            put_sides=self.put_sides,
-        )
-
-
-def _encode_sides(sides: tuple[Side, ...]) -> int:
-    index = 0
-    for side in sides:
-        index = (index << 1) | (1 if side is Side.ASK else 0)
-    return index
+        asks = series.call_asks + series.put_asks
+        bids = series.call_bids + series.put_bids
+        return tuple(a if bit else b for bit, a, b in zip(self.bits, asks, bids))
 
 
 @dataclass(frozen=True)
@@ -236,15 +212,12 @@ def build_subproblem(
 ) -> IlpProblem:
     """Compile spec + series + one price combination into an IlpProblem."""
     n = series.n
-    if len(combo.call_sides) != n:
-        raise ValueError("combination and series must share one length")
+    price_vec = combo.prices(series)
     strikes = series.unique_strikes
     if spec.inflection not in strikes:
         raise SpecError(
             f"inflection-not-in-K: {spec.inflection} not among strikes {strikes}"
         )
-    prices = combo.contract_prices(series)
-    price_vec = prices.call_prices + prices.put_prices
 
     call_intrinsic = [
         max(spec.expected_price - k * CENTS, 0) for k in series.call_strikes
@@ -293,10 +266,7 @@ def build_subproblem(
         target = spec.cost_target
         rows.append(Row("cost", price_vec, target.comparator, target.value))
 
-    bounds = tuple(
-        (0, spec.upper) if side is Side.ASK else (spec.lower, 0)
-        for side in itertools.chain(combo.call_sides, combo.put_sides)
-    )
+    bounds = tuple((0, spec.upper) if b else (spec.lower, 0) for b in combo.bits)
     return IlpProblem(objective=objective, rows=tuple(rows), bounds=bounds)
 
 
@@ -304,7 +274,7 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     """One program covering every price combination at once.
 
     Variables are ``[z_0..z_{2n-1}, p_0, r_0, p_1, r_1, ...]``. The binary
-    ``z_i`` is slot i's side (1 = ask, as in :class:`PriceCombination`),
+    ``z`` are :attr:`PriceCombination.bits` (``z_i = 1``: slot i at its ask),
     ``p_i`` in [0, U] its long part, ``r_i`` in [L, 0] its short part, and
     the quantity is ``x_i = p_i + r_i``. The rows ``p_i - U z_i <= 0`` and
     ``r_i + L z_i >= L`` pin ``r_i`` to 0 on the ask side and ``p_i`` to 0
@@ -344,10 +314,8 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     quantities on that combination's own subproblem.
     """
     slots = 2 * series.n
-    ask = build_subproblem(
-        spec, series, PriceCombination.from_index(series.n, (1 << slots) - 1)
-    )
-    bid = build_subproblem(spec, series, PriceCombination.from_index(series.n, 0))
+    ask = build_subproblem(spec, series, PriceCombination((1,) * slots))
+    bid = build_subproblem(spec, series, PriceCombination((0,) * slots))
     assert [(r.name, r.relation, r.rhs) for r in ask.rows] == [
         (r.name, r.relation, r.rhs) for r in bid.rows
     ]
@@ -386,5 +354,5 @@ def decode_combined(
     slots = 2 * n
     parts = values[slots:]
     quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
-    return PriceCombination.from_bits(values[:slots]), quantities
+    return PriceCombination(tuple(values[:slots])), quantities
 

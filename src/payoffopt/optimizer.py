@@ -110,14 +110,13 @@ def optimize(
     subproblem = build_subproblem(spec, series, combo)
     x = lex_refine(subproblem, first.objective, seed, slots)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
-    prices = combo.contract_prices(series)
     # exact bookkeeping identity between the compiled objective and the engine
-    assert first.objective == pnl(portfolio, prices, spec.expected_price)
+    assert first.objective == pnl(portfolio, combo, spec.expected_price)
     return PortfolioSolution(
         portfolio=portfolio,
         combination=combo,
         objective=first.objective,
-        initial_cost=initial_cost(portfolio, prices),
+        initial_cost=initial_cost(portfolio, combo),
         total_contracts=portfolio.total_contracts,
         payoff_curve=payoff_curve(portfolio),
     )
@@ -233,12 +232,7 @@ def solution_from_dict(
             raise ValueError(f"solution data missing {key!r}")
     calls = _stored_leg(data["quantities"], "call", series.call_strikes)
     puts = _stored_leg(data["quantities"], "put", series.put_strikes)
-    bits = data["combination"]
-    if not isinstance(bits, str) or len(bits) != 2 * series.n or set(bits) - {"0", "1"}:
-        raise ValueError(
-            f"combination bitstring {bits!r} does not fit a series of {series.n}"
-        )
-    combo = PriceCombination.from_bits([int(b) for b in bits])
+    combo = PriceCombination.parse(data["combination"], series.n)
     return Portfolio(series=series, calls=calls, puts=puts), combo
 
 
@@ -283,13 +277,14 @@ def _quantity_cells(
 
 
 def render_table(
-    blocks: Sequence[tuple[str, PortfolioSolution | None]],
+    blocks: Sequence[tuple[str, PortfolioSolution | str]],
     series: SeriesSelection,
 ) -> str:
     """Strike-by-strike quantity table with objective and contract footers.
 
     One Call/Put column pair per block; blanks where a strike is not in that
-    leg's series, ``infeasible`` in the footer for empty outcomes.
+    leg's series. A block without a solution holds the text its footer
+    shows instead (``infeasible`` or ``error``).
     """
     strikes = series.unique_strikes
     label_col = ["Strike"] + [str(k) for k in strikes] + [
@@ -298,9 +293,9 @@ def render_table(
     ]
     columns: list[tuple[str, list[str], list[str], str, str]] = []
     for label, solution in blocks:
-        if solution is None:
+        if isinstance(solution, str):
             calls = puts = [""] * len(strikes)
-            footer_obj, footer_total = "infeasible", ""
+            footer_obj, footer_total = solution, ""
         else:
             cells = _quantity_cells(series, solution.portfolio)
             calls = [call for _, call, _ in cells]
@@ -345,7 +340,11 @@ def solution_to_table(solution: PortfolioSolution) -> str:
 
 def sweep_to_table(report: SweepReport, series: SeriesSelection) -> str:
     blocks = [
-        (sweep_point_label(report.axis, p.value), p.solution) for p in report.points
+        (
+            sweep_point_label(report.axis, p.value),
+            p.solution or ("infeasible" if p.error is None else "error"),
+        )
+        for p in report.points
     ]
     return render_table(blocks, series)
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .market_data import SeriesSelection, Side
+from .market_data import SeriesSelection
+from .model_builder import PriceCombination
 from .money import CENTS, format_money
 
 
@@ -41,23 +42,6 @@ class Portfolio:
     def total_contracts(self) -> int:
         """Total number of contracts traded, sum of absolute quantities."""
         return sum(abs(x) for x in self.calls) + sum(abs(x) for x in self.puts)
-
-
-@dataclass(frozen=True)
-class ContractPrices:
-    """One chosen price and its quote side per contract slot, in cents."""
-
-    call_prices: tuple[int, ...]
-    put_prices: tuple[int, ...]
-    call_sides: tuple[Side, ...]
-    put_sides: tuple[Side, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.call_prices)
-        if not (
-            len(self.put_prices) == len(self.call_sides) == len(self.put_sides) == n
-        ):
-            raise ValueError("price and side tuples must share one length")
 
 
 @dataclass(frozen=True)
@@ -96,34 +80,31 @@ def payoff(portfolio: Portfolio, price: int) -> int:
     return total
 
 
-def initial_cost(portfolio: Portfolio, combo_prices: ContractPrices) -> int:
+def initial_cost(portfolio: Portfolio, combo: PriceCombination) -> int:
     """Net premium paid in cents: positive is a debit, negative a credit.
 
-    Each quantity multiplies its chosen price. Raises
+    Each quantity multiplies its slot's price under ``combo``. Raises
     :class:`PriceConsistencyError` when a strictly long slot carries a bid
     price or a strictly short slot an ask price; zero quantities are accepted
     on either side.
     """
-    if len(combo_prices.call_prices) != portfolio.series.n:
-        raise ValueError("prices and portfolio must share one series length")
+    n = portfolio.series.n
     total = 0
-    legs = (
-        ("call", portfolio.calls, combo_prices.call_prices, combo_prices.call_sides),
-        ("put", portfolio.puts, combo_prices.put_prices, combo_prices.put_sides),
-    )
-    for leg, quantities, prices, sides in legs:
-        for i, (x, price, side) in enumerate(zip(quantities, prices, sides)):
-            if x > 0 and side is not Side.ASK:
-                raise PriceConsistencyError(f"long {leg} slot {i} priced at bid")
-            if x < 0 and side is not Side.BID:
-                raise PriceConsistencyError(f"short {leg} slot {i} priced at ask")
-            total += x * price
+    prices = combo.prices(portfolio.series)
+    quantities = portfolio.calls + portfolio.puts
+    for i, (x, bit, price) in enumerate(zip(quantities, combo.bits, prices)):
+        leg, slot = ("call", i) if i < n else ("put", i - n)
+        if x > 0 and not bit:
+            raise PriceConsistencyError(f"long {leg} slot {slot} priced at bid")
+        if x < 0 and bit:
+            raise PriceConsistencyError(f"short {leg} slot {slot} priced at ask")
+        total += x * price
     return total
 
 
-def pnl(portfolio: Portfolio, combo_prices: ContractPrices, price: int) -> int:
+def pnl(portfolio: Portfolio, combo: PriceCombination, price: int) -> int:
     """Terminal profit in cents: payoff at ``price`` minus initial cost."""
-    return payoff(portfolio, price) - initial_cost(portfolio, combo_prices)
+    return payoff(portfolio, price) - initial_cost(portfolio, combo)
 
 
 def interval_slope(portfolio: Portfolio, q: int) -> int:

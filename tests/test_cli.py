@@ -223,6 +223,19 @@ class TestOptimizeCommand:
         assert captured.out == ""
         assert captured.err == f"error:solver:{detail}\n"
 
+    def test_unexpected_exception_is_an_internal_error(
+        self, chain_path, make_spec, monkeypatch, capsys
+    ):
+        # a defect must not read as exit 1, "no feasible portfolio"
+        def broken(spec, series):
+            raise AssertionError("pnl identity\nbroken")
+
+        monkeypatch.setattr("payoffopt.cli.optimize", broken)
+        assert invoke("optimize", "--chain", chain_path, "--spec", make_spec()) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:internal:AssertionError: pnl identity broken\n"
+
 
 FIXTURE_OPTIMIZE = (
     "optimize", "--chain", FIXTURES / "chain.csv", "--spec", FIXTURES / "spec.json",
@@ -726,18 +739,39 @@ class TestSweepCommand:
     def test_unrepresentable_bounds_fail_only_their_points(self, capsys):
         spec = FIXTURES / "spec.json"
         values = f"10,{10**15},{10**400}"
-        code = invoke(
-            "sweep", "--chain", FIXTURES / "chain.csv", "--spec", spec,
-            "--axis", "liquidity", "--values", values, "--format", "json",
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        points = json.loads(captured.out)["points"]
+        outputs = {}
+        for fmt in ("json", "csv", "table"):
+            code = invoke(
+                "sweep", "--chain", FIXTURES / "chain.csv", "--spec", spec,
+                "--axis", "liquidity", "--values", values, "--format", fmt,
+            )
+            assert code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs[fmt] = captured.out
+        points = json.loads(outputs["json"])["points"]
         assert points[0]["solution"]["objective"] == "400.00"
         assert [p["solution"] for p in points[1:]] == [None, None]
         assert points[1]["error"].endswith("(HiGHS Status 2: Model error)")
         assert points[2]["error"].startswith("program exceeds floating point")
+        csv_rows = outputs["csv"].splitlines()
+        assert "10,max_F,400," in csv_rows
+        for p in points[1:]:
+            assert f"{p['value']},error,{p['error']}," in csv_rows
+        # a failed point's column reads error, as in the CSV and JSON forms
+        footer = outputs["table"].splitlines()[-2].split()
+        assert footer == ["max", "F", "400", "error", "error"]
+
+    def test_negative_first_cost_needs_equals_form(self, chain_path, make_spec, capsys):
+        # argparse reads a separate "-1.00,..." as an option, not a value
+        args = ("sweep", "--chain", chain_path, "--spec", make_spec(), "--axis", "cost")
+        assert invoke(*args, "--values", "-1.00,0.60") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--values: expected one argument" in captured.err
+        assert invoke(*args, "--values=-1.00,0.60", "--format", "json") == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [p["value"] for p in points] == ["-1.00", "0.60"]
 
     def test_table_default(self, chain_path, make_spec, capsys):
         code = invoke(

@@ -1,0 +1,59 @@
+"""Every function, class and method of the package is used by the package.
+
+A definition that nothing in ``src/payoffopt`` refers to is code no command
+reaches; it gets deleted rather than kept for tests or for later. The check
+is by name: a definition counts as used when its name appears as a name or
+an attribute anywhere in the package outside its own body. Dunders are
+exempt, since Python calls them.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import payoffopt
+
+PACKAGE = Path(payoffopt.__file__).resolve().parent
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is read, written or taken as an attribute."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def orphans(package: Path) -> list[str]:
+    """``file:line name`` of each definition the package never refers to."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    used = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    found = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] - referenced_names(node)[name] <= 0:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_every_definition_is_referenced():
+    assert orphans(PACKAGE) == []
+
+
+def test_an_unused_definition_is_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
+        "class Box:\n    def spare(self):\n        return self\n"
+    )
+    assert orphans(tmp_path) == ["mod.py:5 recursive", "mod.py:9 Box", "mod.py:10 spare"]

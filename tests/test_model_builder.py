@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from payoffopt import SpecError
-from payoffopt.market_data import Side
+from payoffopt.market_data import SeriesSelection
 from payoffopt.model_builder import (
     CostTarget,
     IlpProblem,
@@ -28,45 +29,57 @@ COLUMN_1 = REFERENCE_COLUMNS[0]
 class TestPriceCombination:
     def test_index_zero_is_all_bids(self):
         combo = PriceCombination.from_index(2, 0)
-        assert combo.call_sides == (Side.BID, Side.BID)
-        assert combo.put_sides == (Side.BID, Side.BID)
+        assert combo.bits == (0, 0, 0, 0)
         assert combo.bitstring == "0000"
+        assert combo.prices(small_series()) == (400, 100, 80, 380)
 
     def test_first_call_slot_is_most_significant(self):
-        combo = PriceCombination.from_index(2, 0b1000)
-        assert combo.call_sides == (Side.ASK, Side.BID)
-        assert combo.put_sides == (Side.BID, Side.BID)
+        assert PriceCombination.from_index(2, 0b1000).bits == (1, 0, 0, 0)
+        assert PriceCombination((1, 0, 1, 1, 0, 0)).index == 0b101100
 
     def test_bitstring_round_trip(self):
         combo = PriceCombination.from_index(2, 10)
         assert combo.bitstring == "1010"
-        assert combo.call_sides == (Side.ASK, Side.BID)
-        assert combo.put_sides == (Side.ASK, Side.BID)
+        assert PriceCombination.parse("1010", 2) == combo
 
     @pytest.mark.parametrize("index", [-1, 16])
     def test_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="outside"):
             PriceCombination.from_index(2, index)
 
-    def test_mismatched_index_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            PriceCombination(
-                index=3, call_sides=(Side.BID,), put_sides=(Side.BID,)
-            )
+    @pytest.mark.parametrize("text", ["101", "10100", "1021", "1 10", 1010, None])
+    def test_parse_rejects_what_does_not_fit(self, text):
+        with pytest.raises(ValueError, match="does not fit a series of 2"):
+            PriceCombination.parse(text, 2)
 
-    def test_from_bits_round_trip(self):
-        combo = PriceCombination.from_index(3, 0b101100)
-        assert PriceCombination.from_bits((1, 0, 1, 1, 0, 0)) == combo
-        assert PriceCombination.from_bits(()) == PriceCombination.from_index(0, 0)
+    def test_prices_pick_sides(self):
+        prices = PriceCombination.from_index(2, 10).prices(small_series())
+        assert prices == (420, 100, 90, 380)
 
-    def test_contract_prices_pick_sides(self):
-        prices = PriceCombination.from_index(2, 10).contract_prices(small_series())
-        assert prices.call_prices == (420, 100)
-        assert prices.put_prices == (90, 380)
-
-    def test_contract_prices_length_check(self):
+    def test_prices_length_check(self):
         with pytest.raises(ValueError, match="share one length"):
-            PriceCombination.from_index(3, 0).contract_prices(small_series())
+            PriceCombination.from_index(3, 0).prices(small_series())
+
+    @given(st.data())
+    def test_index_bits_text_and_prices_agree(self, data):
+        n = data.draw(st.integers(1, 7))
+        index = data.draw(st.integers(0, (1 << (2 * n)) - 1))
+        combo = PriceCombination.from_index(n, index)
+        assert combo.index == index
+        assert len(combo.bitstring) == 2 * n
+        assert PriceCombination.parse(combo.bitstring, n).bits == combo.bits
+        series = SeriesSelection(
+            n=n,
+            call_strikes=tuple(range(100, 100 + n)),
+            put_strikes=tuple(range(100, 100 + n)),
+            call_asks=tuple(range(1000, 1000 + n)),
+            call_bids=tuple(range(10, 10 + n)),
+            put_asks=tuple(range(2000, 2000 + n)),
+            put_bids=tuple(range(20, 20 + n)),
+        )
+        asks = series.call_asks + series.put_asks
+        at_ask = tuple(int(p == a) for p, a in zip(combo.prices(series), asks))
+        assert at_ask == combo.bits
 
 
 class TestRow:

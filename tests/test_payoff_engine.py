@@ -1,10 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from payoffopt.market_data import SeriesSelection, Side
+from payoffopt.market_data import SeriesSelection
 from payoffopt.model_builder import PriceCombination
 from payoffopt.payoff_engine import (
-    ContractPrices,
     Portfolio,
     PriceConsistencyError,
     curve_to_csv,
@@ -86,41 +85,36 @@ def test_column_curve_csv(column_1_portfolio):
 
 def test_initial_cost_and_pnl():
     portfolio = Portfolio(series=small_series(), calls=(3, -3), puts=(3, -3))
-    prices = PriceCombination.from_index(2, 0b1010).contract_prices(small_series())
-    assert prices.call_sides == (Side.ASK, Side.BID)
-    assert prices.put_sides == (Side.ASK, Side.BID)
+    combo = PriceCombination.from_index(2, 0b1010)
     # long at ask, short at bid: 3*4.20 - 3*1.00 + 3*0.90 - 3*3.80
-    assert initial_cost(portfolio, prices) == 90
+    assert initial_cost(portfolio, combo) == 90
     assert payoff(portfolio, 10500) == 1500
-    assert pnl(portfolio, prices, 10500) == 1410
+    assert pnl(portfolio, combo, 10500) == 1410
 
 
 def test_zero_quantity_lands_on_bid():
     # a zero quantity is accepted on either side and costs nothing there
     portfolio = Portfolio(series=small_series(), calls=(0, 2), puts=(-1, 0))
     for index in (0b0100, 0b1101):  # zero slots at bid, then at ask
-        prices = PriceCombination.from_index(2, index).contract_prices(small_series())
-        assert initial_cost(portfolio, prices) == 2 * 110 - 80
+        combo = PriceCombination.from_index(2, index)
+        assert initial_cost(portfolio, combo) == 2 * 110 - 80
 
 
 def test_inconsistent_sides_rejected():
-    portfolio = Portfolio(series=small_series(), calls=(3, -3), puts=(0, 0))
-    wrong = ContractPrices(
-        call_prices=(400, 100),
-        put_prices=(80, 380),
-        call_sides=(Side.BID, Side.BID),  # long slot priced at bid
-        put_sides=(Side.BID, Side.BID),
-    )
-    with pytest.raises(PriceConsistencyError):
-        initial_cost(portfolio, wrong)
-    short_at_ask = ContractPrices(
-        call_prices=(420, 110),
-        put_prices=(90, 400),
-        call_sides=(Side.ASK, Side.ASK),  # short slot priced at ask
-        put_sides=(Side.ASK, Side.ASK),
-    )
-    with pytest.raises(PriceConsistencyError):
-        initial_cost(portfolio, short_at_ask)
+    # long at bid and short at ask, in each leg; zero slots fit either side
+    cases = [
+        ((3, -3), (0, 0), 0b0000, "long call slot 0 priced at bid"),
+        ((3, -3), (0, 0), 0b1111, "short call slot 1 priced at ask"),
+        ((0, 0), (0, 2), 0b0000, "long put slot 1 priced at bid"),
+        ((0, 0), (-2, 0), 0b0011, "short put slot 0 priced at ask"),
+    ]
+    for calls, puts, index, message in cases:
+        portfolio = Portfolio(series=small_series(), calls=calls, puts=puts)
+        combo = PriceCombination.from_index(2, index)
+        with pytest.raises(PriceConsistencyError, match=message):
+            initial_cost(portfolio, combo)
+        with pytest.raises(PriceConsistencyError, match=message):
+            pnl(portfolio, combo, 10500)
 
 
 def test_slope_index_bounds(column_1_portfolio):
