@@ -37,6 +37,13 @@ class TestPriceCombination:
         assert PriceCombination.from_index(2, 0b1000).bits == (1, 0, 0, 0)
         assert PriceCombination((1, 0, 1, 1, 0, 0)).index == 0b101100
 
+    def test_from_bits_round_trip(self):
+        # the side bits are the constructor; from_index must rebuild them
+        combo = PriceCombination.from_index(3, 0b101100)
+        assert PriceCombination((1, 0, 1, 1, 0, 0)) == combo
+        assert PriceCombination(()) == PriceCombination.from_index(0, 0)
+        assert PriceCombination.from_index(3, combo.index) == combo
+
     def test_bitstring_round_trip(self):
         combo = PriceCombination.from_index(2, 10)
         assert combo.bitstring == "1010"
