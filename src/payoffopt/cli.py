@@ -8,7 +8,8 @@ quality report). Exit codes: 0 success, 1 no feasible portfolio, 2 bad
 input, 3 solver resource limit, 4 solver backend failure, 5 internal error
 (any other exception, a defect: ``error:internal:<Type>: <detail>``). All
 failures print one machine-parseable ``error:<category>:<detail>`` line to
-stderr.
+stderr. A failure in one sweep point is that point's ``error``; a defect
+there still prints the whole report, then exits 5 with one such line.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ from .model_builder import (
 )
 from .money import MoneyError, is_digits, parse_money
 from .optimizer import (
+    SweepAxis,
     optimize,
     solution_from_dict,
     solution_to_csv,
     solution_to_json,
     solution_to_table,
-    sweep_cost,
-    sweep_liquidity,
+    sweep,
     sweep_to_csv,
     sweep_to_json,
     sweep_to_table,
@@ -268,13 +269,13 @@ def _infeasible(spec: StrategySpec, series: SeriesSelection) -> int:
     return 1
 
 
-def _parse_values(axis: str, values: str) -> list[int]:
+def _parse_values(axis: SweepAxis, values: str) -> list[int]:
     out = []
     for piece in values.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if axis == "cost":
+        if axis is SweepAxis.COST:
             try:
                 out.append(parse_money(piece))
             except MoneyError as exc:
@@ -310,17 +311,17 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     run, series = _load_inputs(args)
-    values = _parse_values(args.axis, args.values)
-    if args.axis == "cost":
-        report = sweep_cost(run.strategy, series, values)
-    else:
-        report = sweep_liquidity(run.strategy, series, values)
+    axis = SweepAxis(args.axis)
+    report = sweep(axis, run.strategy, series, _parse_values(axis, args.values))
     if args.format == "json":
         _emit(args, sweep_to_json(report))
     elif args.format == "csv":
         _emit(args, sweep_to_csv(report, series))
     else:
         _emit(args, sweep_to_table(report, series))
+    for point in report.points:
+        if point.error is not None and point.error.startswith("internal:"):
+            return _fail("internal", point.error.removeprefix("internal:"), 5)
     return 0
 
 

@@ -5,10 +5,16 @@ Two interchangeable on-disk formats are supported:
 
 * CSV: three ``key=value`` header lines (``underlying``, ``valuation``,
   ``expiry``), then one ``strike,right,bid,ask,volume`` record per line.
-  An empty bid or ask field means that side is not quoted.
+  Each field is stripped; an empty bid or ask field means that side is not
+  quoted.
 * JSON: an object with ``underlying_price``, ``valuation_date``,
   ``expiry_date`` and a ``quotes`` array of objects with the record fields;
-  money may be a number or an exact decimal string, a missing side is null.
+  a strike or volume is an integer or a string of ASCII digits, money may be
+  a number or an exact decimal string, a missing side is null.
+
+Both readers hand every record to one converter: a malformed record is a
+:class:`ParseError` that names ``row N`` (CSV) or ``quote N`` (JSON) and
+the field.
 
 Quote-quality problems (crossed quotes, non-monotone price ladders) are data,
 not failures: they are reported by :func:`validate_chain` and never block
@@ -173,39 +179,6 @@ class Violation:
 _HEADER_KEYS = ("underlying", "valuation", "expiry")
 
 
-def _read_text(source: str | bytes) -> str:
-    if isinstance(source, bytes):
-        try:
-            return source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"chain is not UTF-8 text: {exc}") from exc
-    return source
-
-
-def _parse_date(text: str, what: str) -> datetime.date:
-    try:
-        return datetime.date.fromisoformat(text.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad {what} date: {text!r}") from exc
-
-
-def _parse_side(text: str, row: int, name: str) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        return parse_money(text)
-    except MoneyError as exc:
-        raise ParseError(f"row {row}: bad {name} {text!r}") from exc
-
-
-def _parse_right(text: str) -> Right:
-    try:
-        return Right(text.strip().lower())
-    except ValueError as exc:
-        raise ParseError(f"bad right {text!r} (expected call or put)") from exc
-
-
 def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
     """Parse a chain from CSV or JSON text, or its UTF-8 bytes.
 
@@ -214,12 +187,82 @@ def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
     row and field), and :class:`DuplicateQuoteError` for a repeated
     (strike, right) pair.
     """
-    text = _read_text(source)
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"chain is not UTF-8 text: {exc}") from exc
     if format == "csv":
-        return _parse_csv(text)
+        return _parse_csv(source)
     if format == "json":
-        return _parse_json(text)
+        return _parse_json(source)
     raise ValueError(f"unknown chain format: {format!r}")
+
+
+def _count(value: object, name: str) -> int:
+    """A strike or volume: an integer (not a bool), or a string of ASCII
+    digits; a fraction, a sign or surrounding space is an error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and is_digits(value):
+        return int(value)  # past the int-string digit limit: a ValueError
+    raise ParseError(f"bad {name} {value!r}")
+
+
+def _money(value: object, name: str) -> int:
+    try:
+        return parse_money(value)
+    except MoneyError as exc:
+        raise ParseError(f"bad {name} {value!r}") from exc
+
+
+def _right(value: object) -> Right:
+    text = str(value)
+    try:
+        return Right(text.strip().lower())
+    except ValueError as exc:
+        raise ParseError(f"bad right {text!r} (expected call or put)") from exc
+
+
+def _quote(label: str, record: Mapping[str, object]) -> OptionQuote:
+    """The quote of one record, in either format; any fault is one
+    :class:`ParseError` that starts with the record's ``label``. A bid or
+    ask of ``None`` is a side that is not quoted."""
+    bid, ask = record.get("bid"), record.get("ask")
+    try:
+        return OptionQuote(
+            strike=_count(record["strike"], "strike"),
+            right=_right(record["right"]),
+            bid=None if bid is None else _money(bid, "bid"),
+            ask=None if ask is None else _money(ask, "ask"),
+            volume=_count(record["volume"], "volume"),
+        )
+    except KeyError as exc:
+        raise ParseError(f"{label}: missing field {exc.args[0]!r}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{label}: {exc}") from exc
+
+
+def _parse_date(value: object, what: str) -> datetime.date:
+    text = str(value)
+    try:
+        return datetime.date.fromisoformat(text.strip())
+    except ValueError as exc:
+        raise ParseError(f"bad {what} date: {text!r}") from exc
+
+
+def _chain(
+    header: Mapping[str, object], keys: tuple[str, str, str], quotes: list[OptionQuote]
+) -> OptionChain:
+    """The chain of ``quotes`` under the underlying price, valuation date and
+    expiry date that ``header`` holds at ``keys``."""
+    price, valuation, expiry = (header[key] for key in keys)
+    return OptionChain(
+        underlying_price=_money(price, keys[0]),
+        valuation_date=_parse_date(valuation, "valuation"),
+        expiry_date=_parse_date(expiry, "expiry"),
+        quotes=tuple(quotes),
+    )
 
 
 def _parse_csv(text: str) -> OptionChain:
@@ -238,55 +281,18 @@ def _parse_csv(text: str) -> OptionChain:
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 5:
             raise ParseError(f"row {row}: expected 5 fields, got {len(fields)}")
-        raw_strike, raw_right, raw_bid, raw_ask, raw_volume = fields
-        if not is_digits(raw_strike):
-            raise ParseError(f"row {row}: bad strike {raw_strike!r}")
-        if not is_digits(raw_volume):
-            raise ParseError(f"row {row}: bad volume {raw_volume!r}")
-        try:
-            right = _parse_right(raw_right)
-        except ParseError as exc:
-            raise ParseError(f"row {row}: {exc}") from None
-        try:
-            quotes.append(
-                OptionQuote(
-                    strike=int(raw_strike),
-                    right=right,
-                    bid=_parse_side(raw_bid, row, "bid"),
-                    ask=_parse_side(raw_ask, row, "ask"),
-                    volume=int(raw_volume),
-                )
-            )
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"row {row}: {exc}") from exc
+        strike, right, bid, ask, volume = fields
+        # an empty bid or ask field is a side that is not quoted
+        record = dict(
+            strike=strike, right=right, bid=bid or None, ask=ask or None, volume=volume
+        )
+        quotes.append(_quote(f"row {row}", record))
     for key in _HEADER_KEYS:
         if key not in headers:
             raise SchemaError(f"missing header: {key}")
     if not quotes:
         raise SchemaError("no quotes")
-    try:
-        underlying = parse_money(headers["underlying"])
-    except MoneyError as exc:
-        raise ParseError(f"bad underlying {headers['underlying']!r}") from exc
-    return OptionChain(
-        underlying_price=underlying,
-        valuation_date=_parse_date(headers["valuation"], "valuation"),
-        expiry_date=_parse_date(headers["expiry"], "expiry"),
-        quotes=tuple(quotes),
-    )
-
-
-def _json_count(item: dict, key: str, row: int) -> int:
-    """A quote's strike or volume: a JSON integer, or a string of ASCII
-    digits as in the CSV form; a fraction, a bool or other text is an error."""
-    value = item[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str) and is_digits(value):
-        return int(value)
-    raise ParseError(f"quote {row}: bad {key} {value!r}")
+    return _chain(headers, _HEADER_KEYS, quotes)
 
 
 def _parse_json(text: str) -> OptionChain:
@@ -296,7 +302,8 @@ def _parse_json(text: str) -> OptionChain:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("chain JSON must be an object")
-    for key in ("underlying_price", "valuation_date", "expiry_date", "quotes"):
+    header_keys = ("underlying_price", "valuation_date", "expiry_date")
+    for key in (*header_keys, "quotes"):
         if key not in data:
             raise SchemaError(f"missing header: {key}")
     raw_quotes = data["quotes"]
@@ -306,36 +313,8 @@ def _parse_json(text: str) -> OptionChain:
     for row, item in enumerate(raw_quotes, start=1):
         if not isinstance(item, dict):
             raise ParseError(f"quote {row}: expected an object")
-        try:
-            bid = item.get("bid")
-            ask = item.get("ask")
-            quotes.append(
-                OptionQuote(
-                    strike=_json_count(item, "strike", row),
-                    right=_parse_right(str(item["right"])),
-                    bid=None if bid is None else parse_money(bid),
-                    ask=None if ask is None else parse_money(ask),
-                    volume=_json_count(item, "volume", row),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"quote {row}: missing field {exc.args[0]!r}") from exc
-        except (MoneyError, TypeError) as exc:
-            raise ParseError(f"quote {row}: {exc}") from exc
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"quote {row}: {exc}") from exc
-    try:
-        underlying = parse_money(data["underlying_price"])
-    except MoneyError as exc:
-        raise ParseError(f"bad underlying_price {data['underlying_price']!r}") from exc
-    return OptionChain(
-        underlying_price=underlying,
-        valuation_date=_parse_date(str(data["valuation_date"]), "valuation"),
-        expiry_date=_parse_date(str(data["expiry_date"]), "expiry"),
-        quotes=tuple(quotes),
-    )
+        quotes.append(_quote(f"quote {row}", item))
+    return _chain(data, header_keys, quotes)
 
 
 def validate_chain(chain: OptionChain) -> list[Violation]:

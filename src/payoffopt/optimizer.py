@@ -24,6 +24,7 @@ from .model_builder import (
     CostTarget,
     PriceCombination,
     Relation,
+    SpecError,
     StrategySpec,
     build_combined,
     build_subproblem,
@@ -59,7 +60,7 @@ class SweepAxis(enum.Enum):
 @dataclass(frozen=True)
 class SweepPoint:
     """One parameter value with its outcome; ``error`` holds the message of
-    a solver failure (budget or numerical) that stopped this point's run,
+    the failure that stopped this point's run (see :func:`sweep`),
     ``solution`` is None when infeasible or failed."""
 
     value: int
@@ -122,55 +123,45 @@ def optimize(
     )
 
 
-def _sweep(
+def sweep(
     axis: SweepAxis,
-    specs: Sequence[tuple[int, StrategySpec]],
+    spec: StrategySpec,
     series: SeriesSelection,
+    values: Sequence[int],
 ) -> SweepReport:
+    """One :func:`optimize` run per value on ``axis``, sorted by value.
+
+    A cost value (cents) replaces the cost target and keeps its comparator,
+    ``=`` when the strategy has none; a liquidity value v bounds every
+    quantity to [-v, v]. A point whose run fails holds its error and the
+    sweep goes on: the message of a :class:`SolverError`, or
+    ``internal:<Type>: <detail>`` on one line for any other exception, a
+    defect. A strategy that does not fit the series stops the sweep with
+    its :class:`SpecError`.
+    """
+    if not values:
+        raise ValueError("values must be non-empty")
+    if axis is SweepAxis.LIQUIDITY and min(values) <= 0:
+        raise ValueError(f"liquidity bound must be positive: {min(values)}")
+    comparator = spec.cost_target.comparator if spec.cost_target else Relation.EQ
     points = []
-    for value, run_spec in specs:
+    for value in values:
+        if axis is SweepAxis.COST:
+            run_spec = dataclasses.replace(spec, cost_target=CostTarget(comparator, value))
+        else:
+            run_spec = dataclasses.replace(spec, lower=-value, upper=value)
+        solution = error = None
         try:
             solution = optimize(run_spec, series)
-            points.append(SweepPoint(value=value, solution=solution, error=None))
+        except SpecError:
+            raise
         except SolverError as exc:
-            points.append(SweepPoint(value=value, solution=None, error=str(exc)))
+            error = str(exc)
+        except Exception as exc:  # a defect fails its point, not the sweep
+            error = "internal:" + " ".join(f"{type(exc).__name__}: {exc}".split())
+        points.append(SweepPoint(value=value, solution=solution, error=error))
     points.sort(key=lambda p: p.value)  # stable: equal values keep input order
     return SweepReport(axis=axis, points=tuple(points))
-
-
-def sweep_cost(
-    spec: StrategySpec,
-    series: SeriesSelection,
-    cost_values: Sequence[int],
-) -> SweepReport:
-    """One optimize run per cost target (cents), comparator preserved."""
-    if not cost_values:
-        raise ValueError("cost_values must be non-empty")
-    comparator = (
-        spec.cost_target.comparator if spec.cost_target is not None else Relation.EQ
-    )
-    specs = [
-        (v, dataclasses.replace(spec, cost_target=CostTarget(comparator, v)))
-        for v in cost_values
-    ]
-    return _sweep(SweepAxis.COST, specs, series)
-
-
-def sweep_liquidity(
-    spec: StrategySpec,
-    series: SeriesSelection,
-    bound_values: Sequence[int],
-) -> SweepReport:
-    """One optimize run per symmetric bound: quantities range in [-v, v]."""
-    if not bound_values:
-        raise ValueError("bound_values must be non-empty")
-    for v in bound_values:
-        if v <= 0:
-            raise ValueError(f"liquidity bound must be positive: {v}")
-    specs = [
-        (v, dataclasses.replace(spec, lower=-v, upper=v)) for v in bound_values
-    ]
-    return _sweep(SweepAxis.LIQUIDITY, specs, series)
 
 
 def solution_to_dict(solution: PortfolioSolution) -> dict:

@@ -25,7 +25,7 @@ from payoffopt.model_builder import (
     build_subproblem,
     decode_combined,
 )
-from payoffopt.optimizer import sweep_liquidity
+from payoffopt.optimizer import SweepAxis, sweep
 from payoffopt.payoff_engine import Portfolio, payoff, payoff_curve
 from support import (
     REFERENCE_COLUMNS,
@@ -467,7 +467,7 @@ def test_answers_do_not_depend_on_row_order(
 def liquidity_sweep(fixture_run_config, fixture_series):
     spec = dataclasses.replace(fixture_run_config.strategy, cost_target=None)
     start = time.perf_counter()
-    report = sweep_liquidity(spec, fixture_series, [10, 50, 100])
+    report = sweep(SweepAxis.LIQUIDITY, spec, fixture_series, [10, 50, 100])
     elapsed = time.perf_counter() - start
     return report, elapsed
 

@@ -20,6 +20,8 @@ from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from payoffopt.model_builder import Relation, TailLossMode
 from support import chain_to_json, count_solver_calls
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 CHAIN_CSV = (
     "underlying=99.50\n"
     "valuation=2026-08-20\n"
@@ -761,6 +763,32 @@ class TestSweepCommand:
         # a failed point's column reads error, as in the CSV and JSON forms
         footer = outputs["table"].splitlines()[-2].split()
         assert footer == ["max", "F", "400", "error", "error"]
+
+    def test_defect_in_one_point_keeps_the_report(self, monkeypatch, capsys):
+        real = payoffopt.optimizer.optimize
+
+        def broken(spec, series):
+            if spec.upper == 50:
+                raise AssertionError("pnl identity\nbroken")
+            return real(spec, series)
+
+        monkeypatch.setattr("payoffopt.optimizer.optimize", broken)
+        code = invoke(
+            "sweep", "--chain", FIXTURES / "chain.csv", "--spec", FIXTURES / "spec.json",
+            "--axis", "liquidity", "--values", "10,50,100", "--format", "csv",
+        )
+        captured = capsys.readouterr()
+        # a defect is never success, but the points that solved still print
+        assert code == 5
+        assert captured.err == "error:internal:AssertionError: pnl identity broken\n"
+        golden = (GOLDEN / "sweep-liquidity-csv.out").read_text().splitlines()
+        rows = captured.out.splitlines()
+        assert [r for r in rows if not r.startswith("50,")] == [
+            r for r in golden if not r.startswith("50,")
+        ]
+        assert [r for r in rows if r.startswith("50,")] == [
+            "50,error,internal:AssertionError: pnl identity broken,"
+        ]
 
     def test_negative_first_cost_needs_equals_form(self, chain_path, make_spec, capsys):
         # argparse reads a separate "-1.00,..." as an option, not a value

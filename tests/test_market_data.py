@@ -117,6 +117,76 @@ def test_malformed_record_names_row(row, fragment):
     assert fragment in str(err.value)
 
 
+RECORD = {"strike": 100, "right": "call", "bid": "1.00", "ask": "2.00", "volume": 5}
+
+
+def one_record_chain(format, **fields):
+    """A chain of one quote in ``format``; ``fields`` override the record,
+    and a field set to ``...`` is left out. CSV writes every value with
+    ``str`` (``True`` as ``true``), JSON keeps its type."""
+    record = {**RECORD, **fields}
+    if format == "csv":
+        cells = [
+            str(v).lower() if isinstance(v, bool) else str(v)
+            for v in record.values() if v is not ...
+        ]
+        return "\n".join(SMALL_CSV.splitlines()[:3] + [",".join(cells)]) + "\n"
+    return json.dumps(
+        {
+            "underlying_price": "99.50",
+            "valuation_date": "2026-08-20",
+            "expiry_date": "2026-09-16",
+            "quotes": [{k: v for k, v in record.items() if v is not ...}],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "fields,fragment",
+    [
+        ({"strike": 7950.5}, "bad strike"),
+        ({"strike": True}, "bad strike"),
+        ({"strike": "١٠٠"}, "bad strike"),
+        ({"strike": 0}, "strike must be positive"),
+        ({"right": "fwd"}, "bad right 'fwd'"),
+        ({"bid": "1.234"}, "bad bid '1.234'"),
+        ({"ask": "abc"}, "bad ask 'abc'"),
+        ({"volume": 2.5}, "bad volume"),
+        (
+            {"volume": ...},
+            {"csv": "expected 5 fields", "json": "missing field 'volume'"},
+        ),
+    ],
+    ids=[
+        "fractional-strike", "bool-strike", "arabic-indic-strike", "zero-strike",
+        "right-fwd", "bid-three-decimals", "ask-text", "fractional-volume",
+        "missing-volume",
+    ],
+)
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_both_readers_reject_a_field_alike(format, fields, fragment):
+    # one record converter serves both formats: the fault names the record
+    # by its label in that format, then the field
+    if isinstance(fragment, dict):
+        fragment = fragment[format]
+    label = "row 4" if format == "csv" else "quote 1"
+    with pytest.raises(ParseError) as err:
+        parse_chain(one_record_chain(format, **fields), format)
+    assert str(err.value).startswith(f"{label}: ")
+    assert fragment in str(err.value)
+
+
+def test_json_strike_text_is_not_stripped():
+    with pytest.raises(ParseError, match="quote 1: bad strike ' 100'"):
+        parse_chain(one_record_chain("json", strike=" 100"), "json")
+
+
+def test_csv_fields_are_stripped():
+    text = one_record_chain("csv")
+    spaced = text.replace("100,call,1.00,2.00,5", " 100 , call ,1.00 , 2.00,5 ")
+    assert parse_chain(spaced) == parse_chain(text)
+
+
 def test_non_utf8_bytes_are_a_parse_error():
     with pytest.raises(ParseError, match="not UTF-8"):
         parse_chain(SMALL_CSV.encode() + b"100,put,4.\xe9,4.30,3\n")

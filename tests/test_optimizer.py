@@ -9,7 +9,7 @@ import payoffopt.ilp_solver
 import payoffopt.optimizer
 from payoffopt import optimize
 from payoffopt.ilp_solver import SolverNumericalError, SolverResourceError
-from payoffopt.model_builder import CostTarget, Relation, build_subproblem
+from payoffopt.model_builder import CostTarget, Relation, SpecError, build_subproblem
 from payoffopt.optimizer import (
     SweepAxis,
     solution_from_dict,
@@ -17,8 +17,7 @@ from payoffopt.optimizer import (
     solution_to_dict,
     solution_to_json,
     solution_to_table,
-    sweep_cost,
-    sweep_liquidity,
+    sweep,
     sweep_point_label,
     sweep_to_csv,
     sweep_to_dict,
@@ -167,14 +166,14 @@ class TestOptimize:
 
 class TestSweeps:
     def test_cost_sweep_points(self):
-        report = sweep_cost(base_spec(), small_series(), [90, 30, 60])
+        report = sweep(SweepAxis.COST, base_spec(), small_series(), [90, 30, 60])
         assert report.axis is SweepAxis.COST
         assert [p.value for p in report.points] == [30, 60, 90]
         assert [p.solution.objective for p in report.points] == [470, 940, 1410]
         assert all(p.error is None for p in report.points)
 
     def test_cost_sweep_matches_standalone_runs(self):
-        report = sweep_cost(base_spec(), small_series(), [60, 120])
+        report = sweep(SweepAxis.COST, base_spec(), small_series(), [60, 120])
         for point in report.points:
             spec = base_spec(cost_target=CostTarget(Relation.EQ, point.value))
             assert point.solution == optimize(spec, small_series())
@@ -182,11 +181,11 @@ class TestSweeps:
 
     def test_cost_sweep_keeps_comparator(self):
         spec = base_spec(cost_target=CostTarget(Relation.LE, 90))
-        report = sweep_cost(spec, small_series(), [30, 90, 150])
+        report = sweep(SweepAxis.COST, spec, small_series(), [30, 90, 150])
         assert [p.solution.objective for p in report.points] == [1230, 1410, 1410]
 
     def test_liquidity_sweep_points(self):
-        report = sweep_liquidity(base_spec(), small_series(), [3, 1, 2])
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [3, 1, 2])
         assert report.axis is SweepAxis.LIQUIDITY
         assert [p.value for p in report.points] == [1, 2, 3]
         assert [p.solution.objective for p in report.points] == [470, 940, 1410]
@@ -197,18 +196,18 @@ class TestSweeps:
     @pytest.mark.parametrize("values", [[], [0], [2, -1]])
     def test_liquidity_values_validated(self, values):
         with pytest.raises(ValueError):
-            sweep_liquidity(base_spec(), small_series(), values)
+            sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), values)
 
     def test_cost_values_validated(self):
         with pytest.raises(ValueError, match="non-empty"):
-            sweep_cost(base_spec(), small_series(), [])
+            sweep(SweepAxis.COST, base_spec(), small_series(), [])
 
     def test_resource_errors_captured_per_point(self, monkeypatch):
         def explode(problem, **kwargs):
             raise SolverResourceError("node budget of 3 exhausted")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        report = sweep_liquidity(base_spec(), small_series(), [1, 2])
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [1, 2])
         for point in report.points:
             assert point.solution is None
             assert "node budget" in point.error
@@ -218,10 +217,29 @@ class TestSweeps:
             raise SolverNumericalError("MILP backend failed (status 4)")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        report = sweep_liquidity(base_spec(), small_series(), [1, 2])
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [1, 2])
         for point in report.points:
             assert point.solution is None
             assert point.error.startswith("MILP backend failed")
+
+    def test_defect_fails_only_its_point(self, monkeypatch):
+        real = optimize
+
+        def broken(spec, series):
+            if spec.upper == 2:
+                raise AssertionError("pnl identity broken")
+            return real(spec, series)
+
+        monkeypatch.setattr("payoffopt.optimizer.optimize", broken)
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [3, 2, 1])
+        assert [p.error for p in report.points] == [
+            None, "internal:AssertionError: pnl identity broken", None,
+        ]
+        assert [p.solution is None for p in report.points] == [False, True, False]
+
+    def test_strategy_that_does_not_fit_stops_the_sweep(self):
+        with pytest.raises(SpecError, match="inflection-not-in-K"):
+            sweep(SweepAxis.COST, base_spec(inflection=105), small_series(), [60])
 
 
 class TestSerialization:
@@ -262,7 +280,7 @@ class TestSerialization:
             solution_from_dict(data, small_series())
 
     def test_sweep_dict_and_json(self):
-        report = sweep_cost(base_spec(), small_series(), [60, 120])
+        report = sweep(SweepAxis.COST, base_spec(), small_series(), [60, 120])
         data = sweep_to_dict(report)
         assert data["axis"] == "cost"
         assert [p["value"] for p in data["points"]] == ["0.60", "1.20"]
@@ -283,7 +301,7 @@ class TestRendering:
         )
 
     def test_sweep_table_columns(self):
-        report = sweep_liquidity(base_spec(), small_series(), [2, 1])
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [2, 1])
         text = sweep_to_table(report, small_series())
         lines = text.splitlines()
         assert "|L|=1" in lines[0] and "|L|=2" in lines[0]
@@ -292,7 +310,7 @@ class TestRendering:
         assert lines[-1].startswith("Total number of contracts")
 
     def test_sweep_table_marks_infeasible(self):
-        report = sweep_cost(base_spec(), small_series(), [120])
+        report = sweep(SweepAxis.COST, base_spec(), small_series(), [120])
         text = sweep_to_table(report, small_series())
         assert "infeasible" in text.splitlines()[-2]
 
@@ -311,7 +329,7 @@ class TestRendering:
         )
 
     def test_sweep_csv(self):
-        report = sweep_liquidity(base_spec(), small_series(), [2, 1])
+        report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [2, 1])
         assert sweep_to_csv(report, small_series()) == (
             "value,strike,call,put\n"
             "1,90,,1\n"
