@@ -70,105 +70,94 @@ class RunConfig:
     n: int
 
 
-_SPEC_KEYS = {
-    "expected_price",
-    "inflection",
-    "max_loss",
-    "cost_target",
-    "lower",
-    "upper",
-    "epsilon",
-    "tail_loss_mode",
-    "balance_left_tail",
-    "balance_right_tail",
-    "call_anchor",
-    "put_anchor",
-    "n",
-}
-
-
-def _spec_int(data: dict, key: str) -> int:
-    value = data[key]
+def _spec_int(value: object, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{key} must be an integer: {value!r}")
     return value
 
 
-def _spec_bool(data: dict, key: str) -> bool:
-    value = data.get(key, True)
+def _spec_bool(value: object, key: str) -> bool:
     if not isinstance(value, bool):
         raise SpecError(f"{key} must be a boolean: {value!r}")
     return value
 
 
-def _spec_money(data: dict, key: str) -> int:
+def _spec_money(value: object, key: str) -> int:
     try:
-        return parse_money(data[key])
+        return parse_money(value)
     except MoneyError as exc:
         raise SpecError(f"bad {key}: {exc}") from exc
 
 
-def load_run_config(data: dict) -> RunConfig:
+def _spec_mode(value: object, key: str) -> TailLossMode:
+    try:
+        return TailLossMode(value)
+    except ValueError as exc:
+        raise SpecError(f"bad {key}: {value!r}") from exc
+
+
+def _spec_cost_target(raw: object, key: str) -> CostTarget | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise SpecError(f"{key} must be an object")
+    extra = set(raw) - {"cmp", "value", "convention"}
+    if extra:
+        raise SpecError(f"unknown {key} key {sorted(extra)[0]!r}")
+    try:
+        comparator = Relation(raw.get("cmp", "="))
+    except ValueError as exc:
+        raise SpecError(f"bad {key} cmp: {raw.get('cmp')!r}") from exc
+    try:
+        value = parse_money(raw["value"])
+    except KeyError as exc:
+        raise SpecError(f"{key} needs a value") from exc
+    except MoneyError as exc:
+        raise SpecError(f"bad {key} value: {exc}") from exc
+    convention = raw.get("convention", "debit")
+    if convention not in ("debit", "credit"):
+        raise SpecError(f"bad {key} convention: {convention!r}")
+    return CostTarget(comparator, -value if convention == "credit" else value)
+
+
+# StrategySpec field -> reader of its strategy-file value, in the order their
+# faults are reported; a key the file leaves out takes StrategySpec's default
+_SPEC_READERS = {
+    "cost_target": _spec_cost_target,
+    "tail_loss_mode": _spec_mode,
+    "expected_price": _spec_money,
+    "inflection": _spec_int,
+    "max_loss": _spec_money,
+    "lower": _spec_int,
+    "upper": _spec_int,
+    "epsilon": _spec_money,
+    "balance_left_tail": _spec_bool,
+    "balance_right_tail": _spec_bool,
+}
+# the integer keys that select the series, read after the strategy
+_SERIES_KEYS = ("call_anchor", "put_anchor", "n")
+_REQUIRED_KEYS = (
+    "expected_price", "inflection", "max_loss", "lower", "upper",
+    "n", "call_anchor", "put_anchor",
+)
+
+
+def load_run_config(data: object) -> RunConfig:
     """Validate and convert a strategy JSON object."""
     if not isinstance(data, dict):
         raise SpecError("strategy file must hold a JSON object")
-    unknown = set(data) - _SPEC_KEYS
+    unknown = set(data) - set(_SPEC_READERS) - set(_SERIES_KEYS)
     if unknown:
         raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
-    for key in ("expected_price", "inflection", "max_loss", "lower", "upper", "n"):
+    for key in _REQUIRED_KEYS:
         if key not in data:
             raise SpecError(f"missing key {key!r}")
-    for key in ("call_anchor", "put_anchor"):
-        if key not in data:
-            raise SpecError(f"missing key {key!r}")
-
-    cost_target = None
-    if data.get("cost_target") is not None:
-        raw = data["cost_target"]
-        if not isinstance(raw, dict):
-            raise SpecError("cost_target must be an object")
-        extra = set(raw) - {"cmp", "value", "convention"}
-        if extra:
-            raise SpecError(f"unknown cost_target key {sorted(extra)[0]!r}")
-        try:
-            comparator = Relation(raw.get("cmp", "="))
-        except ValueError as exc:
-            raise SpecError(f"bad cost_target cmp: {raw.get('cmp')!r}") from exc
-        try:
-            value = parse_money(raw["value"])
-        except KeyError as exc:
-            raise SpecError("cost_target needs a value") from exc
-        except MoneyError as exc:
-            raise SpecError(f"bad cost_target value: {exc}") from exc
-        convention = raw.get("convention", "debit")
-        if convention not in ("debit", "credit"):
-            raise SpecError(f"bad cost_target convention: {convention!r}")
-        if convention == "credit":
-            value = -value
-        cost_target = CostTarget(comparator=comparator, value=value)
-
-    try:
-        mode = TailLossMode(data.get("tail_loss_mode", "pnl"))
-    except ValueError as exc:
-        raise SpecError(f"bad tail_loss_mode: {data.get('tail_loss_mode')!r}") from exc
-
-    strategy = StrategySpec(
-        expected_price=_spec_money(data, "expected_price"),
-        inflection=_spec_int(data, "inflection"),
-        max_loss=_spec_money(data, "max_loss"),
-        lower=_spec_int(data, "lower"),
-        upper=_spec_int(data, "upper"),
-        cost_target=cost_target,
-        epsilon=_spec_money(data, "epsilon") if "epsilon" in data else 1,
-        tail_loss_mode=mode,
-        balance_left_tail=_spec_bool(data, "balance_left_tail"),
-        balance_right_tail=_spec_bool(data, "balance_right_tail"),
-    )
+    fields = {
+        key: read(data[key], key) for key, read in _SPEC_READERS.items() if key in data
+    }
     return RunConfig(
-        strategy=strategy,
-        call_anchor=_spec_int(data, "call_anchor"),
-        put_anchor=_spec_int(data, "put_anchor"),
-        n=_spec_int(data, "n"),
+        strategy=StrategySpec(**fields),
+        **{key: _spec_int(data[key], key) for key in _SERIES_KEYS},
     )
 
 
@@ -227,22 +216,23 @@ def _load_chain(path: Path) -> OptionChain:
     return parse_chain(data, fmt)
 
 
-def _load_run_config(path: Path) -> RunConfig:
+def _read_json(path: Path, what: str, error: type[Exception]) -> object:
+    """The JSON document in the ``what`` file at ``path``; a file that cannot
+    be read, decoded or parsed raises ``error``."""
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except OSError as exc:
-        raise SpecError(f"cannot read strategy {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise SpecError(f"strategy {path} is not UTF-8: {exc}") from exc
+        raise error(f"{what} {path} is not UTF-8: {exc}") from exc
     except ValueError as exc:  # malformed, or an integer past the digit limit
-        raise SpecError(f"invalid strategy JSON: {exc}") from exc
-    return load_run_config(data)
+        raise error(f"invalid {what} JSON: {exc}") from exc
 
 
 def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, SeriesSelection]:
     """The strategy file and the series it selects from the chain."""
     chain = _load_chain(args.chain)
-    run = _load_run_config(args.spec)
+    run = load_run_config(_read_json(args.spec, "strategy", SpecError))
     return run, select_series(chain, run.n, run.call_anchor, run.put_anchor)
 
 
@@ -256,17 +246,25 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         raise CliError(f"cannot write {args.output}: {exc}") from exc
 
 
+def _render(args: argparse.Namespace, result, to_json, to_csv, to_table) -> None:
+    """Write ``result`` through the renderer that ``--format`` names."""
+    render = {"json": to_json, "csv": to_csv, "table": to_table}[args.format]
+    _emit(args, render(result))
+
+
+def _fail(category: str, detail: object, code: int) -> int:
+    """Write the ``error:<category>:<detail>`` line; returns ``code``."""
+    text = " ".join(str(detail).split())
+    print(f"error:{category}:{text}", file=sys.stderr)
+    return code
+
+
 def _infeasible(spec: StrategySpec, series: SeriesSelection) -> int:
     """Report a run without a feasible portfolio; returns its exit code."""
-    problem = build_subproblem(
-        spec, series, PriceCombination.from_index(series.n, 0)
-    )
+    problem = build_subproblem(spec, series, PriceCombination.from_index(series.n, 0))
     names = ",".join(row.name for row in problem.rows)
-    print(
-        f"error:infeasible:no feasible portfolio; constraints attempted: {names}",
-        file=sys.stderr,
-    )
-    return 1
+    detail = f"no feasible portfolio; constraints attempted: {names}"
+    return _fail("infeasible", detail, 1)
 
 
 def _parse_values(axis: SweepAxis, values: str) -> list[int]:
@@ -300,12 +298,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     solution = optimize(run.strategy, series)
     if solution is None:
         return _infeasible(run.strategy, series)
-    if args.format == "json":
-        _emit(args, solution_to_json(solution))
-    elif args.format == "csv":
-        _emit(args, solution_to_csv(solution))
-    else:
-        _emit(args, solution_to_table(solution))
+    _render(args, solution, solution_to_json, solution_to_csv, solution_to_table)
     return 0
 
 
@@ -313,12 +306,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     run, series = _load_inputs(args)
     axis = SweepAxis(args.axis)
     report = sweep(axis, run.strategy, series, _parse_values(axis, args.values))
-    if args.format == "json":
-        _emit(args, sweep_to_json(report))
-    elif args.format == "csv":
-        _emit(args, sweep_to_csv(report, series))
-    else:
-        _emit(args, sweep_to_table(report, series))
+    _render(args, report, sweep_to_json, sweep_to_csv, sweep_to_table)
     for point in report.points:
         if point.error is not None and point.error.startswith("internal:"):
             return _fail("internal", point.error.removeprefix("internal:"), 5)
@@ -328,14 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_payoff(args: argparse.Namespace) -> int:
     run, series = _load_inputs(args)
     if args.solution is not None:
-        try:
-            data = json.loads(args.solution.read_text())
-        except OSError as exc:
-            raise CliError(f"cannot read solution: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CliError(f"solution is not UTF-8: {exc}") from exc
-        except ValueError as exc:  # malformed, or an integer past the digit limit
-            raise CliError(f"invalid solution JSON: {exc}") from exc
+        data = _read_json(args.solution, "solution", CliError)
         try:
             portfolio, _ = solution_from_dict(data, series)
         except ValueError as exc:
@@ -354,10 +335,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_chain(_load_chain(args.chain))
     lines = [f"{v.kind}: {v.message}" for v in report]
     _emit(args, "\n".join(lines) + "\n" if lines else "")
-    if report:
-        print(f"error:validation:{len(report)} violations", file=sys.stderr)
-        return 2
-    return 0
+    return _fail("validation", f"{len(report)} violations", 2) if report else 0
 
 
 _COMMANDS = {
@@ -366,12 +344,6 @@ _COMMANDS = {
     "payoff": _cmd_payoff,
     "validate": _cmd_validate,
 }
-
-
-def _fail(category: str, detail: object, code: int) -> int:
-    text = " ".join(str(detail).split())
-    print(f"error:{category}:{text}", file=sys.stderr)
-    return code
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -244,11 +244,13 @@ def _quote(label: str, record: Mapping[str, object]) -> OptionQuote:
 
 
 def _parse_date(value: object, what: str) -> datetime.date:
-    text = str(value)
+    """An ISO date from a string; a JSON number is not a date."""
+    if not isinstance(value, str):
+        raise ParseError(f"bad {what} date: {value!r}")
     try:
-        return datetime.date.fromisoformat(text.strip())
+        return datetime.date.fromisoformat(value.strip())
     except ValueError as exc:
-        raise ParseError(f"bad {what} date: {text!r}") from exc
+        raise ParseError(f"bad {what} date: {value!r}") from exc
 
 
 def _chain(

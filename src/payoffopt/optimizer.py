@@ -72,6 +72,7 @@ class SweepPoint:
 class SweepReport:
     axis: SweepAxis
     points: tuple[SweepPoint, ...]
+    series: SeriesSelection
 
 
 def optimize(
@@ -161,7 +162,7 @@ def sweep(
             error = "internal:" + " ".join(f"{type(exc).__name__}: {exc}".split())
         points.append(SweepPoint(value=value, solution=solution, error=error))
     points.sort(key=lambda p: p.value)  # stable: equal values keep input order
-    return SweepReport(axis=axis, points=tuple(points))
+    return SweepReport(axis=axis, points=tuple(points), series=series)
 
 
 def solution_to_dict(solution: PortfolioSolution) -> dict:
@@ -329,7 +330,7 @@ def solution_to_table(solution: PortfolioSolution) -> str:
     return render_table([("", solution)], solution.portfolio.series)
 
 
-def sweep_to_table(report: SweepReport, series: SeriesSelection) -> str:
+def sweep_to_table(report: SweepReport) -> str:
     blocks = [
         (
             sweep_point_label(report.axis, p.value),
@@ -337,7 +338,7 @@ def sweep_to_table(report: SweepReport, series: SeriesSelection) -> str:
         )
         for p in report.points
     ]
-    return render_table(blocks, series)
+    return render_table(blocks, report.series)
 
 
 def solution_to_csv(solution: PortfolioSolution) -> str:
@@ -349,7 +350,7 @@ def solution_to_csv(solution: PortfolioSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_to_csv(report: SweepReport, series: SeriesSelection) -> str:
+def sweep_to_csv(report: SweepReport) -> str:
     lines = ["value,strike,call,put"]
     for p in report.points:
         value = (
@@ -363,7 +364,7 @@ def sweep_to_csv(report: SweepReport, series: SeriesSelection) -> str:
         if p.solution is None:
             lines.append(f"{value},infeasible,,")
             continue
-        for k, call, put in _quantity_cells(series, p.solution.portfolio):
+        for k, call, put in _quantity_cells(report.series, p.solution.portfolio):
             lines.append(f"{value},{k},{call},{put}")
         lines.append(f"{value},max_F,{format_money(p.solution.objective, trim=True)},")
         lines.append(f"{value},total_contracts,{p.solution.total_contracts},")

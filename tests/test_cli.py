@@ -407,6 +407,59 @@ class TestLoadRunConfig:
         with pytest.raises(SpecError, match="bad tail_loss_mode"):
             load_run_config({**SPEC, "tail_loss_mode": "gross"})
 
+    # each fault the loader reports first, then the repair that uncovers the
+    # next one: (message, key, new value, or ... to drop the key)
+    FAULT_ORDER = [
+        ("unknown key 'extra'", "extra", ...),
+        ("missing key 'expected_price'", "expected_price", "x"),
+        ("missing key 'inflection'", "inflection", "100"),
+        ("missing key 'max_loss'", "max_loss", "1.234"),
+        ("missing key 'lower'", "lower", True),
+        ("missing key 'upper'", "upper", 1.5),
+        ("missing key 'n'", "n", "2"),
+        ("missing key 'call_anchor'", "call_anchor", "100"),
+        ("missing key 'put_anchor'", "put_anchor", None),
+        ("bad cost_target cmp: '<'", "cost_target", {"value": "1.00", "x": 1}),
+        ("unknown cost_target key 'x'", "cost_target", None),
+        ("bad tail_loss_mode: 'gross'", "tail_loss_mode", "pnl"),
+        ("bad expected_price: not a money amount: 'x'", "expected_price", "-1.00"),
+        ("inflection must be an integer: '100'", "inflection", 0),
+        ("bad max_loss: more than two decimal places: '1.234'", "max_loss", "-5.00"),
+        ("lower must be an integer: True", "lower", -3),
+        ("upper must be an integer: 1.5", "upper", -1),
+        ("bad epsilon: not a money amount: 'x'", "epsilon", "0.00"),
+        ("balance_left_tail must be a boolean: 'false'", "balance_left_tail", False),
+        ("balance_right_tail must be a boolean: 0", "balance_right_tail", False),
+        ("expected price must be positive: -100", "expected_price", "105.00"),
+        ("inflection must be a positive strike: 0", "inflection", 100),
+        ("bounds must straddle zero: lower -3, upper -1", "upper", 3),
+        ("epsilon must be positive: 0", "epsilon", "0.01"),
+        ("call_anchor must be an integer: '100'", "call_anchor", 100),
+        ("put_anchor must be an integer: None", "put_anchor", 90),
+        ("n must be an integer: '2'", "n", 2),
+    ]
+
+    def test_faults_are_reported_in_a_fixed_order(self):
+        data = {
+            "extra": 1,
+            "cost_target": {"cmp": "<", "value": "1.00"},
+            "tail_loss_mode": "gross",
+            "epsilon": "x",
+            "balance_left_tail": "false",
+            "balance_right_tail": 0,
+        }
+        reported = []
+        for _, key, repair in self.FAULT_ORDER:
+            with pytest.raises(SpecError) as info:
+                load_run_config(data)
+            reported.append(str(info.value))
+            if repair is ...:
+                del data[key]
+            else:
+                data[key] = repair
+        assert reported == [message for message, _, _ in self.FAULT_ORDER]
+        assert load_run_config(data) == load_run_config({**SPEC, "epsilon": "0.01"})
+
 
 class TestChainErrors:
     def test_missing_chain_file(self, tmp_path, make_spec, capsys):
@@ -452,6 +505,16 @@ class TestChainErrors:
         assert captured.out == ""
         assert captured.err.startswith("error:chain:invalid JSON")
         assert len(captured.err.splitlines()) == 1
+
+    def test_json_date_that_is_a_number(self, tmp_path, capsys):
+        text = (FIXTURES / "chain.json").read_text()
+        assert '"valuation_date": "2011-11-04"' in text
+        path = tmp_path / "chain.json"
+        path.write_text(text.replace('"2011-11-04"', "20111104"))
+        assert invoke("validate", "--chain", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:chain:bad valuation date: 20111104\n"
 
     @pytest.mark.parametrize("command", ["validate", "optimize"])
     @pytest.mark.parametrize("name", ["chain.csv", "chain.json"])
@@ -605,7 +668,8 @@ class TestPayoffCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:args:solution is not UTF-8")
+        assert captured.err.startswith(f"error:args:solution {stored} ")
+        assert "not UTF-8" in captured.err
         assert len(captured.err.splitlines()) == 1
 
     STORED = {

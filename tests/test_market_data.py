@@ -234,6 +234,17 @@ def test_json_strike_and_volume_may_be_digit_strings():
     assert parse_chain(json.dumps(data), "json") == chain
 
 
+@pytest.mark.parametrize(
+    "key, what", [("valuation_date", "valuation"), ("expiry_date", "expiry")]
+)
+def test_json_date_must_be_a_string(key, what):
+    data = json.loads(chain_to_json(parse_chain(SMALL_CSV)))
+    data[key] = 20260820
+    with pytest.raises(ParseError) as err:
+        parse_chain(json.dumps(data), "json")
+    assert str(err.value) == f"bad {what} date: 20260820"
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="format"):
         parse_chain(SMALL_CSV, "xml")

@@ -302,7 +302,7 @@ class TestRendering:
 
     def test_sweep_table_columns(self):
         report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [2, 1])
-        text = sweep_to_table(report, small_series())
+        text = sweep_to_table(report)
         lines = text.splitlines()
         assert "|L|=1" in lines[0] and "|L|=2" in lines[0]
         assert lines[1].count("Call") == 2 and lines[1].count("Put") == 2
@@ -311,7 +311,7 @@ class TestRendering:
 
     def test_sweep_table_marks_infeasible(self):
         report = sweep(SweepAxis.COST, base_spec(), small_series(), [120])
-        text = sweep_to_table(report, small_series())
+        text = sweep_to_table(report)
         assert "infeasible" in text.splitlines()[-2]
 
     def test_point_labels(self):
@@ -330,7 +330,7 @@ class TestRendering:
 
     def test_sweep_csv(self):
         report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [2, 1])
-        assert sweep_to_csv(report, small_series()) == (
+        assert sweep_to_csv(report) == (
             "value,strike,call,put\n"
             "1,90,,1\n"
             "1,100,1,-1\n"
