@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +41,7 @@ from .model_builder import (
     TailLossMode,
     build_subproblem,
 )
-from .money import MoneyError, is_digits, parse_money
+from .money import is_digits, parse_money
 from .optimizer import (
     SweepAxis,
     optimize,
@@ -85,7 +86,7 @@ def _spec_bool(value: object, key: str) -> bool:
 def _spec_money(value: object, key: str) -> int:
     try:
         return parse_money(value)
-    except MoneyError as exc:
+    except ValueError as exc:
         raise SpecError(f"bad {key}: {exc}") from exc
 
 
@@ -112,7 +113,7 @@ def _spec_cost_target(raw: object, key: str) -> CostTarget | None:
         value = parse_money(raw["value"])
     except KeyError as exc:
         raise SpecError(f"{key} needs a value") from exc
-    except MoneyError as exc:
+    except ValueError as exc:
         raise SpecError(f"bad {key} value: {exc}") from exc
     convention = raw.get("convention", "debit")
     if convention not in ("debit", "credit"):
@@ -155,10 +156,13 @@ def load_run_config(data: object) -> RunConfig:
     fields = {
         key: read(data[key], key) for key, read in _SPEC_READERS.items() if key in data
     }
-    return RunConfig(
+    run = RunConfig(
         strategy=StrategySpec(**fields),
         **{key: _spec_int(data[key], key) for key in _SERIES_KEYS},
     )
+    if run.n <= 0:
+        raise SpecError(f"n must be positive: {run.n}")
+    return run
 
 
 @functools.cache
@@ -220,7 +224,7 @@ def _read_json(path: Path, what: str, error: type[Exception]) -> object:
     """The JSON document in the ``what`` file at ``path``; a file that cannot
     be read, decoded or parsed raises ``error``."""
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -237,13 +241,22 @@ def _load_inputs(args: argparse.Namespace) -> tuple[RunConfig, SeriesSelection]:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.output is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to ``--output``, or to stdout and flush it; either
+    write failing is an args error."""
     try:
-        args.output.write_text(text)
+        if args.output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            args.output.write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot write {args.output}: {exc}") from exc
+        if args.output is None:
+            # stdout's buffer may still hold the text; on the null device the
+            # interpreter's flush at exit cannot fail with a second message
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise CliError(f"cannot write {args.output or 'stdout'}: {exc}") from exc
 
 
 def _render(args: argparse.Namespace, result, to_json, to_csv, to_table) -> None:
@@ -276,7 +289,7 @@ def _parse_values(axis: SweepAxis, values: str) -> list[int]:
         if axis is SweepAxis.COST:
             try:
                 out.append(parse_money(piece))
-            except MoneyError as exc:
+            except ValueError as exc:
                 raise CliError(f"bad cost value {piece!r}: {exc}") from exc
             continue
         if not is_digits(piece):

@@ -28,10 +28,11 @@ most of the remaining infeasible programs before any MILP.
 
 An infeasible problem gives ``None``. A program HiGHS rejects as a model
 error, or one with a number beyond floating point, raises
-:class:`SolverNumericalError` instead. Every MILP runs under the node limit
-:data:`NODE_BUDGET`; running out raises :class:`SolverResourceError`, never
-a silently wrong answer. The tests compare against an exhaustive
-enumeration of the bound box under the same contract.
+:class:`SolverError` instead. Every MILP runs under the node limit
+:data:`NODE_BUDGET`; running out raises its subclass
+:class:`SolverResourceError`, never a silently wrong answer. The tests
+compare against an exhaustive enumeration of the bound box under the same
+contract.
 """
 
 from __future__ import annotations
@@ -54,15 +55,12 @@ NODE_BUDGET = 10_000_000
 
 
 class SolverError(RuntimeError):
-    """Base class for solver failures that are not plain infeasibility."""
+    """The backend failed or returned something unusable; a failure, never
+    a verdict of infeasibility."""
 
 
 class SolverResourceError(SolverError):
     """The node budget was exhausted before the search finished."""
-
-
-class SolverNumericalError(SolverError):
-    """The LP backend failed or returned something unusable."""
 
 
 @dataclass(frozen=True)
@@ -244,14 +242,12 @@ def _milp_once(
     if result.status == 1:
         raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
     if result.status != 0 or result.x is None:
-        raise SolverNumericalError(
+        raise SolverError(
             f"MILP backend failed (status {result.status}): {result.message}"
         )
     x = tuple(int(round(v)) for v in result.x)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
-        raise SolverNumericalError(
-            "MILP point fails exact integer verification"
-        )
+        raise SolverError("MILP point fails exact integer verification")
     return sum(c * v for c, v in zip(objective, x)), x
 
 
@@ -290,8 +286,8 @@ def lex_refine(
     widths after slot j in the block.
 
     A seed that fails the check, or a block solve that finds no point,
-    raises :class:`SolverNumericalError`. The seed proves the program
-    feasible, so no exact equality check runs here.
+    raises :class:`SolverError`. The seed proves the program feasible, so
+    no exact equality check runs here.
     """
     pin = Row(
         name="objective_pin",
@@ -303,7 +299,7 @@ def lex_refine(
     bounds = list(problem.bounds)
     x = tuple(seed)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
-        raise SolverNumericalError(f"seed point misses the optimum {optimum}")
+        raise SolverError(f"seed point misses the optimum {optimum}")
     constraint = _compile_rows(rows, problem.num_vars)
     j = 0
     while j < stop:
@@ -320,7 +316,7 @@ def lex_refine(
             weight *= widths[i - j]
         result = _milp_once(key, rows, constraint, bounds, _box(bounds))
         if result is None:
-            raise SolverNumericalError(f"no point at the optimum {optimum}")
+            raise SolverError(f"no point at the optimum {optimum}")
         _, x = result
         for i in block:
             bounds[i] = (x[i], x[i])
@@ -347,7 +343,7 @@ def solve_ilp(
         constraint = _compile_rows(problem.rows, problem.num_vars)
         box = _box(problem.bounds)
     except OverflowError as exc:
-        raise SolverNumericalError(f"program exceeds floating point: {exc}") from exc
+        raise SolverError(f"program exceeds floating point: {exc}") from exc
     if _root_lp_infeasible(problem.objective, constraint, box):
         return None
     result = _milp_once(

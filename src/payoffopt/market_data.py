@@ -13,7 +13,7 @@ Two interchangeable on-disk formats are supported:
   a number or an exact decimal string, a missing side is null.
 
 Both readers hand every record to one converter: a malformed record is a
-:class:`ParseError` that names ``row N`` (CSV) or ``quote N`` (JSON) and
+:class:`MarketDataError` that names ``row N`` (CSV) or ``quote N`` (JSON) and
 the field.
 
 Quote-quality problems (crossed quotes, non-monotone price ladders) are data,
@@ -23,14 +23,16 @@ parsing or selection.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import enum
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .money import MoneyError, format_money, is_digits, parse_money
+from .money import format_money, is_digits, parse_money
 
 
 class Right(enum.Enum):
@@ -41,23 +43,8 @@ class Right(enum.Enum):
 
 
 class MarketDataError(ValueError):
-    """Base class for chain parsing, schema, and selection failures."""
-
-
-class ParseError(MarketDataError):
-    """A record or field could not be decoded; the message names it."""
-
-
-class SchemaError(MarketDataError):
-    """The input is structurally unusable (missing header, no quotes, ...)."""
-
-
-class DuplicateQuoteError(MarketDataError):
-    """Two quotes share one (strike, right) key."""
-
-
-class SelectionError(MarketDataError):
-    """The requested strike series cannot be assembled from the chain."""
+    """A chain that cannot be parsed, or a series it cannot supply; the
+    message names the record, field or strike at fault."""
 
 
 @dataclass(frozen=True)
@@ -97,18 +84,18 @@ class OptionChain:
 
     def __post_init__(self) -> None:
         if self.underlying_price <= 0:
-            raise SchemaError(
+            raise MarketDataError(
                 f"underlying price must be positive: {format_money(self.underlying_price)}"
             )
         if self.expiry_date < self.valuation_date:
-            raise SchemaError(
+            raise MarketDataError(
                 f"expiry {self.expiry_date} precedes valuation {self.valuation_date}"
             )
         seen: set[tuple[int, Right]] = set()
         for q in self.quotes:
             key = (q.strike, q.right)
             if key in seen:
-                raise DuplicateQuoteError(
+                raise MarketDataError(
                     f"duplicate quote for strike {q.strike} {q.right.value}"
                 )
             seen.add(key)
@@ -177,21 +164,21 @@ class Violation:
 
 
 _HEADER_KEYS = ("underlying", "valuation", "expiry")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
     """Parse a chain from CSV or JSON text, or its UTF-8 bytes.
 
-    Raises :class:`SchemaError` for a missing header field or an empty quote
-    section, :class:`ParseError` for a malformed record (the message names the
-    row and field), and :class:`DuplicateQuoteError` for a repeated
-    (strike, right) pair.
+    Raises :class:`MarketDataError` for a missing header field, an empty
+    quote section, a malformed record (the message names the row and field)
+    or a repeated (strike, right) pair.
     """
     if isinstance(source, bytes):
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"chain is not UTF-8 text: {exc}") from exc
+            raise MarketDataError(f"chain is not UTF-8 text: {exc}") from exc
     if format == "csv":
         return _parse_csv(source)
     if format == "json":
@@ -206,14 +193,14 @@ def _count(value: object, name: str) -> int:
         return value
     if isinstance(value, str) and is_digits(value):
         return int(value)  # past the int-string digit limit: a ValueError
-    raise ParseError(f"bad {name} {value!r}")
+    raise MarketDataError(f"bad {name} {value!r}")
 
 
 def _money(value: object, name: str) -> int:
     try:
         return parse_money(value)
-    except MoneyError as exc:
-        raise ParseError(f"bad {name} {value!r}") from exc
+    except ValueError as exc:
+        raise MarketDataError(f"bad {name} {value!r}") from exc
 
 
 def _right(value: object) -> Right:
@@ -221,12 +208,12 @@ def _right(value: object) -> Right:
     try:
         return Right(text.strip().lower())
     except ValueError as exc:
-        raise ParseError(f"bad right {text!r} (expected call or put)") from exc
+        raise MarketDataError(f"bad right {text!r} (expected call or put)") from exc
 
 
 def _quote(label: str, record: Mapping[str, object]) -> OptionQuote:
     """The quote of one record, in either format; any fault is one
-    :class:`ParseError` that starts with the record's ``label``. A bid or
+    :class:`MarketDataError` that starts with the record's ``label``. A bid or
     ask of ``None`` is a side that is not quoted."""
     bid, ask = record.get("bid"), record.get("ask")
     try:
@@ -238,19 +225,20 @@ def _quote(label: str, record: Mapping[str, object]) -> OptionQuote:
             volume=_count(record["volume"], "volume"),
         )
     except KeyError as exc:
-        raise ParseError(f"{label}: missing field {exc.args[0]!r}") from exc
+        raise MarketDataError(f"{label}: missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
-        raise ParseError(f"{label}: {exc}") from exc
+        raise MarketDataError(f"{label}: {exc}") from exc
 
 
 def _parse_date(value: object, what: str) -> datetime.date:
-    """An ISO date from a string; a JSON number is not a date."""
-    if not isinstance(value, str):
-        raise ParseError(f"bad {what} date: {value!r}")
-    try:
-        return datetime.date.fromisoformat(value.strip())
-    except ValueError as exc:
-        raise ParseError(f"bad {what} date: {value!r}") from exc
+    """A ``YYYY-MM-DD`` date from a string, surrounding space stripped; a
+    JSON number, or another form ``date.fromisoformat`` accepts on newer
+    Pythons (``20111104``, ``2011-W44-5``), is not a date."""
+    text = value.strip() if isinstance(value, str) else ""
+    if _DATE.fullmatch(text):
+        with contextlib.suppress(ValueError):  # a month or day out of range
+            return datetime.date.fromisoformat(text)
+    raise MarketDataError(f"bad {what} date: {value!r}")
 
 
 def _chain(
@@ -277,12 +265,14 @@ def _parse_csv(text: str) -> OptionChain:
         key, eq, value = line.partition("=")
         if eq and key.strip() in _HEADER_KEYS and "," not in key:
             if quotes:
-                raise ParseError(f"row {row}: header {key.strip()!r} after records")
+                raise MarketDataError(
+                    f"row {row}: header {key.strip()!r} after records"
+                )
             headers[key.strip()] = value.strip()
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 5:
-            raise ParseError(f"row {row}: expected 5 fields, got {len(fields)}")
+            raise MarketDataError(f"row {row}: expected 5 fields, got {len(fields)}")
         strike, right, bid, ask, volume = fields
         # an empty bid or ask field is a side that is not quoted
         record = dict(
@@ -291,9 +281,9 @@ def _parse_csv(text: str) -> OptionChain:
         quotes.append(_quote(f"row {row}", record))
     for key in _HEADER_KEYS:
         if key not in headers:
-            raise SchemaError(f"missing header: {key}")
+            raise MarketDataError(f"missing header: {key}")
     if not quotes:
-        raise SchemaError("no quotes")
+        raise MarketDataError("no quotes")
     return _chain(headers, _HEADER_KEYS, quotes)
 
 
@@ -301,20 +291,20 @@ def _parse_json(text: str) -> OptionChain:
     try:
         data = json.loads(text)
     except ValueError as exc:  # malformed, or an integer past the digit limit
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        raise MarketDataError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise SchemaError("chain JSON must be an object")
+        raise MarketDataError("chain JSON must be an object")
     header_keys = ("underlying_price", "valuation_date", "expiry_date")
     for key in (*header_keys, "quotes"):
         if key not in data:
-            raise SchemaError(f"missing header: {key}")
+            raise MarketDataError(f"missing header: {key}")
     raw_quotes = data["quotes"]
     if not isinstance(raw_quotes, list) or not raw_quotes:
-        raise SchemaError("no quotes")
+        raise MarketDataError("no quotes")
     quotes: list[OptionQuote] = []
     for row, item in enumerate(raw_quotes, start=1):
         if not isinstance(item, dict):
-            raise ParseError(f"quote {row}: expected an object")
+            raise MarketDataError(f"quote {row}: expected an object")
         quotes.append(_quote(f"quote {row}", item))
     return _chain(data, header_keys, quotes)
 
@@ -373,19 +363,19 @@ def select_series(
 
     "Consecutive" means adjacent in the chain's listed ladder for that right,
     whatever the strike spacing. Every selected slot must quote both sides;
-    otherwise a :class:`SelectionError` names the gap.
+    otherwise a :class:`MarketDataError` names the gap.
     """
     if n <= 0:
-        raise SelectionError(f"series length must be positive: {n}")
+        raise MarketDataError(f"series length must be positive: {n}")
 
     def pick(right: Right, anchor: int) -> list[OptionQuote]:
         listed = chain.strikes(right)
         if anchor not in listed:
-            raise SelectionError(f"{right.value} anchor {anchor} not listed")
+            raise MarketDataError(f"{right.value} anchor {anchor} not listed")
         start = listed.index(anchor)
         strikes = listed[start : start + n]
         if len(strikes) < n:
-            raise SelectionError(
+            raise MarketDataError(
                 f"only {len(strikes)} {right.value} strikes listed from "
                 f"anchor {anchor}, need {n}"
             )
@@ -395,7 +385,7 @@ def select_series(
             assert q is not None
             for side in ("ask", "bid"):
                 if getattr(q, side) is None:
-                    raise SelectionError(f"{right.value} {side} missing at strike {s}")
+                    raise MarketDataError(f"{right.value} {side} missing at strike {s}")
             out.append(q)
         return out
 

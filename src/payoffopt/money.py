@@ -11,24 +11,21 @@ from __future__ import annotations
 CENTS = 100
 
 
-class MoneyError(ValueError):
-    """Raised for text that does not denote an exact two-decimal amount."""
-
-
 def parse_money(value: int | float | str) -> int:
     """Return ``value`` in integer cents.
 
     Accepts ints (whole currency units), two-decimal strings like ``"174.5"``
-    or ``"-100.00"``, and floats whose shortest repr is such a string.
+    or ``"-100.00"``, and floats whose shortest repr is such a string; any
+    other value raises :class:`ValueError`.
     """
     if isinstance(value, bool):
-        raise MoneyError(f"not a money amount: {value!r}")
+        raise ValueError(f"not a money amount: {value!r}")
     if isinstance(value, int):
         return value * CENTS
     if isinstance(value, float):
         value = repr(value)
     if not isinstance(value, str):
-        raise MoneyError(f"not a money amount: {value!r}")
+        raise ValueError(f"not a money amount: {value!r}")
     text = value.strip()
     sign = 1
     if text.startswith(("+", "-")):
@@ -36,13 +33,13 @@ def parse_money(value: int | float | str) -> int:
         text = text[1:]
     whole, dot, frac = text.partition(".")
     if not is_digits(whole) or (dot and not is_digits(frac)):
-        raise MoneyError(f"not a money amount: {value!r}")
+        raise ValueError(f"not a money amount: {value!r}")
     if len(frac) > 2:
-        raise MoneyError(f"more than two decimal places: {value!r}")
+        raise ValueError(f"more than two decimal places: {value!r}")
     try:
         cents = int(whole) * CENTS + int(frac.ljust(2, "0"))
     except ValueError as exc:  # beyond Python's int-string digit limit
-        raise MoneyError(f"amount has too many digits: {len(whole)}") from exc
+        raise ValueError(f"amount has too many digits: {len(whole)}") from exc
     return sign * cents
 
 

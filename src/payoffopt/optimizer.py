@@ -97,10 +97,9 @@ def optimize(
     point of that restriction at the overall optimum is one of the
     subproblem's optima.
 
-    A solver failure propagates as its own :class:`SolverError` subclass
-    (:class:`SolverResourceError` for an exhausted budget,
-    :class:`SolverNumericalError` for a backend failure or a stage that
-    misses the first optimum).
+    A solver failure propagates: :class:`SolverResourceError` for an
+    exhausted budget, :class:`SolverError` itself for a backend failure or a
+    stage that misses the first optimum.
     """
     combined = build_combined(spec, series)
     first = solve_ilp(combined, refine=False)

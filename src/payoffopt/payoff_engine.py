@@ -19,10 +19,6 @@ from .model_builder import PriceCombination
 from .money import CENTS, format_money
 
 
-class PriceConsistencyError(ValueError):
-    """A strictly long slot was priced at bid, or strictly short at ask."""
-
-
 @dataclass(frozen=True)
 class Portfolio:
     """Integer contract quantities per slot of a series."""
@@ -84,9 +80,9 @@ def initial_cost(portfolio: Portfolio, combo: PriceCombination) -> int:
     """Net premium paid in cents: positive is a debit, negative a credit.
 
     Each quantity multiplies its slot's price under ``combo``. Raises
-    :class:`PriceConsistencyError` when a strictly long slot carries a bid
-    price or a strictly short slot an ask price; zero quantities are accepted
-    on either side.
+    :class:`ValueError` when a strictly long slot carries a bid price or a
+    strictly short slot an ask price; zero quantities are accepted on either
+    side.
     """
     n = portfolio.series.n
     total = 0
@@ -95,9 +91,9 @@ def initial_cost(portfolio: Portfolio, combo: PriceCombination) -> int:
     for i, (x, bit, price) in enumerate(zip(quantities, combo.bits, prices)):
         leg, slot = ("call", i) if i < n else ("put", i - n)
         if x > 0 and not bit:
-            raise PriceConsistencyError(f"long {leg} slot {slot} priced at bid")
+            raise ValueError(f"long {leg} slot {slot} priced at bid")
         if x < 0 and bit:
-            raise PriceConsistencyError(f"short {leg} slot {slot} priced at ask")
+            raise ValueError(f"short {leg} slot {slot} priced at ask")
         total += x * price
     return total
 

@@ -244,6 +244,14 @@ FIXTURE_OPTIMIZE = (
 )
 
 
+def subprocess_env(**overrides):
+    """This environment with the package's source on ``PYTHONPATH``, for
+    ``python -m payoffopt`` in a subprocess, plus ``overrides``."""
+    src = str(Path(payoffopt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
 class TestFixtureCommand:
     def test_feasible_run_writes_nothing_unasked(self, capfd):
         with warnings.catch_warnings(record=True) as caught:
@@ -267,19 +275,56 @@ class TestFixtureCommand:
     def test_python_dash_m_matches_run(self, module, capsys):
         expected_code = invoke(*FIXTURE_OPTIMIZE, "--format", "json")
         expected_out = capsys.readouterr().out
-        src = str(Path(payoffopt.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         completed = subprocess.run(
             [sys.executable, "-m", module, *map(str, FIXTURE_OPTIMIZE), "--format", "json"],
             capture_output=True,
             text=True,
-            env=env,
+            env=subprocess_env(),
             timeout=120,
         )
         assert (completed.returncode, completed.stdout) == (expected_code, expected_out)
         assert expected_code == 0 and expected_out
         assert completed.stderr == ""
+
+    def test_solution_file_is_utf8_in_any_locale(self, tmp_path):
+        # under the C locale, without UTF-8 mode, the locale encoding is
+        # ASCII; a stored solution with an extra non-ASCII key still reads
+        stored = json.loads((GOLDEN / "optimize-csv-json.out").read_text())
+        path = tmp_path / "solution.json"
+        document = json.dumps({**stored, "note": "r\u00e9f"}, ensure_ascii=False)
+        path.write_bytes(document.encode("utf-8"))
+        env = subprocess_env(LC_ALL="C", PYTHONCOERCECLOCALE="0")
+        env.pop("PYTHONUTF8", None)
+        completed = subprocess.run(
+            [
+                sys.executable, "-X", "utf8=0", "-m", "payoffopt", "payoff",
+                "--chain", FIXTURES / "chain.csv", "--spec", FIXTURES / "spec.json",
+                "--solution", path,
+            ],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert (completed.returncode, completed.stderr) == (0, b"")
+        assert completed.stdout == (GOLDEN / "payoff.out").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_failed_stdout_write_is_an_args_error(self, unbuffered):
+        # the write fails at once when stdout is unbuffered, else at the
+        # flush; the interpreter's own flush at exit must not fail again
+        with open("/dev/full", "wb") as full:
+            completed = subprocess.run(
+                [sys.executable, "-m", "payoffopt", *map(str, FIXTURE_OPTIMIZE)],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=subprocess_env(PYTHONUNBUFFERED=unbuffered),
+                timeout=120,
+            )
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error:args:cannot write stdout: ")
+        assert len(completed.stderr.splitlines()) == 1
 
 
 class TestSpecErrors:
@@ -304,6 +349,13 @@ class TestSpecErrors:
 
     def test_bad_money_value(self, chain_path, make_spec, capsys):
         self.check(chain_path, make_spec(max_loss="5.001"), capsys, "bad max_loss")
+
+    def test_series_length_not_positive(self, chain_path, make_spec, capsys):
+        # a fault of the strategy, not of the chain it selects from
+        assert invoke("optimize", "--chain", chain_path, "--spec", make_spec(n=0)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:spec:n must be positive: 0\n"
 
     def test_non_ascii_digit_in_money(self, chain_path, make_spec, capsys):
         spec = make_spec(epsilon="\u00b2")
@@ -436,7 +488,8 @@ class TestLoadRunConfig:
         ("epsilon must be positive: 0", "epsilon", "0.01"),
         ("call_anchor must be an integer: '100'", "call_anchor", 100),
         ("put_anchor must be an integer: None", "put_anchor", 90),
-        ("n must be an integer: '2'", "n", 2),
+        ("n must be an integer: '2'", "n", 0),
+        ("n must be positive: 0", "n", 2),
     ]
 
     def test_faults_are_reported_in_a_fixed_order(self):

@@ -16,7 +16,7 @@ from scipy.optimize import (
 
 from payoffopt.ilp_solver import (
     IntSolution,
-    SolverNumericalError,
+    SolverError,
     _BLOCK_RANGE,
     _FEASIBILITY_JUMP_WARNING,
     _block_size,
@@ -292,8 +292,9 @@ def test_repeated_solve_error_raises(monkeypatch):
         return OptimizeResult(status=4, x=None, message="Solve error")
 
     monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_milp)
-    with pytest.raises(SolverNumericalError, match="status 4"):
+    with pytest.raises(SolverError, match="status 4") as err:
         solve_ilp(fractional_problem())
+    assert err.type is SolverError
     assert calls == [True, False]
 
 
@@ -315,8 +316,9 @@ def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, message, ca
     if message == INFEASIBLE:
         assert solve_ilp(fractional_problem()) is None
     else:
-        with pytest.raises(SolverNumericalError, match="Model error"):
+        with pytest.raises(SolverError, match="Model error") as err:
             solve_ilp(fractional_problem())
+        assert err.type is SolverError
     assert seen == calls
 
 
@@ -331,8 +333,9 @@ def test_unrepresentable_program_is_a_solver_error(coefficient, message):
         rows=(Row("huge", (coefficient,), Relation.LE, coefficient),),
         bounds=((0, 1),),
     )
-    with pytest.raises(SolverNumericalError, match=message):
+    with pytest.raises(SolverError, match=message) as err:
         solve_ilp(problem)
+    assert err.type is SolverError
 
 
 def test_feasibility_jump_off_in_both_attempts(monkeypatch):
@@ -345,8 +348,9 @@ def test_feasibility_jump_off_in_both_attempts(monkeypatch):
         return OptimizeResult(status=4, x=None, message="Solve error")
 
     monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_milp)
-    with pytest.raises(SolverNumericalError):
+    with pytest.raises(SolverError, match="status 4") as err:
         solve_ilp(fractional_problem())
+    assert err.type is SolverError
     assert [o.get("presolve", True) for o in seen] == [True, False]
     assert all(o["mip_heuristic_run_feasibility_jump"] is False for o in seen)
 
@@ -498,10 +502,12 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
 
 def test_lex_refine_rejects_a_seed_off_the_optimum():
     problem = fractional_problem()
-    with pytest.raises(SolverNumericalError, match="seed"):
+    with pytest.raises(SolverError, match="seed") as err:
         lex_refine(problem, 2, (1,), 1)
-    with pytest.raises(SolverNumericalError, match="seed"):
+    assert err.type is SolverError
+    with pytest.raises(SolverError, match="seed") as err:
         lex_refine(problem, 3, (3,), 1)
+    assert err.type is SolverError
 
 
 def test_brute_force_capacity_guard():

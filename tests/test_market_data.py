@@ -5,13 +5,10 @@ import pytest
 
 from payoffopt import parse_chain, select_series
 from payoffopt.market_data import (
-    DuplicateQuoteError,
+    MarketDataError,
     OptionChain,
     OptionQuote,
-    ParseError,
     Right,
-    SchemaError,
-    SelectionError,
     SeriesSelection,
     validate_chain,
 )
@@ -67,12 +64,12 @@ def test_missing_side_is_none():
 
 def test_missing_header_is_schema_error():
     bad = SMALL_CSV.replace("expiry=2026-09-16\n", "")
-    with pytest.raises(SchemaError, match="expiry"):
+    with pytest.raises(MarketDataError, match="^missing header: expiry$"):
         parse_chain(bad)
 
 
 def test_no_quotes_is_schema_error():
-    with pytest.raises(SchemaError, match="no quotes"):
+    with pytest.raises(MarketDataError, match="^no quotes$"):
         parse_chain("underlying=1.00\nvaluation=2026-01-01\nexpiry=2026-02-01\n")
 
 
@@ -109,10 +106,10 @@ def test_malformed_record_names_row(row, fragment):
                 "quotes": [{**quote, **row}],
             }
         )
-        with pytest.raises(ParseError, match="quote 1") as err:
+        with pytest.raises(MarketDataError, match="quote 1") as err:
             parse_chain(document, "json")
     else:
-        with pytest.raises(ParseError, match="row 4") as err:
+        with pytest.raises(MarketDataError, match="row 4") as err:
             parse_chain("\n".join(SMALL_CSV.splitlines()[:3]) + "\n" + row + "\n")
     assert fragment in str(err.value)
 
@@ -170,14 +167,14 @@ def test_both_readers_reject_a_field_alike(format, fields, fragment):
     if isinstance(fragment, dict):
         fragment = fragment[format]
     label = "row 4" if format == "csv" else "quote 1"
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(MarketDataError) as err:
         parse_chain(one_record_chain(format, **fields), format)
     assert str(err.value).startswith(f"{label}: ")
     assert fragment in str(err.value)
 
 
 def test_json_strike_text_is_not_stripped():
-    with pytest.raises(ParseError, match="quote 1: bad strike ' 100'"):
+    with pytest.raises(MarketDataError, match="quote 1: bad strike ' 100'"):
         parse_chain(one_record_chain("json", strike=" 100"), "json")
 
 
@@ -188,25 +185,29 @@ def test_csv_fields_are_stripped():
 
 
 def test_non_utf8_bytes_are_a_parse_error():
-    with pytest.raises(ParseError, match="not UTF-8"):
+    with pytest.raises(MarketDataError, match="^chain is not UTF-8 text: "):
         parse_chain(SMALL_CSV.encode() + b"100,put,4.\xe9,4.30,3\n")
 
 
 def test_duplicate_quote_rejected():
-    with pytest.raises(DuplicateQuoteError):
+    with pytest.raises(MarketDataError, match="^duplicate quote for strike 100 call$"):
         parse_chain(SMALL_CSV + "100,call,4.10,4.30,3\n")
 
 
 def test_header_after_records_rejected():
     lines = SMALL_CSV.splitlines()
     shuffled = lines[1:4] + [lines[0]] + lines[4:]
-    with pytest.raises(ParseError, match="header"):
+    with pytest.raises(
+        MarketDataError, match="^row 4: header 'underlying' after records$"
+    ):
         parse_chain("\n".join(shuffled) + "\n")
 
 
 def test_expiry_before_valuation_rejected():
     bad = SMALL_CSV.replace("expiry=2026-09-16", "expiry=2026-08-01")
-    with pytest.raises(SchemaError):
+    with pytest.raises(
+        MarketDataError, match="^expiry 2026-08-01 precedes valuation 2026-08-20$"
+    ):
         parse_chain(bad)
 
 
@@ -240,9 +241,33 @@ def test_json_strike_and_volume_may_be_digit_strings():
 def test_json_date_must_be_a_string(key, what):
     data = json.loads(chain_to_json(parse_chain(SMALL_CSV)))
     data[key] = 20260820
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(MarketDataError) as err:
         parse_chain(json.dumps(data), "json")
     assert str(err.value) == f"bad {what} date: 20260820"
+
+
+# the same days in the basic and the week form, which ``date.fromisoformat``
+# takes from Python 3.11 on; a chain takes only YYYY-MM-DD on every Python
+OTHER_ISO_FORMS = {
+    "valuation": {"basic": "20260820", "week": "2026-W34-4"},
+    "expiry": {"basic": "20260916", "week": "2026-W38-3"},
+}
+
+
+@pytest.mark.parametrize("form", ["basic", "week"])
+@pytest.mark.parametrize("what", ["valuation", "expiry"])
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_date_must_be_year_month_day(format, what, form):
+    chain = parse_chain(SMALL_CSV)
+    day = getattr(chain, f"{what}_date").isoformat()
+    text = SMALL_CSV if format == "csv" else chain_to_json(chain)
+    assert text.count(day) == 1
+    other = OTHER_ISO_FORMS[what][form]
+    with pytest.raises(MarketDataError) as err:
+        parse_chain(text.replace(day, other), format)
+    assert str(err.value) == f"bad {what} date: {other!r}"
+    # surrounding space is stripped, as before
+    assert parse_chain(text.replace(day, f" {day} "), format) == chain
 
 
 def test_unknown_format_rejected():
@@ -320,13 +345,13 @@ def test_select_series_fixture_grid(fixture_series):
     ],
 )
 def test_select_series_errors(n, call_anchor, put_anchor, fragment):
-    with pytest.raises(SelectionError, match=fragment):
+    with pytest.raises(MarketDataError, match=fragment):
         select_series(parse_chain(SMALL_CSV), n, call_anchor, put_anchor)
 
 
 def test_select_series_names_missing_side():
     text = SMALL_CSV.replace("110,call,1.00,1.10,80", "110,call,,1.10,80")
-    with pytest.raises(SelectionError, match="call bid missing at strike 110"):
+    with pytest.raises(MarketDataError, match="call bid missing at strike 110"):
         select_series(parse_chain(text), 2, 100, 90)
 
 

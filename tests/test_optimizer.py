@@ -8,7 +8,7 @@ from scipy.optimize import OptimizeResult
 import payoffopt.ilp_solver
 import payoffopt.optimizer
 from payoffopt import optimize
-from payoffopt.ilp_solver import SolverNumericalError, SolverResourceError
+from payoffopt.ilp_solver import SolverError, SolverResourceError
 from payoffopt.model_builder import CostTarget, Relation, SpecError, build_subproblem
 from payoffopt.optimizer import (
     SweepAxis,
@@ -97,11 +97,12 @@ class TestOptimize:
 
     def test_numerical_error_names_combination(self, monkeypatch):
         def explode(problem, **kwargs):
-            raise SolverNumericalError("MILP backend failed (status 4)")
+            raise SolverError("MILP backend failed (status 4)")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
-        with pytest.raises(SolverNumericalError, match="MILP backend"):
+        with pytest.raises(SolverError, match="MILP backend") as err:
             optimize(base_spec(), small_series())
+        assert err.type is SolverError
 
     @pytest.mark.parametrize("stage", ["stage-a-no-point", "stage-b-seed"])
     def test_stage_missing_the_optimum_is_a_solver_error(self, monkeypatch, stage):
@@ -136,8 +137,9 @@ class TestOptimize:
 
             monkeypatch.setattr(payoffopt.optimizer, "build_subproblem", shifted)
             message = "seed point misses"
-        with pytest.raises(SolverNumericalError, match=message):
+        with pytest.raises(SolverError, match=message) as err:
             optimize(base_spec(), small_series())
+        assert err.type is SolverError
         if stage == "stage-a-no-point":
             # the real first solve, then the Stage-A block and its
             # presolve-off recheck, both faked
@@ -214,7 +216,7 @@ class TestSweeps:
 
     def test_numerical_errors_captured_per_point(self, monkeypatch):
         def explode(problem, **kwargs):
-            raise SolverNumericalError("MILP backend failed (status 4)")
+            raise SolverError("MILP backend failed (status 4)")
 
         monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
         report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [1, 2])

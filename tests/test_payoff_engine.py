@@ -5,7 +5,6 @@ from payoffopt.market_data import SeriesSelection
 from payoffopt.model_builder import PriceCombination
 from payoffopt.payoff_engine import (
     Portfolio,
-    PriceConsistencyError,
     curve_to_csv,
     initial_cost,
     interval_slope,
@@ -111,9 +110,9 @@ def test_inconsistent_sides_rejected():
     for calls, puts, index, message in cases:
         portfolio = Portfolio(series=small_series(), calls=calls, puts=puts)
         combo = PriceCombination.from_index(2, index)
-        with pytest.raises(PriceConsistencyError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             initial_cost(portfolio, combo)
-        with pytest.raises(PriceConsistencyError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             pnl(portfolio, combo, 10500)
 
 
