@@ -1,20 +1,27 @@
 """Exact solver for bounded integer linear programs.
 
-:func:`solve_ilp` is HiGHS branch and cut (scipy's ``milp``) with a zero
-optimality gap. The search runs in floating point, but the returned point is
-re-verified and its objective recomputed in exact integer arithmetic before
-acceptance. Among optima the lexicographically smallest solution vector is
-returned by :func:`lex_refine`: with the objective pinned at its optimal
-value, the slots are minimized in blocks, one MILP per block whose objective
-reads the block as one mixed-radix number, starting from the first optimal
-point. A slot that point already holds at its lower bound is fixed there
-without a solve (lexicographic optimization as a sequence of
-epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*, 2005,
-ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor, *Math. Prog.
-Comp.* 2023) is switched off: on these small programs it is a fixed cost of
-about 12 ms per call, most of the solve. It only proposes incumbents, so the
-proven optimum, and the unique lexicographically smallest optimal point the
-refine returns, cannot change.
+:func:`solve_ilp` is HiGHS's dual simplex and branch and cut (Huangfu & Hall,
+*Math. Prog. Comp.* 2018) with a zero optimality gap, driven through the
+binding scipy bundles. Each program is loaded into one HiGHS instance once
+and every solve of it runs on that instance in place: the root LP, the first
+MILP and its presolve-off recheck in :func:`solve_ilp`, and one MILP per
+block in :func:`lex_refine`, which changes only the block's costs and the
+bounds it fixes. Each run starts from nothing of the one before, so its
+search is the one a freshly loaded model would get. The search runs in
+floating point, but the returned point is re-verified and its objective
+recomputed in exact integer arithmetic before acceptance. Among optima the
+lexicographically smallest solution vector is returned by
+:func:`lex_refine`: with the objective pinned at its optimal value, the
+slots are minimized in blocks, one MILP per block whose objective reads the
+block as one mixed-radix number, starting from the first optimal point. A
+slot that point already holds at its lower bound is fixed there without a
+solve (lexicographic optimization as a sequence of epsilon-constraint
+programs; Ehrgott, *Multicriteria Optimization*, 2005, ch. 5). HiGHS's
+feasibility-jump heuristic (Luteberget & Sartor, *Math. Prog. Comp.* 2023)
+is switched off: on these small programs it is a fixed cost of about 12 ms
+per call, most of the solve. It only proposes incumbents, so the proven
+optimum, and the unique lexicographically smallest optimal point the refine
+returns, cannot change.
 
 Before any HiGHS call, :func:`solve_ilp` asks whether the equality rows alone
 have an integer solution at all, whatever the bounds. It decides this in
@@ -22,17 +29,17 @@ exact integer arithmetic by column-style Euclidean elimination to Hermite
 normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
 Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
 program is infeasible without a solver call and without a presolve-off
-recheck. Otherwise the program's rows are compiled once into a sparse matrix,
-and a root LP on them (the same ``milp`` call with no integrality) settles
-most of the remaining infeasible programs before any MILP.
+recheck. Otherwise a root LP, the loaded model with every column switched
+to continuous, settles most of the remaining infeasible programs before any
+MILP.
 
-An infeasible problem gives ``None``. A program HiGHS rejects as a model
-error, or one with a number beyond floating point, raises
-:class:`SolverError` instead. Every MILP runs under the node limit
-:data:`NODE_BUDGET`; running out raises its subclass
-:class:`SolverResourceError`, never a silently wrong answer. The tests
-compare against an exhaustive enumeration of the bound box under the same
-contract.
+An infeasible problem gives ``None``; only HiGHS's infeasible model status
+counts as one. A program HiGHS rejects as a model error, or one with a
+number beyond floating point, raises :class:`SolverError` instead. Every
+MILP runs under the node limit :data:`NODE_BUDGET`; running out raises its
+subclass :class:`SolverResourceError`, never a silently wrong answer. The
+tests compare against an exhaustive enumeration of the bound box under the
+same contract.
 """
 
 from __future__ import annotations
@@ -40,13 +47,18 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
-from scipy.sparse import csc_array
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    ObjSense,
+    _Highs,
+)
 
 from .model_builder import IlpProblem, Relation, Row
 
@@ -76,7 +88,9 @@ def _rows_hold(rows: Sequence[Row], x: Sequence[int]) -> bool:
 
 
 def _within_bounds(x: Sequence[int], bounds: Sequence[tuple[int, int]]) -> bool:
-    return all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+    return len(x) == len(bounds) and all(
+        lo <= v <= hi for v, (lo, hi) in zip(x, bounds)
+    )
 
 
 _fflush = ctypes.CDLL(None).fflush
@@ -140,112 +154,126 @@ def _equalities_lack_integer_point(problem: IlpProblem) -> bool:
     return False
 
 
-def _compile_rows(rows: Sequence[Row], num_vars: int) -> LinearConstraint:
-    """All rows as one ``lb <= A x <= ub`` constraint, built once per program.
+# every solve's options but the node limit, which is read when a program is
+# loaded: log to no console, prove optimality with a zero gap, and skip the
+# feasibility-jump heuristic (a fixed cost of about 12 ms per call here; see
+# the module docstring), an option a HiGHS that predates it ignores
+_OPTIONS = (
+    ("log_to_console", False),
+    ("mip_rel_gap", 0.0),
+    ("mip_heuristic_run_feasibility_jump", False),
+)
 
-    ``A`` is sparse in the column layout HiGHS takes, so ``milp`` uses it
-    as it is instead of converting a dense matrix on every call.
-    """
-    matrix = np.asarray([row.coeffs for row in rows], dtype=float)
-    rhs = np.asarray([row.rhs for row in rows], dtype=float)
-    lower = [row.relation is Relation.LE for row in rows]
-    upper = [row.relation is Relation.GE for row in rows]
-    return LinearConstraint(
-        csc_array(matrix.reshape(len(rows), num_vars)),
-        np.where(lower, -np.inf, rhs),
-        np.where(upper, np.inf, rhs),
-    )
-
-
-def _box(bounds: Sequence[tuple[int, int]]) -> Bounds:
-    return Bounds(
-        np.asarray([b[0] for b in bounds], dtype=float),
-        np.asarray([b[1] for b in bounds], dtype=float),
-    )
-
-
-# scipy's RuntimeWarning about an option it passes on verbatim, and the
-# OptimizeWarning of a HiGHS too old to know the option (which then runs the
-# heuristic: same answers, slower)
-_FEASIBILITY_JUMP_WARNING = (
-    r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'"
+# how a search stopped by one of HiGHS's limits ends; the node limit is the
+# only one set, and HiGHS reports reaching it as the solution limit
+_LIMITS = (
+    HighsModelStatus.kSolutionLimit,
+    HighsModelStatus.kIterationLimit,
+    HighsModelStatus.kTimeLimit,
 )
 
 
-def _proven_infeasible(result: OptimizeResult) -> bool:
-    """Whether HiGHS proved the program infeasible.
+def _failure(highs: _Highs, status: HighsModelStatus) -> str:
+    text = highs.modelStatusToString(status)
+    return f"MILP backend failed (status {int(status)}): {text}"
 
-    scipy gives a model HiGHS rejects (its ``kModelError``, for instance a
-    matrix entry of 1e15 or more) the same status 2 as an infeasible one;
-    only the message tells the infeasible model status apart.
+
+def _load(
+    objective: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
+) -> _Highs:
+    """A HiGHS instance holding ``max objective . x`` subject to ``rows`` and
+    ``bounds``, every column integer, set up for every solve of the program.
+
+    The matrix goes to HiGHS once, column-wise, the layout it stores. A
+    number beyond floating point, or a model HiGHS rejects (for instance a
+    matrix entry of 1e15 or more), raises :class:`SolverError`.
     """
-    return result.status == 2 and result.message.startswith("The problem is infeasible")
-
-
-def _root_lp_infeasible(
-    objective: Sequence[int], constraint: LinearConstraint, box: Bounds
-) -> bool:
-    """Whether the LP relaxation is proven infeasible.
-
-    It settles most infeasible programs at a fraction of a MILP call's cost;
-    any other outcome, a failure included, leaves the verdict to the MILP.
-    """
+    num_vars = len(bounds)
+    try:
+        matrix = np.asarray([row.coeffs for row in rows], dtype=float)
+        rhs = np.asarray([row.rhs for row in rows], dtype=float)
+        box = np.asarray(bounds, dtype=float).reshape(num_vars, 2)
+        cost = -np.asarray(objective, dtype=float)
+    except OverflowError as exc:
+        raise SolverError(f"program exceeds floating point: {exc}") from exc
+    columns = matrix.reshape(len(rows), num_vars).T
+    col, row = np.nonzero(columns)
+    highs = _Highs()
+    for option, value in _OPTIONS:
+        highs.setOptionValue(option, value)
+    highs.setOptionValue("mip_max_nodes", NODE_BUDGET)
     with _stdout_discarded():
-        root = milp(
-            -np.asarray(objective, dtype=float), constraints=constraint, bounds=box
+        status = highs.passModel(
+            num_vars,
+            len(rows),
+            len(row),
+            MatrixFormat.kColwise,
+            ObjSense.kMinimize,
+            0.0,
+            cost,
+            box[:, 0],
+            box[:, 1],
+            np.where([r.relation is Relation.LE for r in rows], -np.inf, rhs),
+            np.where([r.relation is Relation.GE for r in rows], np.inf, rhs),
+            np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
+            row.astype(np.int32),
+            columns[col, row],
+            np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
         )
-    return _proven_infeasible(root)
+    if status == HighsStatus.kError:
+        raise SolverError(_failure(highs, HighsModelStatus.kModelError))
+    return highs
+
+
+def _run(highs: _Highs) -> HighsModelStatus:
+    """Solve the model ``highs`` holds as it stands; every solve runs here.
+
+    The solve starts from nothing of an earlier one on the instance: no
+    basis, and no point that HiGHS would take as its first incumbent. Each
+    search is then the one a freshly loaded model would get.
+    """
+    highs.clearSolver()
+    with _stdout_discarded():
+        highs.run()
+    return highs.getModelStatus()
+
+
+def _set_integrality(highs: _Highs, kind: HighsVarType) -> None:
+    num_cols = highs.getNumCol()
+    columns = np.arange(num_cols, dtype=np.int32)
+    highs.changeColsIntegrality(num_cols, columns, np.full(num_cols, kind, np.uint8))
 
 
 def _milp_once(
+    highs: _Highs,
     objective: Sequence[int],
     rows: Sequence[Row],
-    constraint: LinearConstraint,
     bounds: Sequence[tuple[int, int]],
-    box: Bounds,
 ) -> tuple[int, tuple[int, ...]] | None:
     """One exact MILP solve: (objective, x) or ``None`` when infeasible.
 
-    ``constraint`` is ``rows`` compiled by :func:`_compile_rows` and ``box``
-    is ``bounds`` built by :func:`_box`; the rows and bounds themselves
-    serve the exact integer check of the returned point.
+    ``highs`` holds the program ``objective``, ``rows`` and ``bounds`` as
+    loaded by :func:`_load`; the rows and bounds themselves serve the exact
+    integer check of the returned point.
     """
-    c = -np.asarray(objective, dtype=float)
-    options = {
-        "mip_rel_gap": 0.0,
-        "node_limit": NODE_BUDGET,
-        # a fixed cost of about 12 ms per call here; see the module docstring
-        "mip_heuristic_run_feasibility_jump": False,
-    }
-    # presolve can misreduce a feasible model to infeasible (seen with a fixed
-    # variable inside an equality row) or fail outright with "Solve error"
-    # (seen on an infeasible model whose LP relaxation is feasible); either
-    # verdict is settled by a presolve-off re-solve, and an infeasibility
-    # verdict only counts when reproduced there
-    retry = {**options, "presolve": False}
-    for attempt in (options, retry):
-        with _stdout_discarded(), warnings.catch_warnings():
-            # scipy passes options it does not know to HiGHS verbatim, with a
-            # warning that would otherwise land on stderr
-            warnings.filterwarnings("ignore", _FEASIBILITY_JUMP_WARNING)
-            result = milp(
-                c,
-                constraints=constraint,
-                bounds=box,
-                integrality=np.ones(len(objective)),
-                options=attempt,
-            )
-        if result.status not in (2, 4):
-            break
-        if attempt is retry and _proven_infeasible(result):
+    status = _run(highs)
+    if status != HighsModelStatus.kOptimal and status not in _LIMITS:
+        # presolve can misreduce a feasible model to infeasible (seen with a
+        # fixed variable inside an equality row) or fail outright with "Solve
+        # error" (seen on an infeasible model whose LP relaxation is
+        # feasible); either verdict is settled by a presolve-off re-solve, and
+        # an infeasibility verdict only counts when reproduced there; the
+        # solves that follow on the instance get HiGHS's default back
+        highs.setOptionValue("presolve", "off")
+        status = _run(highs)
+        highs.setOptionValue("presolve", "choose")
+        if status == HighsModelStatus.kInfeasible:
             return None
-    if result.status == 1:
+    if status in _LIMITS:
         raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
-    if result.status != 0 or result.x is None:
-        raise SolverError(
-            f"MILP backend failed (status {result.status}): {result.message}"
-        )
-    x = tuple(int(round(v)) for v in result.x)
+    if status != HighsModelStatus.kOptimal:
+        raise SolverError(_failure(highs, status))
+    x = tuple(int(round(v)) for v in highs.getSolution().col_value)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
         raise SolverError("MILP point fails exact integer verification")
     return sum(c * v for c, v in zip(objective, x)), x
@@ -300,7 +328,8 @@ def lex_refine(
     x = tuple(seed)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
         raise SolverError(f"seed point misses the optimum {optimum}")
-    constraint = _compile_rows(rows, problem.num_vars)
+    highs = _load(problem.objective, rows, bounds)
+    columns = np.arange(problem.num_vars, dtype=np.int32)
     j = 0
     while j < stop:
         if x[j] == bounds[j][0]:
@@ -314,7 +343,10 @@ def lex_refine(
         for i in reversed(block):
             key[i] = -weight
             weight *= widths[i - j]
-        result = _milp_once(key, rows, constraint, bounds, _box(bounds))
+        box = np.asarray(bounds, dtype=float)
+        highs.changeColsBounds(problem.num_vars, columns, box[:, 0], box[:, 1])
+        highs.changeColsCost(problem.num_vars, columns, -np.asarray(key, dtype=float))
+        result = _milp_once(highs, key, rows, bounds)
         if result is None:
             raise SolverError(f"no point at the optimum {optimum}")
         _, x = result
@@ -339,16 +371,15 @@ def solve_ilp(
     """
     if _equalities_lack_integer_point(problem):
         return None
-    try:
-        constraint = _compile_rows(problem.rows, problem.num_vars)
-        box = _box(problem.bounds)
-    except OverflowError as exc:
-        raise SolverError(f"program exceeds floating point: {exc}") from exc
-    if _root_lp_infeasible(problem.objective, constraint, box):
+    highs = _load(problem.objective, problem.rows, problem.bounds)
+    # the root LP: the same model with every column continuous; only a
+    # proven infeasible verdict settles the program, any other outcome, a
+    # failure included, leaves the verdict to the MILP
+    _set_integrality(highs, HighsVarType.kContinuous)
+    if _run(highs) == HighsModelStatus.kInfeasible:
         return None
-    result = _milp_once(
-        problem.objective, problem.rows, constraint, problem.bounds, box
-    )
+    _set_integrality(highs, HighsVarType.kInteger)
+    result = _milp_once(highs, problem.objective, problem.rows, problem.bounds)
     if result is None:
         return None
     value, x = result

@@ -22,20 +22,23 @@ def parse_money(value: int | float | str) -> int:
         raise ValueError(f"not a money amount: {value!r}")
     if isinstance(value, int):
         return value * CENTS
+    # errors quote a string and show a float bare, as its repr
     if isinstance(value, float):
-        value = repr(value)
-    if not isinstance(value, str):
+        text = shown = repr(value)
+    elif isinstance(value, str):
+        text, shown = value, repr(value)
+    else:
         raise ValueError(f"not a money amount: {value!r}")
-    text = value.strip()
+    text = text.strip()
     sign = 1
     if text.startswith(("+", "-")):
         sign = -1 if text[0] == "-" else 1
         text = text[1:]
     whole, dot, frac = text.partition(".")
     if not is_digits(whole) or (dot and not is_digits(frac)):
-        raise ValueError(f"not a money amount: {value!r}")
+        raise ValueError(f"not a money amount: {shown}")
     if len(frac) > 2:
-        raise ValueError(f"more than two decimal places: {value!r}")
+        raise ValueError(f"more than two decimal places: {shown}")
     try:
         cents = int(whole) * CENTS + int(frac.ljust(2, "0"))
     except ValueError as exc:  # beyond Python's int-string digit limit

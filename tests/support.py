@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsVarType
 
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import IntSolution, solve_ilp
@@ -37,13 +38,6 @@ from payoffopt.payoff_engine import Portfolio
 
 # most points brute_force will enumerate
 BRUTE_FORCE_LIMIT = 100_000_000
-
-# the message of scipy's ``milp`` when HiGHS proves a program infeasible,
-# for fake results; a model error shares its status 2 but not this message
-INFEASIBLE = (
-    "The problem is infeasible. "
-    "(HiGHS Status 8: model_status is Infeasible; primal_status is None)"
-)
 
 
 class CapacityError(ValueError):
@@ -428,7 +422,7 @@ def reference_optimize(
 def lp_relaxation(problem: IlpProblem) -> tuple[float, tuple[float, ...]] | None:
     """(objective, x) of the continuous relaxation by scipy's ``linprog``, or
     ``None`` when it is infeasible; a check on the root LP that
-    ``solve_ilp`` solves through ``milp``."""
+    ``solve_ilp`` solves on its loaded model."""
     ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
     for row in problem.rows:
         if row.relation is Relation.EQ:
@@ -512,30 +506,50 @@ class SolverCalls(Counter):
         self.nodes.clear()
 
 
+def solve_kind(highs) -> str:
+    """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
+    model ``highs`` holds: ``"root_lp"``, every column continuous (the root
+    LP of :func:`solve_ilp`); ``"milp"``, integer columns with presolve on;
+    ``"recheck"``, the presolve-off recheck."""
+    if highs.getColIntegrality(0)[1] == HighsVarType.kContinuous:
+        return "root_lp"
+    return "recheck" if highs.getOptionValue("presolve")[1] == "off" else "milp"
+
+
 def count_solver_calls(monkeypatch) -> SolverCalls:
     """Count solver calls in ``payoffopt.ilp_solver`` until the test ends.
 
-    The returned counter grows as calls are made. Its keys: ``"root_lp"``,
-    ``milp`` calls without integrality (the root LP of :func:`solve_ilp`);
-    ``"milp"``, ``milp`` calls with integrality and presolve on;
-    ``"recheck"``, the presolve-off rechecks. Its ``nodes`` counter has the
-    same keys.
+    The returned counter grows as calls are made, one per ``_run``, keyed by
+    :func:`solve_kind`. Its ``nodes`` counter has the same keys.
     """
     calls = SolverCalls()
-    real_milp = payoffopt.ilp_solver.milp
+    real_run = payoffopt.ilp_solver._run
 
-    def counting_milp(*args, **kwargs):
-        if kwargs.get("integrality") is None:
-            kind = "root_lp"
-        elif kwargs["options"].get("presolve", True):
-            kind = "milp"
-        else:
-            kind = "recheck"
+    def counting_run(highs):
+        kind = solve_kind(highs)
         calls[kind] += 1
-        result = real_milp(*args, **kwargs)
-        # None on a root LP
-        calls.nodes[kind] += getattr(result, "mip_node_count", None) or 0
-        return result
+        status = real_run(highs)
+        if kind != "root_lp":
+            calls.nodes[kind] += highs.getInfo().mip_node_count
+        return status
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "milp", counting_milp)
+    monkeypatch.setattr(payoffopt.ilp_solver, "_run", counting_run)
     return calls
+
+
+def fake_milp_runs(monkeypatch, status, *, record=solve_kind):
+    """End every MILP run of ``payoffopt.ilp_solver`` with HiGHS model status
+    ``status`` without a solve; the root LP runs for real. Returns
+    ``record`` of each faked run's instance, taken before it ends."""
+    real_run = payoffopt.ilp_solver._run
+    seen = []
+
+    def failing_run(highs):
+        if solve_kind(highs) == "root_lp":
+            # the root LP, whose feasible verdict hands over to the MILP
+            return real_run(highs)
+        seen.append(record(highs))
+        return status
+
+    monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_run)
+    return seen

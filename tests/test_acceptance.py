@@ -8,9 +8,9 @@ seeded random corpus large enough to be meaningful.
 import dataclasses
 import random
 import time
-import warnings
 
 import pytest
+from scipy.optimize._highspy._core import HighsModelStatus, HighsVarType
 
 from payoffopt import optimize
 from payoffopt.ilp_solver import (
@@ -42,6 +42,7 @@ from support import (
     reference_series,
     slotwise_refine,
     small_series,
+    solve_kind,
 )
 
 TENTS = pytest.mark.criterion("reference portfolios: zero-sum tents, published totals")
@@ -290,7 +291,7 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
 def test_root_lp_verdict_matches_linprog(
     monkeypatch, fixture_run_config, fixture_series
 ):
-    # solve_ilp's root LP (milp without integrality on the compiled rows)
+    # solve_ilp's root LP (the loaded model with every column continuous)
     # and scipy's linprog relaxation give the same verdict on every combined
     # program of the corpus above and on the fixture's; solve_ilp runs that
     # root LP exactly once unless the exact equality check settled the
@@ -298,15 +299,16 @@ def test_root_lp_verdict_matches_linprog(
     import payoffopt.ilp_solver as ilp_solver
 
     verdicts = []
-    real = ilp_solver.milp
+    real = ilp_solver._run
 
-    def recording(*args, **kwargs):
-        result = real(*args, **kwargs)
-        if kwargs.get("integrality") is None:
-            verdicts.append(result.status)
-        return result
+    def recording(highs):
+        kind = solve_kind(highs)
+        status = real(highs)
+        if kind == "root_lp":
+            verdicts.append(status)
+        return status
 
-    monkeypatch.setattr(ilp_solver, "milp", recording)
+    monkeypatch.setattr(ilp_solver, "_run", recording)
     rng = random.Random(20260823)
     cases = []
     for _ in range(220):
@@ -316,15 +318,12 @@ def test_root_lp_verdict_matches_linprog(
     infeasible = 0
     for i, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
-        verdicts.clear()
-        lp_infeasible = ilp_solver._root_lp_infeasible(
-            combined.objective,
-            ilp_solver._compile_rows(combined.rows, combined.num_vars),
-            ilp_solver._box(combined.bounds),
-        )
-        [status] = verdicts
+        # the root LP alone, as solve_ilp sets it up
+        highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
+        ilp_solver._set_integrality(highs, HighsVarType.kContinuous)
+        status = real(highs)
         relaxed = lp_relaxation(combined) is None
-        assert lp_infeasible == relaxed == (status == 2), i
+        assert (status == HighsModelStatus.kInfeasible) == relaxed, i
         infeasible += relaxed
         verdicts.clear()
         solve_ilp(combined, refine=False)
@@ -401,19 +400,14 @@ def test_answers_do_not_depend_on_highs_random_seed(
     expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 11
     nodes = {calls.nodes["milp"]}
-    counting_milp = ilp_solver.milp
+    counting_run = ilp_solver._run
     for seed in (1, 2, 3):
 
-        def reseeded(*args, seed=seed, **kwargs):
-            kwargs["options"] = {**(kwargs.get("options") or {}), "random_seed": seed}
-            with warnings.catch_warnings():
-                # scipy passes random_seed to HiGHS verbatim, with a warning
-                warnings.filterwarnings(
-                    "ignore", "Unrecognized options", RuntimeWarning
-                )
-                return counting_milp(*args, **kwargs)
+        def reseeded(highs, seed=seed):
+            highs.setOptionValue("random_seed", seed)
+            return counting_run(highs)
 
-        monkeypatch.setattr(ilp_solver, "milp", reseeded)
+        monkeypatch.setattr(ilp_solver, "_run", reseeded)
         calls.clear()
         assert unique_answers(cases) == expected, seed
         nodes.add(calls.nodes["milp"])
@@ -426,35 +420,36 @@ def test_answers_do_not_depend_on_row_order(
     monkeypatch, fixture_run_config, fixture_series
 ):
     # the order of the rows handed to HiGHS is another part of its search
-    # path: each seeded shuffle of the compiled rows must give the default
+    # path: each seeded shuffle of the loaded rows must give the default
     # run's answers; the Row tuples that the exact checks read keep their
     # order
     import payoffopt.ilp_solver as ilp_solver
 
     start = time.perf_counter()
     cases = invariance_cases(fixture_run_config, fixture_series, 30)
-    real_milp, real_compile = ilp_solver.milp, ilp_solver._compile_rows
+    real_run, real_load = ilp_solver._run, ilp_solver._load
     nodes = []
 
-    def recording_milp(*args, **kwargs):
-        result = real_milp(*args, **kwargs)
-        if kwargs.get("integrality") is not None:
-            nodes.append(getattr(result, "mip_node_count", None))
-        return result
+    def recording_run(highs):
+        kind = solve_kind(highs)
+        status = real_run(highs)
+        if kind != "root_lp":
+            nodes.append(highs.getInfo().mip_node_count)
+        return status
 
-    monkeypatch.setattr(ilp_solver, "milp", recording_milp)
+    monkeypatch.setattr(ilp_solver, "_run", recording_run)
     expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 6
     default_nodes = list(nodes)
     moved = False
     for seed in (1, 2):
 
-        def shuffled(rows, num_vars, shuffle=random.Random(seed).shuffle):
+        def shuffled(objective, rows, bounds, shuffle=random.Random(seed).shuffle):
             rows = list(rows)
             shuffle(rows)
-            return real_compile(rows, num_vars)
+            return real_load(objective, rows, bounds)
 
-        monkeypatch.setattr(ilp_solver, "_compile_rows", shuffled)
+        monkeypatch.setattr(ilp_solver, "_load", shuffled)
         nodes.clear()
         assert unique_answers(cases) == expected, seed
         moved |= nodes != default_nodes

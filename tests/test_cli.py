@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt
 import payoffopt.ilp_solver
@@ -18,7 +18,7 @@ from conftest import FIXTURES
 from payoffopt import SpecError, parse_chain
 from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from payoffopt.model_builder import Relation, TailLossMode
-from support import chain_to_json, count_solver_calls
+from support import chain_to_json, count_solver_calls, fake_milp_runs, solve_kind
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -166,19 +166,16 @@ class TestOptimizeCommand:
             assert name in err
 
     def fail_every_milp(self, monkeypatch, status):
-        """Make every MILP with integrality end with this HiGHS status (the
-        root LP runs for real); returns the options of each such call."""
-        real_milp = payoffopt.ilp_solver.milp
-        seen = []
-
-        def failing_milp(*args, integrality=None, options=None, **kwargs):
-            if integrality is None:
-                return real_milp(*args, **kwargs)
-            seen.append(options)
-            return OptimizeResult(status=status, x=None, message="fake")
-
-        monkeypatch.setattr(payoffopt.ilp_solver, "milp", failing_milp)
-        return seen
+        """Make every MILP run end with this HiGHS model status (the root LP
+        runs for real); returns each such run's kind and node limit."""
+        return fake_milp_runs(
+            monkeypatch,
+            status,
+            record=lambda highs: (
+                solve_kind(highs),
+                highs.getOptionValue("mip_max_nodes")[1],
+            ),
+        )
 
     def check_solver_failure(self, chain_path, make_spec, capsys, code, message):
         assert invoke("optimize", "--chain", chain_path, "--spec", make_spec()) == code
@@ -189,25 +186,27 @@ class TestOptimizeCommand:
         assert lines[0].startswith(f"error:solver:{message}")
 
     def test_numerical_failure_exit(self, chain_path, make_spec, monkeypatch, capsys):
-        seen = self.fail_every_milp(monkeypatch, 4)
+        seen = self.fail_every_milp(monkeypatch, HighsModelStatus.kSolveError)
         self.check_solver_failure(
             chain_path, make_spec, capsys, 4, "MILP backend failed (status 4)"
         )
         # a "Solve error" is retried once with presolve off
-        assert [o.get("presolve", True) for o in seen] == [True, False]
+        assert [kind for kind, _ in seen] == ["milp", "recheck"]
 
     def test_node_limit_exit(self, chain_path, make_spec, monkeypatch, capsys):
-        seen = self.fail_every_milp(monkeypatch, 1)
+        # HiGHS reports reaching its node limit as the solution limit
+        seen = self.fail_every_milp(monkeypatch, HighsModelStatus.kSolutionLimit)
         self.check_solver_failure(
             chain_path, make_spec, capsys, 3, "node budget of 10000000 exhausted"
         )
-        assert [o["node_limit"] for o in seen] == [payoffopt.ilp_solver.NODE_BUDGET]
+        # a limit is not retried
+        assert seen == [("milp", payoffopt.ilp_solver.NODE_BUDGET)]
 
     @pytest.mark.parametrize(
         "bound, detail",
         [
             # HiGHS rejects the ask/bid link rows' coefficient as a model error
-            (10**15, "MILP backend failed (status 2): (HiGHS Status 2: Model error)"),
+            (10**15, "MILP backend failed (status 2): Model error"),
             (10**400, "program exceeds floating point: int too large to convert to float"),
         ],
         ids=["1e15", "1e400"],
@@ -262,10 +261,20 @@ class TestFixtureCommand:
         assert err == ""
         assert caught == []
 
+    def test_node_budget_exhausted_by_highs(self, monkeypatch, capsys):
+        # the real search, not a faked status: one node cannot settle the
+        # fixture, and running out is a resource limit, not a backend failure
+        monkeypatch.setattr(payoffopt.ilp_solver, "NODE_BUDGET", 1)
+        assert invoke(*FIXTURE_OPTIMIZE) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:solver:node budget of 1 exhausted\n"
+
     def test_solves_its_root_lp_without_linprog(self, monkeypatch, capsys):
-        # the root LP is a milp call without integrality; ilp_solver does
-        # not import linprog at all
-        assert not hasattr(payoffopt.ilp_solver, "linprog")
+        # the root LP is a run of the loaded model with every column
+        # continuous; ilp_solver imports none of scipy's solver wrappers
+        for name in ("linprog", "milp", "LinearConstraint", "Bounds", "csc_array"):
+            assert not hasattr(payoffopt.ilp_solver, name), name
         calls = count_solver_calls(monkeypatch)
         assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
         capsys.readouterr()
@@ -422,6 +431,20 @@ class TestLoadRunConfig:
     def test_payoff_only_mode(self):
         config = load_run_config({**SPEC, "tail_loss_mode": "payoff_only"})
         assert config.strategy.tail_loss_mode is TailLossMode.PAYOFF_ONLY
+
+    @pytest.mark.parametrize(
+        "value, detail",
+        [
+            (0.1 + 0.2, "more than two decimal places: 0.30000000000000004"),
+            (1e400, "not a money amount: inf"),
+            ("-5.001", "more than two decimal places: '-5.001'"),
+        ],
+    )
+    def test_money_errors_show_floats_bare(self, value, detail):
+        # a JSON number reaches the reader as a float, 1e400 as inf
+        with pytest.raises(SpecError) as err:
+            load_run_config({**SPEC, "max_loss": value})
+        assert str(err.value) == f"bad max_loss: {detail}"
 
     def test_not_an_object(self):
         with pytest.raises(SpecError, match="JSON object"):
@@ -871,7 +894,7 @@ class TestSweepCommand:
         points = json.loads(outputs["json"])["points"]
         assert points[0]["solution"]["objective"] == "400.00"
         assert [p["solution"] for p in points[1:]] == [None, None]
-        assert points[1]["error"].endswith("(HiGHS Status 2: Model error)")
+        assert points[1]["error"] == "MILP backend failed (status 2): Model error"
         assert points[2]["error"].startswith("program exceeds floating point")
         csv_rows = outputs["csv"].splitlines()
         assert "10,max_F,400," in csv_rows

@@ -1,24 +1,20 @@
 import dataclasses
+import inspect
 import math
 import random
 import re
-import warnings
 
-import numpy as np
 import pytest
-from scipy.optimize import (
-    Bounds,
-    LinearConstraint,
-    OptimizeResult,
-    OptimizeWarning,
-    milp,
-)
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 
+import payoffopt.ilp_solver
 from payoffopt.ilp_solver import (
+    NODE_BUDGET,
     IntSolution,
     SolverError,
+    SolverResourceError,
     _BLOCK_RANGE,
-    _FEASIBILITY_JUMP_WARNING,
+    _OPTIONS,
     _block_size,
     _equalities_lack_integer_point,
     _within_bounds,
@@ -28,15 +24,16 @@ from payoffopt.ilp_solver import (
 from payoffopt.model_builder import IlpProblem, Relation, Row
 from support import (
     BRUTE_FORCE_LIMIT,
-    INFEASIBLE,
     CapacityError,
     brute_force,
     count_solver_calls,
+    fake_milp_runs,
     lp_relaxation,
     objective_value,
     random_ilp,
     random_wide_ilp,
     slotwise_refine,
+    solve_kind,
 )
 
 ALL_ROUTES = [solve_ilp, brute_force]
@@ -282,44 +279,40 @@ def test_presolve_solve_error_settles_as_infeasible(capfd):
 
 
 def test_repeated_solve_error_raises(monkeypatch):
-    calls = []
-
-    def failing_milp(*args, integrality=None, options=None, **kwargs):
-        if integrality is None:
-            # the root LP, whose feasible verdict hands over to the MILP
-            return milp(*args, **kwargs)
-        calls.append(options.get("presolve", True))
-        return OptimizeResult(status=4, x=None, message="Solve error")
-
-    monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_milp)
+    kinds = fake_milp_runs(monkeypatch, HighsModelStatus.kSolveError)
     with pytest.raises(SolverError, match="status 4") as err:
         solve_ilp(fractional_problem())
     assert err.type is SolverError
-    assert calls == [True, False]
+    assert str(err.value) == "MILP backend failed (status 4): Solve error"
+    assert kinds == ["milp", "recheck"]
 
 
 @pytest.mark.parametrize(
-    "message, calls",
-    [(INFEASIBLE, [None]), ("(HiGHS Status 2: Model error)", [None, True, False])],
+    "status, kinds",
+    [
+        (HighsModelStatus.kInfeasible, ["root_lp"]),
+        (HighsModelStatus.kModelError, ["root_lp", "milp", "recheck"]),
+    ],
     ids=["infeasible", "model-error"],
 )
-def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, message, calls):
-    # scipy gives a model HiGHS rejects the status 2 of an infeasible one;
-    # only a proven infeasibility may settle the program
+def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, status, kinds):
+    # scipy's milp gave a model HiGHS rejects the status 2 of an infeasible
+    # one; HiGHS's own model status tells them apart, and only a proven
+    # infeasibility may settle the program
     seen = []
 
-    def status_2(*args, integrality=None, options=None, **kwargs):
-        seen.append(None if integrality is None else options.get("presolve", True))
-        return OptimizeResult(status=2, x=None, message=message)
+    def ending_with_status(highs):
+        seen.append(solve_kind(highs))
+        return status
 
-    monkeypatch.setattr("payoffopt.ilp_solver.milp", status_2)
-    if message == INFEASIBLE:
+    monkeypatch.setattr(payoffopt.ilp_solver, "_run", ending_with_status)
+    if status == HighsModelStatus.kInfeasible:
         assert solve_ilp(fractional_problem()) is None
     else:
         with pytest.raises(SolverError, match="Model error") as err:
             solve_ilp(fractional_problem())
         assert err.type is SolverError
-    assert seen == calls
+    assert seen == kinds
 
 
 @pytest.mark.parametrize(
@@ -338,48 +331,51 @@ def test_unrepresentable_program_is_a_solver_error(coefficient, message):
     assert err.type is SolverError
 
 
+@pytest.mark.parametrize("status", ["kSolutionLimit", "kIterationLimit", "kTimeLimit"])
+def test_every_limit_is_a_resource_error(monkeypatch, status):
+    # HiGHS reports reaching its node limit as the solution limit; no limit
+    # is retried with presolve off
+    kinds = fake_milp_runs(monkeypatch, getattr(HighsModelStatus, status))
+    with pytest.raises(SolverResourceError, match=f"node budget of {NODE_BUDGET}"):
+        solve_ilp(fractional_problem())
+    assert kinds == ["milp"]
+
+
 def test_feasibility_jump_off_in_both_attempts(monkeypatch):
-    seen = []
-
-    def failing_milp(*args, integrality=None, options=None, **kwargs):
-        if integrality is None:
-            return milp(*args, **kwargs)
-        seen.append(dict(options))
-        return OptimizeResult(status=4, x=None, message="Solve error")
-
-    monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_milp)
+    seen = fake_milp_runs(
+        monkeypatch,
+        HighsModelStatus.kSolveError,
+        record=lambda highs: (
+            solve_kind(highs),
+            highs.getOptionValue("mip_heuristic_run_feasibility_jump")[1],
+        ),
+    )
     with pytest.raises(SolverError, match="status 4") as err:
         solve_ilp(fractional_problem())
     assert err.type is SolverError
-    assert [o.get("presolve", True) for o in seen] == [True, False]
-    assert all(o["mip_heuristic_run_feasibility_jump"] is False for o in seen)
+    assert seen == [("milp", False), ("recheck", False)]
 
 
-def test_highs_recognises_feasibility_jump_option():
-    # HiGHS raises an OptimizeWarning for an option it ignores; scipy's own
-    # RuntimeWarning about passing the option on is what _milp_once filters
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = milp(
-            -np.ones(1),
-            constraints=LinearConstraint([[2.0]], -np.inf, 5.0),
-            bounds=Bounds(0, 10),
-            integrality=np.ones(1),
-            options={"mip_heuristic_run_feasibility_jump": False},
-        )
-    assert result.status == 0 and list(result.x) == [2.0]
-    assert not [w for w in caught if issubclass(w.category, OptimizeWarning)]
-    assert all(re.match(_FEASIBILITY_JUMP_WARNING, str(w.message)) for w in caught)
-
-
-def test_other_milp_warnings_still_surface(monkeypatch):
-    def warning_milp(*args, **kwargs):
-        warnings.warn("unrelated backend notice", RuntimeWarning)
-        return milp(*args, **kwargs)
-
-    monkeypatch.setattr("payoffopt.ilp_solver.milp", warning_milp)
-    with pytest.warns(RuntimeWarning, match="unrelated backend notice"):
-        assert solve_ilp(fractional_problem()) == IntSolution(x=(2,), objective=2)
+def test_highs_binding_has_what_the_solver_calls():
+    # the solver drives HiGHS through scipy's private binding; a scipy that
+    # moves or changes it fails here, by name, before any answer can
+    methods = set(re.findall(r"highs\.(\w+)\(", inspect.getsource(payoffopt.ilp_solver)))
+    assert {"passModel", "run", "clearSolver", "changeColsCost"} <= methods
+    for method in sorted(methods):
+        assert callable(getattr(_Highs, method, None)), method
+    highs = _Highs()
+    options = [
+        *_OPTIONS,
+        ("mip_max_nodes", NODE_BUDGET),
+        ("presolve", "off"),
+        ("presolve", "choose"),
+    ]
+    for option, value in options:
+        # a HiGHS that predates the feasibility-jump heuristic ignores the
+        # option that switches it off, and gives the same answers slower
+        if option != "mip_heuristic_run_feasibility_jump":
+            assert highs.setOptionValue(option, value) == HighsStatus.kOk, option
+            assert highs.getOptionValue(option) == (HighsStatus.kOk, value), option
 
 
 def test_root_lp_failure_falls_through_to_milp(monkeypatch):
@@ -388,17 +384,18 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     problems += [random_ilp(rng) for _ in range(10)]
     unpatched = [solve_ilp(p) for p in problems]
     settled = [_equalities_lack_integer_point(p) for p in problems]
+    real_run = payoffopt.ilp_solver._run
     lp_calls = []
     milp_calls = []
 
-    def failing_root_lp(*args, **kwargs):
-        if kwargs.get("integrality") is not None:
+    def failing_root_lp(highs):
+        if solve_kind(highs) != "root_lp":
             milp_calls.append(1)
-            return milp(*args, **kwargs)
+            return real_run(highs)
         lp_calls.append(1)
-        return OptimizeResult(status=4, x=None, fun=None, message="numerical")
+        return HighsModelStatus.kSolveError
 
-    monkeypatch.setattr("payoffopt.ilp_solver.milp", failing_root_lp)
+    monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_root_lp)
     for problem, expected, exact in zip(problems, unpatched, settled):
         lp_calls.clear()
         milp_calls.clear()

@@ -43,6 +43,22 @@ def test_parse_rejects(bad):
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.1 + 0.2, "more than two decimal places: 0.30000000000000004"),
+        (1e400, "not a money amount: inf"),
+        (float("nan"), "not a money amount: nan"),
+        ("0.30000000000000004", "more than two decimal places: '0.30000000000000004'"),
+        ("inf", "not a money amount: 'inf'"),
+    ],
+)
+def test_errors_show_floats_bare_and_quote_strings(value, message):
+    with pytest.raises(ValueError) as err:
+        parse_money(value)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         "\u00b2",  # superscript two

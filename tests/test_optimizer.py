@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
 import payoffopt.optimizer
@@ -25,7 +25,6 @@ from payoffopt.optimizer import (
     sweep_to_table,
 )
 from support import (
-    INFEASIBLE,
     base_spec,
     check_feasible,
     count_solver_calls,
@@ -33,6 +32,7 @@ from support import (
     random_spec,
     reference_optimize,
     small_series,
+    solve_kind,
 )
 
 
@@ -111,18 +111,18 @@ class TestOptimize:
         if stage == "stage-a-no-point":
             # every MILP after the first solve, the Stage-A block's included,
             # answers infeasible
-            real = payoffopt.ilp_solver.milp
+            real = payoffopt.ilp_solver._run
             calls = []
 
-            def no_point_after_first(*args, **kwargs):
-                if kwargs.get("integrality") is None:  # the root LP
-                    return real(*args, **kwargs)
+            def no_point_after_first(highs):
+                if solve_kind(highs) == "root_lp":
+                    return real(highs)
                 calls.append(1)
                 if len(calls) == 1:
-                    return real(*args, **kwargs)
-                return OptimizeResult(status=2, x=None, message=INFEASIBLE)
+                    return real(highs)
+                return HighsModelStatus.kInfeasible
 
-            monkeypatch.setattr(payoffopt.ilp_solver, "milp", no_point_after_first)
+            monkeypatch.setattr(payoffopt.ilp_solver, "_run", no_point_after_first)
             message = "no point at the optimum"
         else:
             # Stage B's subproblem values the first call one cent per lot
