@@ -29,9 +29,9 @@ exact integer arithmetic by column-style Euclidean elimination to Hermite
 normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
 Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
 program is infeasible without a solver call and without a presolve-off
-recheck. Otherwise a root LP, the loaded model with every column switched
-to continuous, settles most of the remaining infeasible programs before any
-MILP.
+recheck. Otherwise a root LP, the model loaded with every column
+continuous, settles most of the remaining infeasible programs before any
+MILP; the MILP then switches the columns to integer once.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
 counts as one. A program HiGHS rejects as a model error, or one with a
@@ -179,10 +179,14 @@ def _failure(highs: _Highs, status: HighsModelStatus) -> str:
 
 
 def _load(
-    objective: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
+    objective: Sequence[int],
+    rows: Sequence[Row],
+    bounds: Sequence[tuple[int, int]],
+    kind: HighsVarType,
 ) -> _Highs:
     """A HiGHS instance holding ``max objective . x`` subject to ``rows`` and
-    ``bounds``, every column integer, set up for every solve of the program.
+    ``bounds``, every column of type ``kind``, set up for every solve of the
+    program.
 
     The matrix goes to HiGHS once, column-wise, the layout it stores. A
     number beyond floating point, or a model HiGHS rejects (for instance a
@@ -218,7 +222,7 @@ def _load(
             np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
             row.astype(np.int32),
             columns[col, row],
-            np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
+            np.full(num_vars, kind, dtype=np.int32),
         )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
@@ -236,12 +240,6 @@ def _run(highs: _Highs) -> HighsModelStatus:
     with _stdout_discarded():
         highs.run()
     return highs.getModelStatus()
-
-
-def _set_integrality(highs: _Highs, kind: HighsVarType) -> None:
-    num_cols = highs.getNumCol()
-    columns = np.arange(num_cols, dtype=np.int32)
-    highs.changeColsIntegrality(num_cols, columns, np.full(num_cols, kind, np.uint8))
 
 
 def _milp_once(
@@ -328,7 +326,7 @@ def lex_refine(
     x = tuple(seed)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
         raise SolverError(f"seed point misses the optimum {optimum}")
-    highs = _load(problem.objective, rows, bounds)
+    highs = _load(problem.objective, rows, bounds, HighsVarType.kInteger)
     columns = np.arange(problem.num_vars, dtype=np.int32)
     j = 0
     while j < stop:
@@ -371,14 +369,18 @@ def solve_ilp(
     """
     if _equalities_lack_integer_point(problem):
         return None
-    highs = _load(problem.objective, problem.rows, problem.bounds)
-    # the root LP: the same model with every column continuous; only a
+    # the root LP: the model loaded with every column continuous; only a
     # proven infeasible verdict settles the program, any other outcome, a
-    # failure included, leaves the verdict to the MILP
-    _set_integrality(highs, HighsVarType.kContinuous)
+    # failure included, leaves the verdict to the MILP, for which the
+    # columns turn integer
+    highs = _load(
+        problem.objective, problem.rows, problem.bounds, HighsVarType.kContinuous
+    )
     if _run(highs) == HighsModelStatus.kInfeasible:
         return None
-    _set_integrality(highs, HighsVarType.kInteger)
+    columns = np.arange(problem.num_vars, dtype=np.int32)
+    integer = np.full(problem.num_vars, HighsVarType.kInteger, dtype=np.uint8)
+    highs.changeColsIntegrality(problem.num_vars, columns, integer)
     result = _milp_once(highs, problem.objective, problem.rows, problem.bounds)
     if result is None:
         return None

@@ -23,13 +23,17 @@ Rows are emitted in a fixed order per subproblem:
 5. an optional cost row (net debit compared against a target).
 
 Every coefficient and right-hand side is an integer (cents or contract
-counts), so feasibility is checked in exact arithmetic.
+counts), so feasibility is checked in exact arithmetic. :func:`unreachable_row`
+does so before any solver runs: it proves the combined program infeasible
+when one of its equality rows, taken alone, cannot be met by any quantity
+vector in the bounds.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -356,3 +360,60 @@ def decode_combined(
     quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
     return PriceCombination(tuple(values[:slots])), quantities
 
+
+# most points either half of a row's box may hold for :func:`unreachable_row`
+# to enumerate it; a row with a larger half is not tested
+_HALF_BOX = 2**12
+
+
+def _sums(slots: Sequence[tuple[int, int, int, int]]) -> set[int]:
+    """Every total that ``slots`` add to a row together. Each slot is an
+    (ask, bid, lower, upper) tuple and adds ``ask * x`` for x in
+    [1, upper], ``bid * x`` for x in [lower, -1], or 0."""
+    sums = {0}
+    for ask, bid, lower, upper in slots:
+        values = {0}
+        values.update(ask * x for x in range(1, upper + 1))
+        values.update(bid * x for x in range(lower, 0))
+        sums = {s + v for s in sums for v in values}
+    return sums
+
+
+def unreachable_row(n: int, problem: IlpProblem) -> str | None:
+    """The name of the first equality row of a :func:`build_combined`
+    program that no quantity vector in the box meets, or ``None``.
+
+    At every integer point of the program, slot i holds ``p_i = x_i`` and
+    ``r_i = 0`` when ``x_i >= 1``, ``r_i = x_i`` and ``p_i = 0`` when
+    ``x_i <= -1``, and both at 0 when ``x_i = 0`` (the link and side rows;
+    see :func:`build_combined`). An equality row without side-bit
+    coefficients then adds its ask-side coefficient times ``x_i``, its
+    bid-side coefficient times ``x_i``, or 0 per slot. A row no quantity
+    vector in [L, U] meets this way proves the program infeasible.
+
+    Each row is decided exactly, in Python integers, by meet in the middle
+    (Horowitz & Sahni, *J. ACM* 1974): the slots the row reads are split
+    into two halves, each half's totals are enumerated, and the right-hand
+    side minus each total of one half is looked up among the other's. A row
+    is skipped when either half's box holds more than :data:`_HALF_BOX`
+    points, which the bounds tell before anything is enumerated.
+    """
+    slots = 2 * n
+    for row in problem.rows:
+        if row.relation is not Relation.EQ or any(row.coeffs[:slots]):
+            continue
+        live = []
+        for p in range(slots, 3 * slots, 2):  # p_i, then r_i at p + 1
+            ask, bid = row.coeffs[p], row.coeffs[p + 1]
+            if ask or bid:
+                live.append((ask, bid, problem.bounds[p + 1][0], problem.bounds[p][1]))
+        halves = live[: len(live) // 2], live[len(live) // 2 :]
+        if any(
+            math.prod(upper - lower + 1 for _, _, lower, upper in half) > _HALF_BOX
+            for half in halves
+        ):
+            continue
+        left, right = (_sums(half) for half in halves)
+        if not any(row.rhs - total in right for total in left):
+            return row.name
+    return None

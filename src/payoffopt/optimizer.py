@@ -2,7 +2,9 @@
 
 Each ask/bid combination is one integer program; :func:`optimize` solves all
 of them at once as the single combined program of
-:func:`~payoffopt.model_builder.build_combined`. The winner is the highest
+:func:`~payoffopt.model_builder.build_combined`, unless
+:func:`~payoffopt.model_builder.unreachable_row` proves that program
+infeasible first, without a solver call. The winner is the highest
 objective, with ties broken by lowest combination index and then by the
 lexicographically smallest quantity vector. The combined solve finds the
 optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
@@ -29,6 +31,7 @@ from .model_builder import (
     build_combined,
     build_subproblem,
     decode_combined,
+    unreachable_row,
 )
 from .money import format_money
 from .payoff_engine import (
@@ -80,7 +83,10 @@ def optimize(
 ) -> PortfolioSolution | None:
     """Best feasible portfolio over every price combination, or ``None``.
 
-    The combined solve gives the optimal value. Stage A refines its side
+    When :func:`~payoffopt.model_builder.unreachable_row` finds an equality
+    row of the combined program that no quantity vector in the bounds
+    meets, the run is infeasible and loads no solver. Otherwise the
+    combined solve gives the optimal value. Stage A refines its side
     bits to the lowest optimal combination index; Stage B refines that
     combination's subproblem to the lexicographically smallest quantities,
     seeded with the Stage-A point's quantities. Both stages are
@@ -102,6 +108,8 @@ def optimize(
     stage that misses the first optimum.
     """
     combined = build_combined(spec, series)
+    if unreachable_row(series.n, combined) is not None:
+        return None
     first = solve_ilp(combined, refine=False)
     if first is None:
         return None

@@ -19,11 +19,13 @@ from payoffopt.ilp_solver import (
     lex_refine,
     solve_ilp,
 )
+import payoffopt.model_builder as model_builder
 from payoffopt.model_builder import (
     PriceCombination,
     build_combined,
     build_subproblem,
     decode_combined,
+    unreachable_row,
 )
 from payoffopt.optimizer import SweepAxis, sweep
 from payoffopt.payoff_engine import Portfolio, payoff, payoff_curve
@@ -319,8 +321,9 @@ def test_root_lp_verdict_matches_linprog(
     for i, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
         # the root LP alone, as solve_ilp sets it up
-        highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
-        ilp_solver._set_integrality(highs, HighsVarType.kContinuous)
+        highs = ilp_solver._load(
+            combined.objective, combined.rows, combined.bounds, HighsVarType.kContinuous
+        )
         status = real(highs)
         relaxed = lp_relaxation(combined) is None
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
@@ -334,15 +337,19 @@ def test_root_lp_verdict_matches_linprog(
 
 def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     # HiGHS calls are deterministic. One optimize per strategy of the seeded
-    # corpus makes 312 of them, 12 presolve-off rechecks included: the exact
-    # equality check settles 70 combined programs with none, so a lost
-    # pre-check shows here as more calls (414 without it)
+    # corpus makes 232 of them, 1 presolve-off recheck included. Of the 220
+    # combined programs, 70 have equality rows without any integer point
+    # (the Hermite normal form check of solve_ilp) and 58 more have a row
+    # no quantity vector in the box meets (unreachable_row); optimize's
+    # check settles all 128 with none. The root LP settles 45 of the other
+    # 92; of the 47 that reach a MILP, 46 are feasible. A lost pre-check
+    # shows here as more calls (312 without unreachable_row)
     calls = count_solver_calls(monkeypatch)
     rng = random.Random(20260823)
     for _ in range(220):
         series = random_series(rng)
         optimize(random_spec(rng, series), series)
-    assert dict(calls) == {"root_lp": 150, "milp": 150, "recheck": 12}
+    assert dict(calls) == {"root_lp": 92, "milp": 139, "recheck": 1}
     calls.clear()
     assert optimize(fixture_run_config.strategy, fixture_series) is not None
     # no presolve-off recheck on the fixture
@@ -444,10 +451,10 @@ def test_answers_do_not_depend_on_row_order(
     moved = False
     for seed in (1, 2):
 
-        def shuffled(objective, rows, bounds, shuffle=random.Random(seed).shuffle):
+        def shuffled(objective, rows, bounds, kind, shuffle=random.Random(seed).shuffle):
             rows = list(rows)
             shuffle(rows)
-            return real_load(objective, rows, bounds)
+            return real_load(objective, rows, bounds, kind)
 
         monkeypatch.setattr(ilp_solver, "_load", shuffled)
         nodes.clear()
@@ -626,6 +633,65 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
             assert reference_optimize(spec, series) is None, case
     assert combined_fired == 70
     assert subproblem_fired >= 2467
+
+
+def seeded_strategies(seed, count):
+    """The first ``count`` (spec, series) pairs of the seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        series = random_series(rng)
+        yield random_spec(rng, series), series
+
+
+@EXACT
+def test_unreachable_row_is_sound():
+    # whenever optimize's pre-check names an equality row that no quantity
+    # vector in the box meets, exhaustive search over every combination
+    # finds no portfolio either: on the seeded corpus, where it settles 128
+    # combined programs, 58 of them past the Hermite normal form check, and
+    # on three more seeds
+    fired = {}
+    for seed, count in ((20260823, 220), (1, 300), (2, 300), (3, 300)):
+        settled = past_hnf = 0
+        for case, (spec, series) in enumerate(seeded_strategies(seed, count)):
+            combined = build_combined(spec, series)
+            name = unreachable_row(series.n, combined)
+            if name is None:
+                continue
+            settled += 1
+            past_hnf += not _equalities_lack_integer_point(combined)
+            assert reference_optimize(spec, series) is None, (seed, case)
+        fired[seed] = settled, past_hnf
+    assert fired == {20260823: (128, 58), 1: (154, 57), 2: (174, 73), 3: (183, 78)}
+
+
+def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
+    # corpus strategy 54: its left tail balance cannot be met in its box,
+    # which the exact check sees at once; HiGHS once needed a root LP, a
+    # 7-node MILP and a 14-node presolve-off recheck to say so
+    spec, series = list(seeded_strategies(20260823, 55))[54]
+    assert unreachable_row(series.n, build_combined(spec, series)) == "balance_left"
+    calls = count_solver_calls(monkeypatch)
+    assert optimize(spec, series) is None
+    assert dict(calls) == {}
+
+
+@pytest.mark.parametrize(
+    "lots", [None, 100, 10**15, 10**400], ids=["fixture", "100", "1e15", "1e400"]
+)
+def test_unreachable_row_skips_wide_boxes_unenumerated(
+    monkeypatch, fixture_run_config, fixture_series, lots
+):
+    # each half of every fixture row holds 21^3 points or more, past the
+    # 2^12 cap, so the check returns at once and enumerates nothing, even
+    # at bounds no enumeration could finish
+    built = []
+    monkeypatch.setattr(model_builder, "_sums", lambda half: built.append(half) or set())
+    spec = fixture_run_config.strategy
+    if lots is not None:
+        spec = dataclasses.replace(spec, lower=-lots, upper=lots)
+    assert unreachable_row(fixture_series.n, build_combined(spec, fixture_series)) is None
+    assert built == []
 
 
 @IDENTITIES

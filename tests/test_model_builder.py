@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from payoffopt.model_builder import (
     TailLossMode,
     build_combined,
     build_subproblem,
+    unreachable_row,
 )
 from payoffopt.payoff_engine import Portfolio
 from support import (
@@ -379,3 +382,46 @@ class TestBuildCombined:
             expected = [0] * 12
             expected[i], expected[4 + 2 * i] = 1, -1
             assert side == expected
+
+
+class TestUnreachableRow:
+    def test_cost_row_is_unreachable_exactly_when_no_quantities_meet_it(self):
+        # every slot in [-2, 1] lots, long at its ask, short at its bid; the
+        # tail rows hold at zero lots, so only the cost row can be unreachable
+        series = small_series()
+        asks = series.call_asks + series.put_asks
+        bids = series.call_bids + series.put_bids
+        totals = {
+            sum((a if x > 0 else b) * x for x, a, b in zip(xs, asks, bids))
+            for xs in itertools.product(range(-2, 2), repeat=4)
+        }
+        unreachable = 0
+        for value in range(min(totals) - 2, max(totals) + 3):
+            spec = tent_spec(
+                lower=-2,
+                upper=1,
+                cost_target=CostTarget(Relation.EQ, value),
+                balance_left_tail=False,
+                balance_right_tail=False,
+            )
+            expected = None if value in totals else "cost"
+            assert unreachable_row(2, build_combined(spec, series)) == expected, value
+            unreachable += expected is not None
+        assert len(totals) > 100 and unreachable > 1000
+
+    def test_only_equalities_without_side_bits_are_read(self):
+        # neither extra row can hold, but one reads side bits and the other
+        # is an inequality; the same sum of quantity parts as an equality is
+        # unreachable
+        spec = tent_spec(balance_left_tail=False, balance_right_tail=False)
+        combined = build_combined(spec, small_series())
+        parts = (1,) * 8
+        extra = (
+            Row("sides", (1, 0, 0, 0) + parts, Relation.EQ, 10**6),
+            Row("below", (0,) * 4 + parts, Relation.LE, -(10**6)),
+        )
+        problem = IlpProblem(combined.objective, combined.rows + extra, combined.bounds)
+        assert unreachable_row(2, problem) is None
+        far = Row("far", (0,) * 4 + parts, Relation.EQ, 10**6)
+        problem = IlpProblem(combined.objective, combined.rows + (far,), combined.bounds)
+        assert unreachable_row(2, problem) == "far"
