@@ -4,24 +4,25 @@
 *Math. Prog. Comp.* 2018) with a zero optimality gap, driven through the
 binding scipy bundles. Each program is loaded into one HiGHS instance once
 and every solve of it runs on that instance in place: the root LP, the first
-MILP and its presolve-off recheck in :func:`solve_ilp`, and one MILP per
-block in :func:`lex_refine`, which changes only the block's costs and the
-bounds it fixes. Each run starts from nothing of the one before, so its
-search is the one a freshly loaded model would get. The search runs in
-floating point, but the returned point is re-verified and its objective
-recomputed in exact integer arithmetic before acceptance. Among optima the
-lexicographically smallest solution vector is returned by
-:func:`lex_refine`: with the objective pinned at its optimal value, the
-slots are minimized in blocks, one MILP per block whose objective reads the
-block as one mixed-radix number, starting from the first optimal point. A
-slot that point already holds at its lower bound is fixed there without a
-solve (lexicographic optimization as a sequence of epsilon-constraint
-programs; Ehrgott, *Multicriteria Optimization*, 2005, ch. 5). HiGHS's
-feasibility-jump heuristic (Luteberget & Sartor, *Math. Prog. Comp.* 2023)
-is switched off: on these small programs it is a fixed cost of about 12 ms
-per call, most of the solve. It only proposes incumbents, so the proven
-optimum, and the unique lexicographically smallest optimal point the refine
-returns, cannot change.
+MILP and its presolve-off recheck in :func:`solve_ilp`, which then pins the
+objective at its optimum with one added row, and one MILP per block in every
+:func:`lex_refine` that continues from the point it returns, which changes
+only the block's costs and the bounds it fixes. Each run starts from nothing
+of the one before, so its search is the one a freshly loaded model would
+get. The search runs in floating point, but the returned point is
+re-verified and its objective recomputed in exact integer arithmetic before
+acceptance. Among optima the lexicographically smallest solution vector is
+returned by :func:`lex_refine`: with the objective pinned at its optimal
+value, the slots are minimized in blocks, one MILP per block whose objective
+reads the block as one mixed-radix number, starting from the first optimal
+point. A slot that point already holds at its lower bound is fixed there
+without a solve (lexicographic optimization as a sequence of
+epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*, 2005,
+ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor, *Math.
+Prog. Comp.* 2023) is switched off: on these small programs it is a fixed
+cost of about 12 ms per call, most of the solve. It only proposes
+incumbents, so the proven optimum, and the unique lexicographically
+smallest optimal point the refine returns, cannot change.
 
 Before any HiGHS call, :func:`solve_ilp` asks whether the equality rows alone
 have an integer solution at all, whatever the bounds. It decides this in
@@ -29,9 +30,11 @@ exact integer arithmetic by column-style Euclidean elimination to Hermite
 normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
 Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
 program is infeasible without a solver call and without a presolve-off
-recheck. Otherwise a root LP, the model loaded with every column
-continuous, settles most of the remaining infeasible programs before any
-MILP; the MILP then switches the columns to integer once.
+recheck. Otherwise a root LP, the model loaded with every column continuous
+and solved without presolve, settles most of the remaining infeasible
+programs before any MILP; the MILP then switches the columns to integer
+once. No infeasibility verdict of a presolved solve is trusted: the root LP
+runs unpresolved, and a presolved MILP verdict is re-solved without presolve.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
 counts as one. A program HiGHS rejects as a model error, or one with a
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +80,28 @@ class SolverResourceError(SolverError):
 
 
 @dataclass(frozen=True)
+class _Pinned:
+    """A program loaded into one HiGHS instance with its objective pinned at
+    the optimum: the instance, the rows it holds (the program's, then the
+    pin) and the program's bounds."""
+
+    highs: _Highs
+    rows: tuple[Row, ...]
+    bounds: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
 class IntSolution:
-    """An exact integer optimum: slot values and objective in cents."""
+    """An exact integer optimum: slot values and objective in cents.
+
+    A point of :func:`solve_ilp` or :func:`lex_refine` also holds its
+    program, loaded and pinned at the optimum, for a :func:`lex_refine` to
+    continue on; equality ignores it.
+    """
 
     x: tuple[int, ...]
     objective: int
+    pinned: _Pinned | None = field(default=None, compare=False, repr=False)
 
 
 def _rows_hold(rows: Sequence[Row], x: Sequence[int]) -> bool:
@@ -274,7 +295,7 @@ def _milp_once(
     x = tuple(int(round(v)) for v in highs.getSolution().col_value)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
         raise SolverError("MILP point fails exact integer verification")
-    return sum(c * v for c, v in zip(objective, x)), x
+    return sum(map(operator.mul, objective, x)), x
 
 
 # a block's mixed-radix key ranges over fewer than this many values; HiGHS
@@ -295,39 +316,35 @@ def _block_size(widths: Sequence[int]) -> int:
 
 
 def lex_refine(
-    problem: IlpProblem,
-    optimum: int,
-    seed: Sequence[int],
+    seed: IntSolution,
     stop: int,
-) -> tuple[int, ...]:
+    bounds: Sequence[tuple[int, int]] | None = None,
+) -> IntSolution:
     """An optimal point whose slots ``[0, stop)`` are lexicographically
-    smallest among all points of ``problem`` with objective ``optimum``.
+    smallest among all points of ``seed``'s program within ``bounds`` (by
+    default the program's own) with objective ``seed.objective``.
 
-    ``seed`` must be such a point; it is checked exactly against the bounds,
-    the rows and the objective pin. The current point stays feasible for
-    every slot fixed so far, so a slot it holds at its lower bound has that
-    bound as its minimum and is fixed without a solve. The other slots are
-    minimized in blocks, one MILP per block: the block's objective is the
-    mixed-radix number sum w_j (x_j - lo_j), with w_j the product of the
-    widths after slot j in the block.
+    ``seed`` must be such a point, holding its pinned program as
+    :func:`solve_ilp` and this function return it; it is checked exactly
+    against the bounds, the rows and the objective pin. The current point
+    stays feasible for every slot fixed so far, so a slot it holds at its
+    lower bound has that bound as its minimum and is fixed without a solve.
+    The other slots are minimized in blocks, one MILP per block on the
+    program's instance: the block's objective is the mixed-radix number
+    sum w_j (x_j - lo_j), with w_j the product of the widths after slot j in
+    the block.
 
     A seed that fails the check, or a block solve that finds no point,
-    raises :class:`SolverError`. The seed proves the program feasible, so
-    no exact equality check runs here.
+    raises :class:`SolverError`. The returned point holds the same pinned
+    program, so a second refine can continue on it within other bounds.
     """
-    pin = Row(
-        name="objective_pin",
-        coeffs=problem.objective,
-        relation=Relation.EQ,
-        rhs=optimum,
-    )
-    rows = problem.rows + (pin,)
-    bounds = list(problem.bounds)
-    x = tuple(seed)
+    highs, rows = seed.pinned.highs, seed.pinned.rows
+    bounds = list(seed.pinned.bounds if bounds is None else bounds)
+    x = seed.x
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
-        raise SolverError(f"seed point misses the optimum {optimum}")
-    highs = _load(problem.objective, rows, bounds, HighsVarType.kInteger)
-    columns = np.arange(problem.num_vars, dtype=np.int32)
+        raise SolverError(f"seed point misses the optimum {seed.objective}")
+    num_vars = len(bounds)
+    columns = np.arange(num_vars, dtype=np.int32)
     j = 0
     while j < stop:
         if x[j] == bounds[j][0]:
@@ -336,22 +353,22 @@ def lex_refine(
             continue
         widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
         block = range(j, j + _block_size(widths))
-        key = [0] * problem.num_vars
+        key = [0] * num_vars
         weight = 1
         for i in reversed(block):
             key[i] = -weight
             weight *= widths[i - j]
         box = np.asarray(bounds, dtype=float)
-        highs.changeColsBounds(problem.num_vars, columns, box[:, 0], box[:, 1])
-        highs.changeColsCost(problem.num_vars, columns, -np.asarray(key, dtype=float))
+        highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
+        highs.changeColsCost(num_vars, columns, -np.asarray(key, dtype=float))
         result = _milp_once(highs, key, rows, bounds)
         if result is None:
-            raise SolverError(f"no point at the optimum {optimum}")
+            raise SolverError(f"no point at the optimum {seed.objective}")
         _, x = result
         for i in block:
             bounds[i] = (x[i], x[i])
         j = block.stop
-    return x
+    return IntSolution(x=x, objective=seed.objective, pinned=seed.pinned)
 
 
 def solve_ilp(
@@ -365,18 +382,23 @@ def solve_ilp(
     (the default) the returned vector is the lexicographically smallest among
     all optimal integer solutions; without it, the first optimal vector found.
     A refined solve makes at most one MILP call per :func:`lex_refine` block
-    after the first.
+    after the first. The returned point holds the program, loaded and with
+    its objective pinned at the optimum, for :func:`lex_refine`.
     """
     if _equalities_lack_integer_point(problem):
         return None
-    # the root LP: the model loaded with every column continuous; only a
-    # proven infeasible verdict settles the program, any other outcome, a
+    # the root LP: the model loaded with every column continuous and solved
+    # without presolve, so that its infeasible verdict is not a presolved
+    # one; only that verdict settles the program, any other outcome, a
     # failure included, leaves the verdict to the MILP, for which the
-    # columns turn integer
+    # columns turn integer and presolve is HiGHS's default again
     highs = _load(
         problem.objective, problem.rows, problem.bounds, HighsVarType.kContinuous
     )
-    if _run(highs) == HighsModelStatus.kInfeasible:
+    highs.setOptionValue("presolve", "off")
+    root = _run(highs)
+    highs.setOptionValue("presolve", "choose")
+    if root == HighsModelStatus.kInfeasible:
         return None
     columns = np.arange(problem.num_vars, dtype=np.int32)
     integer = np.full(problem.num_vars, HighsVarType.kInteger, dtype=np.uint8)
@@ -385,7 +407,11 @@ def solve_ilp(
     if result is None:
         return None
     value, x = result
-    if refine:
-        x = lex_refine(problem, value, x, problem.num_vars)
-    return IntSolution(x=tuple(x), objective=value)
-
+    # the objective pin, one more row on the instance for every refine
+    cost = np.asarray(problem.objective, dtype=float)
+    held = np.flatnonzero(cost).astype(np.int32)
+    highs.addRow(value, value, len(held), held, cost[held])
+    pin = Row("objective_pin", problem.objective, Relation.EQ, value)
+    pinned = _Pinned(highs=highs, rows=problem.rows + (pin,), bounds=problem.bounds)
+    first = IntSolution(x=x, objective=value, pinned=pinned)
+    return lex_refine(first, problem.num_vars) if refine else first

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -165,7 +166,7 @@ class Row:
     rhs: int
 
     def evaluate(self, x: Sequence[int]) -> int:
-        return sum(c * v for c, v in zip(self.coeffs, x))
+        return sum(map(operator.mul, self.coeffs, x))
 
     def residual(self, x: Sequence[int]) -> int:
         """Signed slack: value minus rhs."""
@@ -304,18 +305,18 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
       lowest optimal combination holds an ask slot at zero lots, or flipping
       that slot to bid would give a lower optimal index with the same point.
       So every such point satisfies the side rows.
-    - The seed of :func:`~payoffopt.optimizer.optimize`'s quantity refine
-      stays valid. With z fixed this program restricts that combination's
-      subproblem, so a point of it at the overall optimum is one of the
-      subproblem's optima.
+    - The quantities of that combination are kept. With z fixed
+      (:func:`combination_bounds`) this program restricts that combination's
+      subproblem, so its points at the overall optimum are optima of the
+      subproblem, and by the point above they are all of them.
 
     The variable order makes the lexicographically smallest optimum (what
     ``solve_ilp`` refines to) the lowest optimal combination index first and
     then, among points that buy at least one lot in every ask slot, the
     lexicographically smallest quantities.
-    :func:`~payoffopt.optimizer.optimize` refines only the side bits here,
-    decodes that point with :func:`decode_combined`, and refines the
-    quantities on that combination's own subproblem.
+    :func:`~payoffopt.optimizer.optimize` refines the side bits first, fixes
+    them with :func:`combination_bounds`, refines the quantities on the same
+    program, and decodes the final point with :func:`decode_combined`.
     """
     slots = 2 * series.n
     ask = build_subproblem(spec, series, PriceCombination((1,) * slots))
@@ -359,6 +360,34 @@ def decode_combined(
     parts = values[slots:]
     quantities = tuple(p + r for p, r in zip(parts[0::2], parts[1::2]))
     return PriceCombination(tuple(values[:slots])), quantities
+
+
+def combination_bounds(
+    n: int, problem: IlpProblem, values: Sequence[int]
+) -> tuple[tuple[int, int], ...]:
+    """Bounds that hold the :func:`build_combined` program ``problem`` to the
+    combination of the side bits in ``values``.
+
+    Each ``z_i`` is fixed at its value. An ask slot keeps ``p_i`` in
+    [1, U], the side row's floor, and gets ``r_i = 0``; a bid slot gets
+    ``p_i = 0`` and keeps ``r_i`` in [L, 0]. These are the values the link
+    and side rows force once z is fixed, so the program within these bounds
+    is that combination's subproblem with every ask slot at one lot or
+    more. When the combination is the lowest optimal one, its optima are
+    exactly the subproblem's: no optimal point of it holds an ask slot at
+    zero lots, or the bid side there would give a lower optimal index (see
+    :func:`build_combined`). Every forced column sits at its lower bound,
+    and one of ``p_i``, ``r_i`` is fixed per slot, so lexicographic order
+    over ``(p_0, r_0, p_1, ...)`` is lexicographic order over the
+    quantities.
+    """
+    slots = 2 * n
+    bounds = [(z, z) for z in values[:slots]]
+    for z, (_, upper), (lower, _) in zip(
+        values[:slots], problem.bounds[slots::2], problem.bounds[slots + 1 :: 2]
+    ):
+        bounds += [(1, upper), (0, 0)] if z else [(0, 0), (lower, 0)]
+    return tuple(bounds)
 
 
 # most points either half of a row's box may hold for :func:`unreachable_row`

@@ -8,8 +8,8 @@ infeasible first, without a solver call. The winner is the highest
 objective, with ties broken by lowest combination index and then by the
 lexicographically smallest quantity vector. The combined solve finds the
 optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
-finds the lowest optimal combination index, and on that combination's
-subproblem, seeded with the same point, the quantities.
+finds the lowest optimal combination index, and then, on the same loaded
+program with those bits fixed, the quantities.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from .model_builder import (
     SpecError,
     StrategySpec,
     build_combined,
-    build_subproblem,
+    build_subproblem,  # not called here; benchmark/tracing.py wraps this name
+    combination_bounds,
     decode_combined,
     unreachable_row,
 )
@@ -87,21 +88,20 @@ def optimize(
     row of the combined program that no quantity vector in the bounds
     meets, the run is infeasible and loads no solver. Otherwise the
     combined solve gives the optimal value. Stage A refines its side
-    bits to the lowest optimal combination index; Stage B refines that
-    combination's subproblem to the lexicographically smallest quantities,
-    seeded with the Stage-A point's quantities. Both stages are
-    :func:`~payoffopt.ilp_solver.lex_refine` calls.
+    bits to the lowest optimal combination index; Stage B fixes those bits
+    with :func:`~payoffopt.model_builder.combination_bounds` and refines
+    the quantities from the Stage-A point. Both stages are
+    :func:`~payoffopt.ilp_solver.lex_refine` calls on the HiGHS instance the
+    combined solve loaded, and only the final point is decoded.
 
     The combined program's side rows (a slot takes the ask side only when
     it buys) move no answer. The optimal value stays, because zeroing the
     side bits of slots that trade nothing maps every optimum into the
     program. Stage A still finds the lowest optimal index, because none of
     that combination's optimal points holds an ask slot at zero lots (the
-    bid side would give a lower index). The Stage-A point stays a valid
-    seed, because with the side bits fixed the combined program is that
-    combination's subproblem with each ask slot at one lot or more, and a
-    point of that restriction at the overall optimum is one of the
-    subproblem's optima.
+    bid side would give a lower index). For the same reason Stage B's
+    points, the combined program's with that combination's bits fixed, are
+    exactly the combination's own optima.
 
     A solver failure propagates: :class:`SolverResourceError` for an
     exhausted budget, :class:`SolverError` itself for a backend failure or a
@@ -113,11 +113,10 @@ def optimize(
     first = solve_ilp(combined, refine=False)
     if first is None:
         return None
-    slots = 2 * series.n
-    ranked = lex_refine(combined, first.objective, first.x, slots)
-    combo, seed = decode_combined(series.n, ranked)
-    subproblem = build_subproblem(spec, series, combo)
-    x = lex_refine(subproblem, first.objective, seed, slots)
+    ranked = lex_refine(first, 2 * series.n)
+    bounds = combination_bounds(series.n, combined, ranked.x)
+    final = lex_refine(ranked, combined.num_vars, bounds)
+    combo, x = decode_combined(series.n, final.x)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     # exact bookkeeping identity between the compiled objective and the engine
     assert first.objective == pnl(portfolio, combo, spec.expected_price)

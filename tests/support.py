@@ -537,6 +537,21 @@ def count_solver_calls(monkeypatch) -> SolverCalls:
     return calls
 
 
+def count_loads(monkeypatch) -> list[int]:
+    """Record every program ``payoffopt.ilp_solver._load`` passes to HiGHS
+    until the test ends: the returned list grows by the program's number of
+    columns per load."""
+    loads = []
+    real_load = payoffopt.ilp_solver._load
+
+    def counting_load(objective, rows, bounds, kind):
+        loads.append(len(bounds))
+        return real_load(objective, rows, bounds, kind)
+
+    monkeypatch.setattr(payoffopt.ilp_solver, "_load", counting_load)
+    return loads
+
+
 def fake_milp_runs(monkeypatch, status, *, record=solve_kind):
     """End every MILP run of ``payoffopt.ilp_solver`` with HiGHS model status
     ``status`` without a solve; the root LP runs for real. Returns

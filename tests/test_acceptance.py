@@ -21,9 +21,12 @@ from payoffopt.ilp_solver import (
 )
 import payoffopt.model_builder as model_builder
 from payoffopt.model_builder import (
+    CostTarget,
     PriceCombination,
+    Relation,
     build_combined,
     build_subproblem,
+    combination_bounds,
     decode_combined,
     unreachable_row,
 )
@@ -34,6 +37,7 @@ from support import (
     base_spec,
     brute_force,
     check_feasible,
+    count_loads,
     count_solver_calls,
     lp_relaxation,
     random_equality_ilp,
@@ -225,15 +229,23 @@ def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
     # on the seeded corpus no optimum lies in two combinations, so the first
     # solve already lands on the lowest one and leaves Stage A nothing to
     # lower; priced at intrinsic value, optima tie across combinations.
-    # optimize gets every optimal point of a higher combination as its first
-    # solve and must still reach the reference answer. Each seed is the
+    # optimize gets every optimal point of a higher combination in place of
+    # its first solve's point, on the program that solve loaded and pinned,
+    # and must still reach the reference answer. Each seed is the
     # brute_force optimum of a higher combination with its ask slots bought
     # at least once, in normal form, so it lies in that combination and in
     # the combined program
     import payoffopt.optimizer as optimizer
 
     seeded = []
-    monkeypatch.setattr(optimizer, "solve_ilp", lambda problem, **_: seeded[-1])
+    real = optimizer.solve_ilp
+
+    def seeded_solve(problem, **kwargs):
+        first = real(problem, **kwargs)
+        assert first.objective == seeded[-1].objective
+        return dataclasses.replace(first, x=seeded[-1].x)
+
+    monkeypatch.setattr(optimizer, "solve_ilp", seeded_solve)
     rng = random.Random(20260823)
     cases = seeds = 0
     for i in range(220):
@@ -293,11 +305,11 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
 def test_root_lp_verdict_matches_linprog(
     monkeypatch, fixture_run_config, fixture_series
 ):
-    # solve_ilp's root LP (the loaded model with every column continuous)
-    # and scipy's linprog relaxation give the same verdict on every combined
-    # program of the corpus above and on the fixture's; solve_ilp runs that
-    # root LP exactly once unless the exact equality check settled the
-    # program first
+    # solve_ilp's root LP (the loaded model with every column continuous,
+    # solved without presolve) and scipy's linprog relaxation give the same
+    # verdict on every combined program of the corpus above and on the
+    # fixture's; solve_ilp runs that root LP exactly once unless the exact
+    # equality check settled the program first
     import payoffopt.ilp_solver as ilp_solver
 
     verdicts = []
@@ -324,6 +336,7 @@ def test_root_lp_verdict_matches_linprog(
         highs = ilp_solver._load(
             combined.objective, combined.rows, combined.bounds, HighsVarType.kContinuous
         )
+        highs.setOptionValue("presolve", "off")
         status = real(highs)
         relaxed = lp_relaxation(combined) is None
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
@@ -335,21 +348,26 @@ def test_root_lp_verdict_matches_linprog(
     assert infeasible >= 100
 
 
+def corpus_optimize_all():
+    """One optimize per strategy of the seeded 220-strategy corpus."""
+    for spec, series in seeded_strategies(20260823, 220):
+        optimize(spec, series)
+
+
 def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     # HiGHS calls are deterministic. One optimize per strategy of the seeded
-    # corpus makes 232 of them, 1 presolve-off recheck included. Of the 220
+    # corpus makes 229 of them, 1 presolve-off recheck included. Of the 220
     # combined programs, 70 have equality rows without any integer point
     # (the Hermite normal form check of solve_ilp) and 58 more have a row
     # no quantity vector in the box meets (unreachable_row); optimize's
     # check settles all 128 with none. The root LP settles 45 of the other
     # 92; of the 47 that reach a MILP, 46 are feasible. A lost pre-check
-    # shows here as more calls (312 without unreachable_row)
+    # shows here as more calls (312 without unreachable_row). Stage B runs
+    # on the combined program with the side bits fixed: 3 MILPs fewer than
+    # on each winning combination's own subproblem (139)
     calls = count_solver_calls(monkeypatch)
-    rng = random.Random(20260823)
-    for _ in range(220):
-        series = random_series(rng)
-        optimize(random_spec(rng, series), series)
-    assert dict(calls) == {"root_lp": 92, "milp": 139, "recheck": 1}
+    corpus_optimize_all()
+    assert dict(calls) == {"root_lp": 92, "milp": 136, "recheck": 1}
     calls.clear()
     assert optimize(fixture_run_config.strategy, fixture_series) is not None
     # no presolve-off recheck on the fixture
@@ -361,6 +379,46 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     solve_ilp(combined, refine=False)
     assert calls["milp"] == 1
     assert calls.nodes["milp"] <= 8
+
+
+def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_series):
+    # every solve of a program, from its root LP to the last Stage-B block,
+    # runs on the one HiGHS instance solve_ilp loads: one load per program
+    # that passes both exact checks (92 of the corpus's 220, 184 when Stage
+    # A and Stage B each loaded their own), one for the fixture (3 then),
+    # and none for a program an exact check settles
+    loads = count_loads(monkeypatch)
+    corpus_optimize_all()
+    assert len(loads) == 92
+    loads.clear()
+    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    assert loads == [36]
+    loads.clear()
+    spec, series = list(seeded_strategies(20260823, 55))[54]
+    assert optimize(spec, series) is None
+    assert loads == []
+
+
+def test_root_lp_runs_without_presolve(monkeypatch):
+    # no presolved LP verdict is trusted: every root LP of the corpus runs
+    # with presolve off, and 45 of its 92 say infeasible
+    import payoffopt.ilp_solver as ilp_solver
+
+    real = ilp_solver._run
+    root_lps = []
+
+    def recording(highs):
+        kind, presolve = solve_kind(highs), highs.getOptionValue("presolve")[1]
+        status = real(highs)
+        if kind == "root_lp":
+            root_lps.append((presolve, status))
+        return status
+
+    monkeypatch.setattr(ilp_solver, "_run", recording)
+    corpus_optimize_all()
+    assert {presolve for presolve, _ in root_lps} == {"off"}
+    assert len(root_lps) == 92
+    assert sum(status == HighsModelStatus.kInfeasible for _, status in root_lps) == 45
 
 
 def invariance_cases(fixture_run_config, fixture_series, count):
@@ -536,8 +594,9 @@ def test_fixture_tie_break_solve_counts(
     monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts, milps
 ):
     # one root LP for the first solve; MILPs: the first solve, one Stage-A
-    # block (12 side bits) and Stage B's blocks (4 slots of width 21, or 2
-    # of width 201); presolve-off rechecks are not counted
+    # block (12 side bits) and Stage B's blocks (5, 5 and 2 slots of width
+    # 10 or 11, or 2 slots of width 100 or 101 each); presolve-off rechecks
+    # are not counted
     counted = count_solver_calls(monkeypatch)
     spec = fixture_run_config.strategy
     if lots is not None:
@@ -554,16 +613,22 @@ def test_fixture_tie_break_solve_counts(
 def test_fixture_lex_refine_matches_slotwise_oracle(
     fixture_run_config, fixture_series, lots
 ):
-    # at these bounds Stage B spans six blocks of two slots each
+    # at these bounds a free Stage-B column spans 50 or 51 values (four
+    # blocks of three) or 100 or 101 (six blocks of two). Stage A
+    # against the oracle on the combined program; Stage B, run on the
+    # combined program with the side bits fixed, against the oracle on the
+    # winning combination's own subproblem
     spec = dataclasses.replace(fixture_run_config.strategy, lower=-lots, upper=lots)
     combined = build_combined(spec, fixture_series)
     first = solve_ilp(combined, refine=False)
     slots = 2 * fixture_series.n
-    ranked = lex_refine(combined, first.objective, first.x, slots)
-    assert ranked[:slots] == slotwise_refine(combined, first.objective, slots)[:slots]
-    combo, seed = decode_combined(fixture_series.n, ranked)
+    ranked = lex_refine(first, slots)
+    assert ranked.x[:slots] == slotwise_refine(combined, first.objective, slots)[:slots]
+    bounds = combination_bounds(fixture_series.n, combined, ranked.x)
+    combo, got = decode_combined(
+        fixture_series.n, lex_refine(ranked, combined.num_vars, bounds).x
+    )
     subproblem = build_subproblem(spec, fixture_series, combo)
-    got = lex_refine(subproblem, first.objective, seed, slots)
     assert got == slotwise_refine(subproblem, first.objective, slots)
     solution = optimize(spec, fixture_series)
     assert solution.combination == combo
@@ -674,6 +739,26 @@ def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
     calls = count_solver_calls(monkeypatch)
     assert optimize(spec, series) is None
     assert dict(calls) == {}
+
+
+@pytest.mark.parametrize("cost", [5000, 1, -5000], ids=["50.00", "0.01", "-50.00"])
+def test_lattice_check_settles_what_the_row_check_skips(
+    monkeypatch, fixture_run_config, fixture_series, cost
+):
+    # the fixture's rows are too wide for unreachable_row, so at these "="
+    # cost targets the combined program reaches solve_ilp, whose Hermite
+    # normal form check proves it infeasible before any HiGHS load or call
+    spec = dataclasses.replace(
+        fixture_run_config.strategy, cost_target=CostTarget(Relation.EQ, cost)
+    )
+    combined = build_combined(spec, fixture_series)
+    assert unreachable_row(fixture_series.n, combined) is None
+    assert _equalities_lack_integer_point(combined)
+    calls = count_solver_calls(monkeypatch)
+    loads = count_loads(monkeypatch)
+    assert optimize(spec, fixture_series) is None
+    assert dict(calls) == {}
+    assert loads == []
 
 
 @pytest.mark.parametrize(

@@ -1061,13 +1061,14 @@ class TestTracerContract:
                 monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
         assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
         assert json.loads(capsys.readouterr().out)["objective"] == "400.00"
+        # optimize refines the quantities on the combined program, so it
+        # builds no subproblem: optimizer.build_subproblem only resolves
         assert Counter(label for label, _ in calls) == {
             "payoffopt.cli.parse_chain": 1,
             "payoffopt.cli.select_series": 1,
             "payoffopt.cli.optimize": 1,
             "payoffopt.cli.solution_to_json": 1,
             "payoffopt.optimizer.solve_ilp": 1,
-            "payoffopt.optimizer.build_subproblem": 1,
             "payoffopt.optimizer.payoff_curve": 1,
         }
         # the tracer tells the first solve by this keyword

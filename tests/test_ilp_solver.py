@@ -421,12 +421,13 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
     )
     expected = IntSolution(x=(-2, -1, 0, 3), objective=4)
     assert solve_ilp(problem) == brute_force(problem) == expected
+    seed = dataclasses.replace(solve_ilp(problem, refine=False), x=expected.x)
     calls = count_solver_calls(monkeypatch)
     # from the answer itself the first three slots sit at their lower
     # bounds and are fixed without a solve; only x3 takes one
-    assert lex_refine(problem, 4, expected.x, 3) == expected.x
+    assert lex_refine(seed, 3) == expected
     assert calls["milp"] == 0
-    assert lex_refine(problem, 4, expected.x, 4) == expected.x
+    assert lex_refine(seed, 4) == expected
     assert calls["milp"] == 1
 
 
@@ -468,9 +469,10 @@ def test_block_split(monkeypatch, widths, sizes):
         ),
         bounds=tuple((-1, w - 2) for w in widths),
     )
+    first = solve_ilp(problem, refine=False)
+    seed = dataclasses.replace(first, x=tuple(w - 2 for w in widths))
     calls = count_solver_calls(monkeypatch)
-    seed = tuple(w - 2 for w in widths)
-    assert lex_refine(problem, 0, seed, num) == (0,) * num
+    assert lex_refine(seed, num).x == (0,) * num
     assert calls["milp"] == len(sizes)
 
 
@@ -485,7 +487,7 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
             continue
         feasible += 1
         before = calls["milp"]
-        got = lex_refine(problem, first.objective, first.x, problem.num_vars)
+        got = lex_refine(first, problem.num_vars).x
         multi_block += calls["milp"] - before > 1
         assert got == slotwise_refine(problem, first.objective, problem.num_vars), case
         assert solve_ilp(problem) == IntSolution(got, first.objective), case
@@ -498,13 +500,14 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
 
 
 def test_lex_refine_rejects_a_seed_off_the_optimum():
-    problem = fractional_problem()
-    with pytest.raises(SolverError, match="seed") as err:
-        lex_refine(problem, 2, (1,), 1)
-    assert err.type is SolverError
-    with pytest.raises(SolverError, match="seed") as err:
-        lex_refine(problem, 3, (3,), 1)
-    assert err.type is SolverError
+    # the optimum is x = 2 with objective 2; the seed must meet the pin, the
+    # rows and the bounds the refine runs within
+    first = solve_ilp(fractional_problem(), refine=False)
+    assert first == IntSolution(x=(2,), objective=2)
+    for x, bounds in [((1,), None), ((3,), None), ((2,), [(0, 1)])]:
+        with pytest.raises(SolverError, match="seed point misses the optimum 2") as err:
+            lex_refine(dataclasses.replace(first, x=x), 1, bounds)
+        assert err.type is SolverError
 
 
 def test_brute_force_capacity_guard():

@@ -15,6 +15,8 @@ from payoffopt.model_builder import (
     TailLossMode,
     build_combined,
     build_subproblem,
+    combination_bounds,
+    decode_combined,
     unreachable_row,
 )
 from payoffopt.payoff_engine import Portfolio
@@ -382,6 +384,47 @@ class TestBuildCombined:
             expected = [0] * 12
             expected[i], expected[4 + 2 * i] = 1, -1
             assert side == expected
+
+
+    def test_combination_bounds_leave_the_combination_buying_each_ask(self):
+        # within combination_bounds the combined program's points are those
+        # of the combination's subproblem that buy at least one lot in every
+        # ask slot, each once, with the forced columns at their lower bounds
+        spec = tent_spec(
+            lower=-2, upper=3, balance_left_tail=False, balance_right_tail=False
+        )
+        series = small_series()
+        combined = build_combined(spec, series)
+        assert combination_bounds(2, combined, (1, 0, 0, 1)) == (
+            (1, 1), (0, 0), (0, 0), (1, 1),
+            (1, 3), (0, 0), (0, 0), (-2, 0), (0, 0), (-2, 0), (1, 3), (0, 0),
+        )
+        kept = idle = 0
+        for index in range(16):
+            combo = PriceCombination.from_index(2, index)
+            subproblem = build_subproblem(spec, series, combo)
+            feasible = [
+                x
+                for x in itertools.product(*(range(lo, hi + 1) for lo, hi in subproblem.bounds))
+                if all(row.satisfied(x) for row in subproblem.rows)
+            ]
+            expected = [
+                x for x in feasible if all(v >= 1 for v, bit in zip(x, combo.bits) if bit)
+            ]
+            kept += len(expected)
+            idle += len(feasible) - len(expected)
+            bounds = combination_bounds(2, combined, combo.bits)
+            points = [
+                point
+                for point in itertools.product(*(range(lo, hi + 1) for lo, hi in bounds))
+                if all(row.satisfied(point) for row in combined.rows)
+            ]
+            assert [decode_combined(2, point) for point in points] == [
+                (combo, x) for x in expected
+            ], index
+        # points of three combinations kept; points with an idle ask slot,
+        # which the side rows leave to a lower combination, left out
+        assert (kept, idle) == (8, 12)
 
 
 class TestUnreachableRow:

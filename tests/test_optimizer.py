@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -104,46 +103,46 @@ class TestOptimize:
             optimize(base_spec(), small_series())
         assert err.type is SolverError
 
-    @pytest.mark.parametrize("stage", ["stage-a-no-point", "stage-b-seed"])
+    @pytest.mark.parametrize("stage", ["stage-a-no-point", "stage-b-no-point"])
     def test_stage_missing_the_optimum_is_a_solver_error(self, monkeypatch, stage):
         # a later stage that misses the first optimum is a backend failure,
-        # not a verdict
+        # not a verdict: from its first faked MILP on, every MILP answers
+        # infeasible, the block's and its presolve-off recheck's
+        real = payoffopt.ilp_solver._run
+        real_milps, faked = [], []
         if stage == "stage-a-no-point":
-            # every MILP after the first solve, the Stage-A block's included,
-            # answers infeasible
-            real = payoffopt.ilp_solver._run
-            calls = []
-
-            def no_point_after_first(highs):
-                if solve_kind(highs) == "root_lp":
-                    return real(highs)
-                calls.append(1)
-                if len(calls) == 1:
-                    return real(highs)
-                return HighsModelStatus.kInfeasible
-
-            monkeypatch.setattr(payoffopt.ilp_solver, "_run", no_point_after_first)
-            message = "no point at the optimum"
+            # every MILP after the first solve's, the Stage-A block's first
+            started = real_milps.__len__
         else:
-            # Stage B's subproblem values the first call one cent per lot
-            # above the combined program, so the seed decoded from Stage A
-            # (which buys that call) misses its optimum
-            real = payoffopt.optimizer.build_subproblem
+            # every MILP once Stage B has fixed the side bits; the first
+            # solve and the Stage-A block run for real
+            fixed = []
+            real_bounds = payoffopt.optimizer.combination_bounds
 
-            def shifted(*args):
-                problem = real(*args)
-                objective = (problem.objective[0] + 1,) + problem.objective[1:]
-                return dataclasses.replace(problem, objective=objective)
+            def fixing(*args):
+                fixed.append(1)
+                return real_bounds(*args)
 
-            monkeypatch.setattr(payoffopt.optimizer, "build_subproblem", shifted)
-            message = "seed point misses"
-        with pytest.raises(SolverError, match=message) as err:
+            monkeypatch.setattr(payoffopt.optimizer, "combination_bounds", fixing)
+            started = fixed.__len__
+
+        def no_point_once_started(highs):
+            if solve_kind(highs) == "root_lp":
+                return real(highs)
+            if not started():
+                real_milps.append(1)
+                return real(highs)
+            faked.append(1)
+            return HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(payoffopt.ilp_solver, "_run", no_point_once_started)
+        with pytest.raises(SolverError, match="no point at the optimum 1410") as err:
             optimize(base_spec(), small_series())
         assert err.type is SolverError
-        if stage == "stage-a-no-point":
-            # the real first solve, then the Stage-A block and its
-            # presolve-off recheck, both faked
-            assert len(calls) == 3
+        # the first faked block and its recheck, after the real first solve
+        # (and, for Stage B, the real Stage-A block)
+        assert len(faked) == 2
+        assert len(real_milps) == (1 if stage == "stage-a-no-point" else 2)
 
     def test_feasible_run_makes_one_lp_and_at_most_three_milps(self, monkeypatch):
         # the first solve's root LP is the only LP: Stage A and Stage B
