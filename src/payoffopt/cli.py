@@ -30,6 +30,7 @@ from .market_data import (
     SeriesSelection,
     parse_chain,
     select_series,
+    unique_keys,
     validate_chain,
 )
 from .model_builder import (
@@ -224,12 +225,13 @@ def _read_json(path: Path, what: str, error: type[Exception]) -> object:
     """The JSON document in the ``what`` file at ``path``; a file that cannot
     be read, decoded or parsed raises ``error``."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        return json.loads(text, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{what} {path} is not UTF-8: {exc}") from exc
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+    except ValueError as exc:  # malformed, a repeated key, or too long an integer
         raise error(f"invalid {what} JSON: {exc}") from exc
 
 

@@ -30,11 +30,10 @@ exact integer arithmetic by column-style Euclidean elimination to Hermite
 normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
 Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
 program is infeasible without a solver call and without a presolve-off
-recheck. Otherwise a root LP, the model loaded with every column continuous
-and solved without presolve, settles most of the remaining infeasible
-programs before any MILP; the MILP then switches the columns to integer
-once. No infeasibility verdict of a presolved solve is trusted: the root LP
-runs unpresolved, and a presolved MILP verdict is re-solved without presolve.
+recheck. Otherwise a root LP, the relaxation of the loaded integer model,
+settles most of the remaining infeasible programs before any MILP. No
+infeasibility verdict of a presolved solve is trusted: the root LP runs
+unpresolved, and a presolved MILP verdict is re-solved without presolve.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
 counts as one. A program HiGHS rejects as a model error, or one with a
@@ -200,14 +199,10 @@ def _failure(highs: _Highs, status: HighsModelStatus) -> str:
 
 
 def _load(
-    objective: Sequence[int],
-    rows: Sequence[Row],
-    bounds: Sequence[tuple[int, int]],
-    kind: HighsVarType,
+    objective: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
 ) -> _Highs:
     """A HiGHS instance holding ``max objective . x`` subject to ``rows`` and
-    ``bounds``, every column of type ``kind``, set up for every solve of the
-    program.
+    ``bounds``, every column integer, set up for every solve of the program.
 
     The matrix goes to HiGHS once, column-wise, the layout it stores. A
     number beyond floating point, or a model HiGHS rejects (for instance a
@@ -243,7 +238,7 @@ def _load(
             np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
             row.astype(np.int32),
             columns[col, row],
-            np.full(num_vars, kind, dtype=np.int32),
+            np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
         )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
@@ -264,17 +259,11 @@ def _run(highs: _Highs) -> HighsModelStatus:
 
 
 def _milp_once(
-    highs: _Highs,
-    objective: Sequence[int],
-    rows: Sequence[Row],
-    bounds: Sequence[tuple[int, int]],
-) -> tuple[int, tuple[int, ...]] | None:
-    """One exact MILP solve: (objective, x) or ``None`` when infeasible.
-
-    ``highs`` holds the program ``objective``, ``rows`` and ``bounds`` as
-    loaded by :func:`_load`; the rows and bounds themselves serve the exact
-    integer check of the returned point.
-    """
+    highs: _Highs, rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
+) -> tuple[int, ...] | None:
+    """The optimal point of one MILP solve of the program ``highs`` holds,
+    checked exactly against its ``rows`` and ``bounds``, or ``None`` when
+    the program is infeasible."""
     status = _run(highs)
     if status != HighsModelStatus.kOptimal and status not in _LIMITS:
         # presolve can misreduce a feasible model to infeasible (seen with a
@@ -295,7 +284,7 @@ def _milp_once(
     x = tuple(int(round(v)) for v in highs.getSolution().col_value)
     if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
         raise SolverError("MILP point fails exact integer verification")
-    return sum(map(operator.mul, objective, x)), x
+    return x
 
 
 # a block's mixed-radix key ranges over fewer than this many values; HiGHS
@@ -353,18 +342,17 @@ def lex_refine(
             continue
         widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
         block = range(j, j + _block_size(widths))
-        key = [0] * num_vars
+        cost = np.zeros(num_vars)
         weight = 1
         for i in reversed(block):
-            key[i] = -weight
+            cost[i] = weight
             weight *= widths[i - j]
         box = np.asarray(bounds, dtype=float)
         highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
-        highs.changeColsCost(num_vars, columns, -np.asarray(key, dtype=float))
-        result = _milp_once(highs, key, rows, bounds)
-        if result is None:
+        highs.changeColsCost(num_vars, columns, cost)
+        x = _milp_once(highs, rows, bounds)
+        if x is None:
             raise SolverError(f"no point at the optimum {seed.objective}")
-        _, x = result
         for i in block:
             bounds[i] = (x[i], x[i])
         j = block.stop
@@ -387,26 +375,22 @@ def solve_ilp(
     """
     if _equalities_lack_integer_point(problem):
         return None
-    # the root LP: the model loaded with every column continuous and solved
-    # without presolve, so that its infeasible verdict is not a presolved
-    # one; only that verdict settles the program, any other outcome, a
-    # failure included, leaves the verdict to the MILP, for which the
-    # columns turn integer and presolve is HiGHS's default again
-    highs = _load(
-        problem.objective, problem.rows, problem.bounds, HighsVarType.kContinuous
-    )
+    # the root LP: the loaded integer model's relaxation without presolve,
+    # so that its infeasible verdict is not a presolved one; that verdict
+    # alone settles the program, any other outcome, a failure included,
+    # leaves it to the MILP, which gets both options' defaults back
+    highs = _load(problem.objective, problem.rows, problem.bounds)
+    highs.setOptionValue("solve_relaxation", True)
     highs.setOptionValue("presolve", "off")
     root = _run(highs)
+    highs.setOptionValue("solve_relaxation", False)
     highs.setOptionValue("presolve", "choose")
     if root == HighsModelStatus.kInfeasible:
         return None
-    columns = np.arange(problem.num_vars, dtype=np.int32)
-    integer = np.full(problem.num_vars, HighsVarType.kInteger, dtype=np.uint8)
-    highs.changeColsIntegrality(problem.num_vars, columns, integer)
-    result = _milp_once(highs, problem.objective, problem.rows, problem.bounds)
-    if result is None:
+    x = _milp_once(highs, problem.rows, problem.bounds)
+    if x is None:
         return None
-    value, x = result
+    value = sum(map(operator.mul, problem.objective, x))
     # the objective pin, one more row on the instance for every refine
     cost = np.asarray(problem.objective, dtype=float)
     held = np.flatnonzero(cost).astype(np.int32)

@@ -255,6 +255,17 @@ def _chain(
     )
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """``json.loads``'s ``object_pairs_hook``: a key given twice raises
+    ``ValueError`` rather than silently keep its last value."""
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_csv(text: str) -> OptionChain:
     headers: dict[str, str] = {}
     quotes: list[OptionQuote] = []
@@ -262,13 +273,13 @@ def _parse_csv(text: str) -> OptionChain:
         line = line.strip()
         if not line:
             continue
-        key, eq, value = line.partition("=")
-        if eq and key.strip() in _HEADER_KEYS and "," not in key:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if eq and key in _HEADER_KEYS:
             if quotes:
-                raise MarketDataError(
-                    f"row {row}: header {key.strip()!r} after records"
-                )
-            headers[key.strip()] = value.strip()
+                raise MarketDataError(f"row {row}: header {key!r} after records")
+            if key in headers:
+                raise MarketDataError(f"row {row}: repeated header {key!r}")
+            headers[key] = value
             continue
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != 5:
@@ -289,8 +300,8 @@ def _parse_csv(text: str) -> OptionChain:
 
 def _parse_json(text: str) -> OptionChain:
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+        data = json.loads(text, object_pairs_hook=unique_keys)
+    except ValueError as exc:  # malformed, a repeated key, or too long an integer
         raise MarketDataError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MarketDataError("chain JSON must be an object")

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.optimize._highspy._core import HighsVarType
 
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import IntSolution, solve_ilp
@@ -508,10 +507,10 @@ class SolverCalls(Counter):
 
 def solve_kind(highs) -> str:
     """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
-    model ``highs`` holds: ``"root_lp"``, every column continuous (the root
-    LP of :func:`solve_ilp`); ``"milp"``, integer columns with presolve on;
+    model ``highs`` holds: ``"root_lp"``, the relaxation (the root LP of
+    :func:`solve_ilp`); ``"milp"``, the integer model with presolve on;
     ``"recheck"``, the presolve-off recheck."""
-    if highs.getColIntegrality(0)[1] == HighsVarType.kContinuous:
+    if highs.getOptionValue("solve_relaxation")[1]:
         return "root_lp"
     return "recheck" if highs.getOptionValue("presolve")[1] == "off" else "milp"
 
@@ -544,9 +543,9 @@ def count_loads(monkeypatch) -> list[int]:
     loads = []
     real_load = payoffopt.ilp_solver._load
 
-    def counting_load(objective, rows, bounds, kind):
+    def counting_load(objective, rows, bounds):
         loads.append(len(bounds))
-        return real_load(objective, rows, bounds, kind)
+        return real_load(objective, rows, bounds)
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_load", counting_load)
     return loads

@@ -305,8 +305,8 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
 def test_root_lp_verdict_matches_linprog(
     monkeypatch, fixture_run_config, fixture_series
 ):
-    # solve_ilp's root LP (the loaded model with every column continuous,
-    # solved without presolve) and scipy's linprog relaxation give the same
+    # solve_ilp's root LP (the loaded integer model's relaxation, solved
+    # without presolve) and scipy's linprog relaxation give the same
     # verdict on every combined program of the corpus above and on the
     # fixture's; solve_ilp runs that root LP exactly once unless the exact
     # equality check settled the program first
@@ -333,9 +333,8 @@ def test_root_lp_verdict_matches_linprog(
     for i, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
         # the root LP alone, as solve_ilp sets it up
-        highs = ilp_solver._load(
-            combined.objective, combined.rows, combined.bounds, HighsVarType.kContinuous
-        )
+        highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
+        highs.setOptionValue("solve_relaxation", True)
         highs.setOptionValue("presolve", "off")
         status = real(highs)
         relaxed = lp_relaxation(combined) is None
@@ -399,18 +398,26 @@ def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_se
     assert loads == []
 
 
-def test_root_lp_runs_without_presolve(monkeypatch):
-    # no presolved LP verdict is trusted: every root LP of the corpus runs
-    # with presolve off, and 45 of its 92 say infeasible
+def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_series):
+    # no presolved LP verdict is trusted: the first solve on each loaded
+    # model, and only that one, is the relaxation, run with presolve off;
+    # 45 of the corpus's 92 say infeasible. Every solve sees every column
+    # integer, as loaded: the root LP relaxes the model, it never retypes it
     import payoffopt.ilp_solver as ilp_solver
 
     real = ilp_solver._run
+    models = []
     root_lps = []
 
     def recording(highs):
-        kind, presolve = solve_kind(highs), highs.getOptionValue("presolve")[1]
+        first = all(highs is not model for model in models)
+        relaxed = highs.getOptionValue("solve_relaxation")[1]
+        presolve = highs.getOptionValue("presolve")[1]
+        assert set(highs.getLp().integrality_) == {HighsVarType.kInteger}
+        assert relaxed == first
         status = real(highs)
-        if kind == "root_lp":
+        if first:
+            models.append(highs)
             root_lps.append((presolve, status))
         return status
 
@@ -419,6 +426,9 @@ def test_root_lp_runs_without_presolve(monkeypatch):
     assert {presolve for presolve, _ in root_lps} == {"off"}
     assert len(root_lps) == 92
     assert sum(status == HighsModelStatus.kInfeasible for _, status in root_lps) == 45
+    root_lps.clear()
+    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    assert root_lps == [("off", HighsModelStatus.kOptimal)]
 
 
 def invariance_cases(fixture_run_config, fixture_series, count):
@@ -509,10 +519,10 @@ def test_answers_do_not_depend_on_row_order(
     moved = False
     for seed in (1, 2):
 
-        def shuffled(objective, rows, bounds, kind, shuffle=random.Random(seed).shuffle):
+        def shuffled(objective, rows, bounds, shuffle=random.Random(seed).shuffle):
             rows = list(rows)
             shuffle(rows)
-            return real_load(objective, rows, bounds, kind)
+            return real_load(objective, rows, bounds)
 
         monkeypatch.setattr(ilp_solver, "_load", shuffled)
         nodes.clear()

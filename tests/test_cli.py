@@ -395,6 +395,18 @@ class TestSpecErrors:
         assert captured.err.startswith("error:spec:invalid strategy JSON")
         assert len(captured.err.splitlines()) == 1
 
+    def test_repeated_key(self, chain_path, tmp_path, capsys):
+        # json.loads alone would keep the last value and solve for ±1000
+        path = tmp_path / "spec.json"
+        text = json.dumps(SPEC).replace('"upper": 3', '"upper": 3, "upper": 1000')
+        path.write_text(text)
+        assert invoke("optimize", "--chain", chain_path, "--spec", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error:spec:invalid strategy JSON: repeated key 'upper'\n"
+        )
+
     def test_undecodable_file(self, chain_path, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_bytes(b'{"tail_loss_mode": "pnl\xe9"}')
@@ -582,6 +594,24 @@ class TestChainErrors:
         assert captured.err.startswith("error:chain:invalid JSON")
         assert len(captured.err.splitlines()) == 1
 
+    def test_repeated_csv_header(self, tmp_path, capsys):
+        path = tmp_path / "chain.csv"
+        path.write_text("underlying=101.00\n" + CHAIN_CSV)
+        assert invoke("validate", "--chain", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:chain:row 2: repeated header 'underlying'\n"
+
+    def test_repeated_json_key(self, tmp_path, capsys):
+        text = (FIXTURES / "chain.json").read_text()
+        assert '"volume": 214' in text
+        path = tmp_path / "chain.json"
+        path.write_text(text.replace('"volume": 214', '"volume": 214, "volume": 215'))
+        assert invoke("validate", "--chain", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:chain:invalid JSON: repeated key 'volume'\n"
+
     def test_json_date_that_is_a_number(self, tmp_path, capsys):
         text = (FIXTURES / "chain.json").read_text()
         assert '"valuation_date": "2011-11-04"' in text
@@ -731,6 +761,21 @@ class TestPayoffCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:args:invalid solution JSON")
         assert len(captured.err.splitlines()) == 1
+
+    def test_repeated_solution_key(self, chain_path, make_spec, tmp_path, capsys):
+        stored = tmp_path / "solution.json"
+        stored.write_text(
+            '{"combination": "1010", "quantities": {"call": {"100": 3, "110": -3},'
+            ' "put": {"90": 3, "100": -3, "90": 0}}}'
+        )
+        code = invoke(
+            "payoff", "--chain", chain_path, "--spec", make_spec(),
+            "--solution", stored,
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error:args:invalid solution JSON: repeated key '90'\n"
 
     def test_undecodable_solution_file(
         self, chain_path, make_spec, tmp_path, capsys

@@ -369,6 +369,8 @@ def test_highs_binding_has_what_the_solver_calls():
         ("mip_max_nodes", NODE_BUDGET),
         ("presolve", "off"),
         ("presolve", "choose"),
+        ("solve_relaxation", True),
+        ("solve_relaxation", False),
     ]
     for option, value in options:
         # a HiGHS that predates the feasibility-jump heuristic ignores the
