@@ -16,11 +16,12 @@ other name lives in its submodule.
 from .ilp_solver import SolverError
 from .market_data import MarketDataError, parse_chain, select_series
 from .model_builder import SpecError
-from .optimizer import optimize
+from .optimizer import Infeasible, optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Infeasible",
     "MarketDataError",
     "SolverError",
     "SpecError",

@@ -35,15 +35,15 @@ from .market_data import (
 )
 from .model_builder import (
     CostTarget,
-    PriceCombination,
     Relation,
     SpecError,
     StrategySpec,
     TailLossMode,
-    build_subproblem,
+    build_subproblem,  # not called here; benchmark/tracing.py wraps this name
 )
 from .money import is_digits, parse_money
 from .optimizer import (
+    Infeasible,
     SweepAxis,
     optimize,
     solution_from_dict,
@@ -274,11 +274,9 @@ def _fail(category: str, detail: object, code: int) -> int:
     return code
 
 
-def _infeasible(spec: StrategySpec, series: SeriesSelection) -> int:
+def _infeasible(result: Infeasible) -> int:
     """Report a run without a feasible portfolio; returns its exit code."""
-    problem = build_subproblem(spec, series, PriceCombination.from_index(series.n, 0))
-    names = ",".join(row.name for row in problem.rows)
-    detail = f"no feasible portfolio; constraints attempted: {names}"
+    detail = "no feasible portfolio; constraints attempted: " + ",".join(result.rows)
     return _fail("infeasible", detail, 1)
 
 
@@ -311,8 +309,8 @@ def _parse_values(axis: SweepAxis, values: str) -> list[int]:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     run, series = _load_inputs(args)
     solution = optimize(run.strategy, series)
-    if solution is None:
-        return _infeasible(run.strategy, series)
+    if isinstance(solution, Infeasible):
+        return _infeasible(solution)
     _render(args, solution, solution_to_json, solution_to_csv, solution_to_table)
     return 0
 
@@ -339,8 +337,8 @@ def _cmd_payoff(args: argparse.Namespace) -> int:
         curve = payoff_curve(portfolio)
     else:
         solution = optimize(run.strategy, series)
-        if solution is None:
-            return _infeasible(run.strategy, series)
+        if isinstance(solution, Infeasible):
+            return _infeasible(solution)
         curve = solution.payoff_curve
     _emit(args, curve_to_csv(curve))
     return 0

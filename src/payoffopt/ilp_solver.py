@@ -24,15 +24,10 @@ cost of about 12 ms per call, most of the solve. It only proposes
 incumbents, so the proven optimum, and the unique lexicographically
 smallest optimal point the refine returns, cannot change.
 
-Before any HiGHS call, :func:`solve_ilp` asks whether the equality rows alone
-have an integer solution at all, whatever the bounds. It decides this in
-exact integer arithmetic by column-style Euclidean elimination to Hermite
-normal form (Kannan & Bachem, *SIAM J. Comput.* 1979; Schrijver, *Theory of
-Linear and Integer Programming*, 1986, Cor. 4.1a). A "no" is a proof, so the
-program is infeasible without a solver call and without a presolve-off
-recheck. Otherwise a root LP, the relaxation of the loaded integer model,
-settles most of the remaining infeasible programs before any MILP. No
-infeasibility verdict of a presolved solve is trusted: the root LP runs
+The exact infeasibility proofs run before this module is called (see
+:func:`~payoffopt.optimizer.optimize`); here a root LP, the relaxation of
+the loaded integer model, settles most infeasible programs before any MILP.
+No infeasibility verdict of a presolved solve is trusted: the root LP runs
 unpresolved, and a presolved MILP verdict is re-solved without presolve.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
@@ -103,14 +98,12 @@ class IntSolution:
     pinned: _Pinned | None = field(default=None, compare=False, repr=False)
 
 
-def _rows_hold(rows: Sequence[Row], x: Sequence[int]) -> bool:
-    return all(row.satisfied(x) for row in rows)
-
-
-def _within_bounds(x: Sequence[int], bounds: Sequence[tuple[int, int]]) -> bool:
-    return len(x) == len(bounds) and all(
-        lo <= v <= hi for v, (lo, hi) in zip(x, bounds)
-    )
+def _holds(
+    x: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
+) -> bool:
+    """Whether ``x`` lies within ``bounds`` and meets every row, exactly."""
+    within = all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
+    return len(x) == len(bounds) and within and all(row.satisfied(x) for row in rows)
 
 
 _fflush = ctypes.CDLL(None).fflush
@@ -136,42 +129,6 @@ def _stdout_discarded():
         os.dup2(saved, 1)
         os.close(saved)
         os.close(null)
-
-
-def _equalities_lack_integer_point(problem: IlpProblem) -> bool:
-    """Whether ``problem``'s equality rows have no integer solution, bounds
-    ignored; a proof of infeasibility when true.
-
-    Unimodular column operations (Euclid on each row in turn) bring the
-    equality matrix to echelon form; the variable of each row's pivot
-    column is then forced to a single value, which must be an integer, and
-    a row left with no pivot must already hold.
-    """
-    equalities = [row for row in problem.rows if row.relation is Relation.EQ]
-    rhs = [row.rhs for row in equalities]
-    columns = [list(col) for col in zip(*(row.coeffs for row in equalities))]
-    for i in range(len(equalities)):
-        live = [col for col in columns if col[i]]
-        while len(live) > 1:
-            pivot = min(live, key=lambda col: abs(col[i]))
-            for col in live:
-                if col is not pivot:
-                    q = col[i] // pivot[i]
-                    for k in range(i, len(col)):
-                        col[k] -= q * pivot[k]
-            live = [col for col in live if col[i]]
-        if not live:
-            if rhs[i]:
-                return True
-            continue
-        pivot = live[0]
-        value, remainder = divmod(rhs[i], pivot[i])
-        if remainder:
-            return True
-        for k in range(i + 1, len(rhs)):
-            rhs[k] -= value * pivot[k]
-        columns = [col for col in columns if col is not pivot]
-    return False
 
 
 # every solve's options but the node limit, which is read when a program is
@@ -282,7 +239,7 @@ def _milp_once(
     if status != HighsModelStatus.kOptimal:
         raise SolverError(_failure(highs, status))
     x = tuple(int(round(v)) for v in highs.getSolution().col_value)
-    if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
+    if not _holds(x, rows, bounds):
         raise SolverError("MILP point fails exact integer verification")
     return x
 
@@ -330,7 +287,7 @@ def lex_refine(
     highs, rows = seed.pinned.highs, seed.pinned.rows
     bounds = list(seed.pinned.bounds if bounds is None else bounds)
     x = seed.x
-    if not (_within_bounds(x, bounds) and _rows_hold(rows, x)):
+    if not _holds(x, rows, bounds):
         raise SolverError(f"seed point misses the optimum {seed.objective}")
     num_vars = len(bounds)
     columns = np.arange(num_vars, dtype=np.int32)
@@ -373,8 +330,6 @@ def solve_ilp(
     after the first. The returned point holds the program, loaded and with
     its objective pinned at the optimum, for :func:`lex_refine`.
     """
-    if _equalities_lack_integer_point(problem):
-        return None
     # the root LP: the loaded integer model's relaxation without presolve,
     # so that its infeasible verdict is not a presolved one; that verdict
     # alone settles the program, any other outcome, a failure included,

@@ -23,10 +23,10 @@ Rows are emitted in a fixed order per subproblem:
 5. an optional cost row (net debit compared against a target).
 
 Every coefficient and right-hand side is an integer (cents or contract
-counts), so feasibility is checked in exact arithmetic. :func:`unreachable_row`
-does so before any solver runs: it proves the combined program infeasible
-when one of its equality rows, taken alone, cannot be met by any quantity
-vector in the bounds.
+counts), so feasibility is checked in exact arithmetic. Before any solver
+runs, :func:`unreachable_row` and :func:`off_lattice_rows` prove the combined
+program infeasible when an equality row cannot be met within the bounds, or
+when the equality rows have no integer solution at all; each names its rows.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ class PriceCombination:
     """
 
     bits: tuple[int, ...]
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> "PriceCombination":
-        slots = 2 * n
-        if not 0 <= index < (1 << slots):
-            raise ValueError(f"combination index {index} outside [0, {1 << slots})")
-        return cls(tuple((index >> (slots - 1 - i)) & 1 for i in range(slots)))
 
     @classmethod
     def parse(cls, text: object, n: int) -> "PriceCombination":
@@ -445,4 +438,41 @@ def unreachable_row(n: int, problem: IlpProblem) -> str | None:
         left, right = (_sums(half) for half in halves)
         if not any(row.rhs - total in right for total in left):
             return row.name
+    return None
+
+
+def off_lattice_rows(problem: IlpProblem) -> tuple[str, ...] | None:
+    """The equality rows of ``problem`` that together have no integer
+    solution, bounds ignored, or ``None`` when they have one.
+
+    Unimodular column operations (Euclid on each row in turn) bring the
+    equality matrix to Hermite normal form (Kannan & Bachem, *SIAM J.
+    Comput.* 1979; Schrijver, *Theory of Linear and Integer Programming*,
+    1986, Cor. 4.1a); the variable of each row's pivot column is then forced
+    to one value, which must be an integer, and a row left with no pivot
+    must already hold. The rows returned are those used up to the first
+    that fails.
+    """
+    equalities = [row for row in problem.rows if row.relation is Relation.EQ]
+    rhs = [row.rhs for row in equalities]
+    columns = [list(col) for col in zip(*(row.coeffs for row in equalities))]
+    for i in range(len(equalities)):
+        live = [col for col in columns if col[i]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not pivot:
+                    q = col[i] // pivot[i]
+                    for k in range(i, len(col)):
+                        col[k] -= q * pivot[k]
+            live = [col for col in live if col[i]]
+        remainder = rhs[i]
+        if live:
+            pivot = live[0]
+            value, remainder = divmod(rhs[i], pivot[i])
+            for k in range(i + 1, len(rhs)):
+                rhs[k] -= value * pivot[k]
+            columns = [col for col in columns if col is not pivot]
+        if remainder:
+            return tuple(row.name for row in equalities[: i + 1])
     return None

@@ -3,9 +3,11 @@
 Each ask/bid combination is one integer program; :func:`optimize` solves all
 of them at once as the single combined program of
 :func:`~payoffopt.model_builder.build_combined`, unless
-:func:`~payoffopt.model_builder.unreachable_row` proves that program
-infeasible first, without a solver call. The winner is the highest
-objective, with ties broken by lowest combination index and then by the
+:func:`~payoffopt.model_builder.unreachable_row` or
+:func:`~payoffopt.model_builder.off_lattice_rows` proves that program
+infeasible first, without a solver call; an infeasible run returns the rows
+it attempted as :class:`Infeasible`. The winner is the highest objective,
+with ties broken by lowest combination index and then by the
 lexicographically smallest quantity vector. The combined solve finds the
 optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
 finds the lowest optimal combination index, and then, on the same loaded
@@ -32,6 +34,7 @@ from .model_builder import (
     build_subproblem,  # not called here; benchmark/tracing.py wraps this name
     combination_bounds,
     decode_combined,
+    off_lattice_rows,
     unreachable_row,
 )
 from .money import format_money
@@ -54,6 +57,14 @@ class PortfolioSolution:
     initial_cost: int
     total_contracts: int
     payoff_curve: PayoffCurve
+
+
+@dataclass(frozen=True)
+class Infeasible:
+    """No feasible portfolio: the combined program's rows of an exact check's
+    proof or, after HiGHS's verdict, every row without a side bit."""
+
+    rows: tuple[str, ...]
 
 
 class SweepAxis(enum.Enum):
@@ -81,15 +92,15 @@ class SweepReport:
 
 def optimize(
     spec: StrategySpec, series: SeriesSelection
-) -> PortfolioSolution | None:
-    """Best feasible portfolio over every price combination, or ``None``.
+) -> PortfolioSolution | Infeasible:
+    """Best feasible portfolio over every price combination, or :class:`Infeasible`.
 
-    When :func:`~payoffopt.model_builder.unreachable_row` finds an equality
-    row of the combined program that no quantity vector in the bounds
-    meets, the run is infeasible and loads no solver. Otherwise the
-    combined solve gives the optimal value. Stage A refines its side
-    bits to the lowest optimal combination index; Stage B fixes those bits
-    with :func:`~payoffopt.model_builder.combination_bounds` and refines
+    When :func:`~payoffopt.model_builder.unreachable_row` or
+    :func:`~payoffopt.model_builder.off_lattice_rows` proves the combined
+    program infeasible, the run loads no solver. Otherwise the combined
+    solve gives the optimal value, or HiGHS's verdict. Stage A refines its
+    side bits to the lowest optimal combination index; Stage B fixes those
+    bits with :func:`~payoffopt.model_builder.combination_bounds` and refines
     the quantities from the Stage-A point. Both stages are
     :func:`~payoffopt.ilp_solver.lex_refine` calls on the HiGHS instance the
     combined solve loaded, and only the final point is decoded.
@@ -108,11 +119,14 @@ def optimize(
     stage that misses the first optimum.
     """
     combined = build_combined(spec, series)
-    if unreachable_row(series.n, combined) is not None:
-        return None
+    row = unreachable_row(series.n, combined)
+    rows = (row,) if row is not None else off_lattice_rows(combined)
+    if rows is not None:
+        return Infeasible(rows)
     first = solve_ilp(combined, refine=False)
     if first is None:
-        return None
+        names = (r.name for r in combined.rows if not any(r.coeffs[: 2 * series.n]))
+        return Infeasible(tuple(names))
     ranked = lex_refine(first, 2 * series.n)
     bounds = combination_bounds(series.n, combined, ranked.x)
     final = lex_refine(ranked, combined.num_vars, bounds)
@@ -159,7 +173,8 @@ def sweep(
             run_spec = dataclasses.replace(spec, lower=-value, upper=value)
         solution = error = None
         try:
-            solution = optimize(run_spec, series)
+            result = optimize(run_spec, series)
+            solution = None if isinstance(result, Infeasible) else result
         except SpecError:
             raise
         except SolverError as exc:

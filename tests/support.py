@@ -14,6 +14,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -245,10 +246,19 @@ REFERENCE_COLUMNS = (
 )
 
 
+def combination_from_index(n: int, index: int) -> PriceCombination:
+    """The combination of a series of n whose :attr:`~PriceCombination.index`
+    is ``index``: the first call slot reads the most significant bit."""
+    slots = 2 * n
+    if not 0 <= index < (1 << slots):
+        raise ValueError(f"combination index {index} outside [0, {1 << slots})")
+    return PriceCombination(tuple((index >> (slots - 1 - i)) & 1 for i in range(slots)))
+
+
 def combo_for(calls: tuple[int, ...], puts: tuple[int, ...]) -> PriceCombination:
     """The price combination whose slot bounds admit these quantities."""
     bits = "".join("1" if x > 0 else "0" for x in calls + puts)
-    return PriceCombination.from_index(len(calls), int(bits, 2))
+    return combination_from_index(len(calls), int(bits, 2))
 
 
 def reference_series() -> SeriesSelection:
@@ -405,13 +415,65 @@ def random_spec(rng: random.Random, series: SeriesSelection) -> StrategySpec:
     )
 
 
+def seeded_strategies(seed: int, count: int):
+    """The first ``count`` (spec, series) pairs of the seeded generator."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        series = random_series(rng)
+        yield random_spec(rng, series), series
+
+
+def write_strategy(
+    spec: StrategySpec, series: SeriesSelection, directory: Path
+) -> tuple[Path, Path]:
+    """Write ``series`` as a chain CSV that holds nothing else and ``spec`` as
+    the strategy file that selects it; returns both paths, chain first."""
+    legs = (
+        ("call", series.call_strikes, series.call_bids, series.call_asks),
+        ("put", series.put_strikes, series.put_bids, series.put_asks),
+    )
+    records = [
+        f"{k},{right},{format_money(bid)},{format_money(ask)},0"
+        for right, strikes, bids, asks in legs
+        for k, bid, ask in zip(strikes, bids, asks)
+    ]
+    chain = directory / "chain.csv"
+    chain.write_text(
+        "underlying=100.00\nvaluation=2026-08-20\nexpiry=2026-09-16\n"
+        + "\n".join(records)
+        + "\n"
+    )
+    data = {
+        "expected_price": format_money(spec.expected_price),
+        "inflection": spec.inflection,
+        "max_loss": format_money(spec.max_loss),
+        "lower": spec.lower,
+        "upper": spec.upper,
+        "epsilon": format_money(spec.epsilon),
+        "tail_loss_mode": spec.tail_loss_mode.value,
+        "balance_left_tail": spec.balance_left_tail,
+        "balance_right_tail": spec.balance_right_tail,
+        "call_anchor": series.call_strikes[0],
+        "put_anchor": series.put_strikes[0],
+        "n": series.n,
+    }
+    if spec.cost_target is not None:
+        data["cost_target"] = {
+            "cmp": spec.cost_target.comparator.value,
+            "value": format_money(spec.cost_target.value),
+        }
+    strategy = directory / "strategy.json"
+    strategy.write_text(json.dumps(data))
+    return chain, strategy
+
+
 def reference_optimize(
     spec: StrategySpec, series: SeriesSelection
 ) -> tuple[int, int, tuple[int, ...]] | None:
     """(objective, combination index, x) by exhausting combos x boxes."""
     best = None
     for index in range(1 << (2 * series.n)):
-        combo = PriceCombination.from_index(series.n, index)
+        combo = combination_from_index(series.n, index)
         found = brute_force(build_subproblem(spec, series, combo))
         if found is not None and (best is None or found.objective > best[0]):
             best = (found.objective, index, found.x)

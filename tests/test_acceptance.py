@@ -12,31 +12,27 @@ import time
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, HighsVarType
 
-from payoffopt import optimize
-from payoffopt.ilp_solver import (
-    IntSolution,
-    _equalities_lack_integer_point,
-    lex_refine,
-    solve_ilp,
-)
+from payoffopt import Infeasible, optimize
+from payoffopt.ilp_solver import IntSolution, lex_refine, solve_ilp
 import payoffopt.model_builder as model_builder
 from payoffopt.model_builder import (
     CostTarget,
-    PriceCombination,
     Relation,
     build_combined,
     build_subproblem,
     combination_bounds,
     decode_combined,
+    off_lattice_rows,
     unreachable_row,
 )
-from payoffopt.optimizer import SweepAxis, sweep
+from payoffopt.optimizer import PortfolioSolution, SweepAxis, sweep
 from payoffopt.payoff_engine import Portfolio, payoff, payoff_curve
 from support import (
     REFERENCE_COLUMNS,
     base_spec,
     brute_force,
     check_feasible,
+    combination_from_index,
     count_loads,
     count_solver_calls,
     lp_relaxation,
@@ -46,6 +42,7 @@ from support import (
     random_spec,
     reference_optimize,
     reference_series,
+    seeded_strategies,
     slotwise_refine,
     small_series,
     solve_kind,
@@ -125,9 +122,9 @@ def test_six_slot_series_has_4096_combinations(fixture_run_config, fixture_serie
     combined = build_combined(fixture_run_config.strategy, fixture_series)
     assert combined.bounds[:12] == ((0, 1),) * 12
     assert combined.num_vars == 3 * 12
-    assert PriceCombination.from_index(6, 4095).bitstring == "1" * 12
+    assert combination_from_index(6, 4095).bitstring == "1" * 12
     with pytest.raises(ValueError, match="outside"):
-        PriceCombination.from_index(6, 4096)
+        combination_from_index(6, 4096)
 
 
 def bought_subproblem(spec, series, combo):
@@ -156,7 +153,7 @@ def test_combined_program_is_exact_on_every_combination():
         combined = build_combined(spec, series)
         slots = 2 * series.n
         for index in range(1 << slots):
-            combo = PriceCombination.from_index(series.n, index)
+            combo = combination_from_index(series.n, index)
             sides = tuple((int(b), int(b)) for b in combo.bitstring)
             pinned = dataclasses.replace(
                 combined, bounds=sides + combined.bounds[slots:]
@@ -187,12 +184,12 @@ def test_optimizer_matches_exhaustive_reference():
         expected = reference_optimize(spec, series)
         got = optimize(spec, series)
         if expected is None:
-            if got is not None:
+            if not isinstance(got, Infeasible):
                 mismatches.append((i, None, got))
             continue
         objective, index, x = expected
         if (
-            got is None
+            isinstance(got, Infeasible)
             or got.objective != objective
             or got.combination.index != index
             or got.portfolio.calls + got.portfolio.puts != x
@@ -258,7 +255,7 @@ def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
         objective, index, x = expected
         higher = 0
         for above in range(index + 1, 1 << (2 * series.n)):
-            combo = PriceCombination.from_index(series.n, above)
+            combo = combination_from_index(series.n, above)
             found = brute_force(bought_subproblem(spec, series, combo))
             if found is None or found.objective != objective:
                 continue
@@ -290,8 +287,8 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
         slots = 2 * series.n
         first = solve_ilp(build_combined(spec, series), refine=False)
         got = optimize(spec, series)
-        assert (first is None) == (got is None), i
-        if got is None:
+        assert (first is None) == isinstance(got, Infeasible), i
+        if first is None:
             continue
         feasible += 1
         longs = first.x[slots::2]
@@ -308,8 +305,8 @@ def test_root_lp_verdict_matches_linprog(
     # solve_ilp's root LP (the loaded integer model's relaxation, solved
     # without presolve) and scipy's linprog relaxation give the same
     # verdict on every combined program of the corpus above and on the
-    # fixture's; solve_ilp runs that root LP exactly once unless the exact
-    # equality check settled the program first
+    # fixture's; solve_ilp runs that root LP exactly once, as it leaves the
+    # exact checks to optimize
     import payoffopt.ilp_solver as ilp_solver
 
     verdicts = []
@@ -342,8 +339,7 @@ def test_root_lp_verdict_matches_linprog(
         infeasible += relaxed
         verdicts.clear()
         solve_ilp(combined, refine=False)
-        settled = ilp_solver._equalities_lack_integer_point(combined)
-        assert verdicts == ([] if settled else [status]), i
+        assert verdicts == [status], i
     assert infeasible >= 100
 
 
@@ -357,18 +353,19 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     # HiGHS calls are deterministic. One optimize per strategy of the seeded
     # corpus makes 229 of them, 1 presolve-off recheck included. Of the 220
     # combined programs, 70 have equality rows without any integer point
-    # (the Hermite normal form check of solve_ilp) and 58 more have a row
-    # no quantity vector in the box meets (unreachable_row); optimize's
-    # check settles all 128 with none. The root LP settles 45 of the other
-    # 92; of the 47 that reach a MILP, 46 are feasible. A lost pre-check
-    # shows here as more calls (312 without unreachable_row). Stage B runs
-    # on the combined program with the side bits fixed: 3 MILPs fewer than
-    # on each winning combination's own subproblem (139)
+    # (the lattice check, off_lattice_rows) and 58 more have a row no
+    # quantity vector in the box meets (unreachable_row); optimize runs the
+    # row check first, which settles all 128 with no HiGHS call. The root
+    # LP settles 45 of the other 92; of the 47 that reach a MILP, 46 are
+    # feasible. A lost pre-check shows here as more calls (312 without
+    # unreachable_row). Stage B runs on the combined program with the side
+    # bits fixed: 3 MILPs fewer than on each winning combination's own
+    # subproblem (139)
     calls = count_solver_calls(monkeypatch)
     corpus_optimize_all()
     assert dict(calls) == {"root_lp": 92, "milp": 136, "recheck": 1}
     calls.clear()
-    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
     # no presolve-off recheck on the fixture
     assert dict(calls) == {"root_lp": 1, "milp": 5}
     # the side rows leave one side vector per quantity vector: HiGHS proves
@@ -390,11 +387,11 @@ def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_se
     corpus_optimize_all()
     assert len(loads) == 92
     loads.clear()
-    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
     assert loads == [36]
     loads.clear()
     spec, series = list(seeded_strategies(20260823, 55))[54]
-    assert optimize(spec, series) is None
+    assert optimize(spec, series) == Infeasible(("balance_left",))
     assert loads == []
 
 
@@ -427,7 +424,7 @@ def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_
     assert len(root_lps) == 92
     assert sum(status == HighsModelStatus.kInfeasible for _, status in root_lps) == 45
     root_lps.clear()
-    assert optimize(fixture_run_config.strategy, fixture_series) is not None
+    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
     assert root_lps == [("off", HighsModelStatus.kOptimal)]
 
 
@@ -453,10 +450,11 @@ def unique_answers(cases):
     found = []
     for spec, series in cases:
         got = optimize(spec, series)
-        if got is not None:
-            quantities = got.portfolio.calls + got.portfolio.puts
-            got = (got.objective, got.combination.index, quantities)
-        found.append(got)
+        if isinstance(got, Infeasible):
+            found.append(None)
+            continue
+        quantities = got.portfolio.calls + got.portfolio.puts
+        found.append((got.objective, got.combination.index, quantities))
     return found
 
 
@@ -570,7 +568,7 @@ def test_liquidity_sweep_regression_values(liquidity_sweep):
 @RUNTIME
 def test_full_run_finishes_inside_envelope(full_run):
     solution, elapsed = full_run
-    assert solution is not None
+    assert isinstance(solution, PortfolioSolution)
     assert elapsed < 120
 
 
@@ -673,7 +671,7 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
     fired = fired_past_lp = 0
     for case in range(400):
         problem = random_equality_ilp(rng)
-        if _equalities_lack_integer_point(problem):
+        if off_lattice_rows(problem) is not None:
             fired += 1
             fired_past_lp += lp_relaxation(problem) is not None
             assert brute_force(problem) is None, case
@@ -689,15 +687,15 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
     cases.append((fixture_run_config.strategy, fixture_series))
     combined_fired = subproblem_fired = 0
     for case, (spec, series) in enumerate(cases):
-        combined = _equalities_lack_integer_point(build_combined(spec, series))
+        combined = off_lattice_rows(build_combined(spec, series)) is not None
         combined_fired += combined
         if series.n > 3:
             assert not combined  # the fixture is feasible
             continue
         for index in range(1 << (2 * series.n)):
-            combo = PriceCombination.from_index(series.n, index)
+            combo = combination_from_index(series.n, index)
             subproblem = build_subproblem(spec, series, combo)
-            settled = _equalities_lack_integer_point(subproblem)
+            settled = off_lattice_rows(subproblem) is not None
             subproblem_fired += settled
             # a combined program without integer point leaves none to any
             # of its subproblems
@@ -708,14 +706,6 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
             assert reference_optimize(spec, series) is None, case
     assert combined_fired == 70
     assert subproblem_fired >= 2467
-
-
-def seeded_strategies(seed, count):
-    """The first ``count`` (spec, series) pairs of the seeded generator."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        series = random_series(rng)
-        yield random_spec(rng, series), series
 
 
 @EXACT
@@ -734,7 +724,7 @@ def test_unreachable_row_is_sound():
             if name is None:
                 continue
             settled += 1
-            past_hnf += not _equalities_lack_integer_point(combined)
+            past_hnf += off_lattice_rows(combined) is None
             assert reference_optimize(spec, series) is None, (seed, case)
         fired[seed] = settled, past_hnf
     assert fired == {20260823: (128, 58), 1: (154, 57), 2: (174, 73), 3: (183, 78)}
@@ -747,7 +737,7 @@ def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
     spec, series = list(seeded_strategies(20260823, 55))[54]
     assert unreachable_row(series.n, build_combined(spec, series)) == "balance_left"
     calls = count_solver_calls(monkeypatch)
-    assert optimize(spec, series) is None
+    assert optimize(spec, series) == Infeasible(("balance_left",))
     assert dict(calls) == {}
 
 
@@ -756,17 +746,19 @@ def test_lattice_check_settles_what_the_row_check_skips(
     monkeypatch, fixture_run_config, fixture_series, cost
 ):
     # the fixture's rows are too wide for unreachable_row, so at these "="
-    # cost targets the combined program reaches solve_ilp, whose Hermite
-    # normal form check proves it infeasible before any HiGHS load or call
+    # cost targets optimize's lattice check (Hermite normal form) proves the
+    # combined program infeasible before any HiGHS load or call; its
+    # elimination gets through every equality row but the cost row
     spec = dataclasses.replace(
         fixture_run_config.strategy, cost_target=CostTarget(Relation.EQ, cost)
     )
     combined = build_combined(spec, fixture_series)
     assert unreachable_row(fixture_series.n, combined) is None
-    assert _equalities_lack_integer_point(combined)
+    rows = ("tail_calls", "tail_puts", "balance_left", "balance_right", "cost")
+    assert off_lattice_rows(combined) == rows
     calls = count_solver_calls(monkeypatch)
     loads = count_loads(monkeypatch)
-    assert optimize(spec, fixture_series) is None
+    assert optimize(spec, fixture_series) == Infeasible(rows)
     assert dict(calls) == {}
     assert loads == []
 

@@ -18,7 +18,15 @@ from conftest import FIXTURES
 from payoffopt import SpecError, parse_chain
 from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from payoffopt.model_builder import Relation, TailLossMode
-from support import chain_to_json, count_solver_calls, fake_milp_runs, solve_kind
+from support import (
+    chain_to_json,
+    count_loads,
+    count_solver_calls,
+    fake_milp_runs,
+    seeded_strategies,
+    solve_kind,
+    write_strategy,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -85,6 +93,67 @@ def make_spec(tmp_path):
 
 def invoke(*args):
     return run([str(a) for a in args])
+
+
+INFEASIBLE = "error:infeasible:no feasible portfolio; constraints attempted: "
+
+
+class TestInfeasibleLine:
+    """An infeasible run's line names the rows of the exact proof that
+    settled it, or, when HiGHS did, every row of a combination's
+    subproblem, all taken from the run's result."""
+
+    # the rows of corpus strategy 0's subproblems, which HiGHS's root LP
+    # settles after both exact checks pass
+    STRATEGY_0_ROWS = (
+        "tail_calls,tail_puts,slope[125,135],slope[135,145],slope[145,165],"
+        "positivity,cost"
+    )
+
+    def run_corpus_strategy(self, index, tmp_path, monkeypatch, capsys):
+        """Exit code, stdout, stderr, HiGHS calls and loads of ``optimize``
+        on strategy ``index`` of the seeded corpus."""
+        spec, series = list(seeded_strategies(20260823, index + 1))[index]
+        chain, strategy = write_strategy(spec, series, tmp_path)
+        calls = count_solver_calls(monkeypatch)
+        loads = count_loads(monkeypatch)
+        code = invoke("optimize", "--chain", chain, "--spec", strategy)
+        return (code, *capsys.readouterr(), dict(calls), loads)
+
+    def test_row_check_names_its_row(self, tmp_path, monkeypatch, capsys):
+        got = self.run_corpus_strategy(54, tmp_path, monkeypatch, capsys)
+        assert got == (1, "", INFEASIBLE + "balance_left\n", {}, [])
+
+    @pytest.mark.parametrize("cost", ["0.01", "50.00"])
+    def test_lattice_check_names_its_rows(self, cost, tmp_path, monkeypatch, capsys):
+        # every fixture row is too wide for the row check; the lattice check
+        # fails on the cost row, the last equality row
+        data = json.loads((FIXTURES / "spec.json").read_text())
+        data["cost_target"] = {"cmp": "=", "value": cost}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(data))
+        calls = count_solver_calls(monkeypatch)
+        loads = count_loads(monkeypatch)
+        code = invoke("optimize", "--chain", FIXTURES / "chain.csv", "--spec", spec)
+        rows = "tail_calls,tail_puts,balance_left,balance_right,cost"
+        assert (code, *capsys.readouterr()) == (1, "", INFEASIBLE + rows + "\n")
+        assert (dict(calls), loads) == ({}, [])
+
+    def test_highs_verdict_lists_every_subproblem_row(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # one load of the 18-column combined program and its root LP
+        got = self.run_corpus_strategy(0, tmp_path, monkeypatch, capsys)
+        line = INFEASIBLE + self.STRATEGY_0_ROWS + "\n"
+        assert got == (1, "", line, {"root_lp": 1}, [18])
+
+    def test_line_builds_no_subproblem(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the infeasible line builds no subproblem")
+
+        monkeypatch.setattr("payoffopt.cli.build_subproblem", refuse)
+        got = self.run_corpus_strategy(0, tmp_path, monkeypatch, capsys)
+        assert got[:3] == (1, "", INFEASIBLE + self.STRATEGY_0_ROWS + "\n")
 
 
 class TestOptimizeCommand:
@@ -157,13 +226,11 @@ class TestOptimizeCommand:
         assert first.read_bytes() == second.read_bytes()
 
     def test_infeasible_exit_lists_constraints(self, chain_path, make_spec, capsys):
+        # the row check proves the left tail's balance out of reach, and the
+        # line names that row alone
         spec = make_spec(balance_left_tail=True, balance_right_tail=True)
         assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:infeasible:no feasible portfolio")
-        assert "constraints attempted" in err
-        for name in ("tail_calls", "tail_puts", "balance_left", "positivity"):
-            assert name in err
+        assert capsys.readouterr() == ("", INFEASIBLE + "balance_left\n")
 
     def fail_every_milp(self, monkeypatch, status):
         """Make every MILP run end with this HiGHS model status (the root LP

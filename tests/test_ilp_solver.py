@@ -16,12 +16,11 @@ from payoffopt.ilp_solver import (
     _BLOCK_RANGE,
     _OPTIONS,
     _block_size,
-    _equalities_lack_integer_point,
-    _within_bounds,
+    _holds,
     lex_refine,
     solve_ilp,
 )
-from payoffopt.model_builder import IlpProblem, Relation, Row
+from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
 from support import (
     BRUTE_FORCE_LIMIT,
     CapacityError,
@@ -114,34 +113,33 @@ def strike_sized_problem():
 
 
 @pytest.mark.parametrize(
-    "make, settled",
+    "make, rows",
     [
-        (gcd_problem, True),
-        (joint_problem, True),
-        (strike_sized_problem, False),
-        (infeasible_problem, False),
-        (fractional_problem, False),
+        (gcd_problem, ("odd",)),
+        (joint_problem, ("sum", "diff")),
+        (strike_sized_problem, None),
+        (infeasible_problem, None),
+        (fractional_problem, None),
     ],
     ids=["gcd", "joint", "strike-sized", "infeasible-no-eq", "feasible-no-eq"],
 )
-def test_exact_equality_check(monkeypatch, make, settled):
+def test_exact_equality_check(monkeypatch, make, rows):
+    # the lattice check names the equality rows its elimination used up to
+    # the one that fails; solve_ilp leaves that check to optimize and
+    # settles every program itself, from its root LP on
     problem = make()
-    assert _equalities_lack_integer_point(problem) is settled
+    assert off_lattice_rows(problem) == rows
     expected = brute_force(problem)
+    if rows is not None:
+        assert expected is None
     calls = count_solver_calls(monkeypatch)
     assert solve_ilp(problem) == expected
-    if settled:
-        # a proof needs no solver call, not even the root LP or a recheck
-        assert expected is None
-        assert sum(calls.values()) == 0
-    else:
-        assert calls["root_lp"] == 1
+    assert calls["root_lp"] == 1
 
 
 def test_exact_check_hand_cases_are_what_they_claim():
     problem = strike_sized_problem()
-    assert all(row.satisfied(STRIKE_SIZED_POINT) for row in problem.rows)
-    assert _within_bounds(STRIKE_SIZED_POINT, problem.bounds)
+    assert _holds(STRIKE_SIZED_POINT, problem.rows, problem.bounds)
     assert max(abs(c) for row in problem.rows for c in row.coeffs) > 800_000
     # each row of the joint case alone has an integer point
     for row in joint_problem().rows:
@@ -163,7 +161,7 @@ def test_exact_equality_check_on_degenerate_rows():
             Row("b", (3, 6), Relation.EQ, 9),
         )
         problem = IlpProblem((1, 1), rows, ((-9, 9), (-9, 9)))
-        assert _equalities_lack_integer_point(problem) is settled
+        assert off_lattice_rows(problem) == (("zero",) if settled else None)
         assert (brute_force(problem) is None) is settled
 
 
@@ -385,7 +383,6 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     rng = random.Random(4)
     problems += [random_ilp(rng) for _ in range(10)]
     unpatched = [solve_ilp(p) for p in problems]
-    settled = [_equalities_lack_integer_point(p) for p in problems]
     real_run = payoffopt.ilp_solver._run
     lp_calls = []
     milp_calls = []
@@ -398,19 +395,16 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
         return HighsModelStatus.kSolveError
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_root_lp)
-    for problem, expected, exact in zip(problems, unpatched, settled):
+    for problem, expected in zip(problems, unpatched):
         lp_calls.clear()
         milp_calls.clear()
         assert solve_ilp(problem) == expected
-        if exact:
-            # settled in exact arithmetic: no solver call at all
-            assert expected is None
-            assert lp_calls == milp_calls == []
-        else:
-            # a program without rows gets its root LP too
-            assert len(lp_calls) == 1
+        # every program gets its root LP, one without rows too, and the
+        # MILP settles it after the failure
+        assert len(lp_calls) == 1
+        assert milp_calls
     assert unpatched[1] is None and unpatched[0] is not None
-    assert settled[2] and not any(settled[:2])
+    assert unpatched[2] is None
 
 
 def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):

@@ -23,6 +23,7 @@ from payoffopt.payoff_engine import Portfolio
 from support import (
     REFERENCE_COLUMNS,
     check_feasible,
+    combination_from_index,
     combo_for,
     reference_series,
     small_series,
@@ -33,31 +34,31 @@ COLUMN_1 = REFERENCE_COLUMNS[0]
 
 class TestPriceCombination:
     def test_index_zero_is_all_bids(self):
-        combo = PriceCombination.from_index(2, 0)
+        combo = combination_from_index(2, 0)
         assert combo.bits == (0, 0, 0, 0)
         assert combo.bitstring == "0000"
         assert combo.prices(small_series()) == (400, 100, 80, 380)
 
     def test_first_call_slot_is_most_significant(self):
-        assert PriceCombination.from_index(2, 0b1000).bits == (1, 0, 0, 0)
+        assert combination_from_index(2, 0b1000).bits == (1, 0, 0, 0)
         assert PriceCombination((1, 0, 1, 1, 0, 0)).index == 0b101100
 
     def test_from_bits_round_trip(self):
         # the side bits are the constructor; from_index must rebuild them
-        combo = PriceCombination.from_index(3, 0b101100)
+        combo = combination_from_index(3, 0b101100)
         assert PriceCombination((1, 0, 1, 1, 0, 0)) == combo
-        assert PriceCombination(()) == PriceCombination.from_index(0, 0)
-        assert PriceCombination.from_index(3, combo.index) == combo
+        assert PriceCombination(()) == combination_from_index(0, 0)
+        assert combination_from_index(3, combo.index) == combo
 
     def test_bitstring_round_trip(self):
-        combo = PriceCombination.from_index(2, 10)
+        combo = combination_from_index(2, 10)
         assert combo.bitstring == "1010"
         assert PriceCombination.parse("1010", 2) == combo
 
     @pytest.mark.parametrize("index", [-1, 16])
     def test_index_out_of_range(self, index):
         with pytest.raises(ValueError, match="outside"):
-            PriceCombination.from_index(2, index)
+            combination_from_index(2, index)
 
     @pytest.mark.parametrize("text", ["101", "10100", "1021", "1 10", 1010, None])
     def test_parse_rejects_what_does_not_fit(self, text):
@@ -65,18 +66,18 @@ class TestPriceCombination:
             PriceCombination.parse(text, 2)
 
     def test_prices_pick_sides(self):
-        prices = PriceCombination.from_index(2, 10).prices(small_series())
+        prices = combination_from_index(2, 10).prices(small_series())
         assert prices == (420, 100, 90, 380)
 
     def test_prices_length_check(self):
         with pytest.raises(ValueError, match="share one length"):
-            PriceCombination.from_index(3, 0).prices(small_series())
+            combination_from_index(3, 0).prices(small_series())
 
     @given(st.data())
     def test_index_bits_text_and_prices_agree(self, data):
         n = data.draw(st.integers(1, 7))
         index = data.draw(st.integers(0, (1 << (2 * n)) - 1))
-        combo = PriceCombination.from_index(n, index)
+        combo = combination_from_index(n, index)
         assert combo.index == index
         assert len(combo.bitstring) == 2 * n
         assert PriceCombination.parse(combo.bitstring, n).bits == combo.bits
@@ -104,10 +105,10 @@ class TestRow:
             build_subproblem(
                 tent_spec(cost_target=cost, tail_loss_mode=payoff_only),
                 small_series(),
-                PriceCombination.from_index(2, 10),
+                combination_from_index(2, 10),
             ),
             build_subproblem(
-                tent_spec(), small_series(), PriceCombination.from_index(2, 5)
+                tent_spec(), small_series(), combination_from_index(2, 5)
             ),
             build_combined(tent_spec(cost_target=cost), small_series()),
         ):
@@ -163,7 +164,7 @@ class TestStrategySpecValidation:
 class TestBuildSubproblem:
     def test_small_problem_layout(self):
         problem = build_subproblem(
-            tent_spec(), small_series(), PriceCombination.from_index(2, 10)
+            tent_spec(), small_series(), combination_from_index(2, 10)
         )
         assert problem.objective == (80, -100, -90, -380)
         assert problem.bounds == ((0, 3), (-3, 0), (0, 3), (-3, 0))
@@ -179,7 +180,7 @@ class TestBuildSubproblem:
 
     def test_small_problem_rows(self):
         problem = build_subproblem(
-            tent_spec(), small_series(), PriceCombination.from_index(2, 10)
+            tent_spec(), small_series(), combination_from_index(2, 10)
         )
         assert [(r.coeffs, r.relation.value, r.rhs) for r in problem.rows] == [
             ((1, 1, 0, 0), "=", 0),
@@ -193,7 +194,7 @@ class TestBuildSubproblem:
 
     def test_slope_relation_flips_after_inflection(self):
         problem = build_subproblem(
-            tent_spec(inflection=90), small_series(), PriceCombination.from_index(2, 0)
+            tent_spec(inflection=90), small_series(), combination_from_index(2, 0)
         )
         slopes = {r.name: r.relation for r in problem.rows if r.name.startswith("slope")}
         assert slopes == {
@@ -203,7 +204,7 @@ class TestBuildSubproblem:
 
     def test_all_bid_combo_bounds(self):
         problem = build_subproblem(
-            tent_spec(), small_series(), PriceCombination.from_index(2, 0)
+            tent_spec(), small_series(), combination_from_index(2, 0)
         )
         assert problem.bounds == ((-3, 0),) * 4
 
@@ -211,7 +212,7 @@ class TestBuildSubproblem:
         problem = build_subproblem(
             tent_spec(tail_loss_mode=TailLossMode.PAYOFF_ONLY),
             small_series(),
-            PriceCombination.from_index(2, 0),
+            combination_from_index(2, 0),
         )
         by_name = {r.name: r for r in problem.rows}
         assert by_name["balance_left"].coeffs == (0, 0, 9000, 10000)
@@ -225,7 +226,7 @@ class TestBuildSubproblem:
         problem = build_subproblem(
             tent_spec(balance_left_tail=False, balance_right_tail=False),
             small_series(),
-            PriceCombination.from_index(2, 0),
+            combination_from_index(2, 0),
         )
         names = [r.name for r in problem.rows]
         assert "balance_left" not in names
@@ -235,7 +236,7 @@ class TestBuildSubproblem:
         problem = build_subproblem(
             tent_spec(cost_target=CostTarget(Relation.LE, 250)),
             small_series(),
-            PriceCombination.from_index(2, 10),
+            combination_from_index(2, 10),
         )
         cost = problem.rows[-1]
         assert cost.name == "cost"
@@ -248,20 +249,20 @@ class TestBuildSubproblem:
             build_subproblem(
                 tent_spec(inflection=105),
                 small_series(),
-                PriceCombination.from_index(2, 0),
+                combination_from_index(2, 0),
             )
 
     def test_combo_length_checked(self):
         with pytest.raises(ValueError, match="share one length"):
             build_subproblem(
-                tent_spec(), small_series(), PriceCombination.from_index(3, 0)
+                tent_spec(), small_series(), combination_from_index(3, 0)
             )
 
     def test_fixture_problem_rows(self, fixture_run_config, fixture_series):
         problem = build_subproblem(
             fixture_run_config.strategy,
             fixture_series,
-            PriceCombination.from_index(6, 0),
+            combination_from_index(6, 0),
         )
         assert problem.num_vars == 12
         assert [r.name for r in problem.rows] == [
@@ -337,7 +338,7 @@ class TestCheckFeasible:
 
     def test_bound_and_row_violations_reported(self):
         problem = build_subproblem(
-            tent_spec(), small_series(), PriceCombination.from_index(2, 10)
+            tent_spec(), small_series(), combination_from_index(2, 10)
         )
         portfolio = Portfolio(series=small_series(), calls=(4, -3), puts=(0, 0))
         report = check_feasible(portfolio, problem)
@@ -362,7 +363,7 @@ class TestBuildCombined:
         # z_i - p_i <= 0, over [z_0..z_3, p_0, r_0, ..., p_3, r_3]
         spec = tent_spec(lower=-2, upper=5)
         series = small_series()
-        bid = build_subproblem(spec, series, PriceCombination.from_index(2, 0))
+        bid = build_subproblem(spec, series, combination_from_index(2, 0))
         link = build_combined(spec, series).rows[len(bid.rows) :]
         assert [(r.name, r.relation, r.rhs) for r in link] == [
             (f"{kind}[{i}]", relation, rhs)
@@ -401,7 +402,7 @@ class TestBuildCombined:
         )
         kept = idle = 0
         for index in range(16):
-            combo = PriceCombination.from_index(2, index)
+            combo = combination_from_index(2, index)
             subproblem = build_subproblem(spec, series, combo)
             feasible = [
                 x

@@ -6,10 +6,11 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
 import payoffopt.optimizer
-from payoffopt import optimize
+from payoffopt import Infeasible, optimize
 from payoffopt.ilp_solver import SolverError, SolverResourceError
 from payoffopt.model_builder import CostTarget, Relation, SpecError, build_subproblem
 from payoffopt.optimizer import (
+    PortfolioSolution,
     SweepAxis,
     solution_from_dict,
     solution_to_csv,
@@ -43,7 +44,7 @@ def small_solution():
 class TestOptimize:
     def test_small_instance_optimum(self, small_solution):
         sol = small_solution
-        assert sol is not None
+        assert isinstance(sol, PortfolioSolution)
         assert sol.objective == 1410
         assert sol.combination.bitstring == "1010"
         assert sol.portfolio.calls == (3, -3)
@@ -51,10 +52,11 @@ class TestOptimize:
         assert sol.initial_cost == 90
         assert sol.total_contracts == 12
 
-    def test_infeasible_run_returns_none(self):
-        # with both tails pinned this instance has no solution
+    def test_infeasible_run_returns_its_rows(self):
+        # with both tails pinned this instance has no solution, which the
+        # row check proves on the left tail's balance
         spec = base_spec(balance_left_tail=True, balance_right_tail=True)
-        assert optimize(spec, small_series()) is None
+        assert optimize(spec, small_series()) == Infeasible(("balance_left",))
 
     def test_deterministic(self):
         first = optimize(base_spec(), small_series())
@@ -70,11 +72,11 @@ class TestOptimize:
             expected = reference_optimize(spec, series)
             got = optimize(spec, series)
             if expected is None:
-                assert got is None
+                assert isinstance(got, Infeasible)
                 continue
             feasible += 1
             objective, index, x = expected
-            assert got is not None
+            assert isinstance(got, PortfolioSolution)
             assert got.objective == objective
             assert got.combination.index == index
             assert got.portfolio.calls + got.portfolio.puts == x
@@ -157,12 +159,19 @@ class TestOptimize:
         feasible = 0
         for spec, series in cases:
             calls.clear()
-            if optimize(spec, series) is None:
+            if isinstance(optimize(spec, series), Infeasible):
                 continue
             feasible += 1
             assert calls["root_lp"] == 1
             assert calls["milp"] <= 3
         assert feasible >= 5
+
+
+def solved(spec, series):
+    """The solution of one optimize run, or ``None`` when it is infeasible:
+    what a sweep point holds."""
+    got = optimize(spec, series)
+    return None if isinstance(got, Infeasible) else got
 
 
 class TestSweeps:
@@ -177,7 +186,7 @@ class TestSweeps:
         report = sweep(SweepAxis.COST, base_spec(), small_series(), [60, 120])
         for point in report.points:
             spec = base_spec(cost_target=CostTarget(Relation.EQ, point.value))
-            assert point.solution == optimize(spec, small_series())
+            assert point.solution == solved(spec, small_series())
         assert report.points[1].solution is None  # cost 1.20 has no portfolio
 
     def test_cost_sweep_keeps_comparator(self):
@@ -192,7 +201,7 @@ class TestSweeps:
         assert [p.solution.objective for p in report.points] == [470, 940, 1410]
         for point in report.points:
             spec = base_spec(lower=-point.value, upper=point.value)
-            assert point.solution == optimize(spec, small_series())
+            assert point.solution == solved(spec, small_series())
 
     @pytest.mark.parametrize("values", [[], [0], [2, -1]])
     def test_liquidity_values_validated(self, values):

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from payoffopt.market_data import SeriesSelection
-from payoffopt.model_builder import PriceCombination
 from payoffopt.payoff_engine import (
     Portfolio,
     curve_to_csv,
@@ -12,7 +11,12 @@ from payoffopt.payoff_engine import (
     payoff_curve,
     pnl,
 )
-from support import REFERENCE_COLUMNS, reference_series, small_series
+from support import (
+    REFERENCE_COLUMNS,
+    combination_from_index,
+    reference_series,
+    small_series,
+)
 
 COLUMN_1 = REFERENCE_COLUMNS[0]
 
@@ -84,7 +88,7 @@ def test_column_curve_csv(column_1_portfolio):
 
 def test_initial_cost_and_pnl():
     portfolio = Portfolio(series=small_series(), calls=(3, -3), puts=(3, -3))
-    combo = PriceCombination.from_index(2, 0b1010)
+    combo = combination_from_index(2, 0b1010)
     # long at ask, short at bid: 3*4.20 - 3*1.00 + 3*0.90 - 3*3.80
     assert initial_cost(portfolio, combo) == 90
     assert payoff(portfolio, 10500) == 1500
@@ -95,7 +99,7 @@ def test_zero_quantity_lands_on_bid():
     # a zero quantity is accepted on either side and costs nothing there
     portfolio = Portfolio(series=small_series(), calls=(0, 2), puts=(-1, 0))
     for index in (0b0100, 0b1101):  # zero slots at bid, then at ask
-        combo = PriceCombination.from_index(2, index)
+        combo = combination_from_index(2, index)
         assert initial_cost(portfolio, combo) == 2 * 110 - 80
 
 
@@ -109,7 +113,7 @@ def test_inconsistent_sides_rejected():
     ]
     for calls, puts, index, message in cases:
         portfolio = Portfolio(series=small_series(), calls=calls, puts=puts)
-        combo = PriceCombination.from_index(2, index)
+        combo = combination_from_index(2, index)
         with pytest.raises(ValueError, match=f"^{message}$"):
             initial_cost(portfolio, combo)
         with pytest.raises(ValueError, match=f"^{message}$"):
