@@ -23,20 +23,23 @@ Rows are emitted in a fixed order per subproblem:
 5. an optional cost row (net debit compared against a target).
 
 Every coefficient and right-hand side is an integer (cents or contract
-counts), so feasibility is checked in exact arithmetic. Before any solver
-runs, :func:`unreachable_row` and :func:`off_lattice_rows` prove the combined
-program infeasible when an equality row cannot be met within the bounds, or
-when the equality rows have no integer solution at all; each names its rows.
+counts), so feasibility is checked in exact arithmetic. One generator writes
+every row, with each slot's coefficient at its ask and at its bid;
+:func:`build_subproblem` picks a side per slot from it. From the strategy's
+equality rows alone (:func:`equality_rows`), before the combined program is
+built, :func:`unreachable_row` and :func:`off_lattice_rows` prove every
+combination infeasible when an equality row cannot be met within the
+bounds, or when the equality rows have no integer solution at all; each
+names its rows.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .market_data import SeriesSelection
 from .money import CENTS
@@ -205,38 +208,46 @@ class IlpProblem:
         return len(self.objective)
 
 
-def build_subproblem(
-    spec: StrategySpec, series: SeriesSelection, combo: PriceCombination
-) -> IlpProblem:
-    """Compile spec + series + one price combination into an IlpProblem."""
-    n = series.n
-    price_vec = combo.prices(series)
+def _rows(
+    spec: StrategySpec, series: SeriesSelection
+) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...], Relation | None, int]]:
+    """The objective, then every subproblem row in build order, each as
+    ``(name, ask, bid, relation, rhs)``: ``ask[i]`` is slot i's coefficient
+    when it trades at its ask, ``bid[i]`` when it trades at its bid.
+
+    The objective comes first, named ``objective``, with relation ``None``
+    and right-hand side 0. A row that reads no price gives one tuple for
+    both sides. An inflection that is not a strike raises before anything
+    is yielded.
+    """
     strikes = series.unique_strikes
     if spec.inflection not in strikes:
         raise SpecError(
             f"inflection-not-in-K: {spec.inflection} not among strikes {strikes}"
         )
-
-    call_intrinsic = [
-        max(spec.expected_price - k * CENTS, 0) for k in series.call_strikes
-    ]
-    put_intrinsic = [
-        max(k * CENTS - spec.expected_price, 0) for k in series.put_strikes
-    ]
-    objective = tuple(
-        intrinsic - price
-        for intrinsic, price in zip(call_intrinsic + put_intrinsic, price_vec)
+    n = series.n
+    asks = series.call_asks + series.put_asks
+    bids = series.call_bids + series.put_bids
+    intrinsic = tuple(
+        [max(spec.expected_price - k * CENTS, 0) for k in series.call_strikes]
+        + [max(k * CENTS - spec.expected_price, 0) for k in series.put_strikes]
     )
+    objective = (
+        tuple(map(operator.sub, intrinsic, asks)),
+        tuple(map(operator.sub, intrinsic, bids)),
+    )
+    yield "objective", *objective, None, 0
 
-    rows: list[Row] = [
-        Row("tail_calls", (1,) * n + (0,) * n, Relation.EQ, 0),
-        Row("tail_puts", (0,) * n + (1,) * n, Relation.EQ, 0),
-    ]
+    calls, puts = (1,) * n + (0,) * n, (0,) * n + (1,) * n
+    yield "tail_calls", calls, calls, Relation.EQ, 0
+    yield "tail_puts", puts, puts, Relation.EQ, 0
     for lo, hi in zip(strikes, strikes[1:]):
-        coeffs = tuple(1 if k <= lo else 0 for k in series.call_strikes)
-        coeffs += tuple(-1 if k >= hi else 0 for k in series.put_strikes)
+        coeffs = tuple(
+            [1 if k <= lo else 0 for k in series.call_strikes]
+            + [-1 if k >= hi else 0 for k in series.put_strikes]
+        )
         relation = Relation.GE if lo <= spec.inflection else Relation.LE
-        rows.append(Row(f"slope[{lo},{hi}]", coeffs, relation, 0))
+        yield f"slope[{lo},{hi}]", coeffs, coeffs, relation, 0
 
     pnl_mode = spec.tail_loss_mode is TailLossMode.PNL
     tails = []
@@ -252,20 +263,65 @@ def build_subproblem(
         )
     for name, payoff_coeffs in tails:
         if pnl_mode:
-            coeffs = tuple(p - c for p, c in zip(payoff_coeffs, price_vec))
-            rows.append(Row(name, coeffs, Relation.EQ, spec.max_loss))
+            ask = tuple(map(operator.sub, payoff_coeffs, asks))
+            bid = tuple(map(operator.sub, payoff_coeffs, bids))
+            yield name, ask, bid, Relation.EQ, spec.max_loss
         else:
-            rows.append(Row(name, payoff_coeffs, Relation.EQ, -spec.max_loss))
+            yield name, payoff_coeffs, payoff_coeffs, Relation.EQ, -spec.max_loss
 
-    positivity_coeffs = objective if pnl_mode else tuple(call_intrinsic + put_intrinsic)
-    rows.append(Row("positivity", positivity_coeffs, Relation.GE, spec.epsilon))
+    positivity = objective if pnl_mode else (intrinsic, intrinsic)
+    yield "positivity", *positivity, Relation.GE, spec.epsilon
 
     if spec.cost_target is not None:
         target = spec.cost_target
-        rows.append(Row("cost", price_vec, target.comparator, target.value))
+        yield "cost", asks, bids, target.comparator, target.value
 
-    bounds = tuple((0, spec.upper) if b else (spec.lower, 0) for b in combo.bits)
-    return IlpProblem(objective=objective, rows=tuple(rows), bounds=bounds)
+
+# an equality row as :func:`equality_rows` gives it: (name, ask, bid, rhs)
+EqualityRow = tuple[str, tuple[int, ...], tuple[int, ...], int]
+
+
+def equality_rows(
+    spec: StrategySpec, series: SeriesSelection
+) -> tuple[EqualityRow, ...]:
+    """Every equality row of the strategy's subproblems, in build order, as
+    ``(name, ask, bid, rhs)``; ``ask`` and ``bid`` hold each slot's
+    coefficient at its ask and at its bid.
+
+    These are the equality rows of :func:`build_combined` without side-bit
+    coefficients, with ``ask`` on the ``p`` columns and ``bid`` on the ``r``
+    columns, computed without building that program. An inflection that is
+    not a strike raises :class:`SpecError`.
+    """
+    return tuple(
+        (name, ask, bid, rhs)
+        for name, ask, bid, relation, rhs in _rows(spec, series)
+        if relation is Relation.EQ
+    )
+
+
+def build_subproblem(
+    spec: StrategySpec, series: SeriesSelection, combo: PriceCombination
+) -> IlpProblem:
+    """Compile spec + series + one price combination into an IlpProblem."""
+    if len(combo.bits) != 2 * series.n:
+        raise ValueError("combination and series must share one length")
+
+    def pick(ask: tuple[int, ...], bid: tuple[int, ...]) -> tuple[int, ...]:
+        if ask is bid:
+            return ask
+        return tuple([a if bit else b for bit, a, b in zip(combo.bits, ask, bid)])
+
+    rows = _rows(spec, series)
+    _, ask, bid, _, _ = next(rows)
+    return IlpProblem(
+        objective=pick(ask, bid),
+        rows=tuple(
+            Row(name, pick(ask, bid), relation, rhs)
+            for name, ask, bid, relation, rhs in rows
+        ),
+        bounds=tuple((0, spec.upper) if b else (spec.lower, 0) for b in combo.bits),
+    )
 
 
 def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
@@ -388,12 +444,12 @@ def combination_bounds(
 _HALF_BOX = 2**12
 
 
-def _sums(slots: Sequence[tuple[int, int, int, int]]) -> set[int]:
+def _sums(slots: Sequence[tuple[int, int]], lower: int, upper: int) -> set[int]:
     """Every total that ``slots`` add to a row together. Each slot is an
-    (ask, bid, lower, upper) tuple and adds ``ask * x`` for x in
-    [1, upper], ``bid * x`` for x in [lower, -1], or 0."""
+    (ask, bid) pair and adds ``ask * x`` for x in [1, upper], ``bid * x``
+    for x in [lower, -1], or 0."""
     sums = {0}
-    for ask, bid, lower, upper in slots:
+    for ask, bid in slots:
         values = {0}
         values.update(ask * x for x in range(1, upper + 1))
         values.update(bid * x for x in range(lower, 0))
@@ -401,62 +457,60 @@ def _sums(slots: Sequence[tuple[int, int, int, int]]) -> set[int]:
     return sums
 
 
-def unreachable_row(n: int, problem: IlpProblem) -> str | None:
-    """The name of the first equality row of a :func:`build_combined`
-    program that no quantity vector in the box meets, or ``None``.
+def unreachable_row(
+    rows: Sequence[EqualityRow], lower: int, upper: int
+) -> str | None:
+    """The name of the first of the equality ``rows`` that no quantity
+    vector in the box [lower, upper] meets, or ``None``.
 
-    At every integer point of the program, slot i holds ``p_i = x_i`` and
-    ``r_i = 0`` when ``x_i >= 1``, ``r_i = x_i`` and ``p_i = 0`` when
-    ``x_i <= -1``, and both at 0 when ``x_i = 0`` (the link and side rows;
-    see :func:`build_combined`). An equality row without side-bit
-    coefficients then adds its ask-side coefficient times ``x_i``, its
-    bid-side coefficient times ``x_i``, or 0 per slot. A row no quantity
-    vector in [L, U] meets this way proves the program infeasible.
+    A slot that buys ``x >= 1`` lots adds its ask-side coefficient times
+    ``x`` to a row, one that sells adds its bid-side coefficient times
+    ``x``, and one that trades nothing adds 0: the integer points of
+    :func:`build_combined` are exactly these (its link and side rows). A
+    row no quantity vector in the box meets this way proves every
+    combination infeasible.
 
     Each row is decided exactly, in Python integers, by meet in the middle
     (Horowitz & Sahni, *J. ACM* 1974): the slots the row reads are split
     into two halves, each half's totals are enumerated, and the right-hand
-    side minus each total of one half is looked up among the other's. A row
-    is skipped when either half's box holds more than :data:`_HALF_BOX`
-    points, which the bounds tell before anything is enumerated.
+    side minus each total of one half is looked up among the other's. Two
+    kinds of row are skipped unenumerated: one whose right-hand side is 0,
+    which the zero vector meets (the box straddles zero, see
+    :class:`StrategySpec`), and one where either half's box holds more than
+    :data:`_HALF_BOX` points, which the bounds tell at once.
     """
-    slots = 2 * n
-    for row in problem.rows:
-        if row.relation is not Relation.EQ or any(row.coeffs[:slots]):
+    for name, ask, bid, rhs in rows:
+        if rhs == 0:
             continue
-        live = []
-        for p in range(slots, 3 * slots, 2):  # p_i, then r_i at p + 1
-            ask, bid = row.coeffs[p], row.coeffs[p + 1]
-            if ask or bid:
-                live.append((ask, bid, problem.bounds[p + 1][0], problem.bounds[p][1]))
-        halves = live[: len(live) // 2], live[len(live) // 2 :]
-        if any(
-            math.prod(upper - lower + 1 for _, _, lower, upper in half) > _HALF_BOX
-            for half in halves
-        ):
-            continue
-        left, right = (_sums(half) for half in halves)
-        if not any(row.rhs - total in right for total in left):
-            return row.name
+        live = [(a, b) for a, b in zip(ask, bid) if a or b]
+        middle = len(live) // 2
+        if (upper - lower + 1) ** (len(live) - middle) > _HALF_BOX:
+            continue  # the larger half, live[middle:], holds too many points
+        left = _sums(live[:middle], lower, upper)
+        right = _sums(live[middle:], lower, upper)
+        if not any(rhs - total in right for total in left):
+            return name
     return None
 
 
-def off_lattice_rows(problem: IlpProblem) -> tuple[str, ...] | None:
-    """The equality rows of ``problem`` that together have no integer
-    solution, bounds ignored, or ``None`` when they have one.
+def off_lattice_rows(rows: Sequence[EqualityRow]) -> tuple[str, ...] | None:
+    """The equality ``rows`` that together have no integer solution, bounds
+    ignored, or ``None`` when they have one.
 
+    The unknowns are the ask-side and the bid-side quantity of every slot,
+    one column each: the ``p`` and ``r`` columns of :func:`build_combined`.
     Unimodular column operations (Euclid on each row in turn) bring the
     equality matrix to Hermite normal form (Kannan & Bachem, *SIAM J.
     Comput.* 1979; Schrijver, *Theory of Linear and Integer Programming*,
     1986, Cor. 4.1a); the variable of each row's pivot column is then forced
     to one value, which must be an integer, and a row left with no pivot
     must already hold. The rows returned are those used up to the first
-    that fails.
+    that fails; which row fails first depends on the rows' order only, not
+    on the columns'.
     """
-    equalities = [row for row in problem.rows if row.relation is Relation.EQ]
-    rhs = [row.rhs for row in equalities]
-    columns = [list(col) for col in zip(*(row.coeffs for row in equalities))]
-    for i in range(len(equalities)):
+    rhs = [row[3] for row in rows]
+    columns = [list(col) for col in zip(*(ask + bid for _, ask, bid, _ in rows))]
+    for i in range(len(rows)):
         live = [col for col in columns if col[i]]
         while len(live) > 1:
             pivot = min(live, key=lambda col: abs(col[i]))
@@ -474,5 +528,5 @@ def off_lattice_rows(problem: IlpProblem) -> tuple[str, ...] | None:
                 rhs[k] -= value * pivot[k]
             columns = [col for col in columns if col is not pivot]
         if remainder:
-            return tuple(row.name for row in equalities[: i + 1])
+            return tuple(row[0] for row in rows[: i + 1])
     return None

@@ -4,11 +4,12 @@ Each ask/bid combination is one integer program; :func:`optimize` solves all
 of them at once as the single combined program of
 :func:`~payoffopt.model_builder.build_combined`, unless
 :func:`~payoffopt.model_builder.unreachable_row` or
-:func:`~payoffopt.model_builder.off_lattice_rows` proves that program
-infeasible first, without a solver call; an infeasible run returns the rows
-it attempted as :class:`Infeasible`. The winner is the highest objective,
-with ties broken by lowest combination index and then by the
-lexicographically smallest quantity vector. The combined solve finds the
+:func:`~payoffopt.model_builder.off_lattice_rows` proves every combination
+infeasible first from the strategy's equality rows, before that program is
+built; an infeasible run returns the rows it attempted as
+:class:`Infeasible`. The winner is the highest objective, with ties broken
+by lowest combination index and then by the lexicographically smallest
+quantity vector. The combined solve finds the
 optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
 finds the lowest optimal combination index, and then, on the same loaded
 program with those bits fixed, the quantities.
@@ -34,6 +35,7 @@ from .model_builder import (
     build_subproblem,  # not called here; benchmark/tracing.py wraps this name
     combination_bounds,
     decode_combined,
+    equality_rows,
     off_lattice_rows,
     unreachable_row,
 )
@@ -61,8 +63,9 @@ class PortfolioSolution:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No feasible portfolio: the combined program's rows of an exact check's
-    proof or, after HiGHS's verdict, every row without a side bit."""
+    """No feasible portfolio: the equality rows of an exact check's proof
+    or, after HiGHS's verdict, every combined-program row without a side
+    bit."""
 
     rows: tuple[str, ...]
 
@@ -95,13 +98,15 @@ def optimize(
 ) -> PortfolioSolution | Infeasible:
     """Best feasible portfolio over every price combination, or :class:`Infeasible`.
 
-    When :func:`~payoffopt.model_builder.unreachable_row` or
-    :func:`~payoffopt.model_builder.off_lattice_rows` proves the combined
-    program infeasible, the run loads no solver. Otherwise the combined
-    solve gives the optimal value, or HiGHS's verdict. Stage A refines its
-    side bits to the lowest optimal combination index; Stage B fixes those
-    bits with :func:`~payoffopt.model_builder.combination_bounds` and refines
-    the quantities from the Stage-A point. Both stages are
+    :func:`~payoffopt.model_builder.unreachable_row`, then
+    :func:`~payoffopt.model_builder.off_lattice_rows`, read the strategy's
+    :func:`~payoffopt.model_builder.equality_rows`; when either proves every
+    combination infeasible, the run builds no combined program and loads no
+    solver. Otherwise the combined solve gives the optimal value, or
+    HiGHS's verdict. Stage A refines its side bits to the lowest optimal
+    combination index; Stage B fixes those bits with
+    :func:`~payoffopt.model_builder.combination_bounds` and refines the
+    quantities from the Stage-A point. Both stages are
     :func:`~payoffopt.ilp_solver.lex_refine` calls on the HiGHS instance the
     combined solve loaded, and only the final point is decoded.
 
@@ -118,11 +123,12 @@ def optimize(
     exhausted budget, :class:`SolverError` itself for a backend failure or a
     stage that misses the first optimum.
     """
-    combined = build_combined(spec, series)
-    row = unreachable_row(series.n, combined)
-    rows = (row,) if row is not None else off_lattice_rows(combined)
+    equalities = equality_rows(spec, series)
+    row = unreachable_row(equalities, spec.lower, spec.upper)
+    rows = (row,) if row is not None else off_lattice_rows(equalities)
     if rows is not None:
         return Infeasible(rows)
+    combined = build_combined(spec, series)
     first = solve_ilp(combined, refine=False)
     if first is None:
         names = (r.name for r in combined.rows if not any(r.coeffs[: 2 * series.n]))

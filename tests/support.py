@@ -246,6 +246,16 @@ REFERENCE_COLUMNS = (
 )
 
 
+def equalities(problem: IlpProblem) -> tuple:
+    """The equality rows of ``problem`` as ``off_lattice_rows`` reads them:
+    each row's coefficients on the ask side, and no bid-side column."""
+    return tuple(
+        (row.name, row.coeffs, (), row.rhs)
+        for row in problem.rows
+        if row.relation is Relation.EQ
+    )
+
+
 def combination_from_index(n: int, index: int) -> PriceCombination:
     """The combination of a series of n whose :attr:`~PriceCombination.index`
     is ``index``: the first call slot reads the most significant bit."""

@@ -6,8 +6,10 @@ seeded random corpus large enough to be meaningful.
 """
 
 import dataclasses
+import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, HighsVarType
@@ -22,6 +24,7 @@ from payoffopt.model_builder import (
     build_subproblem,
     combination_bounds,
     decode_combined,
+    equality_rows,
     off_lattice_rows,
     unreachable_row,
 )
@@ -35,6 +38,7 @@ from support import (
     combination_from_index,
     count_loads,
     count_solver_calls,
+    equalities,
     lp_relaxation,
     random_equality_ilp,
     random_ilp,
@@ -671,7 +675,7 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
     fired = fired_past_lp = 0
     for case in range(400):
         problem = random_equality_ilp(rng)
-        if off_lattice_rows(problem) is not None:
+        if off_lattice_rows(equalities(problem)) is not None:
             fired += 1
             fired_past_lp += lp_relaxation(problem) is not None
             assert brute_force(problem) is None, case
@@ -687,7 +691,7 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
     cases.append((fixture_run_config.strategy, fixture_series))
     combined_fired = subproblem_fired = 0
     for case, (spec, series) in enumerate(cases):
-        combined = off_lattice_rows(build_combined(spec, series)) is not None
+        combined = off_lattice_rows(equality_rows(spec, series)) is not None
         combined_fired += combined
         if series.n > 3:
             assert not combined  # the fixture is feasible
@@ -695,7 +699,7 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
         for index in range(1 << (2 * series.n)):
             combo = combination_from_index(series.n, index)
             subproblem = build_subproblem(spec, series, combo)
-            settled = off_lattice_rows(subproblem) is not None
+            settled = off_lattice_rows(equalities(subproblem)) is not None
             subproblem_fired += settled
             # a combined program without integer point leaves none to any
             # of its subproblems
@@ -719,15 +723,74 @@ def test_unreachable_row_is_sound():
     for seed, count in ((20260823, 220), (1, 300), (2, 300), (3, 300)):
         settled = past_hnf = 0
         for case, (spec, series) in enumerate(seeded_strategies(seed, count)):
-            combined = build_combined(spec, series)
-            name = unreachable_row(series.n, combined)
+            rows = equality_rows(spec, series)
+            name = unreachable_row(rows, spec.lower, spec.upper)
             if name is None:
                 continue
             settled += 1
-            past_hnf += off_lattice_rows(combined) is None
+            past_hnf += off_lattice_rows(rows) is None
             assert reference_optimize(spec, series) is None, (seed, case)
         fired[seed] = settled, past_hnf
     assert fired == {20260823: (128, 58), 1: (154, 57), 2: (174, 73), 3: (183, 78)}
+
+
+def test_row_check_settles_the_corpus_by_row():
+    # optimize's row check, on rows computed from the spec and the series
+    settled = Counter()
+    for spec, series in seeded_strategies(20260823, 220):
+        name = unreachable_row(equality_rows(spec, series), spec.lower, spec.upper)
+        settled[name] += name is not None
+    assert +settled == {"balance_left": 74, "balance_right": 41, "cost": 13}
+
+
+def test_row_check_enumerates_no_row_the_zero_vector_meets(monkeypatch):
+    # over the corpus, the row check enumerates exactly what it enumerates
+    # with every row of right-hand side 0 taken out: both tail rows of all
+    # 220 strategies and 4 balance rows at a max loss of 0. Every one of
+    # those rows has halves inside the box cap, so only the skip keeps them
+    # out
+    enumerated = []
+    real = model_builder._sums
+    monkeypatch.setattr(
+        model_builder, "_sums", lambda *args: enumerated.append(args) or real(*args)
+    )
+    zero = small = 0
+    for spec, series in seeded_strategies(20260823, 220):
+        rows = equality_rows(spec, series)
+        nonzero = tuple(row for row in rows if row[3])
+        zero += len(rows) - len(nonzero)
+        box = spec.upper - spec.lower + 1
+        small += sum(
+            box ** math.ceil(sum(bool(a or b) for a, b in zip(ask, bid)) / 2)
+            <= model_builder._HALF_BOX
+            for _, ask, bid, rhs in rows
+            if rhs == 0
+        )
+        enumerated.clear()
+        name = unreachable_row(rows, spec.lower, spec.upper)
+        seen = list(enumerated)
+        enumerated.clear()
+        assert unreachable_row(nonzero, spec.lower, spec.upper) == name
+        assert enumerated == seen
+    assert (zero, small) == (444, 444)
+
+
+def test_lattice_check_needs_no_combined_program(fixture_run_config, fixture_series):
+    # the lattice check on the strategy's equality rows returns what it
+    # returns on the combined program's, side-bit columns and all: which
+    # row fails first does not depend on the columns
+    cases = list(seeded_strategies(20260823, 220))
+    for cost in (5000, 1, -5000):
+        spec = dataclasses.replace(
+            fixture_run_config.strategy, cost_target=CostTarget(Relation.EQ, cost)
+        )
+        cases.append((spec, fixture_series))
+    fired = 0
+    for spec, series in cases:
+        rows = off_lattice_rows(equality_rows(spec, series))
+        assert rows == off_lattice_rows(equalities(build_combined(spec, series)))
+        fired += rows is not None
+    assert fired == 73
 
 
 def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
@@ -735,7 +798,8 @@ def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
     # which the exact check sees at once; HiGHS once needed a root LP, a
     # 7-node MILP and a 14-node presolve-off recheck to say so
     spec, series = list(seeded_strategies(20260823, 55))[54]
-    assert unreachable_row(series.n, build_combined(spec, series)) == "balance_left"
+    rows = equality_rows(spec, series)
+    assert unreachable_row(rows, spec.lower, spec.upper) == "balance_left"
     calls = count_solver_calls(monkeypatch)
     assert optimize(spec, series) == Infeasible(("balance_left",))
     assert dict(calls) == {}
@@ -752,10 +816,10 @@ def test_lattice_check_settles_what_the_row_check_skips(
     spec = dataclasses.replace(
         fixture_run_config.strategy, cost_target=CostTarget(Relation.EQ, cost)
     )
-    combined = build_combined(spec, fixture_series)
-    assert unreachable_row(fixture_series.n, combined) is None
+    equations = equality_rows(spec, fixture_series)
+    assert unreachable_row(equations, spec.lower, spec.upper) is None
     rows = ("tail_calls", "tail_puts", "balance_left", "balance_right", "cost")
-    assert off_lattice_rows(combined) == rows
+    assert off_lattice_rows(equations) == rows
     calls = count_solver_calls(monkeypatch)
     loads = count_loads(monkeypatch)
     assert optimize(spec, fixture_series) == Infeasible(rows)
@@ -773,11 +837,12 @@ def test_unreachable_row_skips_wide_boxes_unenumerated(
     # 2^12 cap, so the check returns at once and enumerates nothing, even
     # at bounds no enumeration could finish
     built = []
-    monkeypatch.setattr(model_builder, "_sums", lambda half: built.append(half) or set())
+    monkeypatch.setattr(model_builder, "_sums", lambda *args: built.append(args) or set())
     spec = fixture_run_config.strategy
     if lots is not None:
         spec = dataclasses.replace(spec, lower=-lots, upper=lots)
-    assert unreachable_row(fixture_series.n, build_combined(spec, fixture_series)) is None
+    rows = equality_rows(spec, fixture_series)
+    assert unreachable_row(rows, spec.lower, spec.upper) is None
     assert built == []
 
 

@@ -139,6 +139,28 @@ class TestInfeasibleLine:
         assert (code, *capsys.readouterr()) == (1, "", INFEASIBLE + rows + "\n")
         assert (dict(calls), loads) == ({}, [])
 
+    @pytest.mark.parametrize("case", ["strategy-54", "fixture-cost-50.00"])
+    def test_proofs_build_no_program(self, case, tmp_path, monkeypatch, capsys):
+        # both exact proofs read the strategy's equality rows: a run they
+        # settle builds no combined program and loads no HiGHS instance
+        def refuse(*args):
+            raise AssertionError("a proof-settled run builds no program")
+
+        if case == "strategy-54":
+            spec, series = list(seeded_strategies(20260823, 55))[54]
+            chain, strategy = write_strategy(spec, series, tmp_path)
+            rows = "balance_left"
+        else:
+            data = json.loads((FIXTURES / "spec.json").read_text())
+            data["cost_target"] = {"cmp": "=", "value": "50.00"}
+            chain, strategy = FIXTURES / "chain.csv", tmp_path / "spec.json"
+            strategy.write_text(json.dumps(data))
+            rows = "tail_calls,tail_puts,balance_left,balance_right,cost"
+        monkeypatch.setattr("payoffopt.optimizer.build_combined", refuse)
+        monkeypatch.setattr("payoffopt.ilp_solver._load", refuse)
+        code = invoke("optimize", "--chain", chain, "--spec", strategy)
+        assert (code, *capsys.readouterr()) == (1, "", INFEASIBLE + rows + "\n")
+
     def test_highs_verdict_lists_every_subproblem_row(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -418,6 +440,20 @@ class TestSpecErrors:
 
     def test_inflection_not_a_strike(self, chain_path, make_spec, capsys):
         self.check(chain_path, make_spec(inflection=105), capsys, "not among strikes")
+
+    def test_inflection_not_a_strike_stops_before_the_proofs(
+        self, chain_path, make_spec, monkeypatch, capsys
+    ):
+        def refuse(*args):
+            raise AssertionError("a spec error runs no proof")
+
+        monkeypatch.setattr("payoffopt.optimizer.unreachable_row", refuse)
+        monkeypatch.setattr("payoffopt.optimizer.off_lattice_rows", refuse)
+        spec = make_spec(inflection=105)
+        assert invoke("optimize", "--chain", chain_path, "--spec", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:spec:inflection-not-in-K: 105 ")
 
     def test_bad_cost_comparator(self, chain_path, make_spec, capsys):
         spec = make_spec(cost_target={"cmp": "!=", "value": "1.00"})

@@ -1,7 +1,8 @@
 """Seeded fuzz of the command line: malformed inputs never read as a defect.
 
 Each example mutates one or more of the files a command reads (the strategy
-JSON, the chain CSV or JSON, a stored ``--solution`` document) and runs
+JSON, the chain CSV or JSON, a stored ``--solution`` document; a JSON
+document may also get one object member written twice) and runs
 ``optimize``, ``validate`` or ``payoff --solution`` in-process through
 ``cli.run``. Whatever the input, the run must end in a documented verdict:
 an exit code from 0 to 4, never 5 (an internal error), a stderr that is
@@ -94,19 +95,24 @@ FILES = {
 }
 
 
-def _replace_key(data: dict, draw) -> None:
-    """Drop, add or retype one key somewhere in a nested JSON object."""
+def _pick_object(data: dict, draw) -> dict:
+    """``data`` or an object nested somewhere in it."""
     target = data
     while True:
         nested = [k for k, v in target.items() if isinstance(v, (dict, list)) and v]
         if not nested or draw(st.booleans()):
-            break
+            return target
         child = target[draw(st.sampled_from(sorted(nested)))]
         if isinstance(child, list):
             child = child[draw(st.integers(0, len(child) - 1))]
             if not isinstance(child, dict):
-                break
+                return target
         target = child
+
+
+def _replace_key(data: dict, draw) -> None:
+    """Drop, add or retype one key somewhere in a nested JSON object."""
+    target = _pick_object(data, draw)
     action = draw(st.sampled_from(("drop", "add", "retype")))
     # a copy, so that a later mutation cannot change ODD_VALUES itself
     value = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
@@ -118,11 +124,29 @@ def _replace_key(data: dict, draw) -> None:
         target[draw(st.sampled_from(sorted(target)))] = value
 
 
+def _repeat_member(data: dict, draw) -> bytes:
+    """The document of ``data`` with one member of one of its objects
+    written a second time, at the front of that object's text."""
+    text = json.dumps(data)
+    target = _pick_object(data, draw)
+    if not target:
+        return text.encode()
+    key = draw(st.sampled_from(sorted(target)))
+    member = f"{json.dumps(key)}: {json.dumps(target[key])}, "
+    # json.dumps writes a nested object as the same text it writes alone
+    before = json.dumps(target)
+    after = "{" + member + before[1:]
+    return text.replace(before, after, 1).encode()
+
+
 def _mutate_json(text: bytes, draw) -> bytes:
     data = json.loads(text)
     for _ in range(draw(st.integers(1, 2))):
         _replace_key(data, draw)
-    text = _json_bytes(data)
+    if draw(st.integers(0, 3)) == 0:
+        text = _repeat_member(data, draw)
+    else:
+        text = _json_bytes(data)
     return _mutate_bytes(text, draw) if draw(st.integers(0, 3)) == 0 else text
 
 

@@ -26,6 +26,7 @@ from support import (
     CapacityError,
     brute_force,
     count_solver_calls,
+    equalities,
     fake_milp_runs,
     lp_relaxation,
     objective_value,
@@ -128,7 +129,7 @@ def test_exact_equality_check(monkeypatch, make, rows):
     # the one that fails; solve_ilp leaves that check to optimize and
     # settles every program itself, from its root LP on
     problem = make()
-    assert off_lattice_rows(problem) == rows
+    assert off_lattice_rows(equalities(problem)) == rows
     expected = brute_force(problem)
     if rows is not None:
         assert expected is None
@@ -161,7 +162,7 @@ def test_exact_equality_check_on_degenerate_rows():
             Row("b", (3, 6), Relation.EQ, 9),
         )
         problem = IlpProblem((1, 1), rows, ((-9, 9), (-9, 9)))
-        assert off_lattice_rows(problem) == (("zero",) if settled else None)
+        assert off_lattice_rows(equalities(problem)) == (("zero",) if settled else None)
         assert (brute_force(problem) is None) is settled
 
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+import payoffopt.model_builder as model_builder
 from payoffopt import SpecError
 from payoffopt.market_data import SeriesSelection
 from payoffopt.model_builder import (
@@ -17,6 +18,7 @@ from payoffopt.model_builder import (
     build_subproblem,
     combination_bounds,
     decode_combined,
+    equality_rows,
     unreachable_row,
 )
 from payoffopt.payoff_engine import Portfolio
@@ -26,6 +28,7 @@ from support import (
     combination_from_index,
     combo_for,
     reference_series,
+    seeded_strategies,
     small_series,
 )
 
@@ -428,6 +431,25 @@ class TestBuildCombined:
         assert (kept, idle) == (8, 12)
 
 
+class TestEqualityRows:
+    def test_rows_reading_no_price_share_one_tuple(self):
+        spec = tent_spec(cost_target=CostTarget(Relation.EQ, 150))
+        shared = {
+            name: ask is bid for name, ask, bid, _ in equality_rows(spec, small_series())
+        }
+        assert shared == {
+            "tail_calls": True,
+            "tail_puts": True,
+            "balance_left": False,
+            "balance_right": False,
+            "cost": False,
+        }
+
+    def test_inflection_must_be_a_listed_strike(self):
+        with pytest.raises(SpecError, match="inflection-not-in-K"):
+            equality_rows(tent_spec(inflection=105), small_series())
+
+
 class TestUnreachableRow:
     def test_cost_row_is_unreachable_exactly_when_no_quantities_meet_it(self):
         # every slot in [-2, 1] lots, long at its ask, short at its bid; the
@@ -449,23 +471,52 @@ class TestUnreachableRow:
                 balance_right_tail=False,
             )
             expected = None if value in totals else "cost"
-            assert unreachable_row(2, build_combined(spec, series)) == expected, value
+            rows = equality_rows(spec, series)
+            assert unreachable_row(rows, -2, 1) == expected, value
             unreachable += expected is not None
         assert len(totals) > 100 and unreachable > 1000
 
     def test_only_equalities_without_side_bits_are_read(self):
-        # neither extra row can hold, but one reads side bits and the other
-        # is an inequality; the same sum of quantity parts as an equality is
-        # unreachable
-        spec = tent_spec(balance_left_tail=False, balance_right_tail=False)
-        combined = build_combined(spec, small_series())
-        parts = (1,) * 8
-        extra = (
-            Row("sides", (1, 0, 0, 0) + parts, Relation.EQ, 10**6),
-            Row("below", (0,) * 4 + parts, Relation.LE, -(10**6)),
+        # the proofs read the equality rows of the combined program without
+        # side-bit coefficients, computed without building it: ask on each
+        # p_i, bid on each r_i, in build order, on every corpus strategy
+        strategies = list(seeded_strategies(20260823, 220))
+        modes = {spec.tail_loss_mode for spec, _ in strategies}
+        assert modes == set(TailLossMode)
+        for spec, series in strategies:
+            slots = 2 * series.n
+            lifted = [
+                (name, (0,) * slots + tuple(itertools.chain(*zip(ask, bid))), rhs)
+                for name, ask, bid, rhs in equality_rows(spec, series)
+            ]
+            combined = build_combined(spec, series)
+            assert lifted == [
+                (row.name, row.coeffs, row.rhs)
+                for row in combined.rows
+                if row.relation is Relation.EQ
+            ]
+
+    def test_first_unreachable_row_is_named(self):
+        # rows are read in order; a row far past every total is named unless
+        # an earlier one is, and a zero row with a right-hand side is never met
+        rows = equality_rows(
+            tent_spec(balance_left_tail=False, balance_right_tail=False), small_series()
         )
-        problem = IlpProblem(combined.objective, combined.rows + extra, combined.bounds)
-        assert unreachable_row(2, problem) is None
-        far = Row("far", (0,) * 4 + parts, Relation.EQ, 10**6)
-        problem = IlpProblem(combined.objective, combined.rows + (far,), combined.bounds)
-        assert unreachable_row(2, problem) == "far"
+        far = ("far", (1,) * 4, (1,) * 4, 10**6)
+        empty = ("empty", (0,) * 4, (0,) * 4, 1)
+        assert unreachable_row(rows, -3, 3) is None
+        assert unreachable_row(rows + (far,), -3, 3) == "far"
+        assert unreachable_row(rows + (empty, far), -3, 3) == "empty"
+
+    def test_zero_right_hand_side_is_never_enumerated(self, monkeypatch):
+        # the zero vector lies in every box, so a row with right-hand side 0
+        # is skipped before its halves are enumerated, however small its box
+        enumerated = []
+        monkeypatch.setattr(
+            model_builder, "_sums", lambda *args: enumerated.append(args) or {0}
+        )
+        rows = (("zero", (1, 2), (3, 4), 0), ("one", (1, 2), (3, 4), 1))
+        assert unreachable_row(rows[:1], -1, 1) is None
+        assert enumerated == []
+        unreachable_row(rows, -1, 1)
+        assert enumerated == [([(1, 3)], -1, 1), ([(2, 4)], -1, 1)]
