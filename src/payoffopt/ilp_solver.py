@@ -3,18 +3,24 @@
 :func:`solve_ilp` is HiGHS's dual simplex and branch and cut (Huangfu & Hall,
 *Math. Prog. Comp.* 2018) with a zero optimality gap, driven through the
 binding scipy bundles. Each program is loaded into one HiGHS instance once
-and every solve of it runs on that instance in place: the root LP, the first
-MILP and its presolve-off recheck in :func:`solve_ilp`, which then pins the
-objective at its optimum with one added row, and one MILP per block in every
-:func:`lex_refine` that continues from the point it returns, which changes
-only the block's costs and the bounds it fixes. Each run starts from nothing
-of the one before, so its search is the one a freshly loaded model would
-get. The search runs in floating point, but the returned point is
-re-verified and its objective recomputed in exact integer arithmetic before
-acceptance. Among optima the lexicographically smallest solution vector is
-returned by :func:`lex_refine`: with the objective pinned at its optimal
-value, the slots are minimized in blocks, one MILP per block whose objective
-reads the block as one mixed-radix number, starting from the first optimal
+and every solve of it runs on that instance in place: the root LP, and the
+first MILP with its presolve-off recheck when the root LP does not settle
+the program, in :func:`solve_ilp`, which then pins the objective at its
+optimum with one added row; then one LP per block, and a MILP only when its
+optimum is not integral, in every :func:`lex_refine` that continues from the
+point it returns, which changes only the block's costs and the bounds it
+fixes. Each run starts from nothing of the one before, so its search is the
+one a freshly loaded model would get. The search runs in floating point,
+but every returned point is re-verified and its objective recomputed in
+exact integer arithmetic before acceptance. A relaxation's rounded point is
+accepted only when it passes that check at the relaxation's optimal value,
+which bounds every integer point, so it is an integer optimum (Wolsey,
+*Integer Programming*, 1998, ch. 2); that bound is a float, the same trust
+the first MILP's proof of optimality gets. Among optima the
+lexicographically smallest solution vector is returned by
+:func:`lex_refine`: with the objective pinned at its optimal value, the
+slots are minimized in blocks, one solve per block whose objective reads
+the block as one mixed-radix number, starting from the first optimal
 point. A slot that point already holds at its lower bound is fixed there
 without a solve (lexicographic optimization as a sequence of
 epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*, 2005,
@@ -26,9 +32,11 @@ smallest optimal point the refine returns, cannot change.
 
 The exact infeasibility proofs run before this module is called (see
 :func:`~payoffopt.optimizer.optimize`); here a root LP, the relaxation of
-the loaded integer model, settles most infeasible programs before any MILP.
-No infeasibility verdict of a presolved solve is trusted: the root LP runs
-unpresolved, and a presolved MILP verdict is re-solved without presolve.
+the loaded integer model, settles most infeasible programs, and most
+feasible ones, before any MILP. No verdict or point of a presolved
+relaxation is used, and no infeasibility verdict of a presolved MILP is
+trusted: every relaxation runs unpresolved, and a presolved MILP verdict is
+re-solved without presolve.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
 counts as one. A program HiGHS rejects as a model error, or one with a
@@ -244,6 +252,39 @@ def _milp_once(
     return x
 
 
+def _relaxed_optimum(
+    highs: _Highs,
+    cost: Sequence[int],
+    rows: Sequence[Row],
+    bounds: Sequence[tuple[int, int]],
+) -> tuple[HighsModelStatus, tuple[int, ...] | None]:
+    """The status of the relaxation of the model ``highs`` holds, solved
+    without presolve, and its rounded point when that point is an exact
+    integer optimum: HiGHS reports the relaxation optimal, the point meets
+    ``rows`` and ``bounds`` exactly, and its integer ``cost``, which the
+    model minimizes, is within 0.5 of the relaxation's optimal value.
+
+    That value bounds the cost of every integer point from below, and costs
+    are integers, so no integer point is cheaper than one within 0.5 of it.
+    Otherwise the point is ``None``, and the program needs a MILP, which
+    gets both options' defaults back.
+    """
+    highs.setOptionValue("solve_relaxation", True)
+    highs.setOptionValue("presolve", "off")
+    status = _run(highs)
+    highs.setOptionValue("solve_relaxation", False)
+    highs.setOptionValue("presolve", "choose")
+    if status != HighsModelStatus.kOptimal:
+        return status, None
+    x = tuple(int(round(v)) for v in highs.getSolution().col_value)
+    if not _holds(x, rows, bounds):
+        return status, None
+    value = sum(map(operator.mul, cost, x))
+    if abs(value - highs.getInfo().objective_function_value) >= 0.5:
+        return status, None
+    return status, x
+
+
 # a block's mixed-radix key ranges over fewer than this many values; HiGHS
 # accepts a point within 1e-6 of integral (mip_feasibility_tolerance), so the
 # key of an accepted point can sit at most about range * 1e-6 < 0.5 off the
@@ -275,10 +316,11 @@ def lex_refine(
     against the bounds, the rows and the objective pin. The current point
     stays feasible for every slot fixed so far, so a slot it holds at its
     lower bound has that bound as its minimum and is fixed without a solve.
-    The other slots are minimized in blocks, one MILP per block on the
-    program's instance: the block's objective is the mixed-radix number
-    sum w_j (x_j - lo_j), with w_j the product of the widths after slot j in
-    the block.
+    The other slots are minimized in blocks on the program's instance, one
+    LP per block, and a MILP only when its optimum is not integral: the
+    block's objective is the mixed-radix number sum w_j (x_j - lo_j), with
+    w_j the product of the widths after slot j in the block. That key fixes
+    the block's values, whichever solve finds its minimum.
 
     A seed that fails the check, or a block solve that finds no point,
     raises :class:`SolverError`. The returned point holds the same pinned
@@ -299,15 +341,17 @@ def lex_refine(
             continue
         widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
         block = range(j, j + _block_size(widths))
-        cost = np.zeros(num_vars)
+        cost = [0] * num_vars
         weight = 1
         for i in reversed(block):
             cost[i] = weight
             weight *= widths[i - j]
         box = np.asarray(bounds, dtype=float)
         highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
-        highs.changeColsCost(num_vars, columns, cost)
-        x = _milp_once(highs, rows, bounds)
+        highs.changeColsCost(num_vars, columns, np.asarray(cost, dtype=float))
+        _, x = _relaxed_optimum(highs, cost, rows, bounds)
+        if x is None:
+            x = _milp_once(highs, rows, bounds)
         if x is None:
             raise SolverError(f"no point at the optimum {seed.objective}")
         for i in block:
@@ -326,23 +370,24 @@ def solve_ilp(
     Deterministic: repeated calls return identical results. With ``refine``
     (the default) the returned vector is the lexicographically smallest among
     all optimal integer solutions; without it, the first optimal vector found.
-    A refined solve makes at most one MILP call per :func:`lex_refine` block
-    after the first. The returned point holds the program, loaded and with
-    its objective pinned at the optimum, for :func:`lex_refine`.
+    The root LP settles the program when it is infeasible, or when its
+    rounded point is an exact integer optimum; otherwise one MILP does. A
+    refined solve then makes one LP per :func:`lex_refine` block, and a MILP
+    only when its optimum is not integral. The returned point holds the
+    program, loaded and with its objective pinned at the optimum, for
+    :func:`lex_refine`.
     """
-    # the root LP: the loaded integer model's relaxation without presolve,
-    # so that its infeasible verdict is not a presolved one; that verdict
-    # alone settles the program, any other outcome, a failure included,
-    # leaves it to the MILP, which gets both options' defaults back
+    # the root LP, unpresolved so that its infeasible verdict is not a
+    # presolved one; that verdict settles the program, and so does a point
+    # that is an exact integer optimum; any other outcome, a failure
+    # included, leaves the program to the MILP
     highs = _load(problem.objective, problem.rows, problem.bounds)
-    highs.setOptionValue("solve_relaxation", True)
-    highs.setOptionValue("presolve", "off")
-    root = _run(highs)
-    highs.setOptionValue("solve_relaxation", False)
-    highs.setOptionValue("presolve", "choose")
+    cost = [-c for c in problem.objective]
+    root, x = _relaxed_optimum(highs, cost, problem.rows, problem.bounds)
     if root == HighsModelStatus.kInfeasible:
         return None
-    x = _milp_once(highs, problem.rows, problem.bounds)
+    if x is None:
+        x = _milp_once(highs, problem.rows, problem.bounds)
     if x is None:
         return None
     value = sum(map(operator.mul, problem.objective, x))

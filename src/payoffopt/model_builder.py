@@ -25,7 +25,8 @@ Rows are emitted in a fixed order per subproblem:
 Every coefficient and right-hand side is an integer (cents or contract
 counts), so feasibility is checked in exact arithmetic. One generator writes
 every row, with each slot's coefficient at its ask and at its bid;
-:func:`build_subproblem` picks a side per slot from it. From the strategy's
+:func:`build_subproblem` picks a side per slot from it, and
+:func:`build_combined` puts both sides in its own columns. From the strategy's
 equality rows alone (:func:`equality_rows`), before the combined program is
 built, :func:`unreachable_row` and :func:`off_lattice_rows` prove every
 combination infeasible when an equality row cannot be met within the
@@ -334,8 +335,8 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     ``r_i + L z_i >= L`` pin ``r_i`` to 0 on the ask side and ``p_i`` to 0
     on the bid side; with finite bounds this big-M disjunction is exact
     (Balas, "Disjunctive programming", 1979). A slot's coefficients depend
-    only on its own side, so every row and the objective take the all-ask
-    subproblem's coefficients on p and the all-bid subproblem's on r.
+    only on its own side, so every row and the objective take each slot's
+    ask-side coefficient on p and its bid-side coefficient on r.
 
     The row ``z_i - p_i <= 0`` lets a slot take the ask side only when it
     buys at least one lot, so ``z_i = [x_i >= 1]``. Without it a slot at
@@ -368,19 +369,17 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
     program, and decodes the final point with :func:`decode_combined`.
     """
     slots = 2 * series.n
-    ask = build_subproblem(spec, series, PriceCombination((1,) * slots))
-    bid = build_subproblem(spec, series, PriceCombination((0,) * slots))
-    assert [(r.name, r.relation, r.rhs) for r in ask.rows] == [
-        (r.name, r.relation, r.rhs) for r in bid.rows
-    ]
 
     def lift(ask_coeffs: Sequence[int], bid_coeffs: Sequence[int]) -> tuple[int, ...]:
         interleaved = itertools.chain.from_iterable(zip(ask_coeffs, bid_coeffs))
         return (0,) * slots + tuple(interleaved)
 
+    generated = _rows(spec, series)
+    _, ask, bid, _, _ = next(generated)
+    objective = lift(ask, bid)
     rows = [
-        Row(a.name, lift(a.coeffs, b.coeffs), a.relation, a.rhs)
-        for a, b in zip(ask.rows, bid.rows)
+        Row(name, lift(ask, bid), relation, rhs)
+        for name, ask, bid, relation, rhs in generated
     ]
     width = 3 * slots
     for i in range(slots):
@@ -394,7 +393,7 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
         coeffs[i], coeffs[slots + 2 * i] = 1, -1
         rows.append(Row(f"side[{i}]", tuple(coeffs), Relation.LE, 0))
     return IlpProblem(
-        objective=lift(ask.objective, bid.objective),
+        objective=objective,
         rows=tuple(rows),
         bounds=((0, 1),) * slots + ((0, spec.upper), (spec.lower, 0)) * slots,
     )

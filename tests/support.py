@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import IntSolution, solve_ilp
@@ -579,11 +580,12 @@ class SolverCalls(Counter):
 
 def solve_kind(highs) -> str:
     """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
-    model ``highs`` holds: ``"root_lp"``, the relaxation (the root LP of
-    :func:`solve_ilp`); ``"milp"``, the integer model with presolve on;
-    ``"recheck"``, the presolve-off recheck."""
+    model ``highs`` holds: ``"lp"``, the relaxation (the root LP of
+    :func:`solve_ilp`, or a :func:`lex_refine` block's); ``"milp"``, the
+    integer model with presolve on; ``"recheck"``, the presolve-off
+    recheck."""
     if highs.getOptionValue("solve_relaxation")[1]:
-        return "root_lp"
+        return "lp"
     return "recheck" if highs.getOptionValue("presolve")[1] == "off" else "milp"
 
 
@@ -600,7 +602,7 @@ def count_solver_calls(monkeypatch) -> SolverCalls:
         kind = solve_kind(highs)
         calls[kind] += 1
         status = real_run(highs)
-        if kind != "root_lp":
+        if kind != "lp":
             calls.nodes[kind] += highs.getInfo().mip_node_count
         return status
 
@@ -625,15 +627,19 @@ def count_loads(monkeypatch) -> list[int]:
 
 def fake_milp_runs(monkeypatch, status, *, record=solve_kind):
     """End every MILP run of ``payoffopt.ilp_solver`` with HiGHS model status
-    ``status`` without a solve; the root LP runs for real. Returns
-    ``record`` of each faked run's instance, taken before it ends."""
+    ``status`` without a solve. Every LP runs for real, but one HiGHS solves
+    to optimality is reported as ``kUnknown``, so that its point settles
+    nothing and the MILP runs; an infeasible verdict stays. Returns
+    ``record`` of each faked MILP run's instance, taken before it ends."""
     real_run = payoffopt.ilp_solver._run
     seen = []
 
     def failing_run(highs):
-        if solve_kind(highs) == "root_lp":
-            # the root LP, whose feasible verdict hands over to the MILP
-            return real_run(highs)
+        if solve_kind(highs) == "lp":
+            verdict = real_run(highs)
+            if verdict == HighsModelStatus.kOptimal:
+                return HighsModelStatus.kUnknown
+            return verdict
         seen.append(record(highs))
         return status
 

@@ -319,7 +319,7 @@ def test_root_lp_verdict_matches_linprog(
     def recording(highs):
         kind = solve_kind(highs)
         status = real(highs)
-        if kind == "root_lp":
+        if kind == "lp":
             verdicts.append(status)
         return status
 
@@ -355,23 +355,26 @@ def corpus_optimize_all():
 
 def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     # HiGHS calls are deterministic. One optimize per strategy of the seeded
-    # corpus makes 229 of them, 1 presolve-off recheck included. Of the 220
+    # corpus makes 196 of them, 1 presolve-off recheck included. Of the 220
     # combined programs, 70 have equality rows without any integer point
     # (the lattice check, off_lattice_rows) and 58 more have a row no
     # quantity vector in the box meets (unreachable_row); optimize runs the
     # row check first, which settles all 128 with no HiGHS call. The root
-    # LP settles 45 of the other 92; of the 47 that reach a MILP, 46 are
-    # feasible. A lost pre-check shows here as more calls (312 without
-    # unreachable_row). Stage B runs on the combined program with the side
-    # bits fixed: 3 MILPs fewer than on each winning combination's own
-    # subproblem (139)
+    # LP settles 45 of the other 92 as infeasible and 41 with an integral
+    # optimum; 6 reach the first solve's MILP, 5 of them feasible. Every
+    # refine block starts with its LP and runs a MILP only when that LP's
+    # optimum is not integral: 41 of 46 Stage-A blocks and 40 of 43 Stage-B
+    # blocks need none. A lost pre-check shows here as more calls (276
+    # without unreachable_row), and so does a relaxation that settles
+    # nothing (136 MILPs with one MILP per solve)
     calls = count_solver_calls(monkeypatch)
     corpus_optimize_all()
-    assert dict(calls) == {"root_lp": 92, "milp": 136, "recheck": 1}
+    assert dict(calls) == {"lp": 181, "milp": 14, "recheck": 1}
     calls.clear()
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    # no presolve-off recheck on the fixture
-    assert dict(calls) == {"root_lp": 1, "milp": 5}
+    # no presolve-off recheck on the fixture; the root LP and Stage A's LP
+    # are fractional, the 3 Stage-B blocks' LPs integral
+    assert dict(calls) == {"lp": 5, "milp": 2}
     # the side rows leave one side vector per quantity vector: HiGHS proves
     # the fixture's first solve at about its root (32 nodes without them)
     calls.clear()
@@ -379,6 +382,63 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     solve_ilp(combined, refine=False)
     assert calls["milp"] == 1
     assert calls.nodes["milp"] <= 8
+
+
+def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
+    # an unpresolved root LP whose rounded point passes the exact check, at
+    # the LP's optimal value, is the first solve's answer with no MILP: so
+    # for 41 of the corpus's 46 feasible combined programs. Forced through
+    # the MILP, every program gives the same verdict and optimal value
+    import payoffopt.ilp_solver as ilp_solver
+
+    programs = [build_combined(*case) for case in seeded_strategies(20260823, 220)]
+    calls = count_solver_calls(monkeypatch)
+    values, settled = [], 0
+    for problem in programs:
+        calls.clear()
+        first = solve_ilp(problem, refine=False)
+        values.append(None if first is None else first.objective)
+        settled += first is not None and calls["milp"] == 0
+    assert (settled, sum(v is not None for v in values)) == (41, 46)
+    counting_run = ilp_solver._run
+
+    def settling_nothing(highs):
+        status = counting_run(highs)
+        if solve_kind(highs) == "lp" and status == HighsModelStatus.kOptimal:
+            return HighsModelStatus.kUnknown
+        return status
+
+    monkeypatch.setattr(ilp_solver, "_run", settling_nothing)
+    calls.clear()
+    forced = [solve_ilp(problem, refine=False) for problem in programs]
+    assert [None if f is None else f.objective for f in forced] == values
+    assert calls["milp"] >= 46
+
+
+def test_fixture_work_per_stage(monkeypatch, fixture_run_config, fixture_series):
+    # the fixture's root LP and Stage-A LP are fractional, so its first
+    # solve and Stage A each still make one MILP, Stage A's of 33 nodes;
+    # each of Stage B's 3 blocks is settled by its LP
+    import payoffopt.optimizer as optimizer
+
+    calls = count_solver_calls(monkeypatch)
+    stages = []
+    real_refine = optimizer.lex_refine
+
+    def refining(*args):
+        stages.append((dict(calls), dict(calls.nodes)))
+        calls.clear()
+        return real_refine(*args)
+
+    monkeypatch.setattr(optimizer, "lex_refine", refining)
+    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
+    stages.append((dict(calls), dict(calls.nodes)))
+    assert [solves for solves, _ in stages] == [
+        {"lp": 1, "milp": 1},
+        {"lp": 1, "milp": 1},
+        {"lp": 3},
+    ]
+    assert stages[1][1] == {"milp": 33}
 
 
 def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_series):
@@ -400,36 +460,41 @@ def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_se
 
 
 def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_series):
-    # no presolved LP verdict is trusted: the first solve on each loaded
-    # model, and only that one, is the relaxation, run with presolve off;
-    # 45 of the corpus's 92 say infeasible. Every solve sees every column
-    # integer, as loaded: the root LP relaxes the model, it never retypes it
+    # no presolved LP verdict or point is trusted: the first solve on each
+    # loaded model is the relaxation, and every relaxation, the root LP and
+    # each refine block's, runs with presolve off; 45 of the corpus's 92
+    # root LPs say infeasible. Every solve sees every column integer, as
+    # loaded: a relaxation relaxes the model, it never retypes it
     import payoffopt.ilp_solver as ilp_solver
 
     real = ilp_solver._run
     models = []
-    root_lps = []
+    lps = []
 
     def recording(highs):
         first = all(highs is not model for model in models)
         relaxed = highs.getOptionValue("solve_relaxation")[1]
         presolve = highs.getOptionValue("presolve")[1]
         assert set(highs.getLp().integrality_) == {HighsVarType.kInteger}
-        assert relaxed == first
+        assert relaxed or not first
         status = real(highs)
         if first:
             models.append(highs)
-            root_lps.append((presolve, status))
+        if relaxed:
+            lps.append((first, presolve, status))
         return status
 
     monkeypatch.setattr(ilp_solver, "_run", recording)
     corpus_optimize_all()
-    assert {presolve for presolve, _ in root_lps} == {"off"}
-    assert len(root_lps) == 92
-    assert sum(status == HighsModelStatus.kInfeasible for _, status in root_lps) == 45
-    root_lps.clear()
+    assert {presolve for _, presolve, _ in lps} == {"off"}
+    root_lps = [status for first, _, status in lps if first]
+    assert (len(root_lps), len(lps)) == (92, 181)
+    assert sum(status == HighsModelStatus.kInfeasible for status in root_lps) == 45
+    lps.clear()
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    assert root_lps == [("off", HighsModelStatus.kOptimal)]
+    assert lps[0] == (True, "off", HighsModelStatus.kOptimal)
+    assert [first for first, _, _ in lps] == [True, False, False, False, False]
+    assert {presolve for _, presolve, _ in lps} == {"off"}
 
 
 def invariance_cases(fixture_run_config, fixture_series, count):
@@ -510,7 +575,7 @@ def test_answers_do_not_depend_on_row_order(
     def recording_run(highs):
         kind = solve_kind(highs)
         status = real_run(highs)
-        if kind != "root_lp":
+        if kind != "lp":
             nodes.append(highs.getInfo().mip_node_count)
         return status
 
@@ -596,19 +661,20 @@ def test_full_run_regression_values(full_run):
 
 
 @pytest.mark.parametrize(
-    "lots, bitstring, calls, puts, milps",
+    "lots, bitstring, calls, puts, lps",
     [
         (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4), 5),
         (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4), 8),
     ],
 )
 def test_fixture_tie_break_solve_counts(
-    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts, milps
+    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts, lps
 ):
-    # one root LP for the first solve; MILPs: the first solve, one Stage-A
-    # block (12 side bits) and Stage B's blocks (5, 5 and 2 slots of width
-    # 10 or 11, or 2 slots of width 100 or 101 each); presolve-off rechecks
-    # are not counted
+    # one LP per solve: the first solve's root LP, one Stage-A block (12
+    # side bits) and Stage B's blocks (5, 5 and 2 slots of width 10 or 11,
+    # or 2 slots of width 100 or 101 each); the root LP and the Stage-A LP
+    # are fractional, so the first solve and Stage A each add a MILP, and
+    # every Stage-B LP is integral
     counted = count_solver_calls(monkeypatch)
     spec = fixture_run_config.strategy
     if lots is not None:
@@ -617,8 +683,7 @@ def test_fixture_tie_break_solve_counts(
     assert solution.objective == 40000
     assert solution.combination.bitstring == bitstring
     assert (solution.portfolio.calls, solution.portfolio.puts) == (calls, puts)
-    assert counted["root_lp"] == 1
-    assert counted["milp"] <= milps
+    assert dict(counted) == {"lp": lps, "milp": 2}
 
 
 @pytest.mark.parametrize("lots", [50, 100])

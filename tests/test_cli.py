@@ -167,7 +167,7 @@ class TestInfeasibleLine:
         # one load of the 18-column combined program and its root LP
         got = self.run_corpus_strategy(0, tmp_path, monkeypatch, capsys)
         line = INFEASIBLE + self.STRATEGY_0_ROWS + "\n"
-        assert got == (1, "", line, {"root_lp": 1}, [18])
+        assert got == (1, "", line, {"lp": 1}, [18])
 
     def test_line_builds_no_subproblem(self, tmp_path, monkeypatch, capsys):
         def refuse(*args):
@@ -255,8 +255,9 @@ class TestOptimizeCommand:
         assert capsys.readouterr() == ("", INFEASIBLE + "balance_left\n")
 
     def fail_every_milp(self, monkeypatch, status):
-        """Make every MILP run end with this HiGHS model status (the root LP
-        runs for real); returns each such run's kind and node limit."""
+        """Make every MILP run end with this HiGHS model status (every LP
+        runs for real, and settles no point); returns each such run's kind
+        and node limit."""
         return fake_milp_runs(
             monkeypatch,
             status,
@@ -360,14 +361,15 @@ class TestFixtureCommand:
         assert captured.err == "error:solver:node budget of 1 exhausted\n"
 
     def test_solves_its_root_lp_without_linprog(self, monkeypatch, capsys):
-        # the root LP is a run of the loaded model with every column
-        # continuous; ilp_solver imports none of scipy's solver wrappers
+        # the root LP and each refine block's LP are runs of the loaded
+        # model's relaxation; ilp_solver imports none of scipy's solver
+        # wrappers
         for name in ("linprog", "milp", "LinearConstraint", "Bounds", "csc_array"):
             assert not hasattr(payoffopt.ilp_solver, name), name
         calls = count_solver_calls(monkeypatch)
         assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
         capsys.readouterr()
-        assert calls["root_lp"] == 1
+        assert dict(calls) == {"lp": 5, "milp": 2}
 
     @pytest.mark.parametrize("module", ["payoffopt", "payoffopt.cli"])
     def test_python_dash_m_matches_run(self, module, capsys):

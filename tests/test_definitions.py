@@ -46,8 +46,14 @@ def orphans(package: Path) -> list[str]:
     return found
 
 
+# definitions the package keeps without calling them: benchmark/tracing.py
+# wraps ``build_subproblem`` by name in payoffopt.cli and payoffopt.optimizer,
+# which import it for that alone, until the tracer reads solver stats
+KEPT_FOR_THE_TRACER = ["build_subproblem"]
+
+
 def test_every_definition_is_referenced():
-    assert orphans(PACKAGE) == []
+    assert [entry.split()[-1] for entry in orphans(PACKAGE)] == KEPT_FOR_THE_TRACER
 
 
 def test_an_unused_definition_is_found(tmp_path):

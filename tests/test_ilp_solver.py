@@ -48,6 +48,15 @@ def fractional_problem():
     )
 
 
+def integral_problem():
+    # LP optimum x = 2, integral, so the relaxation settles each solve
+    return IlpProblem(
+        objective=(1,),
+        rows=(Row("cap", (1,), Relation.LE, 2),),
+        bounds=((0, 5),),
+    )
+
+
 def infeasible_problem():
     return IlpProblem(
         objective=(1,),
@@ -114,20 +123,22 @@ def strike_sized_problem():
 
 
 @pytest.mark.parametrize(
-    "make, rows",
+    "make, rows, solves",
     [
-        (gcd_problem, ("odd",)),
-        (joint_problem, ("sum", "diff")),
-        (strike_sized_problem, None),
-        (infeasible_problem, None),
-        (fractional_problem, None),
+        (gcd_problem, ("odd",), {"lp": 1, "milp": 1, "recheck": 1}),
+        (joint_problem, ("sum", "diff"), {"lp": 1, "milp": 1, "recheck": 1}),
+        (strike_sized_problem, None, {"lp": 2, "milp": 1}),
+        (infeasible_problem, None, {"lp": 1}),
+        (fractional_problem, None, {"lp": 2, "milp": 1}),
     ],
     ids=["gcd", "joint", "strike-sized", "infeasible-no-eq", "feasible-no-eq"],
 )
-def test_exact_equality_check(monkeypatch, make, rows):
+def test_exact_equality_check(monkeypatch, make, rows, solves):
     # the lattice check names the equality rows its elimination used up to
     # the one that fails; solve_ilp leaves that check to optimize and
-    # settles every program itself, from its root LP on
+    # settles every program itself, from its root LP on: a fractional root
+    # LP hands a feasible relaxation to the MILP, and the refine's one
+    # block is settled by its LP
     problem = make()
     assert off_lattice_rows(equalities(problem)) == rows
     expected = brute_force(problem)
@@ -135,7 +146,7 @@ def test_exact_equality_check(monkeypatch, make, rows):
         assert expected is None
     calls = count_solver_calls(monkeypatch)
     assert solve_ilp(problem) == expected
-    assert calls["root_lp"] == 1
+    assert dict(calls) == solves
 
 
 def test_exact_check_hand_cases_are_what_they_claim():
@@ -289,8 +300,8 @@ def test_repeated_solve_error_raises(monkeypatch):
 @pytest.mark.parametrize(
     "status, kinds",
     [
-        (HighsModelStatus.kInfeasible, ["root_lp"]),
-        (HighsModelStatus.kModelError, ["root_lp", "milp", "recheck"]),
+        (HighsModelStatus.kInfeasible, ["lp"]),
+        (HighsModelStatus.kModelError, ["lp", "milp", "recheck"]),
     ],
     ids=["infeasible", "model-error"],
 )
@@ -385,27 +396,150 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     problems += [random_ilp(rng) for _ in range(10)]
     unpatched = [solve_ilp(p) for p in problems]
     real_run = payoffopt.ilp_solver._run
-    lp_calls = []
+    models = []
     milp_calls = []
 
     def failing_root_lp(highs):
-        if solve_kind(highs) != "root_lp":
+        # the root LP is the first solve on each loaded model; the refine's
+        # LPs run for real
+        if all(highs is not model for model in models):
+            models.append(highs)
+            return HighsModelStatus.kSolveError
+        if solve_kind(highs) != "lp":
             milp_calls.append(1)
-            return real_run(highs)
-        lp_calls.append(1)
-        return HighsModelStatus.kSolveError
+        return real_run(highs)
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_root_lp)
     for problem, expected in zip(problems, unpatched):
-        lp_calls.clear()
+        models.clear()
         milp_calls.clear()
         assert solve_ilp(problem) == expected
         # every program gets its root LP, one without rows too, and the
         # MILP settles it after the failure
-        assert len(lp_calls) == 1
+        assert len(models) == 1
         assert milp_calls
     assert unpatched[1] is None and unpatched[0] is not None
     assert unpatched[2] is None
+
+
+def rounds_off_the_row_problem():
+    # LP optimum x = 2.6, which rounds to 3, off the row, though its
+    # objective is within 0.5 of the LP's; integer optimum x = 2
+    return IlpProblem(
+        objective=(1,),
+        rows=(Row("fifths", (5,), Relation.LE, 13),),
+        bounds=((0, 5),),
+    )
+
+
+def rounds_off_the_floor_problem():
+    # every point has x0 = 1; the relaxation of the first solve and of the
+    # refine's one block (key 6 x0 + x1) both sit at x1 = 2.4, which rounds
+    # to 2, below the floor, at the LP's own objective and 0.4 off its key
+    return IlpProblem(
+        objective=(1, 0),
+        rows=(Row("floor", (0, 5), Relation.GE, 12),),
+        bounds=((0, 1), (0, 5)),
+    )
+
+
+@pytest.mark.parametrize(
+    "make, answer, solves",
+    [
+        (rounds_off_the_row_problem, (2,), {"lp": 2, "milp": 1}),
+        (rounds_off_the_floor_problem, (1, 3), {"lp": 2, "milp": 2}),
+    ],
+    ids=["root-lp", "root-lp-and-block"],
+)
+def test_relaxation_point_failing_the_exact_check_falls_through(
+    monkeypatch, make, answer, solves
+):
+    # a relaxation settles a solve only with a point that meets every row
+    # and bound exactly; a rounded point that misses a row leaves the solve
+    # to its MILP, which gives the answer an exhaustive search does
+    problem = make()
+    _, relaxed = lp_relaxation(problem)
+    assert relaxed[-1] == pytest.approx(2.6 if len(relaxed) == 1 else 2.4)
+    calls = count_solver_calls(monkeypatch)
+    expected = IntSolution(answer, objective_value(problem, answer))
+    assert solve_ilp(problem) == brute_force(problem) == expected
+    assert dict(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "offset, solves",
+    [
+        (0.0, {"lp": 2}),
+        (0.49, {"lp": 2}),
+        (-0.49, {"lp": 2}),
+        (0.5, {"lp": 2, "milp": 2}),
+        (-0.5, {"lp": 2, "milp": 2}),
+        (3.0, {"lp": 2, "milp": 2}),
+    ],
+    ids=["exact", "0.49-above", "0.49-below", "0.5-above", "0.5-below", "3-above"],
+)
+def test_relaxation_value_off_its_point_falls_through(monkeypatch, offset, solves):
+    # the first solve and the refine's one block are each settled by an
+    # LP; with the reported LP value moved 0.5 or more off the point's exact
+    # objective, the value no longer shows the point optimal, and each solve
+    # runs its MILP, with the same answer
+    problem = integral_problem()
+    real_info = _Highs.getInfo
+
+    class ShiftedInfo:
+        def __init__(self, info):
+            self.info = info
+            self.objective_function_value = info.objective_function_value + offset
+
+        def __getattr__(self, name):
+            return getattr(self.info, name)
+
+    monkeypatch.setattr(_Highs, "getInfo", lambda highs: ShiftedInfo(real_info(highs)))
+    calls = count_solver_calls(monkeypatch)
+    assert solve_ilp(problem) == brute_force(problem) == IntSolution((2,), 2)
+    assert dict(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "misreported, status, kinds",
+    [
+        (0, "kUnknown", ["lp", "milp", "lp"]),
+        (0, "kIterationLimit", ["lp", "milp", "lp"]),
+        (1, "kUnknown", ["lp", "lp", "milp"]),
+        (1, "kIterationLimit", ["lp", "lp", "milp"]),
+        (1, "kTimeLimit", ["lp", "lp", "milp"]),
+        (1, "kInterrupt", ["lp", "lp", "milp"]),
+        (1, "kInfeasible", ["lp", "lp", "milp"]),
+    ],
+    ids=[
+        "root-unknown", "root-iteration-limit", "block-unknown",
+        "block-iteration-limit", "block-time-limit", "block-interrupt",
+        "block-infeasible",
+    ],
+)
+def test_relaxation_not_reported_optimal_settles_nothing(
+    monkeypatch, misreported, status, kinds
+):
+    # only an optimal relaxation's point is read: an LP that HiGHS solves
+    # but reports with another status, the root LP (0) or the refine
+    # block's (1), leaves its solve to the MILP; only the root LP's
+    # infeasible verdict settles anything, and a block's is not trusted
+    problem = integral_problem()
+    real_run = payoffopt.ilp_solver._run
+    seen = []
+
+    def misreporting(highs):
+        kind = solve_kind(highs)
+        lps = seen.count("lp")
+        seen.append(kind)
+        verdict = real_run(highs)
+        if kind == "lp" and lps == misreported:
+            return getattr(HighsModelStatus, status)
+        return verdict
+
+    monkeypatch.setattr(payoffopt.ilp_solver, "_run", misreporting)
+    assert solve_ilp(problem) == IntSolution((2,), 2)
+    assert seen == kinds
 
 
 def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
@@ -421,11 +555,12 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
     seed = dataclasses.replace(solve_ilp(problem, refine=False), x=expected.x)
     calls = count_solver_calls(monkeypatch)
     # from the answer itself the first three slots sit at their lower
-    # bounds and are fixed without a solve; only x3 takes one
+    # bounds and are fixed without a solve; only x3 takes one, its block's
+    # LP, whose optimum is integral
     assert lex_refine(seed, 3) == expected
-    assert calls["milp"] == 0
+    assert dict(calls) == {}
     assert lex_refine(seed, 4) == expected
-    assert calls["milp"] == 1
+    assert dict(calls) == {"lp": 1}
 
 
 def split(widths):
@@ -456,7 +591,8 @@ def test_block_split(monkeypatch, widths, sizes):
         start += size
     # every slot has bounds [-1, width - 2] and a row x >= 0, so no point
     # holds a slot at its lower bound: from the upper bounds each block
-    # takes exactly one MILP, and the refine lands on all zeros
+    # takes exactly one solve, its LP, whose optimum is the block at zero,
+    # and the refine lands on all zeros
     num = len(widths)
     problem = IlpProblem(
         objective=(0,) * num,
@@ -470,7 +606,7 @@ def test_block_split(monkeypatch, widths, sizes):
     seed = dataclasses.replace(first, x=tuple(w - 2 for w in widths))
     calls = count_solver_calls(monkeypatch)
     assert lex_refine(seed, num).x == (0,) * num
-    assert calls["milp"] == len(sizes)
+    assert dict(calls) == {"lp": len(sizes)}
 
 
 def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
@@ -483,9 +619,10 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
         if first is None:
             continue
         feasible += 1
-        before = calls["milp"]
+        # every block takes one LP, and a MILP only after a fractional one
+        before = calls["lp"]
         got = lex_refine(first, problem.num_vars).x
-        multi_block += calls["milp"] - before > 1
+        multi_block += calls["lp"] - before > 1
         assert got == slotwise_refine(problem, first.objective, problem.num_vars), case
         assert solve_ilp(problem) == IntSolution(got, first.objective), case
         if math.prod(hi - lo + 1 for lo, hi in problem.bounds) <= 2_000_000:

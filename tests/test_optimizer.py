@@ -108,63 +108,69 @@ class TestOptimize:
     @pytest.mark.parametrize("stage", ["stage-a-no-point", "stage-b-no-point"])
     def test_stage_missing_the_optimum_is_a_solver_error(self, monkeypatch, stage):
         # a later stage that misses the first optimum is a backend failure,
-        # not a verdict: from its first faked MILP on, every MILP answers
-        # infeasible, the block's and its presolve-off recheck's
+        # not a verdict: once the stage starts, every LP settles nothing and
+        # every MILP answers infeasible, the block's and its presolve-off
+        # recheck's
         real = payoffopt.ilp_solver._run
-        real_milps, faked = [], []
-        if stage == "stage-a-no-point":
-            # every MILP after the first solve's, the Stage-A block's first
-            started = real_milps.__len__
-        else:
-            # every MILP once Stage B has fixed the side bits; the first
-            # solve and the Stage-A block run for real
-            fixed = []
-            real_bounds = payoffopt.optimizer.combination_bounds
+        real_kinds, faked = [], []
+        # Stage A starts when the first solve returns, Stage B when it has
+        # the side bits fixed; the solves before run for real
+        name = "solve_ilp" if stage == "stage-a-no-point" else "combination_bounds"
+        marker = getattr(payoffopt.optimizer, name)
+        started = []
 
-            def fixing(*args):
-                fixed.append(1)
-                return real_bounds(*args)
+        def marking(*args, **kwargs):
+            result = marker(*args, **kwargs)
+            started.append(1)
+            return result
 
-            monkeypatch.setattr(payoffopt.optimizer, "combination_bounds", fixing)
-            started = fixed.__len__
+        monkeypatch.setattr(payoffopt.optimizer, name, marking)
 
         def no_point_once_started(highs):
-            if solve_kind(highs) == "root_lp":
+            kind = solve_kind(highs)
+            if not started:
+                real_kinds.append(kind)
                 return real(highs)
-            if not started():
-                real_milps.append(1)
-                return real(highs)
-            faked.append(1)
+            faked.append(kind)
+            if kind == "lp":
+                return HighsModelStatus.kUnknown
             return HighsModelStatus.kInfeasible
 
         monkeypatch.setattr(payoffopt.ilp_solver, "_run", no_point_once_started)
         with pytest.raises(SolverError, match="no point at the optimum 1410") as err:
             optimize(base_spec(), small_series())
         assert err.type is SolverError
-        # the first faked block and its recheck, after the real first solve
-        # (and, for Stage B, the real Stage-A block)
-        assert len(faked) == 2
-        assert len(real_milps) == (1 if stage == "stage-a-no-point" else 2)
+        # the first faked block's LP, MILP and recheck, after the real first
+        # solve, whose root LP is integral (and, for Stage B, the real
+        # Stage-A block, settled by its LP)
+        assert faked == ["lp", "milp", "recheck"]
+        assert real_kinds == (["lp"] if stage == "stage-a-no-point" else ["lp", "lp"])
 
-    def test_feasible_run_makes_one_lp_and_at_most_three_milps(self, monkeypatch):
-        # the first solve's root LP is the only LP: Stage A and Stage B
-        # start from known optimal points; on these small series each stage
-        # is one block
+    def test_feasible_run_makes_an_lp_per_stage_and_a_milp_only_after_one(
+        self, monkeypatch
+    ):
+        # one LP for the first solve and one per refine block, and a MILP
+        # only after an LP whose optimum is not integral: Stage A and Stage
+        # B start from known optimal points; on these small series each
+        # stage is one block, unless a stage's slots all sit at their lower
+        # bounds
         rng = random.Random(90125)
         cases = [(base_spec(), small_series())]
         for _ in range(30):
             series = random_series(rng)
             cases.append((random_spec(rng, series), series))
         calls = count_solver_calls(monkeypatch)
-        feasible = 0
+        feasible = milps = 0
         for spec, series in cases:
             calls.clear()
             if isinstance(optimize(spec, series), Infeasible):
                 continue
             feasible += 1
-            assert calls["root_lp"] == 1
-            assert calls["milp"] <= 3
+            assert calls["lp"] <= 3
+            assert calls["milp"] <= calls["lp"]
+            milps += calls["milp"]
         assert feasible >= 5
+        assert milps == 4
 
 
 def solved(spec, series):
