@@ -6,7 +6,7 @@ series, describe the target shape (`model_builder.StrategySpec`), then
 solving one bounded integer program with a binary side choice per slot
 (`model_builder.build_combined`, `ilp_solver`), then breaks ties by the
 lowest combination index and the lexicographically smallest quantities
-(`ilp_solver.lex_refine`). `payoff_engine` evaluates
+(`ilp_solver.Program.refine`). `payoff_engine` evaluates
 the resulting piecewise-linear payoff exactly, in cents.
 
 The package exports what the README's Library section documents; every

@@ -15,6 +15,7 @@ there still prints the whole report, then exits 5 with one such line.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -247,12 +248,14 @@ def _emit(args: argparse.Namespace, text: str) -> None:
     write failing is an args error."""
     try:
         if args.output is None:
+            if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
             args.output.write_text(text, encoding="utf-8")
     except OSError as exc:
-        if args.output is None:
+        if args.output is None and sys.stdout is not None:
             # stdout's buffer may still hold the text; on the null device the
             # interpreter's flush at exit cannot fail with a second message
             null = os.open(os.devnull, os.O_WRONLY)

@@ -6,9 +6,9 @@ binding scipy bundles. Each program is loaded into one HiGHS instance once
 and every solve of it runs on that instance in place: the root LP, and the
 first MILP with its presolve-off recheck when the root LP does not settle
 the program, in :func:`solve_ilp`, which then pins the objective at its
-optimum with one added row; then one LP per block, and a MILP only when its
-optimum is not integral, in every :func:`lex_refine` that continues from the
-point it returns, which changes only the block's costs and the bounds it
+optimum with one added row and returns the loaded :class:`Program`; then
+one LP per block, and a MILP only when its optimum is not integral, in every
+:meth:`Program.refine`, which changes only each block's costs and the bounds it
 fixes. Each run starts from nothing of the one before, so its search is the
 one a freshly loaded model would get. The search runs in floating point,
 but every returned point is re-verified and its objective recomputed in
@@ -18,7 +18,7 @@ which bounds every integer point, so it is an integer optimum (Wolsey,
 *Integer Programming*, 1998, ch. 2); that bound is a float, the same trust
 the first MILP's proof of optimality gets. Among optima the
 lexicographically smallest solution vector is returned by
-:func:`lex_refine`: with the objective pinned at its optimal value, the
+:meth:`Program.refine`: with the objective pinned at its optimal value, the
 slots are minimized in blocks, one solve per block whose objective reads
 the block as one mixed-radix number, starting from the first optimal
 point. A slot that point already holds at its lower bound is fixed there
@@ -51,9 +51,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import errno
 import operator
 import os
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,31 +81,6 @@ class SolverResourceError(SolverError):
     """The node budget was exhausted before the search finished."""
 
 
-@dataclass(frozen=True)
-class _Pinned:
-    """A program loaded into one HiGHS instance with its objective pinned at
-    the optimum: the instance, the rows it holds (the program's, then the
-    pin) and the program's bounds."""
-
-    highs: _Highs
-    rows: tuple[Row, ...]
-    bounds: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class IntSolution:
-    """An exact integer optimum: slot values and objective in cents.
-
-    A point of :func:`solve_ilp` or :func:`lex_refine` also holds its
-    program, loaded and pinned at the optimum, for a :func:`lex_refine` to
-    continue on; equality ignores it.
-    """
-
-    x: tuple[int, ...]
-    objective: int
-    pinned: _Pinned | None = field(default=None, compare=False, repr=False)
-
-
 def _holds(
     x: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
 ) -> bool:
@@ -124,10 +99,19 @@ def _stdout_discarded():
     """Send file descriptor 1 to the null device for the duration.
 
     HiGHS writes some diagnostics straight to fd 1, below ``sys.stdout``,
-    where they would corrupt the output a command prints there.
+    where they would corrupt the output a command prints there. A closed fd
+    1 holds no output to protect and is left closed.
     """
     _fflush(None)
-    saved = os.dup(1)
+    try:
+        saved = os.dup(1)
+    except OSError as exc:
+        if exc.errno != errno.EBADF:
+            raise
+        saved = None
+    if saved is None:
+        yield
+        return
     null = os.open(os.devnull, os.O_WRONLY)
     try:
         os.dup2(null, 1)
@@ -223,68 +207,6 @@ def _run(highs: _Highs) -> HighsModelStatus:
     return highs.getModelStatus()
 
 
-def _milp_once(
-    highs: _Highs, rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
-) -> tuple[int, ...] | None:
-    """The optimal point of one MILP solve of the program ``highs`` holds,
-    checked exactly against its ``rows`` and ``bounds``, or ``None`` when
-    the program is infeasible."""
-    status = _run(highs)
-    if status != HighsModelStatus.kOptimal and status not in _LIMITS:
-        # presolve can misreduce a feasible model to infeasible (seen with a
-        # fixed variable inside an equality row) or fail outright with "Solve
-        # error" (seen on an infeasible model whose LP relaxation is
-        # feasible); either verdict is settled by a presolve-off re-solve, and
-        # an infeasibility verdict only counts when reproduced there; the
-        # solves that follow on the instance get HiGHS's default back
-        highs.setOptionValue("presolve", "off")
-        status = _run(highs)
-        highs.setOptionValue("presolve", "choose")
-        if status == HighsModelStatus.kInfeasible:
-            return None
-    if status in _LIMITS:
-        raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
-    if status != HighsModelStatus.kOptimal:
-        raise SolverError(_failure(highs, status))
-    x = tuple(int(round(v)) for v in highs.getSolution().col_value)
-    if not _holds(x, rows, bounds):
-        raise SolverError("MILP point fails exact integer verification")
-    return x
-
-
-def _relaxed_optimum(
-    highs: _Highs,
-    cost: Sequence[int],
-    rows: Sequence[Row],
-    bounds: Sequence[tuple[int, int]],
-) -> tuple[HighsModelStatus, tuple[int, ...] | None]:
-    """The status of the relaxation of the model ``highs`` holds, solved
-    without presolve, and its rounded point when that point is an exact
-    integer optimum: HiGHS reports the relaxation optimal, the point meets
-    ``rows`` and ``bounds`` exactly, and its integer ``cost``, which the
-    model minimizes, is within 0.5 of the relaxation's optimal value.
-
-    That value bounds the cost of every integer point from below, and costs
-    are integers, so no integer point is cheaper than one within 0.5 of it.
-    Otherwise the point is ``None``, and the program needs a MILP, which
-    gets both options' defaults back.
-    """
-    highs.setOptionValue("solve_relaxation", True)
-    highs.setOptionValue("presolve", "off")
-    status = _run(highs)
-    highs.setOptionValue("solve_relaxation", False)
-    highs.setOptionValue("presolve", "choose")
-    if status != HighsModelStatus.kOptimal:
-        return status, None
-    x = tuple(int(round(v)) for v in highs.getSolution().col_value)
-    if not _holds(x, rows, bounds):
-        return status, None
-    value = sum(map(operator.mul, cost, x))
-    if abs(value - highs.getInfo().objective_function_value) >= 0.5:
-        return status, None
-    return status, x
-
-
 # a block's mixed-radix key ranges over fewer than this many values; HiGHS
 # accepts a point within 1e-6 of integral (mip_feasibility_tolerance), so the
 # key of an accepted point can sit at most about range * 1e-6 < 0.5 off the
@@ -302,100 +224,170 @@ def _block_size(widths: Sequence[int]) -> int:
     return size
 
 
-def lex_refine(
-    seed: IntSolution,
-    stop: int,
-    bounds: Sequence[tuple[int, int]] | None = None,
-) -> IntSolution:
-    """An optimal point whose slots ``[0, stop)`` are lexicographically
-    smallest among all points of ``seed``'s program within ``bounds`` (by
-    default the program's own) with objective ``seed.objective``.
+class Program:
+    """A program loaded into one HiGHS instance, and every solve of it.
 
-    ``seed`` must be such a point, holding its pinned program as
-    :func:`solve_ilp` and this function return it; it is checked exactly
-    against the bounds, the rows and the objective pin. The current point
-    stays feasible for every slot fixed so far, so a slot it holds at its
-    lower bound has that bound as its minimum and is fixed without a solve.
-    The other slots are minimized in blocks on the program's instance, one
-    LP per block, and a MILP only when its optimum is not integral: the
-    block's objective is the mixed-radix number sum w_j (x_j - lo_j), with
-    w_j the product of the widths after slot j in the block. That key fixes
-    the block's values, whichever solve finds its minimum.
-
-    A seed that fails the check, or a block solve that finds no point,
-    raises :class:`SolverError`. The returned point holds the same pinned
-    program, so a second refine can continue on it within other bounds.
+    :func:`solve_ilp` loads and solves it, keeps the first optimal point
+    ``x`` and its value ``objective``, and pins the objective there with one
+    added row; each :meth:`refine` continues on the instance. ``rows`` are
+    the rows the instance holds (the program's, then the pin), ``bounds``
+    the box of its latest solve (the program's own until a refine narrows
+    it), and ``problem`` the program as given.
     """
-    highs, rows = seed.pinned.highs, seed.pinned.rows
-    bounds = list(seed.pinned.bounds if bounds is None else bounds)
-    x = seed.x
-    if not _holds(x, rows, bounds):
-        raise SolverError(f"seed point misses the optimum {seed.objective}")
-    num_vars = len(bounds)
-    columns = np.arange(num_vars, dtype=np.int32)
-    j = 0
-    while j < stop:
-        if x[j] == bounds[j][0]:
-            bounds[j] = (x[j], x[j])
-            j += 1
-            continue
-        widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
-        block = range(j, j + _block_size(widths))
-        cost = [0] * num_vars
-        weight = 1
-        for i in reversed(block):
-            cost[i] = weight
-            weight *= widths[i - j]
-        box = np.asarray(bounds, dtype=float)
-        highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
-        highs.changeColsCost(num_vars, columns, np.asarray(cost, dtype=float))
-        _, x = _relaxed_optimum(highs, cost, rows, bounds)
-        if x is None:
-            x = _milp_once(highs, rows, bounds)
-        if x is None:
-            raise SolverError(f"no point at the optimum {seed.objective}")
-        for i in block:
-            bounds[i] = (x[i], x[i])
-        j = block.stop
-    return IntSolution(x=x, objective=seed.objective, pinned=seed.pinned)
+
+    x: tuple[int, ...]
+    objective: int
+
+    def __init__(self, problem: IlpProblem) -> None:
+        self.problem = problem
+        self.highs = _load(problem.objective, problem.rows, problem.bounds)
+        self.rows = problem.rows
+        self.bounds = problem.bounds
+
+    def _milp_once(self) -> tuple[int, ...] | None:
+        """The optimal point of one MILP solve of the loaded model, checked
+        exactly against ``rows`` and ``bounds``, or ``None`` when the model is
+        infeasible."""
+        highs = self.highs
+        status = _run(highs)
+        if status != HighsModelStatus.kOptimal and status not in _LIMITS:
+            # presolve can misreduce a feasible model to infeasible (seen with
+            # a fixed variable inside an equality row) or fail outright with
+            # "Solve error" (seen on an infeasible model whose LP relaxation
+            # is feasible); either verdict is settled by a presolve-off
+            # re-solve, and an infeasibility verdict only counts when
+            # reproduced there; the solves that follow on the instance get
+            # HiGHS's default back
+            highs.setOptionValue("presolve", "off")
+            status = _run(highs)
+            highs.setOptionValue("presolve", "choose")
+            if status == HighsModelStatus.kInfeasible:
+                return None
+        if status in _LIMITS:
+            raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
+        if status != HighsModelStatus.kOptimal:
+            raise SolverError(_failure(highs, status))
+        x = tuple(int(round(v)) for v in highs.getSolution().col_value)
+        if not _holds(x, self.rows, self.bounds):
+            raise SolverError("MILP point fails exact integer verification")
+        return x
+
+    def _relaxed_optimum(
+        self, cost: Sequence[int]
+    ) -> tuple[HighsModelStatus, tuple[int, ...] | None]:
+        """The status of the loaded model's relaxation, solved without
+        presolve, and its rounded point when that point is an exact integer
+        optimum: HiGHS reports the relaxation optimal, the point meets
+        ``rows`` and ``bounds`` exactly, and its integer ``cost``, which the
+        model minimizes, is within 0.5 of the relaxation's optimal value.
+
+        That value bounds the cost of every integer point from below, and
+        costs are integers, so no integer point is cheaper than one within
+        0.5 of it. Otherwise the point is ``None``, and the program needs a
+        MILP, which gets both options' defaults back.
+        """
+        highs = self.highs
+        highs.setOptionValue("solve_relaxation", True)
+        highs.setOptionValue("presolve", "off")
+        status = _run(highs)
+        highs.setOptionValue("solve_relaxation", False)
+        highs.setOptionValue("presolve", "choose")
+        if status != HighsModelStatus.kOptimal:
+            return status, None
+        x = tuple(int(round(v)) for v in highs.getSolution().col_value)
+        if not _holds(x, self.rows, self.bounds):
+            return status, None
+        value = sum(map(operator.mul, cost, x))
+        if abs(value - highs.getInfo().objective_function_value) >= 0.5:
+            return status, None
+        return status, x
+
+    def refine(
+        self,
+        x: tuple[int, ...],
+        stop: int,
+        bounds: Sequence[tuple[int, int]] | None = None,
+    ) -> tuple[int, ...]:
+        """An optimal point whose slots ``[0, stop)`` are lexicographically
+        smallest among all points of the program within ``bounds`` (by
+        default the program's own) with objective ``objective``.
+
+        The refine starts from ``x``, which must be such a point; it is
+        checked exactly against the bounds, the rows and the objective pin.
+        The current point stays feasible for every slot fixed so far, so a
+        slot it holds at its lower bound has that bound as its minimum and is
+        fixed without a solve. The other slots are minimized in blocks on the
+        loaded instance, one LP per block, and a MILP only when its optimum
+        is not integral: the block's objective is the mixed-radix number
+        sum w_j (x_j - lo_j), with w_j the product of the widths after slot j
+        in the block. That key fixes the block's values, whichever solve
+        finds its minimum.
+
+        A start point that fails the check, or a block solve that finds no
+        point, raises :class:`SolverError`. The instance stays pinned, so a
+        second refine can continue from the returned point within other
+        bounds.
+        """
+        bounds = list(self.problem.bounds if bounds is None else bounds)
+        if not _holds(x, self.rows, bounds):
+            raise SolverError(f"seed point misses the optimum {self.objective}")
+        num_vars = len(bounds)
+        columns = np.arange(num_vars, dtype=np.int32)
+        j = 0
+        while j < stop:
+            if x[j] == bounds[j][0]:
+                bounds[j] = (x[j], x[j])
+                j += 1
+                continue
+            widths = [hi - lo + 1 for lo, hi in bounds[j:stop]]
+            block = range(j, j + _block_size(widths))
+            cost = [0] * num_vars
+            weight = 1
+            for i in reversed(block):
+                cost[i] = weight
+                weight *= widths[i - j]
+            box = np.asarray(bounds, dtype=float)
+            self.highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
+            self.highs.changeColsCost(num_vars, columns, np.asarray(cost, dtype=float))
+            self.bounds = tuple(bounds)
+            _, x = self._relaxed_optimum(cost)
+            if x is None:
+                x = self._milp_once()
+            if x is None:
+                raise SolverError(f"no point at the optimum {self.objective}")
+            for i in block:
+                bounds[i] = (x[i], x[i])
+            j = block.stop
+        return x
 
 
-def solve_ilp(
-    problem: IlpProblem,
-    *,
-    refine: bool = True,
-) -> IntSolution | None:
-    """Exact integer optimum, or ``None`` when infeasible.
+def solve_ilp(problem: IlpProblem) -> Program | None:
+    """The program loaded with its first optimum, or ``None`` when infeasible.
 
-    Deterministic: repeated calls return identical results. With ``refine``
-    (the default) the returned vector is the lexicographically smallest among
-    all optimal integer solutions; without it, the first optimal vector found.
-    The root LP settles the program when it is infeasible, or when its
-    rounded point is an exact integer optimum; otherwise one MILP does. A
-    refined solve then makes one LP per :func:`lex_refine` block, and a MILP
-    only when its optimum is not integral. The returned point holds the
-    program, loaded and with its objective pinned at the optimum, for
-    :func:`lex_refine`.
+    Deterministic: repeated calls give identical points. The root LP settles
+    the program when it is infeasible, or when its rounded point is an exact
+    integer optimum; otherwise one MILP does. The returned program holds
+    that point and its value, and its instance holds the objective pinned at
+    that value, for :meth:`Program.refine` to pick the lexicographically
+    smallest optimum.
     """
     # the root LP, unpresolved so that its infeasible verdict is not a
     # presolved one; that verdict settles the program, and so does a point
     # that is an exact integer optimum; any other outcome, a failure
     # included, leaves the program to the MILP
-    highs = _load(problem.objective, problem.rows, problem.bounds)
-    cost = [-c for c in problem.objective]
-    root, x = _relaxed_optimum(highs, cost, problem.rows, problem.bounds)
+    program = Program(problem)
+    root, x = program._relaxed_optimum([-c for c in problem.objective])
     if root == HighsModelStatus.kInfeasible:
         return None
     if x is None:
-        x = _milp_once(highs, problem.rows, problem.bounds)
+        x = program._milp_once()
     if x is None:
         return None
     value = sum(map(operator.mul, problem.objective, x))
     # the objective pin, one more row on the instance for every refine
     cost = np.asarray(problem.objective, dtype=float)
     held = np.flatnonzero(cost).astype(np.int32)
-    highs.addRow(value, value, len(held), held, cost[held])
-    pin = Row("objective_pin", problem.objective, Relation.EQ, value)
-    pinned = _Pinned(highs=highs, rows=problem.rows + (pin,), bounds=problem.bounds)
-    first = IntSolution(x=x, objective=value, pinned=pinned)
-    return lex_refine(first, problem.num_vars) if refine else first
+    program.highs.addRow(value, value, len(held), held, cost[held])
+    program.rows += (Row("objective_pin", problem.objective, Relation.EQ, value),)
+    program.x, program.objective = x, value
+    return program

@@ -361,7 +361,7 @@ def build_combined(spec: StrategySpec, series: SeriesSelection) -> IlpProblem:
       subproblem, and by the point above they are all of them.
 
     The variable order makes the lexicographically smallest optimum (what
-    ``solve_ilp`` refines to) the lowest optimal combination index first and
+    ``Program.refine`` finds) the lowest optimal combination index first and
     then, among points that buy at least one lot in every ask slot, the
     lexicographically smallest quantities.
     :func:`~payoffopt.optimizer.optimize` refines the side bits first, fixes

@@ -10,9 +10,9 @@ built; an infeasible run returns the rows it attempted as
 :class:`Infeasible`. The winner is the highest objective, with ties broken
 by lowest combination index and then by the lexicographically smallest
 quantity vector. The combined solve finds the
-optimal value; :func:`~payoffopt.ilp_solver.lex_refine` on its side bits
-finds the lowest optimal combination index, and then, on the same loaded
-program with those bits fixed, the quantities.
+optimal value; :meth:`~payoffopt.ilp_solver.Program.refine` on its side
+bits finds the lowest optimal combination index, and then, on the same
+loaded program with those bits fixed, the quantities.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ilp_solver import SolverError, lex_refine, solve_ilp
+from .ilp_solver import SolverError, solve_ilp
 from .market_data import SeriesSelection
 from .model_builder import (
     CostTarget,
@@ -107,7 +107,7 @@ def optimize(
     combination index; Stage B fixes those bits with
     :func:`~payoffopt.model_builder.combination_bounds` and refines the
     quantities from the Stage-A point. Both stages are
-    :func:`~payoffopt.ilp_solver.lex_refine` calls on the HiGHS instance the
+    :meth:`~payoffopt.ilp_solver.Program.refine` calls on the program the
     combined solve loaded, and only the final point is decoded.
 
     The combined program's side rows (a slot takes the ask side only when
@@ -129,21 +129,21 @@ def optimize(
     if rows is not None:
         return Infeasible(rows)
     combined = build_combined(spec, series)
-    first = solve_ilp(combined, refine=False)
-    if first is None:
+    program = solve_ilp(combined)
+    if program is None:
         names = (r.name for r in combined.rows if not any(r.coeffs[: 2 * series.n]))
         return Infeasible(tuple(names))
-    ranked = lex_refine(first, 2 * series.n)
-    bounds = combination_bounds(series.n, combined, ranked.x)
-    final = lex_refine(ranked, combined.num_vars, bounds)
-    combo, x = decode_combined(series.n, final.x)
+    ranked = program.refine(program.x, 2 * series.n)
+    bounds = combination_bounds(series.n, combined, ranked)
+    final = program.refine(ranked, combined.num_vars, bounds)
+    combo, x = decode_combined(series.n, final)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     # exact bookkeeping identity between the compiled objective and the engine
-    assert first.objective == pnl(portfolio, combo, spec.expected_price)
+    assert program.objective == pnl(portfolio, combo, spec.expected_price)
     return PortfolioSolution(
         portfolio=portfolio,
         combination=combo,
-        objective=first.objective,
+        objective=program.objective,
         initial_cost=initial_cost(portfolio, combo),
         total_contracts=portfolio.total_contracts,
         payoff_curve=payoff_curve(portfolio),

@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
-from payoffopt.ilp_solver import IntSolution, solve_ilp
+from payoffopt.ilp_solver import solve_ilp
 from payoffopt.market_data import OptionChain, SeriesSelection
 from payoffopt.model_builder import (
     CostTarget,
@@ -46,6 +46,24 @@ class CapacityError(ValueError):
     :data:`BRUTE_FORCE_LIMIT` points."""
 
 
+@dataclass(frozen=True)
+class IntSolution:
+    """An exact integer optimum: slot values and objective in cents."""
+
+    x: tuple[int, ...]
+    objective: int
+
+
+def solve_refined(problem: IlpProblem) -> IntSolution | None:
+    """The lexicographically smallest optimum of ``problem``, or ``None``
+    when it is infeasible: :func:`solve_ilp`, then its program's refine over
+    every column."""
+    program = solve_ilp(problem)
+    if program is None:
+        return None
+    return IntSolution(program.refine(program.x, problem.num_vars), program.objective)
+
+
 def objective_value(problem: IlpProblem, x: Sequence[int]) -> int:
     """``problem``'s objective at ``x``."""
     return sum(c * v for c, v in zip(problem.objective, x))
@@ -53,7 +71,7 @@ def objective_value(problem: IlpProblem, x: Sequence[int]) -> int:
 
 def brute_force(problem: IlpProblem) -> IntSolution | None:
     """Exhaustively enumerate the bound box in int64 chunks; oracle twin of
-    ``solve_ilp``.
+    :func:`solve_refined`.
 
     Same contract: maximal objective, lexicographically smallest vector among
     optima, ``None`` when infeasible. Raises :class:`CapacityError` when the
@@ -522,7 +540,7 @@ def lp_relaxation(problem: IlpProblem) -> tuple[float, tuple[float, ...]] | None
 def slotwise_refine(
     problem: IlpProblem, optimum: int, stop: int
 ) -> tuple[int, ...]:
-    """Oracle for ``lex_refine``: an optimal point whose slots ``[0, stop)``
+    """Oracle for ``Program.refine``: an optimal point whose slots ``[0, stop)``
     are lexicographically smallest, by one solve per slot.
 
     With the objective pinned at ``optimum``, each slot in turn is minimized
@@ -533,10 +551,7 @@ def slotwise_refine(
     x = None
     for j in range(stop):
         selector = tuple(-1 if i == j else 0 for i in range(problem.num_vars))
-        found = solve_ilp(
-            IlpProblem(selector, problem.rows + (pin,), tuple(bounds)),
-            refine=False,
-        )
+        found = solve_ilp(IlpProblem(selector, problem.rows + (pin,), tuple(bounds)))
         assert found is not None, f"slot {j}: no point at the optimum"
         x = found.x
         bounds[j] = (x[j], x[j])
@@ -581,7 +596,7 @@ class SolverCalls(Counter):
 def solve_kind(highs) -> str:
     """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
     model ``highs`` holds: ``"lp"``, the relaxation (the root LP of
-    :func:`solve_ilp`, or a :func:`lex_refine` block's); ``"milp"``, the
+    :func:`solve_ilp`, or a ``Program.refine`` block's); ``"milp"``, the
     integer model with presolve on; ``"recheck"``, the presolve-off
     recheck."""
     if highs.getOptionValue("solve_relaxation")[1]:

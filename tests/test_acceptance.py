@@ -15,7 +15,7 @@ import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, HighsVarType
 
 from payoffopt import Infeasible, optimize
-from payoffopt.ilp_solver import IntSolution, lex_refine, solve_ilp
+from payoffopt.ilp_solver import solve_ilp
 import payoffopt.model_builder as model_builder
 from payoffopt.model_builder import (
     CostTarget,
@@ -32,6 +32,7 @@ from payoffopt.optimizer import PortfolioSolution, SweepAxis, sweep
 from payoffopt.payoff_engine import Portfolio, payoff, payoff_curve
 from support import (
     REFERENCE_COLUMNS,
+    IntSolution,
     base_spec,
     brute_force,
     check_feasible,
@@ -50,6 +51,7 @@ from support import (
     slotwise_refine,
     small_series,
     solve_kind,
+    solve_refined,
 )
 
 TENTS = pytest.mark.criterion("reference portfolios: zero-sum tents, published totals")
@@ -162,7 +164,7 @@ def test_combined_program_is_exact_on_every_combination():
             pinned = dataclasses.replace(
                 combined, bounds=sides + combined.bounds[slots:]
             )
-            got = solve_ilp(pinned)
+            got = solve_refined(pinned)
             expected = brute_force(bought_subproblem(spec, series, combo))
             where = (case, index)
             if expected is None:
@@ -241,10 +243,11 @@ def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
     seeded = []
     real = optimizer.solve_ilp
 
-    def seeded_solve(problem, **kwargs):
-        first = real(problem, **kwargs)
-        assert first.objective == seeded[-1].objective
-        return dataclasses.replace(first, x=seeded[-1].x)
+    def seeded_solve(problem):
+        program = real(problem)
+        assert program.objective == seeded[-1].objective
+        program.x = seeded[-1].x
+        return program
 
     monkeypatch.setattr(optimizer, "solve_ilp", seeded_solve)
     rng = random.Random(20260823)
@@ -289,7 +292,7 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
     feasible = 0
     for i, (spec, series) in enumerate(cases):
         slots = 2 * series.n
-        first = solve_ilp(build_combined(spec, series), refine=False)
+        first = solve_ilp(build_combined(spec, series))
         got = optimize(spec, series)
         assert (first is None) == isinstance(got, Infeasible), i
         if first is None:
@@ -342,7 +345,7 @@ def test_root_lp_verdict_matches_linprog(
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
         infeasible += relaxed
         verdicts.clear()
-        solve_ilp(combined, refine=False)
+        solve_ilp(combined)
         assert verdicts == [status], i
     assert infeasible >= 100
 
@@ -379,7 +382,7 @@ def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
     # the fixture's first solve at about its root (32 nodes without them)
     calls.clear()
     combined = build_combined(fixture_run_config.strategy, fixture_series)
-    solve_ilp(combined, refine=False)
+    solve_ilp(combined)
     assert calls["milp"] == 1
     assert calls.nodes["milp"] <= 8
 
@@ -396,7 +399,7 @@ def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
     values, settled = [], 0
     for problem in programs:
         calls.clear()
-        first = solve_ilp(problem, refine=False)
+        first = solve_ilp(problem)
         values.append(None if first is None else first.objective)
         settled += first is not None and calls["milp"] == 0
     assert (settled, sum(v is not None for v in values)) == (41, 46)
@@ -410,7 +413,7 @@ def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
 
     monkeypatch.setattr(ilp_solver, "_run", settling_nothing)
     calls.clear()
-    forced = [solve_ilp(problem, refine=False) for problem in programs]
+    forced = [solve_ilp(problem) for problem in programs]
     assert [None if f is None else f.objective for f in forced] == values
     assert calls["milp"] >= 46
 
@@ -419,18 +422,18 @@ def test_fixture_work_per_stage(monkeypatch, fixture_run_config, fixture_series)
     # the fixture's root LP and Stage-A LP are fractional, so its first
     # solve and Stage A each still make one MILP, Stage A's of 33 nodes;
     # each of Stage B's 3 blocks is settled by its LP
-    import payoffopt.optimizer as optimizer
+    import payoffopt.ilp_solver as ilp_solver
 
     calls = count_solver_calls(monkeypatch)
     stages = []
-    real_refine = optimizer.lex_refine
+    real_refine = ilp_solver.Program.refine
 
-    def refining(*args):
+    def refining(program, *args):
         stages.append((dict(calls), dict(calls.nodes)))
         calls.clear()
-        return real_refine(*args)
+        return real_refine(program, *args)
 
-    monkeypatch.setattr(optimizer, "lex_refine", refining)
+    monkeypatch.setattr(ilp_solver.Program, "refine", refining)
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
     stages.append((dict(calls), dict(calls.nodes)))
     assert [solves for solves, _ in stages] == [
@@ -697,16 +700,16 @@ def test_fixture_lex_refine_matches_slotwise_oracle(
     # winning combination's own subproblem
     spec = dataclasses.replace(fixture_run_config.strategy, lower=-lots, upper=lots)
     combined = build_combined(spec, fixture_series)
-    first = solve_ilp(combined, refine=False)
+    program = solve_ilp(combined)
     slots = 2 * fixture_series.n
-    ranked = lex_refine(first, slots)
-    assert ranked.x[:slots] == slotwise_refine(combined, first.objective, slots)[:slots]
-    bounds = combination_bounds(fixture_series.n, combined, ranked.x)
+    ranked = program.refine(program.x, slots)
+    assert ranked[:slots] == slotwise_refine(combined, program.objective, slots)[:slots]
+    bounds = combination_bounds(fixture_series.n, combined, ranked)
     combo, got = decode_combined(
-        fixture_series.n, lex_refine(ranked, combined.num_vars, bounds).x
+        fixture_series.n, program.refine(ranked, combined.num_vars, bounds)
     )
     subproblem = build_subproblem(spec, fixture_series, combo)
-    assert got == slotwise_refine(subproblem, first.objective, slots)
+    assert got == slotwise_refine(subproblem, program.objective, slots)
     solution = optimize(spec, fixture_series)
     assert solution.combination == combo
     assert solution.portfolio.calls + solution.portfolio.puts == got
@@ -718,7 +721,7 @@ def test_solver_exact_on_random_integer_programs():
     start = time.perf_counter()
     for _ in range(500):
         problem = random_ilp(rng)
-        fast = solve_ilp(problem)
+        fast = solve_refined(problem)
         exhaustive = brute_force(problem)
         assert fast == exhaustive
         if fast is not None:

@@ -426,6 +426,43 @@ class TestFixtureCommand:
         assert completed.stderr.startswith("error:args:cannot write stdout: ")
         assert len(completed.stderr.splitlines()) == 1
 
+    @staticmethod
+    def run_with_stdout_closed(*argv):
+        """``python -m payoffopt`` on ``argv`` with file descriptor 1 closed,
+        as a shell's ``>&-`` leaves it; stderr is captured."""
+        return subprocess.run(
+            ["sh", "-c", '"$@" >&-', "sh", sys.executable, "-m", "payoffopt"]
+            + [str(a) for a in argv],
+            stderr=subprocess.PIPE,
+            text=True,
+            env=subprocess_env(),
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["optimize-csv-table", "payoff", "sweep-liquidity-table"]
+    )
+    def test_closed_stdout_still_writes_the_output_file(self, name, tmp_path):
+        # every solve runs with fd 1 closed, where HiGHS has no output to
+        # corrupt, and --output gets the golden text
+        argv = json.loads((GOLDEN / "commands.json").read_text())[name]["argv"]
+        argv = [FIXTURES.parent / a if a.startswith("fixtures/") else a for a in argv]
+        path = tmp_path / "out.txt"
+        completed = self.run_with_stdout_closed(*argv, "--output", path)
+        assert (completed.returncode, completed.stderr) == (0, "")
+        assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("validate", "--chain", FIXTURES / "chain.csv"), FIXTURE_OPTIMIZE],
+        ids=["validate", "optimize"],
+    )
+    def test_closed_stdout_is_an_args_error(self, argv):
+        completed = self.run_with_stdout_closed(*argv)
+        assert completed.returncode == 2
+        assert completed.stderr.startswith("error:args:cannot write stdout: ")
+        assert len(completed.stderr.splitlines()) == 1
+
 
 class TestSpecErrors:
     def check(self, chain_path, spec_path, capsys, fragment):
@@ -1221,6 +1258,8 @@ class TestTracerContract:
             "payoffopt.optimizer.solve_ilp": 1,
             "payoffopt.optimizer.payoff_curve": 1,
         }
-        # the tracer tells the first solve by this keyword
+        # solve_ilp takes no keyword; the tracer reads its missing ``refine``
+        # as a refining solve, so a traced run books the first solve under
+        # ilp_solver.refine_s
         solve = [kw for label, kw in calls if label.endswith(".solve_ilp")]
-        assert solve == [{"refine": False}]
+        assert solve == [{}]

@@ -10,20 +10,19 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import (
     NODE_BUDGET,
-    IntSolution,
     SolverError,
     SolverResourceError,
     _BLOCK_RANGE,
     _OPTIONS,
     _block_size,
     _holds,
-    lex_refine,
     solve_ilp,
 )
 from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
 from support import (
     BRUTE_FORCE_LIMIT,
     CapacityError,
+    IntSolution,
     brute_force,
     count_solver_calls,
     equalities,
@@ -34,9 +33,12 @@ from support import (
     random_wide_ilp,
     slotwise_refine,
     solve_kind,
+    solve_refined,
 )
 
-ALL_ROUTES = [solve_ilp, brute_force]
+ALL_ROUTES = [solve_refined, brute_force]
+# the production route is solve_ilp, which solve_refined follows with a refine
+ROUTE_IDS = ["solve_ilp", "brute_force"]
 
 
 def fractional_problem():
@@ -145,7 +147,7 @@ def test_exact_equality_check(monkeypatch, make, rows, solves):
     if rows is not None:
         assert expected is None
     calls = count_solver_calls(monkeypatch)
-    assert solve_ilp(problem) == expected
+    assert solve_refined(problem) == expected
     assert dict(calls) == solves
 
 
@@ -177,7 +179,7 @@ def test_exact_equality_check_on_degenerate_rows():
         assert (brute_force(problem) is None) is settled
 
 
-@pytest.mark.parametrize("solver", ALL_ROUTES)
+@pytest.mark.parametrize("solver", ALL_ROUTES, ids=ROUTE_IDS)
 def test_fractional_bound_rounds_down(solver):
     assert solver(fractional_problem()) == IntSolution(x=(2,), objective=2)
 
@@ -188,7 +190,7 @@ def test_relaxation_is_fractional():
     assert x[0] == pytest.approx(2.5)
 
 
-@pytest.mark.parametrize("solver", ALL_ROUTES)
+@pytest.mark.parametrize("solver", ALL_ROUTES, ids=ROUTE_IDS)
 def test_infeasible_returns_none(solver):
     assert solver(infeasible_problem()) is None
 
@@ -197,7 +199,7 @@ def test_relaxation_reports_infeasible():
     assert lp_relaxation(infeasible_problem()) is None
 
 
-@pytest.mark.parametrize("solver", ALL_ROUTES)
+@pytest.mark.parametrize("solver", ALL_ROUTES, ids=ROUTE_IDS)
 def test_refinement_picks_box_lows_under_flat_objective(solver):
     flat = IlpProblem(
         objective=(0, 0),
@@ -207,7 +209,7 @@ def test_refinement_picks_box_lows_under_flat_objective(solver):
     assert solver(flat) == IntSolution(x=(-2, -1), objective=0)
 
 
-@pytest.mark.parametrize("solver", ALL_ROUTES)
+@pytest.mark.parametrize("solver", ALL_ROUTES, ids=ROUTE_IDS)
 def test_refinement_orders_ties_lexicographically(solver):
     tied = IlpProblem(
         objective=(1, 1),
@@ -223,7 +225,7 @@ def test_unrefined_objective_still_exact():
         rows=(Row("cap", (1, 1), Relation.LE, 3),),
         bounds=((0, 3), (0, 3)),
     )
-    result = solve_ilp(tied, refine=False)
+    result = solve_ilp(tied)
     assert result is not None
     assert result.objective == 3
     assert objective_value(tied, result.x) == 3
@@ -235,7 +237,7 @@ def test_routes_agree_on_random_instances():
     feasible = 0
     for i in range(80):
         problem = random_ilp(rng)
-        fast = solve_ilp(problem)
+        fast = solve_refined(problem)
         exhaustive = brute_force(problem)
         if fast != exhaustive:
             disagreements.append((i, fast, exhaustive))
@@ -253,8 +255,8 @@ def test_routes_agree_on_random_instances():
 def test_deterministic_across_calls():
     rng = random.Random(7)
     problems = [random_ilp(rng) for _ in range(10)]
-    first = [solve_ilp(p) for p in problems]
-    second = [solve_ilp(p) for p in problems]
+    first = [solve_refined(p) for p in problems]
+    second = [solve_refined(p) for p in problems]
     assert first == second
 
 
@@ -394,7 +396,7 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     problems = [fractional_problem(), infeasible_problem(), gcd_problem()]
     rng = random.Random(4)
     problems += [random_ilp(rng) for _ in range(10)]
-    unpatched = [solve_ilp(p) for p in problems]
+    unpatched = [solve_refined(p) for p in problems]
     real_run = payoffopt.ilp_solver._run
     models = []
     milp_calls = []
@@ -413,7 +415,7 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     for problem, expected in zip(problems, unpatched):
         models.clear()
         milp_calls.clear()
-        assert solve_ilp(problem) == expected
+        assert solve_refined(problem) == expected
         # every program gets its root LP, one without rows too, and the
         # MILP settles it after the failure
         assert len(models) == 1
@@ -462,7 +464,7 @@ def test_relaxation_point_failing_the_exact_check_falls_through(
     assert relaxed[-1] == pytest.approx(2.6 if len(relaxed) == 1 else 2.4)
     calls = count_solver_calls(monkeypatch)
     expected = IntSolution(answer, objective_value(problem, answer))
-    assert solve_ilp(problem) == brute_force(problem) == expected
+    assert solve_refined(problem) == brute_force(problem) == expected
     assert dict(calls) == solves
 
 
@@ -496,7 +498,7 @@ def test_relaxation_value_off_its_point_falls_through(monkeypatch, offset, solve
 
     monkeypatch.setattr(_Highs, "getInfo", lambda highs: ShiftedInfo(real_info(highs)))
     calls = count_solver_calls(monkeypatch)
-    assert solve_ilp(problem) == brute_force(problem) == IntSolution((2,), 2)
+    assert solve_refined(problem) == brute_force(problem) == IntSolution((2,), 2)
     assert dict(calls) == solves
 
 
@@ -538,7 +540,7 @@ def test_relaxation_not_reported_optimal_settles_nothing(
         return verdict
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", misreporting)
-    assert solve_ilp(problem) == IntSolution((2,), 2)
+    assert solve_refined(problem) == IntSolution((2,), 2)
     assert seen == kinds
 
 
@@ -551,20 +553,22 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
         bounds=((-2, 2), (-1, 3), (0, 3), (0, 3)),
     )
     expected = IntSolution(x=(-2, -1, 0, 3), objective=4)
-    assert solve_ilp(problem) == brute_force(problem) == expected
-    seed = dataclasses.replace(solve_ilp(problem, refine=False), x=expected.x)
+    assert solve_refined(problem) == brute_force(problem) == expected
+    program = solve_ilp(problem)
+    assert program.objective == expected.objective
     calls = count_solver_calls(monkeypatch)
     # from the answer itself the first three slots sit at their lower
     # bounds and are fixed without a solve; only x3 takes one, its block's
     # LP, whose optimum is integral
-    assert lex_refine(seed, 3) == expected
+    assert program.refine(expected.x, 3) == expected.x
     assert dict(calls) == {}
-    assert lex_refine(seed, 4) == expected
+    assert program.refine(expected.x, 4) == expected.x
     assert dict(calls) == {"lp": 1}
 
 
 def split(widths):
-    """Block sizes ``lex_refine`` takes when no slot is at its lower bound."""
+    """Block sizes ``Program.refine`` takes when no slot is at its lower
+    bound."""
     sizes, start = [], 0
     while start < len(widths):
         sizes.append(_block_size(widths[start:]))
@@ -602,10 +606,9 @@ def test_block_split(monkeypatch, widths, sizes):
         ),
         bounds=tuple((-1, w - 2) for w in widths),
     )
-    first = solve_ilp(problem, refine=False)
-    seed = dataclasses.replace(first, x=tuple(w - 2 for w in widths))
+    program = solve_ilp(problem)
     calls = count_solver_calls(monkeypatch)
-    assert lex_refine(seed, num).x == (0,) * num
+    assert program.refine(tuple(w - 2 for w in widths), num) == (0,) * num
     assert dict(calls) == {"lp": len(sizes)}
 
 
@@ -615,16 +618,16 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
     feasible = multi_block = checked = 0
     for case in range(60):
         problem = random_wide_ilp(rng)
-        first = solve_ilp(problem, refine=False)
+        first = solve_ilp(problem)
         if first is None:
             continue
         feasible += 1
         # every block takes one LP, and a MILP only after a fractional one
         before = calls["lp"]
-        got = lex_refine(first, problem.num_vars).x
+        got = first.refine(first.x, problem.num_vars)
         multi_block += calls["lp"] - before > 1
         assert got == slotwise_refine(problem, first.objective, problem.num_vars), case
-        assert solve_ilp(problem) == IntSolution(got, first.objective), case
+        assert solve_refined(problem) == IntSolution(got, first.objective), case
         if math.prod(hi - lo + 1 for lo, hi in problem.bounds) <= 2_000_000:
             checked += 1
             assert brute_force(problem) == IntSolution(got, first.objective), case
@@ -636,11 +639,11 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
 def test_lex_refine_rejects_a_seed_off_the_optimum():
     # the optimum is x = 2 with objective 2; the seed must meet the pin, the
     # rows and the bounds the refine runs within
-    first = solve_ilp(fractional_problem(), refine=False)
-    assert first == IntSolution(x=(2,), objective=2)
+    program = solve_ilp(fractional_problem())
+    assert (program.x, program.objective) == ((2,), 2)
     for x, bounds in [((1,), None), ((3,), None), ((2,), [(0, 1)])]:
         with pytest.raises(SolverError, match="seed point misses the optimum 2") as err:
-            lex_refine(dataclasses.replace(first, x=x), 1, bounds)
+            program.refine(x, 1, bounds)
         assert err.type is SolverError
 
 
