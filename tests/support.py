@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +22,7 @@ from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
+import payoffopt.optimizer
 from payoffopt.ilp_solver import solve_ilp
 from payoffopt.market_data import OptionChain, SeriesSelection
 from payoffopt.model_builder import (
@@ -580,19 +581,6 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
     return IlpProblem(objective=objective, rows=rows, bounds=tuple(bounds))
 
 
-class SolverCalls(Counter):
-    """Solver calls per kind, with ``nodes``: HiGHS's ``mip_node_count``
-    summed per kind."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nodes: Counter = Counter()
-
-    def clear(self) -> None:
-        super().clear()
-        self.nodes.clear()
-
-
 def solve_kind(highs) -> str:
     """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
     model ``highs`` holds: ``"lp"``, the relaxation (the root LP of
@@ -604,40 +592,76 @@ def solve_kind(highs) -> str:
     return "recheck" if highs.getOptionValue("presolve")[1] == "off" else "milp"
 
 
-def count_solver_calls(monkeypatch) -> SolverCalls:
-    """Count solver calls in ``payoffopt.ilp_solver`` until the test ends.
+# the stages of a loaded program's work: the first solve, then each
+# Program.refine on it, of which optimize makes two, Stage A and Stage B
+STAGES = ("first", "stage_a", "stage_b")
+# one _run: its stage, solve_kind and model status, and HiGHS's
+# mip_node_count (0 for an LP) and simplex_iteration_count
+Run = namedtuple("Run", "stage kind status nodes iterations")
 
-    The returned counter grows as calls are made, one per ``_run``, keyed by
-    :func:`solve_kind`. Its ``nodes`` counter has the same keys.
-    """
-    calls = SolverCalls()
-    real_run = payoffopt.ilp_solver._run
 
-    def counting_run(highs):
+class Work:
+    """What :func:`record_work` saw: each :class:`Run`, each load's columns, the
+    slots each stage fixed without a solve, and each exact proof's result."""
+
+    def __init__(self) -> None:
+        self.runs, self.loads, self.proofs = [], [], {}
+        self.fixed, self.stage = Counter(), STAGES[0]
+
+    def kinds(self, stage: str | None = None) -> Counter:
+        """Runs per kind, in ``stage`` or in all."""
+        return Counter(run.kind for run in self.runs if stage in (None, run.stage))
+
+
+def record_work(monkeypatch) -> Work:
+    """Record ``payoffopt``'s HiGHS work until the test ends, only observing
+    ``ilp_solver``'s ``_run``, ``_load``, ``_block_size`` and ``Program.refine``
+    and ``optimizer``'s two exact proofs."""
+    work, blocks = Work(), []
+    solver, optimizer = payoffopt.ilp_solver, payoffopt.optimizer
+    real_run, real_load, real_refine = solver._run, solver._load, solver.Program.refine
+    real_block_size = solver._block_size
+
+    def run(highs):
         kind = solve_kind(highs)
-        calls[kind] += 1
         status = real_run(highs)
-        if kind != "lp":
-            calls.nodes[kind] += highs.getInfo().mip_node_count
+        info = highs.getInfo()
+        nodes = 0 if kind == "lp" else info.mip_node_count
+        iterations = info.simplex_iteration_count
+        work.runs.append(Run(work.stage, kind, status, nodes, iterations))
         return status
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "_run", counting_run)
-    return calls
-
-
-def count_loads(monkeypatch) -> list[int]:
-    """Record every program ``payoffopt.ilp_solver._load`` passes to HiGHS
-    until the test ends: the returned list grows by the program's number of
-    columns per load."""
-    loads = []
-    real_load = payoffopt.ilp_solver._load
-
-    def counting_load(objective, rows, bounds):
-        loads.append(len(bounds))
+    def load(objective, rows, bounds):
+        work.stage = STAGES[0]
+        work.loads.append(len(bounds))
         return real_load(objective, rows, bounds)
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "_load", counting_load)
-    return loads
+    def block_size(widths):
+        blocks.append(real_block_size(widths))
+        return blocks[-1]
+
+    def refine(program, x, stop, bounds=None):
+        work.stage = STAGES[min(STAGES.index(work.stage) + 1, len(STAGES) - 1)]
+        blocks.clear()
+        found = real_refine(program, x, stop, bounds)
+        work.fixed[work.stage] += stop - sum(blocks)
+        return found
+
+    def proving(name):
+        proof = getattr(optimizer, name)
+
+        def wrapper(*args):
+            work.proofs[name] = proof(*args)
+            return work.proofs[name]
+
+        return wrapper
+
+    for name, wrapper in (("_run", run), ("_load", load), ("_block_size", block_size)):
+        monkeypatch.setattr(solver, name, wrapper)
+    monkeypatch.setattr(solver.Program, "refine", refine)
+    for name in ("unreachable_row", "off_lattice_rows"):
+        monkeypatch.setattr(optimizer, name, proving(name))
+    return work
 
 
 def fake_milp_runs(monkeypatch, status, *, record=solve_kind):

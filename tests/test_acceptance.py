@@ -37,14 +37,12 @@ from support import (
     brute_force,
     check_feasible,
     combination_from_index,
-    count_loads,
-    count_solver_calls,
     equalities,
     lp_relaxation,
     random_equality_ilp,
     random_ilp,
     random_series,
-    random_spec,
+    record_work,
     reference_optimize,
     reference_series,
     seeded_strategies,
@@ -149,11 +147,7 @@ def test_combined_program_is_exact_on_every_combination():
     # pinning the side bits of the combined program to one combination must
     # leave exactly that combination's subproblem with every ask slot bought
     # at least once (the side rows z_i <= p_i)
-    rng = random.Random(7219)
-    cases = [(base_spec(), small_series())]
-    for _ in range(40):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
+    cases = [(base_spec(), small_series()), *seeded_strategies(7219, 40)]
     feasible = 0
     for case, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
@@ -180,13 +174,10 @@ def test_combined_program_is_exact_on_every_combination():
 
 @AGREEMENT
 def test_optimizer_matches_exhaustive_reference():
-    rng = random.Random(20260823)
     start = time.perf_counter()
     feasible = 0
     mismatches = []
-    for i in range(220):
-        series = random_series(rng)
-        spec = random_spec(rng, series)
+    for i, (spec, series) in enumerate(seeded_strategies(20260823, 220)):
         expected = reference_optimize(spec, series)
         got = optimize(spec, series)
         if expected is None:
@@ -250,11 +241,8 @@ def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
         return program
 
     monkeypatch.setattr(optimizer, "solve_ilp", seeded_solve)
-    rng = random.Random(20260823)
     cases = seeds = 0
-    for i in range(220):
-        series = random_series(rng)
-        spec = random_spec(rng, series)
+    for i, (spec, series) in enumerate(seeded_strategies(20260823, 220)):
         series = priced_at_intrinsic(spec, series)
         expected = reference_optimize(spec, series)
         if expected is None:
@@ -284,11 +272,8 @@ def test_side_bits_mark_bought_slots(fixture_run_config, fixture_series):
     # the fact the side rows rest on: a slot is on the ask side exactly when
     # it buys, in the first solve's point (z_i = [p_i >= 1]) and in every
     # answer, on the fixture and on the seeded corpus
-    rng = random.Random(20260823)
     cases = [(fixture_run_config.strategy, fixture_series)]
-    for _ in range(220):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
+    cases += seeded_strategies(20260823, 220)
     feasible = 0
     for i, (spec, series) in enumerate(cases):
         slots = 2 * series.n
@@ -316,22 +301,8 @@ def test_root_lp_verdict_matches_linprog(
     # exact checks to optimize
     import payoffopt.ilp_solver as ilp_solver
 
-    verdicts = []
-    real = ilp_solver._run
-
-    def recording(highs):
-        kind = solve_kind(highs)
-        status = real(highs)
-        if kind == "lp":
-            verdicts.append(status)
-        return status
-
-    monkeypatch.setattr(ilp_solver, "_run", recording)
-    rng = random.Random(20260823)
-    cases = []
-    for _ in range(220):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
+    work = record_work(monkeypatch)
+    cases = list(seeded_strategies(20260823, 220))
     cases.append((fixture_run_config.strategy, fixture_series))
     infeasible = 0
     for i, (spec, series) in enumerate(cases):
@@ -340,69 +311,27 @@ def test_root_lp_verdict_matches_linprog(
         highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
         highs.setOptionValue("solve_relaxation", True)
         highs.setOptionValue("presolve", "off")
-        status = real(highs)
+        status = ilp_solver._run(highs)
         relaxed = lp_relaxation(combined) is None
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
         infeasible += relaxed
-        verdicts.clear()
+        work.runs.clear()
         solve_ilp(combined)
-        assert verdicts == [status], i
+        assert [run.status for run in work.runs if run.kind == "lp"] == [status], i
     assert infeasible >= 100
-
-
-def corpus_optimize_all():
-    """One optimize per strategy of the seeded 220-strategy corpus."""
-    for spec, series in seeded_strategies(20260823, 220):
-        optimize(spec, series)
-
-
-def test_solver_call_counts(monkeypatch, fixture_run_config, fixture_series):
-    # HiGHS calls are deterministic. One optimize per strategy of the seeded
-    # corpus makes 196 of them, 1 presolve-off recheck included. Of the 220
-    # combined programs, 70 have equality rows without any integer point
-    # (the lattice check, off_lattice_rows) and 58 more have a row no
-    # quantity vector in the box meets (unreachable_row); optimize runs the
-    # row check first, which settles all 128 with no HiGHS call. The root
-    # LP settles 45 of the other 92 as infeasible and 41 with an integral
-    # optimum; 6 reach the first solve's MILP, 5 of them feasible. Every
-    # refine block starts with its LP and runs a MILP only when that LP's
-    # optimum is not integral: 41 of 46 Stage-A blocks and 40 of 43 Stage-B
-    # blocks need none. A lost pre-check shows here as more calls (276
-    # without unreachable_row), and so does a relaxation that settles
-    # nothing (136 MILPs with one MILP per solve)
-    calls = count_solver_calls(monkeypatch)
-    corpus_optimize_all()
-    assert dict(calls) == {"lp": 181, "milp": 14, "recheck": 1}
-    calls.clear()
-    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    # no presolve-off recheck on the fixture; the root LP and Stage A's LP
-    # are fractional, the 3 Stage-B blocks' LPs integral
-    assert dict(calls) == {"lp": 5, "milp": 2}
-    # the side rows leave one side vector per quantity vector: HiGHS proves
-    # the fixture's first solve at about its root (32 nodes without them)
-    calls.clear()
-    combined = build_combined(fixture_run_config.strategy, fixture_series)
-    solve_ilp(combined)
-    assert calls["milp"] == 1
-    assert calls.nodes["milp"] <= 8
 
 
 def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
     # an unpresolved root LP whose rounded point passes the exact check, at
-    # the LP's optimal value, is the first solve's answer with no MILP: so
-    # for 41 of the corpus's 46 feasible combined programs. Forced through
-    # the MILP, every program gives the same verdict and optimal value
+    # the LP's optimal value, is the first solve's answer with no MILP (for
+    # 41 of the corpus's 46 feasible combined programs: root_lp_integral in
+    # golden/work.json). Forced through the MILP, every program gives the
+    # same verdict and optimal value
     import payoffopt.ilp_solver as ilp_solver
 
     programs = [build_combined(*case) for case in seeded_strategies(20260823, 220)]
-    calls = count_solver_calls(monkeypatch)
-    values, settled = [], 0
-    for problem in programs:
-        calls.clear()
-        first = solve_ilp(problem)
-        values.append(None if first is None else first.objective)
-        settled += first is not None and calls["milp"] == 0
-    assert (settled, sum(v is not None for v in values)) == (41, 46)
+    values = [getattr(solve_ilp(problem), "objective", None) for problem in programs]
+    work = record_work(monkeypatch)
     counting_run = ilp_solver._run
 
     def settling_nothing(highs):
@@ -412,62 +341,18 @@ def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
         return status
 
     monkeypatch.setattr(ilp_solver, "_run", settling_nothing)
-    calls.clear()
-    forced = [solve_ilp(problem) for problem in programs]
-    assert [None if f is None else f.objective for f in forced] == values
-    assert calls["milp"] >= 46
-
-
-def test_fixture_work_per_stage(monkeypatch, fixture_run_config, fixture_series):
-    # the fixture's root LP and Stage-A LP are fractional, so its first
-    # solve and Stage A each still make one MILP, Stage A's of 33 nodes;
-    # each of Stage B's 3 blocks is settled by its LP
-    import payoffopt.ilp_solver as ilp_solver
-
-    calls = count_solver_calls(monkeypatch)
-    stages = []
-    real_refine = ilp_solver.Program.refine
-
-    def refining(program, *args):
-        stages.append((dict(calls), dict(calls.nodes)))
-        calls.clear()
-        return real_refine(program, *args)
-
-    monkeypatch.setattr(ilp_solver.Program, "refine", refining)
-    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    stages.append((dict(calls), dict(calls.nodes)))
-    assert [solves for solves, _ in stages] == [
-        {"lp": 1, "milp": 1},
-        {"lp": 1, "milp": 1},
-        {"lp": 3},
-    ]
-    assert stages[1][1] == {"milp": 33}
-
-
-def test_each_program_is_loaded_once(monkeypatch, fixture_run_config, fixture_series):
-    # every solve of a program, from its root LP to the last Stage-B block,
-    # runs on the one HiGHS instance solve_ilp loads: one load per program
-    # that passes both exact checks (92 of the corpus's 220, 184 when Stage
-    # A and Stage B each loaded their own), one for the fixture (3 then),
-    # and none for a program an exact check settles
-    loads = count_loads(monkeypatch)
-    corpus_optimize_all()
-    assert len(loads) == 92
-    loads.clear()
-    assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    assert loads == [36]
-    loads.clear()
-    spec, series = list(seeded_strategies(20260823, 55))[54]
-    assert optimize(spec, series) == Infeasible(("balance_left",))
-    assert loads == []
+    forced = [getattr(solve_ilp(problem), "objective", None) for problem in programs]
+    assert forced == values
+    assert work.kinds()["milp"] >= sum(v is not None for v in values)
 
 
 def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_series):
     # no presolved LP verdict or point is trusted: the first solve on each
     # loaded model is the relaxation, and every relaxation, the root LP and
-    # each refine block's, runs with presolve off; 45 of the corpus's 92
-    # root LPs say infeasible. Every solve sees every column integer, as
-    # loaded: a relaxation relaxes the model, it never retypes it
+    # each refine block's, runs with presolve off, and its infeasible
+    # verdict settles the program (root_lp_infeasible in golden/work.json).
+    # Every solve sees every column integer, as loaded: a relaxation relaxes
+    # the model, it never retypes it
     import payoffopt.ilp_solver as ilp_solver
 
     real = ilp_solver._run
@@ -488,15 +373,14 @@ def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_
         return status
 
     monkeypatch.setattr(ilp_solver, "_run", recording)
-    corpus_optimize_all()
+    for spec, series in seeded_strategies(20260823, 220):
+        optimize(spec, series)
     assert {presolve for _, presolve, _ in lps} == {"off"}
-    root_lps = [status for first, _, status in lps if first]
-    assert (len(root_lps), len(lps)) == (92, 181)
-    assert sum(status == HighsModelStatus.kInfeasible for status in root_lps) == 45
+    assert HighsModelStatus.kInfeasible in {status for first, _, status in lps if first}
     lps.clear()
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
     assert lps[0] == (True, "off", HighsModelStatus.kOptimal)
-    assert [first for first, _, _ in lps] == [True, False, False, False, False]
+    assert [first for first, _, _ in lps] == [True] + [False] * (len(lps) - 1)
     assert {presolve for _, presolve, _ in lps} == {"off"}
 
 
@@ -509,11 +393,7 @@ def invariance_cases(fixture_run_config, fixture_series, count):
         (dataclasses.replace(fixture, lower=-100, upper=100), fixture_series),
         (dataclasses.replace(fixture, cost_target=None), fixture_series),
     ]
-    rng = random.Random(20260823)
-    for _ in range(count):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
-    return cases
+    return cases + list(seeded_strategies(20260823, count))
 
 
 def unique_answers(cases):
@@ -541,10 +421,10 @@ def test_answers_do_not_depend_on_highs_random_seed(
     import payoffopt.ilp_solver as ilp_solver
 
     cases = invariance_cases(fixture_run_config, fixture_series, 60)
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 11
-    nodes = {calls.nodes["milp"]}
+    nodes = {sum(run.nodes for run in work.runs if run.kind == "milp")}
     counting_run = ilp_solver._run
     for seed in (1, 2, 3):
 
@@ -553,9 +433,9 @@ def test_answers_do_not_depend_on_highs_random_seed(
             return counting_run(highs)
 
         monkeypatch.setattr(ilp_solver, "_run", reseeded)
-        calls.clear()
+        work.runs.clear()
         assert unique_answers(cases) == expected, seed
-        nodes.add(calls.nodes["milp"])
+        nodes.add(sum(run.nodes for run in work.runs if run.kind == "milp"))
     # the seeds do move HiGHS's search
     assert len(nodes) > 1
 
@@ -572,20 +452,11 @@ def test_answers_do_not_depend_on_row_order(
 
     start = time.perf_counter()
     cases = invariance_cases(fixture_run_config, fixture_series, 30)
-    real_run, real_load = ilp_solver._run, ilp_solver._load
-    nodes = []
-
-    def recording_run(highs):
-        kind = solve_kind(highs)
-        status = real_run(highs)
-        if kind != "lp":
-            nodes.append(highs.getInfo().mip_node_count)
-        return status
-
-    monkeypatch.setattr(ilp_solver, "_run", recording_run)
+    work = record_work(monkeypatch)
+    real_load = ilp_solver._load
     expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 6
-    default_nodes = list(nodes)
+    default_nodes = [run.nodes for run in work.runs if run.kind != "lp"]
     moved = False
     for seed in (1, 2):
 
@@ -595,9 +466,9 @@ def test_answers_do_not_depend_on_row_order(
             return real_load(objective, rows, bounds)
 
         monkeypatch.setattr(ilp_solver, "_load", shuffled)
-        nodes.clear()
+        work.runs.clear()
         assert unique_answers(cases) == expected, seed
-        moved |= nodes != default_nodes
+        moved |= [run.nodes for run in work.runs if run.kind != "lp"] != default_nodes
     # the shuffles do move HiGHS's search
     assert moved
     assert time.perf_counter() - start < 30
@@ -664,21 +535,17 @@ def test_full_run_regression_values(full_run):
 
 
 @pytest.mark.parametrize(
-    "lots, bitstring, calls, puts, lps",
+    "lots, bitstring, calls, puts",
     [
-        (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4), 5),
-        (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4), 8),
+        (None, "010011000010", (0, 4, 0, -10, 1, 5), (0, 0, 0, -4, 8, -4)),
+        (100, "001001000101", (0, -4, 13, -9, -5, 5), (0, 0, 0, 4, -8, 4)),
     ],
 )
-def test_fixture_tie_break_solve_counts(
-    monkeypatch, fixture_run_config, fixture_series, lots, bitstring, calls, puts, lps
+def test_fixture_tie_break(
+    fixture_run_config, fixture_series, lots, bitstring, calls, puts
 ):
-    # one LP per solve: the first solve's root LP, one Stage-A block (12
-    # side bits) and Stage B's blocks (5, 5 and 2 slots of width 10 or 11,
-    # or 2 slots of width 100 or 101 each); the root LP and the Stage-A LP
-    # are fractional, so the first solve and Stage A each add a MILP, and
-    # every Stage-B LP is integral
-    counted = count_solver_calls(monkeypatch)
+    # one optimum at both bounds, each at its lowest optimal combination
+    # index and smallest quantities; its HiGHS work is in golden/work.json
     spec = fixture_run_config.strategy
     if lots is not None:
         spec = dataclasses.replace(spec, lower=-lots, upper=lots)
@@ -686,7 +553,6 @@ def test_fixture_tie_break_solve_counts(
     assert solution.objective == 40000
     assert solution.combination.bitstring == bitstring
     assert (solution.portfolio.calls, solution.portfolio.puts) == (calls, puts)
-    assert dict(counted) == {"lp": lps, "milp": 2}
 
 
 @pytest.mark.parametrize("lots", [50, 100])
@@ -751,11 +617,7 @@ def test_exact_equality_check_is_sound(fixture_run_config, fixture_series):
     assert fired >= 311
     assert fired_past_lp >= 93
 
-    rng = random.Random(20260823)
-    cases = []
-    for _ in range(220):
-        series = random_series(rng)
-        cases.append((random_spec(rng, series), series))
+    cases = list(seeded_strategies(20260823, 220))
     cases.append((fixture_run_config.strategy, fixture_series))
     combined_fired = subproblem_fired = 0
     for case, (spec, series) in enumerate(cases):
@@ -868,9 +730,9 @@ def test_unreachable_row_settles_a_strategy_without_highs(monkeypatch):
     spec, series = list(seeded_strategies(20260823, 55))[54]
     rows = equality_rows(spec, series)
     assert unreachable_row(rows, spec.lower, spec.upper) == "balance_left"
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     assert optimize(spec, series) == Infeasible(("balance_left",))
-    assert dict(calls) == {}
+    assert (work.runs, work.loads) == ([], [])
 
 
 @pytest.mark.parametrize("cost", [5000, 1, -5000], ids=["50.00", "0.01", "-50.00"])
@@ -888,11 +750,9 @@ def test_lattice_check_settles_what_the_row_check_skips(
     assert unreachable_row(equations, spec.lower, spec.upper) is None
     rows = ("tail_calls", "tail_puts", "balance_left", "balance_right", "cost")
     assert off_lattice_rows(equations) == rows
-    calls = count_solver_calls(monkeypatch)
-    loads = count_loads(monkeypatch)
+    work = record_work(monkeypatch)
     assert optimize(spec, fixture_series) == Infeasible(rows)
-    assert dict(calls) == {}
-    assert loads == []
+    assert (work.runs, work.loads) == ([], [])
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,8 @@ from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from payoffopt.model_builder import Relation, TailLossMode
 from support import (
     chain_to_json,
-    count_loads,
-    count_solver_calls,
     fake_milp_runs,
+    record_work,
     seeded_strategies,
     solve_kind,
     write_strategy,
@@ -115,10 +114,9 @@ class TestInfeasibleLine:
         on strategy ``index`` of the seeded corpus."""
         spec, series = list(seeded_strategies(20260823, index + 1))[index]
         chain, strategy = write_strategy(spec, series, tmp_path)
-        calls = count_solver_calls(monkeypatch)
-        loads = count_loads(monkeypatch)
+        work = record_work(monkeypatch)
         code = invoke("optimize", "--chain", chain, "--spec", strategy)
-        return (code, *capsys.readouterr(), dict(calls), loads)
+        return (code, *capsys.readouterr(), work.kinds(), work.loads)
 
     def test_row_check_names_its_row(self, tmp_path, monkeypatch, capsys):
         got = self.run_corpus_strategy(54, tmp_path, monkeypatch, capsys)
@@ -132,12 +130,11 @@ class TestInfeasibleLine:
         data["cost_target"] = {"cmp": "=", "value": cost}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(data))
-        calls = count_solver_calls(monkeypatch)
-        loads = count_loads(monkeypatch)
+        work = record_work(monkeypatch)
         code = invoke("optimize", "--chain", FIXTURES / "chain.csv", "--spec", spec)
         rows = "tail_calls,tail_puts,balance_left,balance_right,cost"
         assert (code, *capsys.readouterr()) == (1, "", INFEASIBLE + rows + "\n")
-        assert (dict(calls), loads) == ({}, [])
+        assert (work.runs, work.loads) == ([], [])
 
     @pytest.mark.parametrize("case", ["strategy-54", "fixture-cost-50.00"])
     def test_proofs_build_no_program(self, case, tmp_path, monkeypatch, capsys):
@@ -366,10 +363,11 @@ class TestFixtureCommand:
         # wrappers
         for name in ("linprog", "milp", "LinearConstraint", "Bounds", "csc_array"):
             assert not hasattr(payoffopt.ilp_solver, name), name
-        calls = count_solver_calls(monkeypatch)
+        work = record_work(monkeypatch)
         assert invoke(*FIXTURE_OPTIMIZE, "--format", "json") == 0
         capsys.readouterr()
-        assert dict(calls) == {"lp": 5, "milp": 2}
+        lps = {run.stage for run in work.runs if run.kind == "lp"}
+        assert lps == {"first", "stage_a", "stage_b"}
 
     @pytest.mark.parametrize("module", ["payoffopt", "payoffopt.cli"])
     def test_python_dash_m_matches_run(self, module, capsys):

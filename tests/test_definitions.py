@@ -4,7 +4,8 @@ A definition that nothing in ``src/payoffopt`` refers to is code no command
 reaches; it gets deleted rather than kept for tests or for later. The check
 is by name: a definition counts as used when its name appears as a name or
 an attribute anywhere in the package outside its own body. Dunders are
-exempt, since Python calls them.
+exempt, since Python calls them. A helper in ``tests/support.py`` that no
+test refers to gets deleted too.
 """
 
 import ast
@@ -29,13 +30,14 @@ def referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
-def orphans(package: Path) -> list[str]:
-    """``file:line name`` of each definition the package never refers to."""
-    trees = {path: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+def orphans(directory: Path, defining: str = "*.py") -> list[str]:
+    """``file:line name`` of each definition in ``directory``'s ``defining``
+    files that none of its Python files refers to."""
+    trees = {path: ast.parse(path.read_text()) for path in sorted(directory.glob("*.py"))}
     used = sum((referenced_names(tree) for tree in trees.values()), Counter())
     found = []
-    for path, tree in trees.items():
-        for node in ast.walk(tree):
+    for path in sorted(directory.glob(defining)):
+        for node in ast.walk(trees[path]):
             if not isinstance(node, DEFINITIONS):
                 continue
             name = node.name
@@ -54,6 +56,7 @@ KEPT_FOR_THE_TRACER = ["build_subproblem"]
 
 def test_every_definition_is_referenced():
     assert [entry.split()[-1] for entry in orphans(PACKAGE)] == KEPT_FOR_THE_TRACER
+    assert orphans(Path(__file__).resolve().parent, "support.py") == []
 
 
 def test_an_unused_definition_is_found(tmp_path):
@@ -63,3 +66,6 @@ def test_an_unused_definition_is_found(tmp_path):
         "class Box:\n    def spare(self):\n        return self\n"
     )
     assert orphans(tmp_path) == ["mod.py:5 recursive", "mod.py:9 Box", "mod.py:10 spare"]
+    # a use in another file counts, and only the defining files are checked
+    (tmp_path / "test_mod.py").write_text("def test_it():\n    assert recursive(1)\n")
+    assert orphans(tmp_path, "mod.py") == ["mod.py:9 Box", "mod.py:10 spare"]

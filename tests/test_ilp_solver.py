@@ -24,13 +24,13 @@ from support import (
     CapacityError,
     IntSolution,
     brute_force,
-    count_solver_calls,
     equalities,
     fake_milp_runs,
     lp_relaxation,
     objective_value,
     random_ilp,
     random_wide_ilp,
+    record_work,
     slotwise_refine,
     solve_kind,
     solve_refined,
@@ -146,9 +146,9 @@ def test_exact_equality_check(monkeypatch, make, rows, solves):
     expected = brute_force(problem)
     if rows is not None:
         assert expected is None
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     assert solve_refined(problem) == expected
-    assert dict(calls) == solves
+    assert work.kinds() == solves
 
 
 def test_exact_check_hand_cases_are_what_they_claim():
@@ -462,10 +462,10 @@ def test_relaxation_point_failing_the_exact_check_falls_through(
     problem = make()
     _, relaxed = lp_relaxation(problem)
     assert relaxed[-1] == pytest.approx(2.6 if len(relaxed) == 1 else 2.4)
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     expected = IntSolution(answer, objective_value(problem, answer))
     assert solve_refined(problem) == brute_force(problem) == expected
-    assert dict(calls) == solves
+    assert work.kinds() == solves
 
 
 @pytest.mark.parametrize(
@@ -497,9 +497,9 @@ def test_relaxation_value_off_its_point_falls_through(monkeypatch, offset, solve
             return getattr(self.info, name)
 
     monkeypatch.setattr(_Highs, "getInfo", lambda highs: ShiftedInfo(real_info(highs)))
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     assert solve_refined(problem) == brute_force(problem) == IntSolution((2,), 2)
-    assert dict(calls) == solves
+    assert work.kinds() == solves
 
 
 @pytest.mark.parametrize(
@@ -556,14 +556,14 @@ def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):
     assert solve_refined(problem) == brute_force(problem) == expected
     program = solve_ilp(problem)
     assert program.objective == expected.objective
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     # from the answer itself the first three slots sit at their lower
     # bounds and are fixed without a solve; only x3 takes one, its block's
     # LP, whose optimum is integral
     assert program.refine(expected.x, 3) == expected.x
-    assert dict(calls) == {}
+    assert work.kinds() == {}
     assert program.refine(expected.x, 4) == expected.x
-    assert dict(calls) == {"lp": 1}
+    assert work.kinds() == {"lp": 1}
 
 
 def split(widths):
@@ -607,14 +607,14 @@ def test_block_split(monkeypatch, widths, sizes):
         bounds=tuple((-1, w - 2) for w in widths),
     )
     program = solve_ilp(problem)
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     assert program.refine(tuple(w - 2 for w in widths), num) == (0,) * num
-    assert dict(calls) == {"lp": len(sizes)}
+    assert work.kinds() == {"lp": len(sizes)}
 
 
 def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
     rng = random.Random(1207)
-    calls = count_solver_calls(monkeypatch)
+    work = record_work(monkeypatch)
     feasible = multi_block = checked = 0
     for case in range(60):
         problem = random_wide_ilp(rng)
@@ -623,9 +623,9 @@ def test_lex_refine_matches_slotwise_oracle_on_wide_programs(monkeypatch):
             continue
         feasible += 1
         # every block takes one LP, and a MILP only after a fractional one
-        before = calls["lp"]
+        before = work.kinds()["lp"]
         got = first.refine(first.x, problem.num_vars)
-        multi_block += calls["lp"] - before > 1
+        multi_block += work.kinds()["lp"] - before > 1
         assert got == slotwise_refine(problem, first.objective, problem.num_vars), case
         assert solve_refined(problem) == IntSolution(got, first.objective), case
         if math.prod(hi - lo + 1 for lo, hi in problem.bounds) <= 2_000_000:

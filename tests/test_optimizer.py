@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
@@ -27,10 +26,9 @@ from payoffopt.optimizer import (
 from support import (
     base_spec,
     check_feasible,
-    count_solver_calls,
-    random_series,
-    random_spec,
+    record_work,
     reference_optimize,
+    seeded_strategies,
     small_series,
     solve_kind,
 )
@@ -64,11 +62,8 @@ class TestOptimize:
         assert first == second
 
     def test_matches_exhaustive_reference_on_random_instances(self):
-        rng = random.Random(90125)
         feasible = 0
-        for _ in range(30):
-            series = random_series(rng)
-            spec = random_spec(rng, series)
+        for spec, series in seeded_strategies(90125, 30):
             expected = reference_optimize(spec, series)
             got = optimize(spec, series)
             if expected is None:
@@ -154,21 +149,18 @@ class TestOptimize:
         # B start from known optimal points; on these small series each
         # stage is one block, unless a stage's slots all sit at their lower
         # bounds
-        rng = random.Random(90125)
-        cases = [(base_spec(), small_series())]
-        for _ in range(30):
-            series = random_series(rng)
-            cases.append((random_spec(rng, series), series))
-        calls = count_solver_calls(monkeypatch)
+        cases = [(base_spec(), small_series()), *seeded_strategies(90125, 30)]
+        work = record_work(monkeypatch)
         feasible = milps = 0
         for spec, series in cases:
-            calls.clear()
+            work.runs.clear()
             if isinstance(optimize(spec, series), Infeasible):
                 continue
             feasible += 1
-            assert calls["lp"] <= 3
-            assert calls["milp"] <= calls["lp"]
-            milps += calls["milp"]
+            kinds = work.kinds()
+            assert kinds["lp"] <= 3
+            assert kinds["milp"] <= kinds["lp"]
+            milps += kinds["milp"]
         assert feasible >= 5
         assert milps == 4
 

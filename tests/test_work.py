@@ -1,0 +1,118 @@
+"""What each case costs in HiGHS is exactly ``golden/work.json`` (README,
+Testing). A change meant to alter that work rewrites it with ``PYTHONPATH=src
+python tests/test_work.py`` and commits it; its ``versions`` are not compared.
+"""
+
+import json
+import sys
+import types
+from collections import Counter
+from pathlib import Path
+
+import pytest
+import scipy
+from scipy.optimize._highspy._core import _Highs
+
+from payoffopt import Infeasible, optimize, parse_chain, select_series
+from payoffopt.cli import load_run_config
+from support import STAGES, record_work, seeded_strategies
+
+ROOT = Path(__file__).resolve().parent.parent
+WORK = ROOT / "tests" / "golden" / "work.json"
+FIXTURE_CHAIN = ROOT / "fixtures" / "chain.csv"
+FIXTURE_SPEC = ROOT / "fixtures" / "spec.json"
+
+
+def strategy(chain=FIXTURE_CHAIN, spec=FIXTURE_SPEC, **changes) -> tuple:
+    """The (spec, series) of a strategy file on a chain, by default the
+    fixture's, with ``changes`` to the file (``None`` drops a key)."""
+    data = {**json.loads(spec.read_text()), **changes}
+    config = load_run_config({k: v for k, v in data.items() if v is not None})
+    options = parse_chain(chain.read_text())
+    series = select_series(options, config.n, config.call_anchor, config.put_anchor)
+    return config.strategy, series
+
+
+# made when run; corpus-small's corpus and fixture-optimize's fixture first
+CASES = {
+    "corpus": lambda: list(seeded_strategies(20260823, 220)),
+    "fixture": lambda: [strategy()],
+    "fixture-100-lots": lambda: [strategy(lower=-100, upper=100)],
+    "fixture-1000-lots": lambda: [strategy(lower=-1000, upper=1000)],
+    "fixture-no-cost-target": lambda: [strategy(cost_target=None)],
+    "n7": lambda: [strategy(n=7, put_anchor=7750)],
+    "wide-bound": lambda: [
+        strategy(
+            expected_price="8100.00", inflection=8450, max_loss="-300.00",
+            lower=-20, upper=20, call_anchor=8150, put_anchor=7950, cost_target=None,
+        )
+    ],
+    "fixture-cost-50.00": lambda: [strategy(cost_target={"cmp": "=", "value": "50.00"})],
+}
+LAYERS = (
+    "lattice_check", "root_lp_infeasible", "root_lp_integral",
+    "first_milp_feasible", "first_milp_infeasible",
+)
+FIELDS = ("lp", "milp", "recheck", "nodes", "iterations", "fixed")
+
+
+def settled_by(work, result) -> str:
+    """The layer that settled one ``optimize``, the row check by its row."""
+    if work.proofs["unreachable_row"] is not None:
+        return f"row_check:{work.proofs['unreachable_row']}"
+    if work.proofs["off_lattice_rows"] is not None:
+        return "lattice_check"
+    verdict = "infeasible" if isinstance(result, Infeasible) else "feasible"
+    if work.kinds(STAGES[0])["milp"]:
+        return f"first_milp_{verdict}"
+    return "root_lp_infeasible" if verdict == "infeasible" else "root_lp_integral"
+
+
+def case_work(strategies) -> dict:
+    """One case's entry in the table: its strategies' work, summed."""
+    settled, loads = Counter(dict.fromkeys(LAYERS, 0)), 0
+    stages = {stage: dict.fromkeys(FIELDS, 0) for stage in STAGES}
+    for spec, series in strategies:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            work = record_work(monkeypatch)
+            settled[settled_by(work, optimize(spec, series))] += 1
+        loads += len(work.loads)
+        for run in work.runs:
+            counts = stages[run.stage]
+            counts[run.kind] += 1
+            counts["nodes"] += run.nodes
+            counts["iterations"] += run.iterations
+        for stage, fixed in work.fixed.items():
+            stages[stage]["fixed"] += fixed
+    return {"settled": dict(sorted(settled.items())), "loads": loads, **stages}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_highs_work_is_the_golden_table(name):
+    table = json.loads(WORK.read_text())["cases"]
+    assert list(table) == list(CASES)
+    assert case_work(CASES[name]()) == table[name]
+
+
+def test_cases_are_the_benchmarks_traffic(monkeypatch, tmp_path):
+    # the files benchmark/workloads.py writes for corpus-small, and reads
+    # for fixture-optimize, give the corpus and the fixture case field by
+    # field: strikes, quotes and strategy; the benchmark is executed from
+    # its source text, so nothing is written beside it
+    for name in ("reference", "workloads"):
+        path = ROOT / "benchmark" / f"{name}.py"
+        module = types.ModuleType(name)
+        monkeypatch.setitem(sys.modules, name, module)
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    workloads = module
+    commands = workloads.corpus_commands(ROOT, tmp_path)
+    commands += workloads.fixture_commands(ROOT, tmp_path)
+    files = [(Path(c.argv[2]), Path(c.argv[4])) for c in commands]
+    assert files[-1] == (FIXTURE_CHAIN, FIXTURE_SPEC)
+    assert [strategy(*f) for f in files] == CASES["corpus"]() + CASES["fixture"]()
+
+
+if __name__ == "__main__":
+    versions = {"scipy": scipy.__version__, "highs": _Highs().version()}
+    cases = {name: case_work(make()) for name, make in CASES.items()}
+    WORK.write_text(json.dumps({"versions": versions, "cases": cases}, indent=2) + "\n")
