@@ -33,10 +33,13 @@ smallest optimal point the refine returns, cannot change.
 The exact infeasibility proofs run before this module is called (see
 :func:`~payoffopt.optimizer.optimize`); here a root LP, the relaxation of
 the loaded integer model, settles most infeasible programs, and most
-feasible ones, before any MILP. No verdict or point of a presolved
+feasible ones, before any MILP. Each solve is one of three kinds of run and
+sets its kind's options (:data:`_KINDS`): an ``lp``, the relaxation; a
+``milp``, the integer model with HiGHS's default presolve; a ``recheck``, the
+integer model without presolve. No verdict or point of a presolved
 relaxation is used, and no infeasibility verdict of a presolved MILP is
-trusted: every relaxation runs unpresolved, and a presolved MILP verdict is
-re-solved without presolve.
+trusted: every ``lp`` runs unpresolved, and a ``milp`` verdict is re-solved
+by a ``recheck``.
 
 An infeasible problem gives ``None``; only HiGHS's infeasible model status
 counts as one. A program HiGHS rejects as a model error, or one with a
@@ -112,15 +115,17 @@ def _stdout_discarded():
     if saved is None:
         yield
         return
-    null = os.open(os.devnull, os.O_WRONLY)
     try:
-        os.dup2(null, 1)
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, 1)
+        finally:
+            os.close(null)
         yield
     finally:
         _fflush(None)
         os.dup2(saved, 1)
         os.close(saved)
-        os.close(null)
 
 
 # every solve's options but the node limit, which is read when a program is
@@ -194,13 +199,23 @@ def _load(
     return highs
 
 
-def _run(highs: _Highs) -> HighsModelStatus:
-    """Solve the model ``highs`` holds as it stands; every solve runs here.
+# the options that make each kind of run (see the module docstring)
+_KINDS = {
+    "lp": (("solve_relaxation", True), ("presolve", "off")),
+    "milp": (("solve_relaxation", False), ("presolve", "choose")),
+    "recheck": (("solve_relaxation", False), ("presolve", "off")),
+}
+
+
+def _run(highs: _Highs, kind: str) -> HighsModelStatus:
+    """Solve the model ``highs`` holds as a ``kind`` run; every solve runs here.
 
     The solve starts from nothing of an earlier one on the instance: no
     basis, and no point that HiGHS would take as its first incumbent. Each
     search is then the one a freshly loaded model would get.
     """
+    for option, value in _KINDS[kind]:
+        highs.setOptionValue(option, value)
     highs.clearSolver()
     with _stdout_discarded():
         highs.run()
@@ -244,31 +259,32 @@ class Program:
         self.rows = problem.rows
         self.bounds = problem.bounds
 
+    def _point(self) -> tuple[int, ...] | None:
+        """HiGHS's point, rounded, or ``None`` if it fails the exact check."""
+        x = tuple(int(round(v)) for v in self.highs.getSolution().col_value)
+        return x if _holds(x, self.rows, self.bounds) else None
+
     def _milp_once(self) -> tuple[int, ...] | None:
         """The optimal point of one MILP solve of the loaded model, checked
         exactly against ``rows`` and ``bounds``, or ``None`` when the model is
         infeasible."""
-        highs = self.highs
-        status = _run(highs)
+        status = _run(self.highs, "milp")
         if status != HighsModelStatus.kOptimal and status not in _LIMITS:
             # presolve can misreduce a feasible model to infeasible (seen with
             # a fixed variable inside an equality row) or fail outright with
             # "Solve error" (seen on an infeasible model whose LP relaxation
             # is feasible); either verdict is settled by a presolve-off
             # re-solve, and an infeasibility verdict only counts when
-            # reproduced there; the solves that follow on the instance get
-            # HiGHS's default back
-            highs.setOptionValue("presolve", "off")
-            status = _run(highs)
-            highs.setOptionValue("presolve", "choose")
+            # reproduced there
+            status = _run(self.highs, "recheck")
             if status == HighsModelStatus.kInfeasible:
                 return None
         if status in _LIMITS:
             raise SolverResourceError(f"node budget of {NODE_BUDGET} exhausted")
         if status != HighsModelStatus.kOptimal:
-            raise SolverError(_failure(highs, status))
-        x = tuple(int(round(v)) for v in highs.getSolution().col_value)
-        if not _holds(x, self.rows, self.bounds):
+            raise SolverError(_failure(self.highs, status))
+        x = self._point()
+        if x is None:
             raise SolverError("MILP point fails exact integer verification")
         return x
 
@@ -284,21 +300,14 @@ class Program:
         That value bounds the cost of every integer point from below, and
         costs are integers, so no integer point is cheaper than one within
         0.5 of it. Otherwise the point is ``None``, and the program needs a
-        MILP, which gets both options' defaults back.
+        MILP.
         """
-        highs = self.highs
-        highs.setOptionValue("solve_relaxation", True)
-        highs.setOptionValue("presolve", "off")
-        status = _run(highs)
-        highs.setOptionValue("solve_relaxation", False)
-        highs.setOptionValue("presolve", "choose")
-        if status != HighsModelStatus.kOptimal:
-            return status, None
-        x = tuple(int(round(v)) for v in highs.getSolution().col_value)
-        if not _holds(x, self.rows, self.bounds):
+        status = _run(self.highs, "lp")
+        x = self._point() if status == HighsModelStatus.kOptimal else None
+        if x is None:
             return status, None
         value = sum(map(operator.mul, cost, x))
-        if abs(value - highs.getInfo().objective_function_value) >= 0.5:
+        if abs(value - self.highs.getInfo().objective_function_value) >= 0.5:
             return status, None
         return status, x
 

@@ -581,21 +581,10 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
     return IlpProblem(objective=objective, rows=rows, bounds=tuple(bounds))
 
 
-def solve_kind(highs) -> str:
-    """Which solve ``payoffopt.ilp_solver._run`` is about to make of the
-    model ``highs`` holds: ``"lp"``, the relaxation (the root LP of
-    :func:`solve_ilp`, or a ``Program.refine`` block's); ``"milp"``, the
-    integer model with presolve on; ``"recheck"``, the presolve-off
-    recheck."""
-    if highs.getOptionValue("solve_relaxation")[1]:
-        return "lp"
-    return "recheck" if highs.getOptionValue("presolve")[1] == "off" else "milp"
-
-
 # the stages of a loaded program's work: the first solve, then each
 # Program.refine on it, of which optimize makes two, Stage A and Stage B
 STAGES = ("first", "stage_a", "stage_b")
-# one _run: its stage, solve_kind and model status, and HiGHS's
+# one _run: its stage, kind and model status, and HiGHS's
 # mip_node_count (0 for an LP) and simplex_iteration_count
 Run = namedtuple("Run", "stage kind status nodes iterations")
 
@@ -622,9 +611,8 @@ def record_work(monkeypatch) -> Work:
     real_run, real_load, real_refine = solver._run, solver._load, solver.Program.refine
     real_block_size = solver._block_size
 
-    def run(highs):
-        kind = solve_kind(highs)
-        status = real_run(highs)
+    def run(highs, kind):
+        status = real_run(highs, kind)
         info = highs.getInfo()
         nodes = 0 if kind == "lp" else info.mip_node_count
         iterations = info.simplex_iteration_count
@@ -664,22 +652,22 @@ def record_work(monkeypatch) -> Work:
     return work
 
 
-def fake_milp_runs(monkeypatch, status, *, record=solve_kind):
+def fake_milp_runs(monkeypatch, status, *, record=lambda highs, kind: kind):
     """End every MILP run of ``payoffopt.ilp_solver`` with HiGHS model status
-    ``status`` without a solve. Every LP runs for real, but one HiGHS solves
-    to optimality is reported as ``kUnknown``, so that its point settles
-    nothing and the MILP runs; an infeasible verdict stays. Returns
-    ``record`` of each faked MILP run's instance, taken before it ends."""
+    ``status`` without a solve. Every LP runs for real, but an LP HiGHS
+    solves to optimality is reported as ``kUnknown``, so that its point
+    settles nothing and the MILP runs; an infeasible verdict stays. Returns
+    ``record(highs, kind)`` of each faked MILP run, taken before it ends."""
     real_run = payoffopt.ilp_solver._run
     seen = []
 
-    def failing_run(highs):
-        if solve_kind(highs) == "lp":
-            verdict = real_run(highs)
+    def failing_run(highs, kind):
+        if kind == "lp":
+            verdict = real_run(highs, kind)
             if verdict == HighsModelStatus.kOptimal:
                 return HighsModelStatus.kUnknown
             return verdict
-        seen.append(record(highs))
+        seen.append(record(highs, kind))
         return status
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_run)

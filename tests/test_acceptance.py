@@ -48,7 +48,6 @@ from support import (
     seeded_strategies,
     slotwise_refine,
     small_series,
-    solve_kind,
     solve_refined,
 )
 
@@ -309,9 +308,7 @@ def test_root_lp_verdict_matches_linprog(
         combined = build_combined(spec, series)
         # the root LP alone, as solve_ilp sets it up
         highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
-        highs.setOptionValue("solve_relaxation", True)
-        highs.setOptionValue("presolve", "off")
-        status = ilp_solver._run(highs)
+        status = ilp_solver._run(highs, "lp")
         relaxed = lp_relaxation(combined) is None
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
         infeasible += relaxed
@@ -334,9 +331,9 @@ def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
     work = record_work(monkeypatch)
     counting_run = ilp_solver._run
 
-    def settling_nothing(highs):
-        status = counting_run(highs)
-        if solve_kind(highs) == "lp" and status == HighsModelStatus.kOptimal:
+    def settling_nothing(highs, kind):
+        status = counting_run(highs, kind)
+        if kind == "lp" and status == HighsModelStatus.kOptimal:
             return HighsModelStatus.kUnknown
         return status
 
@@ -351,37 +348,37 @@ def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_
     # loaded model is the relaxation, and every relaxation, the root LP and
     # each refine block's, runs with presolve off, and its infeasible
     # verdict settles the program (root_lp_infeasible in golden/work.json).
-    # Every solve sees every column integer, as loaded: a relaxation relaxes
-    # the model, it never retypes it
+    # Each run leaves its kind's (solve_relaxation, presolve) set: a MILP
+    # runs presolved and its recheck does not. Every solve sees every column
+    # integer, as loaded: a relaxation relaxes the model, it never retypes it
     import payoffopt.ilp_solver as ilp_solver
 
     real = ilp_solver._run
-    models = []
-    lps = []
+    options = {"lp": (True, "off"), "milp": (False, "choose"), "recheck": (False, "off")}
+    models, lps, kinds = [], [], set()
 
-    def recording(highs):
+    def recording(highs, kind):
         first = all(highs is not model for model in models)
-        relaxed = highs.getOptionValue("solve_relaxation")[1]
-        presolve = highs.getOptionValue("presolve")[1]
         assert set(highs.getLp().integrality_) == {HighsVarType.kInteger}
-        assert relaxed or not first
-        status = real(highs)
+        assert kind == "lp" or not first
+        status = real(highs, kind)
+        left = tuple(highs.getOptionValue(o)[1] for o in ("solve_relaxation", "presolve"))
+        kinds.add((kind, left))
         if first:
             models.append(highs)
-        if relaxed:
-            lps.append((first, presolve, status))
+        if kind == "lp":
+            lps.append((first, status))
         return status
 
     monkeypatch.setattr(ilp_solver, "_run", recording)
     for spec, series in seeded_strategies(20260823, 220):
         optimize(spec, series)
-    assert {presolve for _, presolve, _ in lps} == {"off"}
-    assert HighsModelStatus.kInfeasible in {status for first, _, status in lps if first}
+    assert HighsModelStatus.kInfeasible in {status for first, status in lps if first}
     lps.clear()
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
-    assert lps[0] == (True, "off", HighsModelStatus.kOptimal)
-    assert [first for first, _, _ in lps] == [True] + [False] * (len(lps) - 1)
-    assert {presolve for _, presolve, _ in lps} == {"off"}
+    assert lps[0] == (True, HighsModelStatus.kOptimal)
+    assert [first for first, _ in lps] == [True] + [False] * (len(lps) - 1)
+    assert kinds == set(options.items())
 
 
 def invariance_cases(fixture_run_config, fixture_series, count):
@@ -428,9 +425,9 @@ def test_answers_do_not_depend_on_highs_random_seed(
     counting_run = ilp_solver._run
     for seed in (1, 2, 3):
 
-        def reseeded(highs, seed=seed):
+        def reseeded(highs, kind, seed=seed):
             highs.setOptionValue("random_seed", seed)
-            return counting_run(highs)
+            return counting_run(highs, kind)
 
         monkeypatch.setattr(ilp_solver, "_run", reseeded)
         work.runs.clear()

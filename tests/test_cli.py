@@ -23,7 +23,6 @@ from support import (
     fake_milp_runs,
     record_work,
     seeded_strategies,
-    solve_kind,
     write_strategy,
 )
 
@@ -258,10 +257,7 @@ class TestOptimizeCommand:
         return fake_milp_runs(
             monkeypatch,
             status,
-            record=lambda highs: (
-                solve_kind(highs),
-                highs.getOptionValue("mip_max_nodes")[1],
-            ),
+            record=lambda highs, kind: (kind, highs.getOptionValue("mip_max_nodes")[1]),
         )
 
     def check_solver_failure(self, chain_path, make_spec, capsys, code, message):

@@ -1,8 +1,11 @@
 import dataclasses
+import errno
 import inspect
 import math
+import os
 import random
 import re
+from unittest.mock import Mock
 
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
@@ -13,9 +16,11 @@ from payoffopt.ilp_solver import (
     SolverError,
     SolverResourceError,
     _BLOCK_RANGE,
+    _KINDS,
     _OPTIONS,
     _block_size,
     _holds,
+    _stdout_discarded,
     solve_ilp,
 )
 from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
@@ -32,7 +37,6 @@ from support import (
     random_wide_ilp,
     record_work,
     slotwise_refine,
-    solve_kind,
     solve_refined,
 )
 
@@ -290,6 +294,18 @@ def test_presolve_solve_error_settles_as_infeasible(capfd):
     assert out == ""
 
 
+def test_failing_to_open_the_null_device_leaks_no_descriptor(monkeypatch):
+    # the error propagates with fd 1 as it was and no descriptor left open
+    stdout, fds = os.fstat(1), sorted(os.listdir("/dev/fd"))
+    opening = Mock(side_effect=OSError(errno.EMFILE, "Too many open files"))
+    monkeypatch.setattr(os, "open", opening)
+    with pytest.raises(OSError, match="Too many open files"), _stdout_discarded():
+        pass
+    opening.assert_called_once_with(os.devnull, os.O_WRONLY)
+    assert sorted(os.listdir("/dev/fd")) == fds
+    assert os.path.samestat(os.fstat(1), stdout)
+
+
 def test_repeated_solve_error_raises(monkeypatch):
     kinds = fake_milp_runs(monkeypatch, HighsModelStatus.kSolveError)
     with pytest.raises(SolverError, match="status 4") as err:
@@ -313,8 +329,8 @@ def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, status, kin
     # infeasibility may settle the program
     seen = []
 
-    def ending_with_status(highs):
-        seen.append(solve_kind(highs))
+    def ending_with_status(highs, kind):
+        seen.append(kind)
         return status
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", ending_with_status)
@@ -357,8 +373,8 @@ def test_feasibility_jump_off_in_both_attempts(monkeypatch):
     seen = fake_milp_runs(
         monkeypatch,
         HighsModelStatus.kSolveError,
-        record=lambda highs: (
-            solve_kind(highs),
+        record=lambda highs, kind: (
+            kind,
             highs.getOptionValue("mip_heuristic_run_feasibility_jump")[1],
         ),
     )
@@ -376,14 +392,7 @@ def test_highs_binding_has_what_the_solver_calls():
     for method in sorted(methods):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
-    options = [
-        *_OPTIONS,
-        ("mip_max_nodes", NODE_BUDGET),
-        ("presolve", "off"),
-        ("presolve", "choose"),
-        ("solve_relaxation", True),
-        ("solve_relaxation", False),
-    ]
+    options = [*_OPTIONS, ("mip_max_nodes", NODE_BUDGET), *sum(_KINDS.values(), ())]
     for option, value in options:
         # a HiGHS that predates the feasibility-jump heuristic ignores the
         # option that switches it off, and gives the same answers slower
@@ -401,15 +410,15 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     models = []
     milp_calls = []
 
-    def failing_root_lp(highs):
+    def failing_root_lp(highs, kind):
         # the root LP is the first solve on each loaded model; the refine's
         # LPs run for real
         if all(highs is not model for model in models):
             models.append(highs)
             return HighsModelStatus.kSolveError
-        if solve_kind(highs) != "lp":
+        if kind != "lp":
             milp_calls.append(1)
-        return real_run(highs)
+        return real_run(highs, kind)
 
     monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_root_lp)
     for problem, expected in zip(problems, unpatched):
@@ -530,11 +539,10 @@ def test_relaxation_not_reported_optimal_settles_nothing(
     real_run = payoffopt.ilp_solver._run
     seen = []
 
-    def misreporting(highs):
-        kind = solve_kind(highs)
+    def misreporting(highs, kind):
         lps = seen.count("lp")
         seen.append(kind)
-        verdict = real_run(highs)
+        verdict = real_run(highs, kind)
         if kind == "lp" and lps == misreported:
             return getattr(HighsModelStatus, status)
         return verdict

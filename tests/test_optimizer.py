@@ -30,7 +30,6 @@ from support import (
     reference_optimize,
     seeded_strategies,
     small_series,
-    solve_kind,
 )
 
 
@@ -121,11 +120,10 @@ class TestOptimize:
 
         monkeypatch.setattr(payoffopt.optimizer, name, marking)
 
-        def no_point_once_started(highs):
-            kind = solve_kind(highs)
+        def no_point_once_started(highs, kind):
             if not started:
                 real_kinds.append(kind)
-                return real(highs)
+                return real(highs, kind)
             faked.append(kind)
             if kind == "lp":
                 return HighsModelStatus.kUnknown

@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / "tests" / "golden" / "work.json"
 FIXTURE_CHAIN = ROOT / "fixtures" / "chain.csv"
 FIXTURE_SPEC = ROOT / "fixtures" / "spec.json"
+VERSIONS = {"scipy": scipy.__version__, "highs": _Highs().version()}
 
 
 def strategy(chain=FIXTURE_CHAIN, spec=FIXTURE_SPEC, **changes) -> tuple:
@@ -89,9 +90,11 @@ def case_work(strategies) -> dict:
 
 @pytest.mark.parametrize("name", CASES)
 def test_highs_work_is_the_golden_table(name):
-    table = json.loads(WORK.read_text())["cases"]
-    assert list(table) == list(CASES)
-    assert case_work(CASES[name]()) == table[name]
+    golden = json.loads(WORK.read_text())
+    assert list(golden["cases"]) == list(CASES)
+    assert case_work(CASES[name]()) == golden["cases"][name], (
+        f"table made with {golden['versions']}, installed {VERSIONS}"
+    )
 
 
 def test_cases_are_the_benchmarks_traffic(monkeypatch, tmp_path):
@@ -113,6 +116,5 @@ def test_cases_are_the_benchmarks_traffic(monkeypatch, tmp_path):
 
 
 if __name__ == "__main__":
-    versions = {"scipy": scipy.__version__, "highs": _Highs().version()}
     cases = {name: case_work(make()) for name, make in CASES.items()}
-    WORK.write_text(json.dumps({"versions": versions, "cases": cases}, indent=2) + "\n")
+    WORK.write_text(json.dumps({"versions": VERSIONS, "cases": cases}, indent=2) + "\n")
