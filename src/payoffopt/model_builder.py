@@ -119,8 +119,9 @@ class PriceCombination:
     its ask (long) and 0 at its bid (short), calls first.
 
     These are the side bits ``z`` of :func:`build_combined` and, as text,
-    a solution's ``combination``. ``index`` reads them big-endian: the first
-    call slot is the most significant bit, the last put slot the least.
+    a solution's ``combination``. The combination index reads them
+    big-endian: the first call slot is the most significant bit, the last
+    put slot the least.
     """
 
     bits: tuple[int, ...]
@@ -133,10 +134,6 @@ class PriceCombination:
                 f"combination bitstring {text!r} does not fit a series of {n}"
             )
         return cls(tuple(int(b) for b in text))
-
-    @property
-    def index(self) -> int:
-        return int(self.bitstring, 2)
 
     @property
     def bitstring(self) -> str:

@@ -5,6 +5,11 @@ The reference optimizer here solves every price combination's subproblem
 separately with :func:`brute_force`, which enumerates the full integer box,
 so agreement with the production optimizer (one combined program solved by
 HiGHS) is a genuine two-route check.
+
+:func:`record_work` is the only wrapper of ``ilp_solver._run``, the function
+every HiGHS run goes through, in the tests. A test that fakes a run passes a
+``fake`` to it (see :func:`fake_milp_runs`), and installs it once: a second
+:func:`record_work` in one test would wrap the first.
 """
 
 from __future__ import annotations
@@ -276,9 +281,15 @@ def equalities(problem: IlpProblem) -> tuple:
     )
 
 
+def combination_index(combination: PriceCombination) -> int:
+    """The combination index of ``combination``: its side bits read
+    big-endian, the first call slot the most significant bit."""
+    return int(combination.bitstring, 2)
+
+
 def combination_from_index(n: int, index: int) -> PriceCombination:
-    """The combination of a series of n whose :attr:`~PriceCombination.index`
-    is ``index``: the first call slot reads the most significant bit."""
+    """The combination of a series of n whose :func:`combination_index` is
+    ``index``: the first call slot reads the most significant bit."""
     slots = 2 * n
     if not 0 <= index < (1 << slots):
         raise ValueError(f"combination index {index} outside [0, {1 << slots})")
@@ -584,43 +595,57 @@ def random_wide_ilp(rng: random.Random) -> IlpProblem:
 # the stages of a loaded program's work: the first solve, then each
 # Program.refine on it, of which optimize makes two, Stage A and Stage B
 STAGES = ("first", "stage_a", "stage_b")
-# one _run: its stage, kind and model status, and HiGHS's
-# mip_node_count (0 for an LP) and simplex_iteration_count
-Run = namedtuple("Run", "stage kind status nodes iterations")
+# one _run: its stage, whether it is the first run on its loaded program, its
+# kind and model status, and HiGHS's mip_node_count (0 for an LP) and
+# simplex_iteration_count (both 0 for a faked run that solves nothing)
+Run = namedtuple("Run", "stage fresh kind status nodes iterations")
 
 
 class Work:
     """What :func:`record_work` saw: each :class:`Run`, each load's columns, the
-    slots each stage fixed without a solve, and each exact proof's result."""
+    slots each stage fixed without a solve, and each exact proof's result.
+    ``stage`` and ``fresh`` are those of the next run."""
 
     def __init__(self) -> None:
         self.runs, self.loads, self.proofs = [], [], {}
-        self.fixed, self.stage = Counter(), STAGES[0]
+        self.fixed, self.stage, self.fresh = Counter(), STAGES[0], False
 
     def kinds(self, stage: str | None = None) -> Counter:
         """Runs per kind, in ``stage`` or in all."""
         return Counter(run.kind for run in self.runs if stage in (None, run.stage))
 
 
-def record_work(monkeypatch) -> Work:
-    """Record ``payoffopt``'s HiGHS work until the test ends, only observing
+def record_work(monkeypatch, fake=None) -> Work:
+    """Record ``payoffopt``'s HiGHS work until the test ends, observing
     ``ilp_solver``'s ``_run``, ``_load``, ``_block_size`` and ``Program.refine``
-    and ``optimizer``'s two exact proofs."""
+    and ``optimizer``'s two exact proofs.
+
+    With a ``fake``, each run is ``fake(solve, highs, kind, work)``: ``solve()``
+    makes the real run and returns its model status, the status ``fake``
+    returns is the one the solver sees and the work records, and ``work``
+    holds the run's ``stage`` and ``fresh``."""
     work, blocks = Work(), []
     solver, optimizer = payoffopt.ilp_solver, payoffopt.optimizer
     real_run, real_load, real_refine = solver._run, solver._load, solver.Program.refine
     real_block_size = solver._block_size
 
     def run(highs, kind):
-        status = real_run(highs, kind)
+        solved = []
+
+        def solve():
+            solved.append(real_run(highs, kind))
+            return solved[-1]
+
+        status = solve() if fake is None else fake(solve, highs, kind, work)
         info = highs.getInfo()
-        nodes = 0 if kind == "lp" else info.mip_node_count
-        iterations = info.simplex_iteration_count
-        work.runs.append(Run(work.stage, kind, status, nodes, iterations))
+        nodes = info.mip_node_count if solved and kind != "lp" else 0
+        iterations = info.simplex_iteration_count if solved else 0
+        work.runs.append(Run(work.stage, work.fresh, kind, status, nodes, iterations))
+        work.fresh = False
         return status
 
     def load(objective, rows, bounds):
-        work.stage = STAGES[0]
+        work.stage, work.fresh = STAGES[0], True
         work.loads.append(len(bounds))
         return real_load(objective, rows, bounds)
 
@@ -652,23 +677,28 @@ def record_work(monkeypatch) -> Work:
     return work
 
 
+def settling_nothing(solve, highs, kind, work):
+    """A fake for :func:`record_work`: every run is real, but an LP HiGHS
+    solves to optimality is reported as ``kUnknown``, so that its point
+    settles nothing and the MILP runs; an infeasible verdict stays."""
+    status = solve()
+    if kind == "lp" and status == HighsModelStatus.kOptimal:
+        return HighsModelStatus.kUnknown
+    return status
+
+
 def fake_milp_runs(monkeypatch, status, *, record=lambda highs, kind: kind):
     """End every MILP run of ``payoffopt.ilp_solver`` with HiGHS model status
-    ``status`` without a solve. Every LP runs for real, but an LP HiGHS
-    solves to optimality is reported as ``kUnknown``, so that its point
-    settles nothing and the MILP runs; an infeasible verdict stays. Returns
-    ``record(highs, kind)`` of each faked MILP run, taken before it ends."""
-    real_run = payoffopt.ilp_solver._run
+    ``status`` without a solve; every LP is :func:`settling_nothing`'s.
+    Returns ``record(highs, kind)`` of each faked MILP run, taken before it
+    ends."""
     seen = []
 
-    def failing_run(highs, kind):
+    def failing(solve, highs, kind, work):
         if kind == "lp":
-            verdict = real_run(highs, kind)
-            if verdict == HighsModelStatus.kOptimal:
-                return HighsModelStatus.kUnknown
-            return verdict
+            return settling_nothing(solve, highs, kind, work)
         seen.append(record(highs, kind))
         return status
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_run)
+    record_work(monkeypatch, failing)
     return seen

@@ -37,6 +37,7 @@ from support import (
     brute_force,
     check_feasible,
     combination_from_index,
+    combination_index,
     equalities,
     lp_relaxation,
     random_equality_ilp,
@@ -46,6 +47,7 @@ from support import (
     reference_optimize,
     reference_series,
     seeded_strategies,
+    settling_nothing,
     slotwise_refine,
     small_series,
     solve_refined,
@@ -187,7 +189,7 @@ def test_optimizer_matches_exhaustive_reference():
         if (
             isinstance(got, Infeasible)
             or got.objective != objective
-            or got.combination.index != index
+            or combination_index(got.combination) != index
             or got.portfolio.calls + got.portfolio.puts != x
         ):
             mismatches.append((i, expected, got))
@@ -258,7 +260,7 @@ def test_stage_a_lowers_a_higher_optimal_seed(monkeypatch):
             seeded.append(IntSolution(x=point, objective=objective))
             got = optimize(spec, series)
             assert got.objective == objective, (i, above)
-            assert got.combination.index == index, (i, above)
+            assert combination_index(got.combination) == index, (i, above)
             assert got.portfolio.calls + got.portfolio.puts == x, (i, above)
             higher += 1
         cases += higher > 0
@@ -324,20 +326,9 @@ def test_root_lp_settles_most_feasible_first_solves(monkeypatch):
     # 41 of the corpus's 46 feasible combined programs: root_lp_integral in
     # golden/work.json). Forced through the MILP, every program gives the
     # same verdict and optimal value
-    import payoffopt.ilp_solver as ilp_solver
-
     programs = [build_combined(*case) for case in seeded_strategies(20260823, 220)]
     values = [getattr(solve_ilp(problem), "objective", None) for problem in programs]
-    work = record_work(monkeypatch)
-    counting_run = ilp_solver._run
-
-    def settling_nothing(highs, kind):
-        status = counting_run(highs, kind)
-        if kind == "lp" and status == HighsModelStatus.kOptimal:
-            return HighsModelStatus.kUnknown
-        return status
-
-    monkeypatch.setattr(ilp_solver, "_run", settling_nothing)
+    work = record_work(monkeypatch, settling_nothing)
     forced = [getattr(solve_ilp(problem), "objective", None) for problem in programs]
     assert forced == values
     assert work.kinds()["milp"] >= sum(v is not None for v in values)
@@ -351,33 +342,27 @@ def test_root_lp_runs_without_presolve(monkeypatch, fixture_run_config, fixture_
     # Each run leaves its kind's (solve_relaxation, presolve) set: a MILP
     # runs presolved and its recheck does not. Every solve sees every column
     # integer, as loaded: a relaxation relaxes the model, it never retypes it
-    import payoffopt.ilp_solver as ilp_solver
-
-    real = ilp_solver._run
     options = {"lp": (True, "off"), "milp": (False, "choose"), "recheck": (False, "off")}
-    models, lps, kinds = [], [], set()
+    kinds = set()
 
-    def recording(highs, kind):
-        first = all(highs is not model for model in models)
+    def recording(solve, highs, kind, work):
         assert set(highs.getLp().integrality_) == {HighsVarType.kInteger}
-        assert kind == "lp" or not first
-        status = real(highs, kind)
+        assert kind == "lp" or not work.fresh
+        status = solve()
         left = tuple(highs.getOptionValue(o)[1] for o in ("solve_relaxation", "presolve"))
         kinds.add((kind, left))
-        if first:
-            models.append(highs)
-        if kind == "lp":
-            lps.append((first, status))
         return status
 
-    monkeypatch.setattr(ilp_solver, "_run", recording)
+    work = record_work(monkeypatch, recording)
     for spec, series in seeded_strategies(20260823, 220):
         optimize(spec, series)
-    assert HighsModelStatus.kInfeasible in {status for first, status in lps if first}
-    lps.clear()
+    roots = {run.status for run in work.runs if run.kind == "lp" and run.fresh}
+    assert HighsModelStatus.kInfeasible in roots
+    work.runs.clear()
     assert isinstance(optimize(fixture_run_config.strategy, fixture_series), PortfolioSolution)
+    lps = [(run.fresh, run.status) for run in work.runs if run.kind == "lp"]
     assert lps[0] == (True, HighsModelStatus.kOptimal)
-    assert [first for first, _ in lps] == [True] + [False] * (len(lps) - 1)
+    assert [fresh for fresh, _ in lps] == [True] + [False] * (len(lps) - 1)
     assert kinds == set(options.items())
 
 
@@ -403,7 +388,7 @@ def unique_answers(cases):
             found.append(None)
             continue
         quantities = got.portfolio.calls + got.portfolio.puts
-        found.append((got.objective, got.combination.index, quantities))
+        found.append((got.objective, combination_index(got.combination), quantities))
     return found
 
 
@@ -415,21 +400,20 @@ def test_answers_do_not_depend_on_highs_random_seed(
     # index, then smallest quantities), so no change of HiGHS's search path
     # may move it: each random_seed must give the default run's answers,
     # infeasible verdicts included
-    import payoffopt.ilp_solver as ilp_solver
-
     cases = invariance_cases(fixture_run_config, fixture_series, 60)
-    work = record_work(monkeypatch)
+    seeds = []
+
+    def reseeded(solve, highs, kind, work):
+        if seeds:
+            highs.setOptionValue("random_seed", seeds[-1])
+        return solve()
+
+    work = record_work(monkeypatch, reseeded)
     expected = unique_answers(cases)
     assert sum(got is not None for got in expected) >= 11
     nodes = {sum(run.nodes for run in work.runs if run.kind == "milp")}
-    counting_run = ilp_solver._run
     for seed in (1, 2, 3):
-
-        def reseeded(highs, kind, seed=seed):
-            highs.setOptionValue("random_seed", seed)
-            return counting_run(highs, kind)
-
-        monkeypatch.setattr(ilp_solver, "_run", reseeded)
+        seeds.append(seed)
         work.runs.clear()
         assert unique_answers(cases) == expected, seed
         nodes.add(sum(run.nodes for run in work.runs if run.kind == "milp"))
@@ -497,7 +481,7 @@ def test_liquidity_sweep_regression_values(liquidity_sweep):
     report, _ = liquidity_sweep
     solutions = [p.solution for p in report.points]
     assert [s.objective for s in solutions] == [90000, 490000, 990000]
-    assert [s.combination.index for s in solutions] == [1091, 1090, 1090]
+    assert [combination_index(s.combination) for s in solutions] == [1091, 1090, 1090]
     assert [(s.portfolio.calls, s.portfolio.puts) for s in solutions] == [
         ((0, 10, -2, -10, -8, 10), (0, 0, 0, -4, 1, 3)),
         ((0, 41, 0, -41, -50, 50), (0, 0, 0, -41, 50, -9)),

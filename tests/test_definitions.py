@@ -3,9 +3,10 @@
 A definition that nothing in ``src/payoffopt`` refers to is code no command
 reaches; it gets deleted rather than kept for tests or for later. The check
 is by name: a definition counts as used when its name appears as a name or
-an attribute anywhere in the package outside its own body. Dunders are
-exempt, since Python calls them. A helper in ``tests/support.py`` that no
-test refers to gets deleted too.
+an attribute anywhere in the package outside its own body; an attribute
+that a builtin type's method also names, as ``listed.index(anchor)`` does,
+is not counted. Dunders are exempt, since Python calls them. A helper in
+``tests/support.py`` that no test refers to gets deleted too.
 """
 
 import ast
@@ -18,14 +19,19 @@ PACKAGE = Path(payoffopt.__file__).resolve().parent
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+BUILTIN_METHODS = {
+    name for kind in (str, bytes, list, tuple, dict, set, int) for name in dir(kind)
+}
+
 
 def referenced_names(tree: ast.AST) -> Counter:
-    """How often each name is read, written or taken as an attribute."""
+    """How often each name is read, written or taken as an attribute, not
+    counting an attribute a builtin type's method also names."""
     names: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and node.attr not in BUILTIN_METHODS:
             names[node.attr] += 1
     return names
 
@@ -60,12 +66,15 @@ def test_every_definition_is_referenced():
 
 
 def test_an_unused_definition_is_found(tmp_path):
+    # a list's index method is no use of Box.index
     (tmp_path / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
-        "class Box:\n    def spare(self):\n        return self\n"
+        "def used(listed):\n    return listed.index(1)\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else used([1])\n\n\n"
+        "class Box:\n    def spare(self):\n        return self\n\n"
+        "    def index(self):\n        return 0\n"
     )
-    assert orphans(tmp_path) == ["mod.py:5 recursive", "mod.py:9 Box", "mod.py:10 spare"]
+    unused = ["mod.py:9 Box", "mod.py:10 spare", "mod.py:13 index"]
+    assert orphans(tmp_path) == ["mod.py:5 recursive", *unused]
     # a use in another file counts, and only the defining files are checked
     (tmp_path / "test_mod.py").write_text("def test_it():\n    assert recursive(1)\n")
-    assert orphans(tmp_path, "mod.py") == ["mod.py:9 Box", "mod.py:10 spare"]
+    assert orphans(tmp_path, "mod.py") == unused

@@ -327,20 +327,14 @@ def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, status, kin
     # scipy's milp gave a model HiGHS rejects the status 2 of an infeasible
     # one; HiGHS's own model status tells them apart, and only a proven
     # infeasibility may settle the program
-    seen = []
-
-    def ending_with_status(highs, kind):
-        seen.append(kind)
-        return status
-
-    monkeypatch.setattr(payoffopt.ilp_solver, "_run", ending_with_status)
+    work = record_work(monkeypatch, lambda solve, highs, kind, work: status)
     if status == HighsModelStatus.kInfeasible:
         assert solve_ilp(fractional_problem()) is None
     else:
         with pytest.raises(SolverError, match="Model error") as err:
             solve_ilp(fractional_problem())
         assert err.type is SolverError
-    assert seen == kinds
+    assert [run.kind for run in work.runs] == kinds
 
 
 @pytest.mark.parametrize(
@@ -406,29 +400,20 @@ def test_root_lp_failure_falls_through_to_milp(monkeypatch):
     rng = random.Random(4)
     problems += [random_ilp(rng) for _ in range(10)]
     unpatched = [solve_refined(p) for p in problems]
-    real_run = payoffopt.ilp_solver._run
-    models = []
-    milp_calls = []
 
-    def failing_root_lp(highs, kind):
-        # the root LP is the first solve on each loaded model; the refine's
+    def failing_root_lp(solve, highs, kind, work):
+        # the root LP is the first run on each loaded model; the refine's
         # LPs run for real
-        if all(highs is not model for model in models):
-            models.append(highs)
-            return HighsModelStatus.kSolveError
-        if kind != "lp":
-            milp_calls.append(1)
-        return real_run(highs, kind)
+        return HighsModelStatus.kSolveError if work.fresh else solve()
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "_run", failing_root_lp)
+    work = record_work(monkeypatch, failing_root_lp)
     for problem, expected in zip(problems, unpatched):
-        models.clear()
-        milp_calls.clear()
+        work.runs.clear()
         assert solve_refined(problem) == expected
         # every program gets its root LP, one without rows too, and the
         # MILP settles it after the failure
-        assert len(models) == 1
-        assert milp_calls
+        assert sum(run.fresh for run in work.runs) == 1
+        assert any(run.kind != "lp" for run in work.runs)
     assert unpatched[1] is None and unpatched[0] is not None
     assert unpatched[2] is None
 
@@ -536,20 +521,16 @@ def test_relaxation_not_reported_optimal_settles_nothing(
     # block's (1), leaves its solve to the MILP; only the root LP's
     # infeasible verdict settles anything, and a block's is not trusted
     problem = integral_problem()
-    real_run = payoffopt.ilp_solver._run
-    seen = []
 
-    def misreporting(highs, kind):
-        lps = seen.count("lp")
-        seen.append(kind)
-        verdict = real_run(highs, kind)
-        if kind == "lp" and lps == misreported:
+    def misreporting(solve, highs, kind, work):
+        verdict = solve()
+        if kind == "lp" and work.kinds()["lp"] == misreported:
             return getattr(HighsModelStatus, status)
         return verdict
 
-    monkeypatch.setattr(payoffopt.ilp_solver, "_run", misreporting)
+    work = record_work(monkeypatch, misreporting)
     assert solve_refined(problem) == IntSolution((2,), 2)
-    assert seen == kinds
+    assert [run.kind for run in work.runs] == kinds
 
 
 def test_refine_fixes_slots_at_lower_bound_without_a_solve(monkeypatch):

@@ -26,6 +26,7 @@ from support import (
     REFERENCE_COLUMNS,
     check_feasible,
     combination_from_index,
+    combination_index,
     combo_for,
     reference_series,
     seeded_strategies,
@@ -44,14 +45,14 @@ class TestPriceCombination:
 
     def test_first_call_slot_is_most_significant(self):
         assert combination_from_index(2, 0b1000).bits == (1, 0, 0, 0)
-        assert PriceCombination((1, 0, 1, 1, 0, 0)).index == 0b101100
+        assert combination_index(PriceCombination((1, 0, 1, 1, 0, 0))) == 0b101100
 
     def test_from_bits_round_trip(self):
         # the side bits are the constructor; from_index must rebuild them
         combo = combination_from_index(3, 0b101100)
         assert PriceCombination((1, 0, 1, 1, 0, 0)) == combo
         assert PriceCombination(()) == combination_from_index(0, 0)
-        assert combination_from_index(3, combo.index) == combo
+        assert combination_from_index(3, combination_index(combo)) == combo
 
     def test_bitstring_round_trip(self):
         combo = combination_from_index(2, 10)
@@ -81,7 +82,7 @@ class TestPriceCombination:
         n = data.draw(st.integers(1, 7))
         index = data.draw(st.integers(0, (1 << (2 * n)) - 1))
         combo = combination_from_index(n, index)
-        assert combo.index == index
+        assert combination_index(combo) == index
         assert len(combo.bitstring) == 2 * n
         assert PriceCombination.parse(combo.bitstring, n).bits == combo.bits
         series = SeriesSelection(

@@ -3,8 +3,6 @@ import json
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
-import payoffopt.ilp_solver
-import payoffopt.optimizer
 from payoffopt import Infeasible, optimize
 from payoffopt.ilp_solver import SolverError, SolverResourceError
 from payoffopt.model_builder import CostTarget, Relation, SpecError, build_subproblem
@@ -24,8 +22,11 @@ from payoffopt.optimizer import (
     sweep_to_table,
 )
 from support import (
+    STAGES,
     base_spec,
     check_feasible,
+    combination_index,
+    fake_milp_runs,
     record_work,
     reference_optimize,
     seeded_strategies,
@@ -72,7 +73,7 @@ class TestOptimize:
             objective, index, x = expected
             assert isinstance(got, PortfolioSolution)
             assert got.objective == objective
-            assert got.combination.index == index
+            assert combination_index(got.combination) == index
             assert got.portfolio.calls + got.portfolio.puts == x
         assert feasible >= 5
 
@@ -83,18 +84,12 @@ class TestOptimize:
         assert check_feasible(small_solution.portfolio, problem) == []
 
     def test_resource_error_names_combination(self, monkeypatch):
-        def explode(problem, **kwargs):
-            raise SolverResourceError("node budget of 3 exhausted")
-
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
+        fake_milp_runs(monkeypatch, HighsModelStatus.kSolutionLimit)
         with pytest.raises(SolverResourceError, match="node budget"):
             optimize(base_spec(), small_series())
 
     def test_numerical_error_names_combination(self, monkeypatch):
-        def explode(problem, **kwargs):
-            raise SolverError("MILP backend failed (status 4)")
-
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
+        fake_milp_runs(monkeypatch, HighsModelStatus.kSolveError)
         with pytest.raises(SolverError, match="MILP backend") as err:
             optimize(base_spec(), small_series())
         assert err.type is SolverError
@@ -104,39 +99,26 @@ class TestOptimize:
         # a later stage that misses the first optimum is a backend failure,
         # not a verdict: once the stage starts, every LP settles nothing and
         # every MILP answers infeasible, the block's and its presolve-off
-        # recheck's
-        real = payoffopt.ilp_solver._run
-        real_kinds, faked = [], []
-        # Stage A starts when the first solve returns, Stage B when it has
-        # the side bits fixed; the solves before run for real
-        name = "solve_ilp" if stage == "stage-a-no-point" else "combination_bounds"
-        marker = getattr(payoffopt.optimizer, name)
-        started = []
+        # recheck's; the stages before run for real
+        real = STAGES[:1] if stage == "stage-a-no-point" else STAGES[:2]
 
-        def marking(*args, **kwargs):
-            result = marker(*args, **kwargs)
-            started.append(1)
-            return result
-
-        monkeypatch.setattr(payoffopt.optimizer, name, marking)
-
-        def no_point_once_started(highs, kind):
-            if not started:
-                real_kinds.append(kind)
-                return real(highs, kind)
-            faked.append(kind)
+        def no_point_once_started(solve, highs, kind, work):
+            if work.stage in real:
+                return solve()
             if kind == "lp":
                 return HighsModelStatus.kUnknown
             return HighsModelStatus.kInfeasible
 
-        monkeypatch.setattr(payoffopt.ilp_solver, "_run", no_point_once_started)
+        work = record_work(monkeypatch, no_point_once_started)
         with pytest.raises(SolverError, match="no point at the optimum 1410") as err:
             optimize(base_spec(), small_series())
         assert err.type is SolverError
         # the first faked block's LP, MILP and recheck, after the real first
         # solve, whose root LP is integral (and, for Stage B, the real
         # Stage-A block, settled by its LP)
+        faked = [run.kind for run in work.runs if run.stage not in real]
         assert faked == ["lp", "milp", "recheck"]
+        real_kinds = [run.kind for run in work.runs if run.stage in real]
         assert real_kinds == (["lp"] if stage == "stage-a-no-point" else ["lp", "lp"])
 
     def test_feasible_run_makes_an_lp_per_stage_and_a_milp_only_after_one(
@@ -209,20 +191,14 @@ class TestSweeps:
             sweep(SweepAxis.COST, base_spec(), small_series(), [])
 
     def test_resource_errors_captured_per_point(self, monkeypatch):
-        def explode(problem, **kwargs):
-            raise SolverResourceError("node budget of 3 exhausted")
-
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
+        fake_milp_runs(monkeypatch, HighsModelStatus.kSolutionLimit)
         report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [1, 2])
         for point in report.points:
             assert point.solution is None
             assert "node budget" in point.error
 
     def test_numerical_errors_captured_per_point(self, monkeypatch):
-        def explode(problem, **kwargs):
-            raise SolverError("MILP backend failed (status 4)")
-
-        monkeypatch.setattr("payoffopt.optimizer.solve_ilp", explode)
+        fake_milp_runs(monkeypatch, HighsModelStatus.kSolveError)
         report = sweep(SweepAxis.LIQUIDITY, base_spec(), small_series(), [1, 2])
         for point in report.points:
             assert point.solution is None
