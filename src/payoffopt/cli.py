@@ -226,7 +226,7 @@ def _read_json(path: Path, what: str, error: type[Exception]) -> object:
     """The JSON document in the ``what`` file at ``path``; a file that cannot
     be read, decoded or parsed raises ``error``."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
         return json.loads(text, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc

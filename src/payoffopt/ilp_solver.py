@@ -52,11 +52,7 @@ same contract.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import errno
 import operator
-import os
 from typing import Sequence
 
 import numpy as np
@@ -90,42 +86,6 @@ def _holds(
     """Whether ``x`` lies within ``bounds`` and meets every row, exactly."""
     within = all(lo <= v <= hi for v, (lo, hi) in zip(x, bounds))
     return len(x) == len(bounds) and within and all(row.satisfied(x) for row in rows)
-
-
-_fflush = ctypes.CDLL(None).fflush
-_fflush.argtypes = (ctypes.c_void_p,)
-_fflush.restype = ctypes.c_int
-
-
-@contextlib.contextmanager
-def _stdout_discarded():
-    """Send file descriptor 1 to the null device for the duration.
-
-    HiGHS writes some diagnostics straight to fd 1, below ``sys.stdout``,
-    where they would corrupt the output a command prints there. A closed fd
-    1 holds no output to protect and is left closed.
-    """
-    _fflush(None)
-    try:
-        saved = os.dup(1)
-    except OSError as exc:
-        if exc.errno != errno.EBADF:
-            raise
-        saved = None
-    if saved is None:
-        yield
-        return
-    try:
-        null = os.open(os.devnull, os.O_WRONLY)
-        try:
-            os.dup2(null, 1)
-        finally:
-            os.close(null)
-        yield
-    finally:
-        _fflush(None)
-        os.dup2(saved, 1)
-        os.close(saved)
 
 
 # every solve's options but the node limit, which is read when a program is
@@ -176,24 +136,23 @@ def _load(
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
     highs.setOptionValue("mip_max_nodes", NODE_BUDGET)
-    with _stdout_discarded():
-        status = highs.passModel(
-            num_vars,
-            len(rows),
-            len(row),
-            MatrixFormat.kColwise,
-            ObjSense.kMinimize,
-            0.0,
-            cost,
-            box[:, 0],
-            box[:, 1],
-            np.where([r.relation is Relation.LE for r in rows], -np.inf, rhs),
-            np.where([r.relation is Relation.GE for r in rows], np.inf, rhs),
-            np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
-            row.astype(np.int32),
-            columns[col, row],
-            np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
-        )
+    status = highs.passModel(
+        num_vars,
+        len(rows),
+        len(row),
+        MatrixFormat.kColwise,
+        ObjSense.kMinimize,
+        0.0,
+        cost,
+        box[:, 0],
+        box[:, 1],
+        np.where([r.relation is Relation.LE for r in rows], -np.inf, rhs),
+        np.where([r.relation is Relation.GE for r in rows], np.inf, rhs),
+        np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
+        row.astype(np.int32),
+        columns[col, row],
+        np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
+    )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
     return highs
@@ -217,8 +176,7 @@ def _run(highs: _Highs, kind: str) -> HighsModelStatus:
     for option, value in _KINDS[kind]:
         highs.setOptionValue(option, value)
     highs.clearSolver()
-    with _stdout_discarded():
-        highs.run()
+    highs.run()
     return highs.getModelStatus()
 
 

@@ -168,7 +168,7 @@ _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
-    """Parse a chain from CSV or JSON text, or its UTF-8 bytes.
+    """Parse a chain from CSV or JSON text, or its UTF-8 bytes (BOM skipped).
 
     Raises :class:`MarketDataError` for a missing header field, an empty
     quote section, a malformed record (the message names the row and field)
@@ -176,7 +176,7 @@ def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
     """
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MarketDataError(f"chain is not UTF-8 text: {exc}") from exc
     if format == "csv":

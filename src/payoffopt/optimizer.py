@@ -17,9 +17,13 @@ loaded program with those bits fixed, the quantities.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
 import enum
+import errno
 import json
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +51,42 @@ from .payoff_engine import (
     payoff_curve,
     pnl,
 )
+
+
+_fflush = ctypes.CDLL(None).fflush
+_fflush.argtypes = (ctypes.c_void_p,)
+_fflush.restype = ctypes.c_int
+
+
+@contextlib.contextmanager
+def _stdout_discarded():
+    """Send file descriptor 1 to the null device for the duration.
+
+    HiGHS writes some diagnostics straight to fd 1, below ``sys.stdout``,
+    where they would corrupt the output a command prints there. A closed fd
+    1 holds no output to protect and is left closed.
+    """
+    _fflush(None)
+    try:
+        saved = os.dup(1)
+    except OSError as exc:
+        if exc.errno != errno.EBADF:
+            raise
+        saved = None
+    if saved is None:
+        yield
+        return
+    try:
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, 1)
+        finally:
+            os.close(null)
+        yield
+    finally:
+        _fflush(None)
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 @dataclass(frozen=True)
@@ -108,7 +148,8 @@ def optimize(
     :func:`~payoffopt.model_builder.combination_bounds` and refines the
     quantities from the Stage-A point. Both stages are
     :meth:`~payoffopt.ilp_solver.Program.refine` calls on the program the
-    combined solve loaded, and only the final point is decoded.
+    combined solve loaded, and only the final point is decoded. All three
+    run in one :func:`_stdout_discarded`: HiGHS writes diagnostics to fd 1.
 
     The combined program's side rows (a slot takes the ask side only when
     it buys) move no answer. The optimal value stays, because zeroing the
@@ -129,13 +170,14 @@ def optimize(
     if rows is not None:
         return Infeasible(rows)
     combined = build_combined(spec, series)
-    program = solve_ilp(combined)
-    if program is None:
-        names = (r.name for r in combined.rows if not any(r.coeffs[: 2 * series.n]))
-        return Infeasible(tuple(names))
-    ranked = program.refine(program.x, 2 * series.n)
-    bounds = combination_bounds(series.n, combined, ranked)
-    final = program.refine(ranked, combined.num_vars, bounds)
+    with _stdout_discarded():
+        program = solve_ilp(combined)
+        if program is None:
+            names = (r.name for r in combined.rows if not any(r.coeffs[: 2 * series.n]))
+            return Infeasible(tuple(names))
+        ranked = program.refine(program.x, 2 * series.n)
+        bounds = combination_bounds(series.n, combined, ranked)
+        final = program.refine(ranked, combined.num_vars, bounds)
     combo, x = decode_combined(series.n, final)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     # exact bookkeeping identity between the compiled objective and the engine

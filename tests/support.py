@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass
@@ -685,6 +686,13 @@ def settling_nothing(solve, highs, kind, work):
     if kind == "lp" and status == HighsModelStatus.kOptimal:
         return HighsModelStatus.kUnknown
     return status
+
+
+def marking(solve, highs, kind, work):
+    """A fake for :func:`record_work`: every run is real, and first writes a
+    byte straight to file descriptor 1, as HiGHS's own diagnostics do."""
+    os.write(1, b"#")
+    return solve()
 
 
 def fake_milp_runs(monkeypatch, status, *, record=lambda highs, kind: kind):

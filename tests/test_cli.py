@@ -1,3 +1,4 @@
+import codecs
 import importlib
 import json
 import os
@@ -21,6 +22,7 @@ from payoffopt.model_builder import Relation, TailLossMode
 from support import (
     chain_to_json,
     fake_milp_runs,
+    marking,
     record_work,
     seeded_strategies,
     write_strategy,
@@ -326,6 +328,12 @@ FIXTURE_OPTIMIZE = (
 )
 
 
+def golden_argv(name):
+    """The command line of golden command ``name``, its paths absolute."""
+    argv = json.loads((GOLDEN / "commands.json").read_text())[name]["argv"]
+    return [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a for a in argv]
+
+
 def subprocess_env(**overrides):
     """This environment with the package's source on ``PYTHONPATH``, for
     ``python -m payoffopt`` in a subprocess, plus ``overrides``."""
@@ -343,6 +351,17 @@ class TestFixtureCommand:
         assert "max F" in out
         assert err == ""
         assert caught == []
+
+    @pytest.mark.parametrize(
+        "name", ["optimize-csv-table", "payoff", "sweep-liquidity-table"]
+    )
+    def test_solver_output_stays_off_stdout(self, name, monkeypatch, capfd):
+        # each HiGHS run writes a byte to fd 1 first, as HiGHS's diagnostics
+        # do; stdout still holds exactly the golden text
+        work = record_work(monkeypatch, marking)
+        assert run(golden_argv(name)) == 0
+        assert work.runs
+        assert capfd.readouterr() == ((GOLDEN / f"{name}.out").read_text(), "")
 
     def test_node_budget_exhausted_by_highs(self, monkeypatch, capsys):
         # the real search, not a faked status: one node cannot settle the
@@ -456,6 +475,29 @@ class TestFixtureCommand:
         assert completed.returncode == 2
         assert completed.stderr.startswith("error:args:cannot write stdout: ")
         assert len(completed.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "name, marked",
+    [
+        ("optimize-csv-table", "fixtures/chain.csv"),
+        ("optimize-json-json", "fixtures/chain.json"),
+        ("optimize-csv-table", "fixtures/spec.json"),
+        ("payoff", "tests/golden/optimize-csv-json.out"),
+    ],
+    ids=["csv-chain", "json-chain", "strategy", "solution"],
+)
+def test_leading_byte_order_mark_is_skipped(name, marked, tmp_path, capsys):
+    # golden command ``name`` reads the file ``marked`` from a copy that
+    # starts with a UTF-8 byte-order mark; the stored solution is the golden
+    # JSON of the fixture's optimize
+    copy = tmp_path / Path(marked).name
+    copy.write_bytes(codecs.BOM_UTF8 + (FIXTURES.parent / marked).read_bytes())
+    argv = [copy if a == str(FIXTURES.parent / marked) else a for a in golden_argv(name)]
+    if name == "payoff":
+        argv += ["--solution", copy]
+    assert invoke(*argv) == 0
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.out").read_text(), "")
 
 
 class TestSpecErrors:

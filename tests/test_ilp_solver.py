@@ -20,10 +20,10 @@ from payoffopt.ilp_solver import (
     _OPTIONS,
     _block_size,
     _holds,
-    _stdout_discarded,
     solve_ilp,
 )
 from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
+from payoffopt.optimizer import _stdout_discarded
 from support import (
     BRUTE_FORCE_LIMIT,
     CapacityError,
@@ -288,8 +288,10 @@ def presolve_solve_error_problem():
 def test_presolve_solve_error_settles_as_infeasible(capfd):
     problem = presolve_solve_error_problem()
     assert lp_relaxation(problem) is not None
-    assert [route(problem) for route in ALL_ROUTES] == [None, None]
-    # HiGHS prints diagnostics for this program straight to file descriptor 1
+    # HiGHS prints diagnostics for this program straight to file descriptor 1;
+    # optimize's guard keeps them off stdout
+    with _stdout_discarded():
+        assert [route(problem) for route in ALL_ROUTES] == [None, None]
     out, _ = capfd.readouterr()
     assert out == ""
 

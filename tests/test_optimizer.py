@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from scipy.optimize._highspy._core import HighsModelStatus
 
+import payoffopt.optimizer
 from payoffopt import Infeasible, optimize
 from payoffopt.ilp_solver import SolverError, SolverResourceError
 from payoffopt.model_builder import CostTarget, Relation, SpecError, build_subproblem
@@ -27,6 +29,7 @@ from support import (
     check_feasible,
     combination_index,
     fake_milp_runs,
+    marking,
     record_work,
     reference_optimize,
     seeded_strategies,
@@ -83,12 +86,12 @@ class TestOptimize:
         )
         assert check_feasible(small_solution.portfolio, problem) == []
 
-    def test_resource_error_names_combination(self, monkeypatch):
+    def test_resource_error_carries_the_node_budget_text(self, monkeypatch):
         fake_milp_runs(monkeypatch, HighsModelStatus.kSolutionLimit)
         with pytest.raises(SolverResourceError, match="node budget"):
             optimize(base_spec(), small_series())
 
-    def test_numerical_error_names_combination(self, monkeypatch):
+    def test_numerical_error_carries_the_backend_text(self, monkeypatch):
         fake_milp_runs(monkeypatch, HighsModelStatus.kSolveError)
         with pytest.raises(SolverError, match="MILP backend") as err:
             optimize(base_spec(), small_series())
@@ -143,6 +146,69 @@ class TestOptimize:
             milps += kinds["milp"]
         assert feasible >= 5
         assert milps == 4
+
+
+# corpus-small's seed; its strategy 0 has an infeasible root LP, strategy 1 is
+# feasible and strategy 2 is settled by the row check
+CORPUS_SEED = 20260823
+# the strategies of each case below, from the fixture's (spec, series)
+GUARD_CASES = {
+    "fixture": lambda fixture: [fixture],
+    "fixture-100-lots": lambda fixture: [
+        (dataclasses.replace(fixture[0], lower=-100, upper=100), fixture[1])
+    ],
+    "row-check": lambda _: list(seeded_strategies(CORPUS_SEED, 3))[2:],
+    "root-lp-infeasible": lambda _: list(seeded_strategies(CORPUS_SEED, 1)),
+    "corpus-slice": lambda _: list(seeded_strategies(CORPUS_SEED, 12)),
+}
+
+
+class TestStdoutGuard:
+    """``optimize`` points fd 1 at the null device once per call, around
+    every HiGHS load and run, so that no solver output reaches stdout."""
+
+    @pytest.fixture
+    def fixture_strategy(self, fixture_run_config, fixture_series):
+        return fixture_run_config.strategy, fixture_series
+
+    @pytest.mark.parametrize("case", ["fixture", "fixture-100-lots", "corpus-slice"])
+    def test_solver_output_stays_off_stdout(
+        self, case, fixture_strategy, monkeypatch, capfd
+    ):
+        # each run writes a byte to fd 1 first, as HiGHS's diagnostics do
+        work = record_work(monkeypatch, marking)
+        for spec, series in GUARD_CASES[case](fixture_strategy):
+            optimize(spec, series)
+        assert work.runs
+        assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "case, entries",
+        [
+            ("fixture", 1),
+            ("row-check", 0),
+            ("root-lp-infeasible", 1),
+            ("corpus-slice", 6),
+        ],
+    )
+    def test_one_guard_per_loaded_program(
+        self, case, entries, fixture_strategy, monkeypatch
+    ):
+        guards, guard = [], payoffopt.optimizer._stdout_discarded
+
+        def counting():
+            guards.append(None)
+            return guard()
+
+        monkeypatch.setattr(payoffopt.optimizer, "_stdout_discarded", counting)
+        work = record_work(monkeypatch)
+        results = [optimize(*s) for s in GUARD_CASES[case](fixture_strategy)]
+        assert len(guards) == len(work.loads) == entries
+        if case == "row-check":
+            assert work.proofs["unreachable_row"] is not None
+        if case == "root-lp-infeasible":
+            assert isinstance(results[0], Infeasible)
+            assert [run.kind for run in work.runs] == ["lp"]
 
 
 def solved(spec, series):
