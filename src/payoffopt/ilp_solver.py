@@ -26,9 +26,15 @@ without a solve (lexicographic optimization as a sequence of
 epsilon-constraint programs; Ehrgott, *Multicriteria Optimization*, 2005,
 ch. 5). HiGHS's feasibility-jump heuristic (Luteberget & Sartor, *Math.
 Prog. Comp.* 2023) is switched off: on these small programs it is a fixed
-cost of about 12 ms per call, most of the solve. It only proposes
-incumbents, so the proven optimum, and the unique lexicographically
-smallest optimal point the refine returns, cannot change.
+cost of about 12 ms per call, most of the solve. Once the objective is
+pinned, the RINS and RENS sub-MIPs (Danna, Rothberg & Le Pape, *Math. Prog.*
+102, 2005; Berthold, *Math. Prog. Comp.* 6, 2014) are switched off too, for
+every MILP of a refine (:data:`_PINNED_OPTIONS`): on the fixture they spent
+about a quarter of Stage A's LP iterations, and without them that stage
+takes about 53 ms instead of 85. The first MILP keeps them; without them
+it took nearly twice as long on the fixture without a cost target. These
+heuristics only propose incumbents, so the proven optimum, and the unique
+lexicographically smallest optimal point the refine returns, cannot change.
 
 The exact infeasibility proofs run before this module is called (see
 :func:`~payoffopt.optimizer.optimize`); here a root LP, the relaxation of
@@ -96,6 +102,14 @@ _OPTIONS = (
     ("log_to_console", False),
     ("mip_rel_gap", 0.0),
     ("mip_heuristic_run_feasibility_jump", False),
+)
+
+# the options set once the objective is pinned, for every later MILP of the
+# program: skip the RINS and RENS sub-MIPs (see the module docstring), options
+# a HiGHS that predates them ignores
+_PINNED_OPTIONS = (
+    ("mip_heuristic_run_rins", False),
+    ("mip_heuristic_run_rens", False),
 )
 
 # how a search stopped by one of HiGHS's limits ends; the node limit is the
@@ -355,6 +369,8 @@ def solve_ilp(problem: IlpProblem) -> Program | None:
     cost = np.asarray(problem.objective, dtype=float)
     held = np.flatnonzero(cost).astype(np.int32)
     program.highs.addRow(value, value, len(held), held, cost[held])
+    for option, setting in _PINNED_OPTIONS:
+        program.highs.setOptionValue(option, setting)
     program.rows += (Row("objective_pin", problem.objective, Relation.EQ, value),)
     program.x, program.objective = x, value
     return program

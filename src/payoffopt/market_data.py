@@ -168,7 +168,8 @@ _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
-    """Parse a chain from CSV or JSON text, or its UTF-8 bytes (BOM skipped).
+    """Parse a chain from CSV or JSON text, or its UTF-8 bytes; one leading
+    byte-order mark (U+FEFF) is skipped in either.
 
     Raises :class:`MarketDataError` for a missing header field, an empty
     quote section, a malformed record (the message names the row and field)
@@ -179,6 +180,8 @@ def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
             source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MarketDataError(f"chain is not UTF-8 text: {exc}") from exc
+    else:
+        source = source.removeprefix("\ufeff")
     if format == "csv":
         return _parse_csv(source)
     if format == "json":

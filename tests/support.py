@@ -29,8 +29,9 @@ from scipy.optimize._highspy._core import HighsModelStatus
 
 import payoffopt.ilp_solver
 import payoffopt.optimizer
+from payoffopt.cli import load_run_config
 from payoffopt.ilp_solver import solve_ilp
-from payoffopt.market_data import OptionChain, SeriesSelection
+from payoffopt.market_data import OptionChain, SeriesSelection, parse_chain, select_series
 from payoffopt.model_builder import (
     CostTarget,
     IlpProblem,
@@ -43,6 +44,7 @@ from payoffopt.model_builder import (
 )
 from payoffopt.money import format_money
 from payoffopt.payoff_engine import Portfolio
+from conftest import FIXTURES
 
 # most points brute_force will enumerate
 BRUTE_FORCE_LIMIT = 100_000_000
@@ -463,6 +465,40 @@ def seeded_strategies(seed: int, count: int):
     for _ in range(count):
         series = random_series(rng)
         yield random_spec(rng, series), series
+
+
+# the bundled fixture files, the paper's full-scale case
+FIXTURE_CHAIN = FIXTURES / "chain.csv"
+FIXTURE_SPEC = FIXTURES / "spec.json"
+
+
+def strategy(chain=FIXTURE_CHAIN, spec=FIXTURE_SPEC, **changes) -> tuple:
+    """The (spec, series) of a strategy file on a chain, by default the
+    fixture's, with ``changes`` to the file (``None`` drops a key)."""
+    data = {**json.loads(spec.read_text()), **changes}
+    config = load_run_config({k: v for k, v in data.items() if v is not None})
+    options = parse_chain(chain.read_text())
+    series = select_series(options, config.n, config.call_anchor, config.put_anchor)
+    return config.strategy, series
+
+
+# the cases of golden/work.json, made when run; corpus-small's corpus and
+# fixture-optimize's fixture first
+CASES = {
+    "corpus": lambda: list(seeded_strategies(20260823, 220)),
+    "fixture": lambda: [strategy()],
+    "fixture-100-lots": lambda: [strategy(lower=-100, upper=100)],
+    "fixture-1000-lots": lambda: [strategy(lower=-1000, upper=1000)],
+    "fixture-no-cost-target": lambda: [strategy(cost_target=None)],
+    "n7": lambda: [strategy(n=7, put_anchor=7750)],
+    "wide-bound": lambda: [
+        strategy(
+            expected_price="8100.00", inflection=8450, max_loss="-300.00",
+            lower=-20, upper=20, call_anchor=8150, put_anchor=7950, cost_target=None,
+        )
+    ],
+    "fixture-cost-50.00": lambda: [strategy(cost_target={"cmp": "=", "value": "50.00"})],
+}
 
 
 def write_strategy(

@@ -18,14 +18,16 @@ from payoffopt.ilp_solver import (
     _BLOCK_RANGE,
     _KINDS,
     _OPTIONS,
+    _PINNED_OPTIONS,
     _block_size,
     _holds,
     solve_ilp,
 )
 from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
-from payoffopt.optimizer import _stdout_discarded
+from payoffopt.optimizer import Infeasible, _stdout_discarded, optimize
 from support import (
     BRUTE_FORCE_LIMIT,
+    CASES,
     CapacityError,
     IntSolution,
     brute_force,
@@ -36,6 +38,7 @@ from support import (
     random_ilp,
     random_wide_ilp,
     record_work,
+    seeded_strategies,
     slotwise_refine,
     solve_refined,
 )
@@ -380,6 +383,100 @@ def test_feasibility_jump_off_in_both_attempts(monkeypatch):
     assert seen == [("milp", False), ("recheck", False)]
 
 
+# the options solve_ilp sets once the objective is pinned
+SUB_MIP_SWITCHES = dict(_PINNED_OPTIONS)
+
+
+def sub_mips(highs):
+    """Whether the RINS and RENS sub-MIPs are on for ``highs``'s next run."""
+    return tuple(highs.getOptionValue(option)[1] for option in SUB_MIP_SWITCHES)
+
+
+# a HiGHS that predates the RINS and RENS switches ignores them, and has no
+# value of them to read (see test_highs_binding_has_what_the_solver_calls)
+needs_sub_mip_switches = pytest.mark.skipif(
+    any(_Highs().getOptionValue(o)[0] != HighsStatus.kOk for o in SUB_MIP_SWITCHES),
+    reason="this HiGHS predates the RINS and RENS switches",
+)
+
+
+@needs_sub_mip_switches
+@pytest.mark.parametrize(
+    "name, stages",
+    [
+        ("fixture", ["first", "stage_a"]),
+        ("fixture-no-cost-target", ["first", "stage_a", "stage_b"]),
+    ],
+    ids=["fixture", "no-cost-target"],
+)
+def test_rins_and_rens_off_once_the_objective_is_pinned(monkeypatch, name, stages):
+    # the first MILP keeps HiGHS's defaults; every MILP of a refine, which
+    # runs under the objective pin, runs without the two sub-MIPs
+    seen = []
+
+    def reading(solve, highs, kind, work):
+        seen.append((work.stage, kind, *sub_mips(highs)))
+        return solve()
+
+    record_work(monkeypatch, reading)
+    [(spec, series)] = CASES[name]()
+    optimize(spec, series)
+    milps = [run for run in seen if run[1] == "milp"]
+    assert milps == [(stage, "milp", *[stage == "first"] * 2) for stage in stages]
+
+
+@needs_sub_mip_switches
+def test_rins_and_rens_off_in_a_refine_recheck(monkeypatch):
+    # Stage A's MILP ends in "Solve error", so its presolve-off recheck
+    # settles the block, on the same pinned instance and with the same answer
+    [(spec, series)] = CASES["fixture"]()
+    expected = optimize(spec, series)
+    seen = []
+
+    def failing_stage_a(solve, highs, kind, work):
+        if work.stage == "first":
+            return solve()
+        seen.append((work.stage, kind, *sub_mips(highs)))
+        if work.stage == "stage_a" and kind == "milp":
+            return HighsModelStatus.kSolveError
+        return solve()
+
+    work = record_work(monkeypatch, failing_stage_a)
+    assert optimize(spec, series) == expected
+    assert work.kinds("stage_a") == {"lp": 1, "milp": 1, "recheck": 1}
+    assert ("stage_a", "recheck", False, False) in seen
+    assert all(run[2:] == (False, False) for run in seen)
+
+
+@needs_sub_mip_switches
+def test_answers_do_not_depend_on_rins_and_rens(monkeypatch):
+    # the sub-MIPs only propose incumbents, and a refine block's key fixes
+    # its values whichever search finds the minimum: with both switched back
+    # on in every refine run, every answer is the same, from other work
+    strategies = [
+        *CASES["fixture"](),
+        *CASES["fixture-100-lots"](),
+        *CASES["fixture-no-cost-target"](),
+        *CASES["n7"](),
+        *seeded_strategies(20260823, 40),
+    ]
+    work = record_work(monkeypatch)
+    expected = [optimize(spec, series) for spec, series in strategies]
+    pinned = [(run.nodes, run.iterations) for run in work.runs]
+
+    def sub_mips_on(solve, highs, kind, work):
+        if work.stage != "first":
+            for option in SUB_MIP_SWITCHES:
+                highs.setOptionValue(option, True)
+        return solve()
+
+    monkeypatch.undo()
+    work = record_work(monkeypatch, sub_mips_on)
+    assert [optimize(spec, series) for spec, series in strategies] == expected
+    assert sum(not isinstance(result, Infeasible) for result in expected) >= 8
+    assert [(run.nodes, run.iterations) for run in work.runs] != pinned
+
+
 def test_highs_binding_has_what_the_solver_calls():
     # the solver drives HiGHS through scipy's private binding; a scipy that
     # moves or changes it fails here, by name, before any answer can
@@ -388,11 +485,19 @@ def test_highs_binding_has_what_the_solver_calls():
     for method in sorted(methods):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
-    options = [*_OPTIONS, ("mip_max_nodes", NODE_BUDGET), *sum(_KINDS.values(), ())]
+    options = [
+        *_OPTIONS, ("mip_max_nodes", NODE_BUDGET), *sum(_KINDS.values(), ()),
+        *_PINNED_OPTIONS,
+    ]
+    # a HiGHS that predates the feasibility-jump heuristic, or the switches
+    # of the RINS and RENS sub-MIPs, rejects the option that switches it off
+    # with an error status, which the solver ignores, and gives the same
+    # answers slower
+    optional = {"mip_heuristic_run_feasibility_jump", *SUB_MIP_SWITCHES}
+    highs.setOptionValue("log_to_console", False)
+    assert highs.setOptionValue("mip_no_such_heuristic", False) == HighsStatus.kError
     for option, value in options:
-        # a HiGHS that predates the feasibility-jump heuristic ignores the
-        # option that switches it off, and gives the same answers slower
-        if option != "mip_heuristic_run_feasibility_jump":
+        if option not in optional:
             assert highs.setOptionValue(option, value) == HighsStatus.kOk, option
             assert highs.getOptionValue(option) == (HighsStatus.kOk, value), option
 

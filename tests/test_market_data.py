@@ -55,6 +55,13 @@ def test_parse_accepts_bytes():
     assert parse_chain(SMALL_CSV.encode()) == parse_chain(SMALL_CSV)
 
 
+@pytest.mark.parametrize("format", ["csv", "json"])
+def test_text_byte_order_mark_is_skipped(format):
+    # text read without the utf-8-sig codec keeps the mark as U+FEFF
+    text = (FIXTURES / f"chain.{format}").read_text(encoding="utf-8")
+    assert parse_chain("\ufeff" + text, format) == parse_chain(text, format)
+
+
 def test_missing_side_is_none():
     text = SMALL_CSV + "120,call,,0.55,3\n130,call,0.10,,2\n"
     chain = parse_chain(text)

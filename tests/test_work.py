@@ -13,43 +13,12 @@ import pytest
 import scipy
 from scipy.optimize._highspy._core import _Highs
 
-from payoffopt import Infeasible, optimize, parse_chain, select_series
-from payoffopt.cli import load_run_config
-from support import STAGES, record_work, seeded_strategies
+from payoffopt import Infeasible, optimize
+from support import CASES, FIXTURE_CHAIN, FIXTURE_SPEC, STAGES, record_work, strategy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / "tests" / "golden" / "work.json"
-FIXTURE_CHAIN = ROOT / "fixtures" / "chain.csv"
-FIXTURE_SPEC = ROOT / "fixtures" / "spec.json"
 VERSIONS = {"scipy": scipy.__version__, "highs": _Highs().version()}
-
-
-def strategy(chain=FIXTURE_CHAIN, spec=FIXTURE_SPEC, **changes) -> tuple:
-    """The (spec, series) of a strategy file on a chain, by default the
-    fixture's, with ``changes`` to the file (``None`` drops a key)."""
-    data = {**json.loads(spec.read_text()), **changes}
-    config = load_run_config({k: v for k, v in data.items() if v is not None})
-    options = parse_chain(chain.read_text())
-    series = select_series(options, config.n, config.call_anchor, config.put_anchor)
-    return config.strategy, series
-
-
-# made when run; corpus-small's corpus and fixture-optimize's fixture first
-CASES = {
-    "corpus": lambda: list(seeded_strategies(20260823, 220)),
-    "fixture": lambda: [strategy()],
-    "fixture-100-lots": lambda: [strategy(lower=-100, upper=100)],
-    "fixture-1000-lots": lambda: [strategy(lower=-1000, upper=1000)],
-    "fixture-no-cost-target": lambda: [strategy(cost_target=None)],
-    "n7": lambda: [strategy(n=7, put_anchor=7750)],
-    "wide-bound": lambda: [
-        strategy(
-            expected_price="8100.00", inflection=8450, max_loss="-300.00",
-            lower=-20, upper=20, call_anchor=8150, put_anchor=7950, cost_target=None,
-        )
-    ],
-    "fixture-cost-50.00": lambda: [strategy(cost_target={"cmp": "=", "value": "50.00"})],
-}
 LAYERS = (
     "lattice_check", "root_lp_infeasible", "root_lp_integral",
     "first_milp_feasible", "first_milp_infeasible",
