@@ -97,7 +97,7 @@ def _holds(
 # every solve's options but the node limit, which is read when a program is
 # loaded: log to no console, prove optimality with a zero gap, and skip the
 # feasibility-jump heuristic (a fixed cost of about 12 ms per call here; see
-# the module docstring), an option a HiGHS that predates it ignores
+# the module docstring)
 _OPTIONS = (
     ("log_to_console", False),
     ("mip_rel_gap", 0.0),
@@ -105,8 +105,7 @@ _OPTIONS = (
 )
 
 # the options set once the objective is pinned, for every later MILP of the
-# program: skip the RINS and RENS sub-MIPs (see the module docstring), options
-# a HiGHS that predates them ignores
+# program: skip the RINS and RENS sub-MIPs (see the module docstring)
 _PINNED_OPTIONS = (
     ("mip_heuristic_run_rins", False),
     ("mip_heuristic_run_rens", False),

@@ -392,15 +392,6 @@ def sub_mips(highs):
     return tuple(highs.getOptionValue(option)[1] for option in SUB_MIP_SWITCHES)
 
 
-# a HiGHS that predates the RINS and RENS switches ignores them, and has no
-# value of them to read (see test_highs_binding_has_what_the_solver_calls)
-needs_sub_mip_switches = pytest.mark.skipif(
-    any(_Highs().getOptionValue(o)[0] != HighsStatus.kOk for o in SUB_MIP_SWITCHES),
-    reason="this HiGHS predates the RINS and RENS switches",
-)
-
-
-@needs_sub_mip_switches
 @pytest.mark.parametrize(
     "name, stages",
     [
@@ -425,7 +416,6 @@ def test_rins_and_rens_off_once_the_objective_is_pinned(monkeypatch, name, stage
     assert milps == [(stage, "milp", *[stage == "first"] * 2) for stage in stages]
 
 
-@needs_sub_mip_switches
 def test_rins_and_rens_off_in_a_refine_recheck(monkeypatch):
     # Stage A's MILP ends in "Solve error", so its presolve-off recheck
     # settles the block, on the same pinned instance and with the same answer
@@ -448,7 +438,6 @@ def test_rins_and_rens_off_in_a_refine_recheck(monkeypatch):
     assert all(run[2:] == (False, False) for run in seen)
 
 
-@needs_sub_mip_switches
 def test_answers_do_not_depend_on_rins_and_rens(monkeypatch):
     # the sub-MIPs only propose incumbents, and a refine block's key fixes
     # its values whichever search finds the minimum: with both switched back
@@ -480,26 +469,24 @@ def test_answers_do_not_depend_on_rins_and_rens(monkeypatch):
 def test_highs_binding_has_what_the_solver_calls():
     # the solver drives HiGHS through scipy's private binding; a scipy that
     # moves or changes it fails here, by name, before any answer can
-    methods = set(re.findall(r"highs\.(\w+)\(", inspect.getsource(payoffopt.ilp_solver)))
+    source = inspect.getsource(payoffopt.ilp_solver)
+    methods = set(re.findall(r"highs\.(\w+)\(", source))
     assert {"passModel", "run", "clearSolver", "changeColsCost"} <= methods
     for method in sorted(methods):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
+    fields = set(re.findall(r"highs\.(getInfo|getSolution)\(\)\.(\w+)", source))
+    assert {("getInfo", "objective_function_value"), ("getSolution", "col_value")} <= fields
+    for method, field in sorted(fields):
+        assert hasattr(getattr(highs, method)(), field), (method, field)
     options = [
         *_OPTIONS, ("mip_max_nodes", NODE_BUDGET), *sum(_KINDS.values(), ()),
         *_PINNED_OPTIONS,
     ]
-    # a HiGHS that predates the feasibility-jump heuristic, or the switches
-    # of the RINS and RENS sub-MIPs, rejects the option that switches it off
-    # with an error status, which the solver ignores, and gives the same
-    # answers slower
-    optional = {"mip_heuristic_run_feasibility_jump", *SUB_MIP_SWITCHES}
     highs.setOptionValue("log_to_console", False)
-    assert highs.setOptionValue("mip_no_such_heuristic", False) == HighsStatus.kError
     for option, value in options:
-        if option not in optional:
-            assert highs.setOptionValue(option, value) == HighsStatus.kOk, option
-            assert highs.getOptionValue(option) == (HighsStatus.kOk, value), option
+        assert highs.setOptionValue(option, value) == HighsStatus.kOk, option
+        assert highs.getOptionValue(option) == (HighsStatus.kOk, value), option
 
 
 def test_root_lp_failure_falls_through_to_milp(monkeypatch):

@@ -1,16 +1,19 @@
 """What each case costs in HiGHS is exactly ``golden/work.json`` (README,
 Testing). A change meant to alter that work rewrites it with ``PYTHONPATH=src
-python tests/test_work.py`` and commits it; its ``versions`` are not compared.
+python tests/test_work.py`` and commits it. Its ``versions`` name the one
+supported build: the scipy floor in ``pyproject.toml`` must be that scipy.
 """
 
 import json
 import sys
+import tomllib
 import types
 from collections import Counter
 from pathlib import Path
 
 import pytest
 import scipy
+from packaging.requirements import Requirement
 from scipy.optimize._highspy._core import _Highs
 
 from payoffopt import Infeasible, optimize
@@ -64,6 +67,16 @@ def test_highs_work_is_the_golden_table(name):
     assert case_work(CASES[name]()) == golden["cases"][name], (
         f"table made with {golden['versions']}, installed {VERSIONS}"
     )
+
+
+def test_pyproject_requires_the_tables_scipy():
+    # a table made with another scipy fails here until pyproject.toml's
+    # floor moves with it
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = [Requirement(text) for text in project["dependencies"]]
+    [scipy_requirement] = [r for r in requirements if r.name == "scipy"]
+    floors = [s.version for s in scipy_requirement.specifier if s.operator == ">="]
+    assert floors == [json.loads(WORK.read_text())["versions"]["scipy"]]
 
 
 def test_cases_are_the_benchmarks_traffic(monkeypatch, tmp_path):
