@@ -2,21 +2,25 @@
 
 :func:`solve_ilp` is HiGHS's dual simplex and branch and cut (Huangfu & Hall,
 *Math. Prog. Comp.* 2018) with a zero optimality gap, driven through the
-binding scipy bundles. Each program is loaded into one HiGHS instance once
-and every solve of it runs on that instance in place: the root LP, and the
-first MILP with its presolve-off recheck when the root LP does not settle
-the program, in :func:`solve_ilp`, which then pins the objective at its
-optimum with one added row and returns the loaded :class:`Program`; then
-one LP per block, and a MILP only when its optimum is not integral, in every
-:meth:`Program.refine`, which changes only each block's costs and the bounds it
-fixes. Each run starts from nothing of the one before, so its search is the
-one a freshly loaded model would get. The search runs in floating point,
-but every returned point is re-verified and its objective recomputed in
-exact integer arithmetic before acceptance. A relaxation's rounded point is
-accepted only when it passes that check at the relaxation's optimal value,
-which bounds every integer point, so it is an integer optimum (Wolsey,
-*Integer Programming*, 1998, ch. 2); that bound is a float, the same trust
-the first MILP's proof of optimality gets. Among optima the
+binding scipy bundles. Each program is loaded once, into a HiGHS instance
+it holds alone, and every solve of it runs on that instance in place: the
+root LP, and the first MILP with its presolve-off recheck when the root LP
+does not settle the program, in :func:`solve_ilp`, which then pins the
+objective at its optimum with one added row and returns the loaded
+:class:`Program`; then one LP per block, and a MILP only when its optimum is
+not integral, in every :meth:`Program.refine`, which changes only each
+block's costs and the bounds it fixes. Each run starts from nothing of the
+one before, so its search is the one a freshly loaded model would get. A
+released program hands its instance back, and the next load clears it of
+its model, solver state and options before setting its own, so the process
+keeps at most one idle instance and a reused one solves as a new one
+would. The search runs in floating point, but every returned point is
+re-verified and its objective recomputed in exact integer arithmetic
+before acceptance. A relaxation's rounded point is accepted only when it
+passes that check at the relaxation's optimal value, which bounds every
+integer point, so it is an integer optimum (Wolsey, *Integer Programming*,
+1998, ch. 2); that bound is a float, the same trust the first MILP's proof
+of optimality gets. Among optima the
 lexicographically smallest solution vector is returned by
 :meth:`Program.refine`: with the objective pinned at its optimal value, the
 slots are minimized in blocks, one solve per block whose objective reads
@@ -126,14 +130,19 @@ def _failure(highs: _Highs, status: HighsModelStatus) -> str:
 
 
 def _load(
-    objective: Sequence[int], rows: Sequence[Row], bounds: Sequence[tuple[int, int]]
-) -> _Highs:
-    """A HiGHS instance holding ``max objective . x`` subject to ``rows`` and
-    ``bounds``, every column integer, set up for every solve of the program.
+    highs: _Highs,
+    objective: Sequence[int],
+    rows: Sequence[Row],
+    bounds: Sequence[tuple[int, int]],
+) -> None:
+    """Set ``highs`` up for every solve of ``max objective . x`` subject to
+    ``rows`` and ``bounds``, every column integer.
 
-    The matrix goes to HiGHS once, column-wise, the layout it stores. A
-    number beyond floating point, or a model HiGHS rejects (for instance a
-    matrix entry of 1e15 or more), raises :class:`SolverError`.
+    The instance is cleared first: whatever an earlier program left on it,
+    model, solver state or options, is gone, and the options are set as on a
+    new instance. The matrix goes to HiGHS once, column-wise, the layout it
+    stores. A number beyond floating point, or a model HiGHS rejects (for
+    instance a matrix entry of 1e15 or more), raises :class:`SolverError`.
     """
     num_vars = len(bounds)
     try:
@@ -145,7 +154,7 @@ def _load(
         raise SolverError(f"program exceeds floating point: {exc}") from exc
     columns = matrix.reshape(len(rows), num_vars).T
     col, row = np.nonzero(columns)
-    highs = _Highs()
+    highs.clear()
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
     highs.setOptionValue("mip_max_nodes", NODE_BUDGET)
@@ -168,7 +177,6 @@ def _load(
     )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
-    return highs
 
 
 # the options that make each kind of run (see the module docstring)
@@ -219,16 +227,33 @@ class Program:
     the rows the instance holds (the program's, then the pin), ``bounds``
     the box of its latest solve (the program's own until a refine narrows
     it), and ``problem`` the program as given.
+
+    The instance is the process's idle one, or a new one when there is
+    none, and no other live program holds it. When the program is released
+    the instance becomes the idle one, replacing any other.
     """
 
     x: tuple[int, ...]
     objective: int
 
+    # the process's idle instance, if any; a class attribute, so a program
+    # released while the interpreter shuts down still finds it. Taking it is
+    # one pop and handing it back one slice assignment, each a single list
+    # operation, so programs built on two threads never share an instance
+    _idle: list[_Highs] = []
+
     def __init__(self, problem: IlpProblem) -> None:
         self.problem = problem
-        self.highs = _load(problem.objective, problem.rows, problem.bounds)
+        try:
+            self.highs = self._idle.pop()
+        except IndexError:
+            self.highs = _Highs()
+        _load(self.highs, problem.objective, problem.rows, problem.bounds)
         self.rows = problem.rows
         self.bounds = problem.bounds
+
+    def __del__(self) -> None:
+        self._idle[:] = [self.highs]
 
     def _point(self) -> tuple[int, ...] | None:
         """HiGHS's point, rounded, or ``None`` if it fails the exact check."""
@@ -278,7 +303,7 @@ class Program:
         if x is None:
             return status, None
         value = sum(map(operator.mul, cost, x))
-        if abs(value - self.highs.getInfo().objective_function_value) >= 0.5:
+        if abs(value - self.highs.getObjectiveValue()) >= 0.5:
             return status, None
         return status, x
 

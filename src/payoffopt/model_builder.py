@@ -159,15 +159,8 @@ class Row:
     relation: Relation
     rhs: int
 
-    def evaluate(self, x: Sequence[int]) -> int:
-        return sum(map(operator.mul, self.coeffs, x))
-
-    def residual(self, x: Sequence[int]) -> int:
-        """Signed slack: value minus rhs."""
-        return self.evaluate(x) - self.rhs
-
     def satisfied(self, x: Sequence[int]) -> bool:
-        r = self.residual(x)
+        r = sum(map(operator.mul, self.coeffs, x)) - self.rhs
         if self.relation is Relation.LE:
             return r <= 0
         if self.relation is Relation.GE:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import random
 from collections import Counter, namedtuple
@@ -136,6 +137,11 @@ def brute_force(problem: IlpProblem) -> IntSolution | None:
     return IntSolution(x=best[1], objective=best[0])
 
 
+def residual(row: Row, x: Sequence[int]) -> int:
+    """``row``'s signed slack at ``x``: its value minus its right-hand side."""
+    return sum(map(operator.mul, row.coeffs, x)) - row.rhs
+
+
 @dataclass(frozen=True)
 class ConstraintViolation:
     """One exact infeasibility found by :func:`check_feasible`."""
@@ -161,7 +167,7 @@ def check_feasible(portfolio: Portfolio, problem: IlpProblem) -> list[Constraint
             report.append(ConstraintViolation("bound", i, f"slot {i}", v - hi))
     for i, row in enumerate(problem.rows):
         if not row.satisfied(x):
-            report.append(ConstraintViolation("row", i, row.name, row.residual(x)))
+            report.append(ConstraintViolation("row", i, row.name, residual(row, x)))
     return report
 
 
@@ -681,10 +687,10 @@ def record_work(monkeypatch, fake=None) -> Work:
         work.fresh = False
         return status
 
-    def load(objective, rows, bounds):
+    def load(highs, objective, rows, bounds):
         work.stage, work.fresh = STAGES[0], True
         work.loads.append(len(bounds))
-        return real_load(objective, rows, bounds)
+        real_load(highs, objective, rows, bounds)
 
     def block_size(widths):
         blocks.append(real_block_size(widths))

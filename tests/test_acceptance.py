@@ -309,8 +309,8 @@ def test_root_lp_verdict_matches_linprog(
     for i, (spec, series) in enumerate(cases):
         combined = build_combined(spec, series)
         # the root LP alone, as solve_ilp sets it up
-        highs = ilp_solver._load(combined.objective, combined.rows, combined.bounds)
-        status = ilp_solver._run(highs, "lp")
+        program = ilp_solver.Program(combined)
+        status = ilp_solver._run(program.highs, "lp")
         relaxed = lp_relaxation(combined) is None
         assert (status == HighsModelStatus.kInfeasible) == relaxed, i
         infeasible += relaxed
@@ -441,10 +441,12 @@ def test_answers_do_not_depend_on_row_order(
     moved = False
     for seed in (1, 2):
 
-        def shuffled(objective, rows, bounds, shuffle=random.Random(seed).shuffle):
+        def shuffled(
+            highs, objective, rows, bounds, shuffle=random.Random(seed).shuffle
+        ):
             rows = list(rows)
             shuffle(rows)
-            return real_load(objective, rows, bounds)
+            real_load(highs, objective, rows, bounds)
 
         monkeypatch.setattr(ilp_solver, "_load", shuffled)
         work.runs.clear()

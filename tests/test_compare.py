@@ -1,0 +1,62 @@
+"""``tools/compare.py``: the working tree against a revision, in one process."""
+
+import json
+import multiprocessing
+import shutil
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_compare(monkeypatch):
+    # the tool's spawned interpreters find it, and the benchmark modules it
+    # imports, on the path they inherit
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import compare
+
+    return compare
+
+
+def corpus_slice(compare, out, count):
+    commands = compare.workloads.corpus_commands(ROOT, out)[:count]
+    return {"corpus-small": [list(command.argv) for command in commands]}
+
+
+def test_head_against_itself_answers_alike(monkeypatch, tmp_path):
+    compare = load_compare(monkeypatch)
+    bench = tmp_path / "BENCH_smoke.json"
+    report = compare.compare("HEAD", 1, bench, corpus_slice(compare, tmp_path, 3))
+    assert report["differences"] == []
+    assert json.loads(bench.read_text()) == report
+    assert set(report["machine"]) >= {"cores", "python", "scipy", "highs", "numpy"}
+    assert [found["imported"] for found in report["measurements"].values()] == [
+        ["base", "change"], ["change", "base"], ["base", "base copy"]
+    ]
+    for found in report["measurements"].values():
+        assert found["workloads"]["corpus-small"]["commands"] == 3
+        assert found["workloads"]["corpus-small"]["ratio"] > 0
+
+
+def test_a_changed_answer_is_a_difference(monkeypatch, tmp_path):
+    # a tree whose table names the objective's footer otherwise differs from
+    # the working tree in the fixture's stdout, and in nothing else
+    compare = load_compare(monkeypatch)
+    changed = tmp_path / "changed"
+    shutil.copytree(ROOT / "src" / "payoffopt", changed / "payoffopt")
+    optimizer = changed / "payoffopt" / "optimizer.py"
+    text = optimizer.read_text()
+    assert text.count('["max F".ljust') == 1
+    optimizer.write_text(text.replace('["max F".ljust', '["max G".ljust'))
+    [fixture] = compare.workloads.fixture_commands(ROOT, tmp_path)
+    assert fixture.argv[-2:] == ("--format", "json")
+    commands = {"fixture-optimize": [list(fixture.argv[:-2])]}
+    warm_up = list(compare.workloads.warm_up_command(tmp_path).argv)
+    trees = [("payoffopt_0", str(ROOT / "src")), ("payoffopt_1", str(changed))]
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        found = pool.apply(compare.measure, (trees, commands, warm_up, 1, str(tmp_path)))
+    [difference] = found["differences"]
+    assert difference["differs"] == ["stdout"]
+    code, stdout, stderr = difference["answers"]["payoffopt_0"]
+    assert (code, stderr) == (0, "") and "max F" in stdout
+    changed_answer = [0, stdout.replace("max F", "max G"), ""]
+    assert difference["answers"]["payoffopt_1"] == changed_answer

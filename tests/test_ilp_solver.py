@@ -13,6 +13,7 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import (
     NODE_BUDGET,
+    Program,
     SolverError,
     SolverResourceError,
     _BLOCK_RANGE,
@@ -267,6 +268,90 @@ def test_deterministic_across_calls():
     assert first == second
 
 
+def test_live_programs_hold_distinct_instances():
+    # each live program holds its own instance, so refines of several
+    # programs may interleave; a released program's instance is the next
+    # program's
+    rng = random.Random(11)
+    problems = [p for p in (random_ilp(rng) for _ in range(40)) if brute_force(p)][:6]
+    assert len(problems) == 6
+    programs = [solve_ilp(problem) for problem in problems]
+    assert len({id(program.highs) for program in programs}) == len(programs)
+    points = [program.refine(program.x, 1) for program in programs]
+    for problem, program, x in zip(problems, programs, points):
+        got = IntSolution(program.refine(x, problem.num_vars), program.objective)
+        assert got == brute_force(problem)
+    released = programs.pop(0).highs
+    assert Program._idle == [released]
+    assert solve_ilp(problems[0]).highs is released
+
+
+def options_of(highs):
+    """Every HiGHS option ``highs`` holds, by name."""
+    options = highs.getOptions()
+    return {name: getattr(options, name) for name in dir(options) if name[0] != "_"}
+
+
+# options a program might leave on its instance: the sub-MIPs' switches
+# against the pin's, a node limit of one, presolve off, and a seed the
+# solver never sets
+STRAY_OPTIONS = (
+    ("mip_heuristic_run_rins", True),
+    ("mip_max_nodes", 1),
+    ("presolve", "off"),
+    ("random_seed", 7),
+)
+
+
+def test_a_reused_instance_solves_as_a_new_one(monkeypatch):
+    # the next load clears whatever the instance's last program left: after
+    # a program that set stray options, and after a load HiGHS rejected, a
+    # program runs with every option as on a new instance, does the same
+    # work and gives the same answer
+    problem = rounds_off_the_floor_problem()
+    seen = []
+
+    def reading(solve, highs, kind, work):
+        status = solve()
+        seen.append((highs, options_of(highs)))
+        return status
+
+    work = record_work(monkeypatch, reading)
+
+    def solved_on(instances):
+        monkeypatch.setattr(Program, "_idle", instances)
+        seen.clear()
+        work.loads.clear()
+        work.runs.clear()
+        answer = solve_refined(problem)
+        return answer, [*work.loads], [*work.runs], [options for _, options in seen]
+
+    fresh = solved_on([])
+    assert fresh[0] == brute_force(problem)
+    assert fresh[2][1].kind == fresh[2][-1].kind == "milp"
+    set_options = [*_OPTIONS, *sum(_KINDS.values(), ()), *_PINNED_OPTIONS]
+    assert {name for name, _ in set_options} | {"mip_max_nodes"} <= set(fresh[3][0])
+
+    stray = solve_ilp(fractional_problem())
+    for option, value in STRAY_OPTIONS:
+        assert stray.highs.setOptionValue(option, value) == HighsStatus.kOk
+    reused, stray = stray.highs, None
+    assert solved_on([reused]) == fresh
+    assert all(highs is reused for highs, _ in seen)
+
+    monkeypatch.setattr(Program, "_idle", [])
+    huge = IlpProblem(
+        objective=(1,),
+        rows=(Row("huge", (10**15,), Relation.LE, 10**15),),
+        bounds=((0, 1),),
+    )
+    with pytest.raises(SolverError, match="Model error"):
+        solve_ilp(huge)
+    [rejected] = Program._idle
+    assert solved_on([rejected]) == fresh
+    assert all(highs is rejected for highs, _ in seen)
+
+
 def presolve_solve_error_problem():
     # infeasible (none of the 64 box points satisfies the rows) while its LP
     # relaxation is feasible; HiGHS with presolve on has answered it with
@@ -471,12 +556,14 @@ def test_highs_binding_has_what_the_solver_calls():
     # moves or changes it fails here, by name, before any answer can
     source = inspect.getsource(payoffopt.ilp_solver)
     methods = set(re.findall(r"highs\.(\w+)\(", source))
-    assert {"passModel", "run", "clearSolver", "changeColsCost"} <= methods
+    assert {
+        "clear", "passModel", "run", "clearSolver", "changeColsCost", "getObjectiveValue"
+    } <= methods
     for method in sorted(methods):
         assert callable(getattr(_Highs, method, None)), method
     highs = _Highs()
     fields = set(re.findall(r"highs\.(getInfo|getSolution)\(\)\.(\w+)", source))
-    assert {("getInfo", "objective_function_value"), ("getSolution", "col_value")} <= fields
+    assert {("getSolution", "col_value")} <= fields
     for method, field in sorted(fields):
         assert hasattr(getattr(highs, method)(), field), (method, field)
     options = [
@@ -574,17 +661,10 @@ def test_relaxation_value_off_its_point_falls_through(monkeypatch, offset, solve
     # objective, the value no longer shows the point optimal, and each solve
     # runs its MILP, with the same answer
     problem = integral_problem()
-    real_info = _Highs.getInfo
-
-    class ShiftedInfo:
-        def __init__(self, info):
-            self.info = info
-            self.objective_function_value = info.objective_function_value + offset
-
-        def __getattr__(self, name):
-            return getattr(self.info, name)
-
-    monkeypatch.setattr(_Highs, "getInfo", lambda highs: ShiftedInfo(real_info(highs)))
+    real_value = _Highs.getObjectiveValue
+    monkeypatch.setattr(
+        _Highs, "getObjectiveValue", lambda highs: real_value(highs) + offset
+    )
     work = record_work(monkeypatch)
     assert solve_refined(problem) == brute_force(problem) == IntSolution((2,), 2)
     assert work.kinds() == solves

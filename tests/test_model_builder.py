@@ -29,6 +29,7 @@ from support import (
     combination_index,
     combo_for,
     reference_series,
+    residual,
     seeded_strategies,
     small_series,
 )
@@ -134,7 +135,7 @@ class TestRow:
     def test_satisfied(self, relation, x, ok):
         row = Row("r", (1, 1), relation, 3)
         assert row.satisfied(x) is ok
-        assert row.residual(x) == sum(x) - 3
+        assert residual(row, x) == sum(x) - 3
 
 
 def tent_spec(**overrides):
