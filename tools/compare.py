@@ -99,16 +99,17 @@ def measure(
     commands: dict[str, list[list[str]]],
     warm_up: list[str],
     rounds: int,
-    scratch: str,
+    workdir: str,
 ) -> dict:
     """Each command's fastest time on each tree, and every answer that differs.
 
     ``trees`` are imported in order; each runs ``warm_up`` once, then every
     command of ``commands`` runs on both trees in each of ``rounds`` rounds,
-    first on the tree whose turn it is.
+    first on the tree whose turn it is. The captured output goes through
+    files in ``workdir``.
     """
     clis = [_import_tree(name, src) for name, src in trees]
-    out = Path(scratch)
+    out = Path(workdir)
 
     def run(cli, argv: list[str]) -> tuple[float, tuple]:
         with captured(out) as box:
