@@ -318,22 +318,30 @@ def sweep_to_json(report: SweepReport) -> str:
     return json.dumps(sweep_to_dict(report), sort_keys=True, indent=2) + "\n"
 
 
+def _value_cell(axis: SweepAxis, value: int) -> str:
+    """A sweep value as its CSV cell and table label show it; JSON writes
+    cost values with two decimal places instead (:func:`sweep_to_dict`)."""
+    return format_money(value, trim=True) if axis is SweepAxis.COST else str(value)
+
+
 def sweep_point_label(axis: SweepAxis, value: int) -> str:
-    if axis is SweepAxis.COST:
-        return f"C={format_money(value, trim=True)}"
-    return f"|L|={value}"
+    return ("C=" if axis is SweepAxis.COST else "|L|=") + _value_cell(axis, value)
 
 
-def _quantity_cells(
-    series: SeriesSelection, portfolio: Portfolio
-) -> list[tuple[int, str, str]]:
-    """(strike, call cell, put cell) for each unique strike of ``series``;
-    a cell holds the quantity, or ``""`` where that leg lacks the strike."""
-    calls = dict(zip(series.call_strikes, portfolio.calls))
-    puts = dict(zip(series.put_strikes, portfolio.puts))
-    return [
-        (k, str(calls.get(k, "")), str(puts.get(k, "")))
+def _rows(solution: PortfolioSolution) -> list[tuple[str, ...]]:
+    """What every table and CSV shows of ``solution``: a (strike, call, put)
+    row for each unique strike of its series, a cell blank where that leg
+    lacks the strike, then the ``max_F`` and ``total_contracts`` footers."""
+    series = solution.portfolio.series
+    calls = dict(zip(series.call_strikes, solution.portfolio.calls))
+    puts = dict(zip(series.put_strikes, solution.portfolio.puts))
+    rows = [
+        (str(k), str(calls.get(k, "")), str(puts.get(k, "")))
         for k in series.unique_strikes
+    ]
+    return rows + [
+        ("max_F", format_money(solution.objective, trim=True)),
+        ("total_contracts", str(solution.total_contracts)),
     ]
 
 
@@ -347,51 +355,29 @@ def render_table(
     leg's series. A block without a solution holds the text its footer
     shows instead (``infeasible`` or ``error``).
     """
-    strikes = series.unique_strikes
-    label_col = ["Strike"] + [str(k) for k in strikes] + [
-        "max F",
-        "Total number of contracts",
-    ]
-    columns: list[tuple[str, list[str], list[str], str, str]] = []
+    strikes = [str(k) for k in series.unique_strikes]
+    names = ["", "Strike", *strikes, "max F", "Total number of contracts"]
+    grid = [[name] for name in names]  # one list of cells per line
     for label, solution in blocks:
         if isinstance(solution, str):
-            calls = puts = [""] * len(strikes)
-            footer_obj, footer_total = solution, ""
+            rows = [("", "", "")] * len(strikes) + [("", solution), ("", "")]
         else:
-            cells = _quantity_cells(series, solution.portfolio)
-            calls = [call for _, call, _ in cells]
-            puts = [put for _, _, put in cells]
-            footer_obj = format_money(solution.objective, trim=True)
-            footer_total = str(solution.total_contracts)
-        columns.append((label, calls, puts, footer_obj, footer_total))
-
-    width0 = max(len(s) for s in label_col)
-    lines = []
-    header_top = [" " * width0]
-    header_sub = ["Strike".ljust(width0)]
-    body = [[str(k).ljust(width0)] for k in strikes]
-    footer1 = ["max F".ljust(width0)]
-    footer2 = ["Total number of contracts".ljust(width0)]
-    for label, calls, puts, footer_obj, footer_total in columns:
-        wc = max([len("Call")] + [len(c) for c in calls])
-        wp = max([len("Put")] + [len(p) for p in puts])
-        pair_width = wc + 2 + wp
-        pair_width = max(pair_width, len(label), len(footer_obj), len(footer_total))
-        wp = pair_width - wc - 2
-        header_top.append(label.center(pair_width))
-        header_sub.append("Call".rjust(wc) + "  " + "Put".rjust(wp))
-        for i in range(len(strikes)):
-            body[i].append(calls[i].rjust(wc) + "  " + puts[i].rjust(wp))
-        footer1.append(footer_obj.rjust(pair_width))
-        footer2.append(footer_total.rjust(pair_width))
-    joiner = "   "
-    if any(label for label, *_ in columns):
-        lines.append(joiner.join(header_top).rstrip())
-    lines.append(joiner.join(header_sub).rstrip())
-    for row in body:
-        lines.append(joiner.join(row).rstrip())
-    lines.append(joiner.join(footer1).rstrip())
-    lines.append(joiner.join(footer2).rstrip())
+            rows = _rows(solution)
+        pairs = [("Call", "Put")] + [(call, put) for _, call, put in rows[:-2]]
+        footers = [value for _, value in rows[-2:]]
+        wc = max(len(call) for call, _ in pairs)
+        wp = max(len(put) for _, put in pairs)
+        width = max(wc + 2 + wp, len(label), *map(len, footers))
+        wp = width - wc - 2
+        cells = [label.center(width)]
+        cells += [call.rjust(wc) + "  " + put.rjust(wp) for call, put in pairs]
+        cells += [footer.rjust(width) for footer in footers]
+        for line, cell in zip(grid, cells):
+            line.append(cell)
+    width0 = max(len(line[0]) for line in grid)
+    lines = ["   ".join([line[0].ljust(width0), *line[1:]]).rstrip() for line in grid]
+    if not any(label for label, _ in blocks):
+        del lines[0]
     return "\n".join(lines) + "\n"
 
 
@@ -411,30 +397,18 @@ def sweep_to_table(report: SweepReport) -> str:
 
 
 def solution_to_csv(solution: PortfolioSolution) -> str:
-    lines = ["strike,call,put"]
-    for k, call, put in _quantity_cells(solution.portfolio.series, solution.portfolio):
-        lines.append(f"{k},{call},{put}")
-    lines.append(f"max_F,{format_money(solution.objective, trim=True)}")
-    lines.append(f"total_contracts,{solution.total_contracts}")
+    lines = ["strike,call,put", *map(",".join, _rows(solution))]
     return "\n".join(lines) + "\n"
 
 
 def sweep_to_csv(report: SweepReport) -> str:
     lines = ["value,strike,call,put"]
     for p in report.points:
-        value = (
-            format_money(p.value, trim=True)
-            if report.axis is SweepAxis.COST
-            else str(p.value)
-        )
-        if p.error is not None:
-            lines.append(f"{value},error,{p.error},")
-            continue
-        if p.solution is None:
-            lines.append(f"{value},infeasible,,")
-            continue
-        for k, call, put in _quantity_cells(report.series, p.solution.portfolio):
-            lines.append(f"{value},{k},{call},{put}")
-        lines.append(f"{value},max_F,{format_money(p.solution.objective, trim=True)},")
-        lines.append(f"{value},total_contracts,{p.solution.total_contracts},")
+        if p.solution is None:  # a failed point: infeasible, or its error
+            rows = [("infeasible",) if p.error is None else ("error", p.error)]
+        else:
+            rows = _rows(p.solution)
+        value = _value_cell(report.axis, p.value)
+        # every row fills the three columns after the value
+        lines += [",".join((value, *row)) + "," * (3 - len(row)) for row in rows]
     return "\n".join(lines) + "\n"

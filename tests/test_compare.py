@@ -28,6 +28,8 @@ def test_head_against_itself_answers_alike(monkeypatch, tmp_path):
     report = compare.compare("HEAD", 1, bench, corpus_slice(compare, tmp_path, 3))
     assert report["differences"] == []
     assert json.loads(bench.read_text()) == report
+    assert report["checked"] == list(compare.golden_commands())
+    assert len(report["checked"]) == 12
     assert set(report["machine"]) >= {"cores", "python", "scipy", "highs", "numpy"}
     assert [found["imported"] for found in report["measurements"].values()] == [
         ["base", "change"], ["change", "base"], ["base", "base copy"]
@@ -39,22 +41,30 @@ def test_head_against_itself_answers_alike(monkeypatch, tmp_path):
 
 def test_a_changed_answer_is_a_difference(monkeypatch, tmp_path):
     # a tree whose table names the objective's footer otherwise differs from
-    # the working tree in the fixture's stdout, and in nothing else
+    # the working tree in the fixture's stdout, and in nothing else; of the
+    # golden commands, exactly the three tables differ, in stdout
     compare = load_compare(monkeypatch)
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src" / "payoffopt", changed / "payoffopt")
     optimizer = changed / "payoffopt" / "optimizer.py"
     text = optimizer.read_text()
-    assert text.count('["max F".ljust') == 1
-    optimizer.write_text(text.replace('["max F".ljust', '["max G".ljust'))
+    assert text.count('"max F"') == 1
+    optimizer.write_text(text.replace('"max F"', '"max G"'))
     [fixture] = compare.workloads.fixture_commands(ROOT, tmp_path)
     assert fixture.argv[-2:] == ("--format", "json")
     commands = {"fixture-optimize": [list(fixture.argv[:-2])]}
+    checked = compare.golden_commands()
     warm_up = list(compare.workloads.warm_up_command(tmp_path).argv)
     trees = [("payoffopt_0", str(ROOT / "src")), ("payoffopt_1", str(changed))]
     with multiprocessing.get_context("spawn").Pool(1) as pool:
-        found = pool.apply(compare.measure, (trees, commands, warm_up, 1, str(tmp_path)))
-    [difference] = found["differences"]
+        found = pool.apply(
+            compare.measure, (trees, commands, checked, warm_up, 1, str(tmp_path))
+        )
+    *golden, difference = found["differences"]
+    assert [(d["workload"], d["command"], d["differs"]) for d in golden] == [
+        ("golden", name, ["stdout"])
+        for name in ("optimize-csv-table", "sweep-liquidity-table", "sweep-cost-table")
+    ]
     assert difference["differs"] == ["stdout"]
     code, stdout, stderr = difference["answers"]["payoffopt_0"]
     assert (code, stderr) == (0, "") and "max F" in stdout

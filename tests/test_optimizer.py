@@ -356,6 +356,18 @@ class TestRendering:
         assert lines[1].count("Call") == 2 and lines[1].count("Put") == 2
         assert lines[-2].startswith("max F") and "4.7" in lines[-2]
         assert lines[-1].startswith("Total number of contracts")
+        # a label wider than every other cell of its block sets the width
+        spec = base_spec(cost_target=CostTarget(Relation.GE, 0))
+        report = sweep(SweepAxis.COST, spec, small_series(), [-123456, 10000])
+        assert sweep_to_table(report) == (
+            "                            C=-1234.56     C=100\n"
+            "Strike                      Call   Put   Call   Put\n"
+            "90                                   3\n"
+            "100                            3    -3\n"
+            "110                           -3\n"
+            "max F                             14.1   infeasible\n"
+            "Total number of contracts           12\n"
+        )
 
     def test_sweep_table_marks_infeasible(self):
         report = sweep(SweepAxis.COST, base_spec(), small_series(), [120])

@@ -17,8 +17,12 @@ ratio two copies of identical code read, including the lean the second
 imported copy gets.
 
 Every run of a command is captured at file descriptors 1 and 2, and its
-exit code, stdout and stderr must be the same on both trees. Each
-difference is printed, and the tool exits 1 if there is any.
+exit code, stdout and stderr must be the same on both trees. The commands
+of ``tests/golden/commands.json``, with their fixture paths made absolute,
+are compared the same way: once per tree in each measurement, untimed, so
+that every output format and command is checked, not only the workloads'
+``--format json``. Each difference is printed, and the tool exits 1 if
+there is any.
 
 ``BENCH_<label>.json`` at the root of the checkout records the machine,
 both revisions and, per measurement and workload, the ratio of the summed
@@ -58,6 +62,7 @@ import workloads  # noqa: E402
 from worker import captured  # noqa: E402
 
 WORKLOADS = ("corpus-small", "fixture-optimize")
+GOLDEN = ROOT / "tests" / "golden" / "commands.json"
 
 
 def _git(*args: str) -> str:
@@ -81,6 +86,15 @@ def export(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def golden_commands() -> dict[str, list[str]]:
+    """Each command of ``tests/golden/commands.json`` by name, its fixture
+    paths made absolute."""
+    return {
+        name: [str(ROOT / a) if a.startswith("fixtures/") else a for a in c["argv"]]
+        for name, c in json.loads(GOLDEN.read_text()).items()
+    }
+
+
 def _import_tree(name: str, src: str):
     """The ``cli`` module of the payoffopt tree in ``src``, imported as the
     package ``name``; the package imports its own modules relatively."""
@@ -97,16 +111,18 @@ def _import_tree(name: str, src: str):
 def measure(
     trees: list[tuple[str, str]],
     commands: dict[str, list[list[str]]],
+    checked: dict[str, list[str]],
     warm_up: list[str],
     rounds: int,
     workdir: str,
 ) -> dict:
     """Each command's fastest time on each tree, and every answer that differs.
 
-    ``trees`` are imported in order; each runs ``warm_up`` once, then every
-    command of ``commands`` runs on both trees in each of ``rounds`` rounds,
-    first on the tree whose turn it is. The captured output goes through
-    files in ``workdir``.
+    ``trees`` are imported in order; each runs ``warm_up`` once, and each
+    command of ``checked`` once, untimed. Then every command of
+    ``commands`` runs on both trees in each of ``rounds`` rounds, first on
+    the tree whose turn it is. The captured output goes through files in
+    ``workdir``.
     """
     clis = [_import_tree(name, src) for name, src in trees]
     out = Path(workdir)
@@ -118,10 +134,26 @@ def measure(
             seconds = time.perf_counter() - start
         return seconds, (code, box["stdout"], box["stderr"])
 
+    differences = []
+
+    def compare_answers(answers: list[tuple], **where) -> None:
+        if answers[0] != answers[1]:
+            fields = ("exit code", "stdout", "stderr")
+            differences.append({
+                **where,
+                "differs": [f for f, a, b in zip(fields, *answers) if a != b],
+                "answers": {
+                    name: [answer[0], answer[1].decode(), answer[2].decode()]
+                    for (name, _), answer in zip(trees, answers)
+                },
+            })
+
     for cli in clis:
         run(cli, warm_up)
+    for name, argv in checked.items():
+        answers = [run(cli, argv)[1] for cli in clis]
+        compare_answers(answers, workload="golden", command=name, argv=argv)
     best: dict[str, list[list[float]]] = {}
-    differences = []
     turn = 0
     for r in range(rounds):
         for workload, argvs in commands.items():
@@ -133,19 +165,7 @@ def measure(
                 for side in order:
                     seconds, answers[side] = run(clis[side], argv)
                     times[side][i] = min(times[side][i], seconds)
-                if answers[0] != answers[1]:
-                    fields = ("exit code", "stdout", "stderr")
-                    differences.append({
-                        "workload": workload,
-                        "command": i,
-                        "round": r,
-                        "argv": argv,
-                        "differs": [f for f, a, b in zip(fields, *answers) if a != b],
-                        "answers": {
-                            name: [answer[0], answer[1].decode(), answer[2].decode()]
-                            for (name, _), answer in zip(trees, answers)
-                        },
-                    })
+                compare_answers(answers, workload=workload, command=i, round=r, argv=argv)
     return {"best": best, "differences": differences}
 
 
@@ -207,7 +227,7 @@ def compare(
 ) -> dict:
     """Measure the working tree against revision ``base`` and write the
     report to ``bench``; ``commands`` default to the benchmark's two
-    workloads."""
+    workloads, and every golden command is checked too."""
     commit = _git("rev-parse", "--verify", f"{base}^{{commit}}")
     ctx = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as tmp:
@@ -220,6 +240,7 @@ def compare(
         sources = {"base": str(export(commit, tmp / "base")), "change": str(ROOT / "src")}
         sources["base copy"] = sources["base"]
         warm_up = list(workloads.warm_up_command(tmp).argv)
+        checked = golden_commands()
         report = {
             "machine": machine(),
             "revisions": {
@@ -232,13 +253,16 @@ def compare(
                 },
             },
             "rounds": rounds,
+            "checked": list(checked),
             "measurements": {},
             "differences": [],
         }
         for title, names in MEASUREMENTS:
             trees = [(f"payoffopt_{i}", sources[name]) for i, name in enumerate(names)]
             with ctx.Pool(1) as pool:
-                found = pool.apply(measure, (trees, commands, warm_up, rounds, str(tmp)))
+                found = pool.apply(
+                    measure, (trees, commands, checked, warm_up, rounds, str(tmp))
+                )
             base_side = names.index("base")
             report["measurements"][title] = {
                 "imported": list(names),
@@ -276,8 +300,9 @@ def main(argv: list[str] | None = None) -> int:
                 f"  p95 {s['base']['p95_s'] * 1e3:.3f} -> {s['other']['p95_s'] * 1e3:.3f} ms"
             )
     for d in report["differences"]:
-        print(f"DIFFERENT {d['measurement']}: {d['workload']} command {d['command']} "
-              f"round {d['round']}: {', '.join(d['differs'])}", file=sys.stderr)
+        where = f" round {d['round']}" if "round" in d else ""
+        print(f"DIFFERENT {d['measurement']}: {d['workload']} command {d['command']}"
+              f"{where}: {', '.join(d['differs'])}", file=sys.stderr)
     print(f"wrote {bench.name}")
     return 1 if report["differences"] else 0
 
