@@ -21,8 +21,9 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 from .ilp_solver import SolverError, SolverResourceError
 from .market_data import (
@@ -59,6 +60,9 @@ from .optimizer import (
 from .payoff_engine import curve_to_csv, payoff_curve
 
 
+E = TypeVar("E", bound=Enum)
+
+
 class CliError(ValueError):
     """Bad command-line argument values (not covered by argparse itself)."""
 
@@ -92,9 +96,9 @@ def _spec_money(value: object, key: str) -> int:
         raise SpecError(f"bad {key}: {exc}") from exc
 
 
-def _spec_mode(value: object, key: str) -> TailLossMode:
+def _spec_enum(kind: type[E], value: object, key: str) -> E:
     try:
-        return TailLossMode(value)
+        return kind(value)
     except ValueError as exc:
         raise SpecError(f"bad {key}: {value!r}") from exc
 
@@ -107,16 +111,10 @@ def _spec_cost_target(raw: object, key: str) -> CostTarget | None:
     extra = set(raw) - {"cmp", "value", "convention"}
     if extra:
         raise SpecError(f"unknown {key} key {sorted(extra)[0]!r}")
-    try:
-        comparator = Relation(raw.get("cmp", "="))
-    except ValueError as exc:
-        raise SpecError(f"bad {key} cmp: {raw.get('cmp')!r}") from exc
-    try:
-        value = parse_money(raw["value"])
-    except KeyError as exc:
-        raise SpecError(f"{key} needs a value") from exc
-    except ValueError as exc:
-        raise SpecError(f"bad {key} value: {exc}") from exc
+    comparator = _spec_enum(Relation, raw.get("cmp", "="), f"{key} cmp")
+    if "value" not in raw:
+        raise SpecError(f"{key} needs a value")
+    value = _spec_money(raw["value"], f"{key} value")
     convention = raw.get("convention", "debit")
     if convention not in ("debit", "credit"):
         raise SpecError(f"bad {key} convention: {convention!r}")
@@ -127,7 +125,7 @@ def _spec_cost_target(raw: object, key: str) -> CostTarget | None:
 # faults are reported; a key the file leaves out takes StrategySpec's default
 _SPEC_READERS = {
     "cost_target": _spec_cost_target,
-    "tail_loss_mode": _spec_mode,
+    "tail_loss_mode": functools.partial(_spec_enum, TailLossMode),
     "expected_price": _spec_money,
     "inflection": _spec_int,
     "max_loss": _spec_money,

@@ -75,7 +75,11 @@ class OptionQuote:
 
 @dataclass(frozen=True)
 class OptionChain:
-    """Immutable quote snapshot for one underlying and expiry."""
+    """Immutable quote snapshot for one underlying and expiry.
+
+    ``quotes`` keeps the order the records were read in; :meth:`ladder`
+    gives one right's quotes in strike order.
+    """
 
     underlying_price: int
     valuation_date: datetime.date
@@ -92,24 +96,17 @@ class OptionChain:
                 f"expiry {self.expiry_date} precedes valuation {self.valuation_date}"
             )
         seen: set[tuple[int, Right]] = set()
-        for q in self.quotes:
-            key = (q.strike, q.right)
-            if key in seen:
+        for q in self.quotes:  # in file order: the first repeat is named
+            if (q.strike, q.right) in seen:
                 raise MarketDataError(
                     f"duplicate quote for strike {q.strike} {q.right.value}"
                 )
-            seen.add(key)
+            seen.add((q.strike, q.right))
 
-    @cached_property
-    def _by_key(self) -> Mapping[tuple[int, Right], OptionQuote]:
-        return {(q.strike, q.right): q for q in self.quotes}
-
-    def quote(self, strike: int, right: Right) -> OptionQuote | None:
-        return self._by_key.get((strike, right))
-
-    def strikes(self, right: Right) -> tuple[int, ...]:
-        """Sorted strikes that carry a quote of the given right."""
-        return tuple(sorted(q.strike for q in self.quotes if q.right is right))
+    def ladder(self, right: Right) -> tuple[OptionQuote, ...]:
+        """The quotes of the given right in strike order."""
+        quotes = (q for q in self.quotes if q.right is right)
+        return tuple(sorted(quotes, key=lambda q: q.strike))
 
 
 @dataclass(frozen=True)
@@ -345,17 +342,13 @@ def validate_chain(chain: OptionChain) -> list[Violation]:
                 )
             )
     for right in (Right.CALL, Right.PUT):
+        quotes = chain.ladder(right)
+        direction = "decreasing" if right is Right.CALL else "increasing"
         for side in ("ask", "bid"):
-            ladder = [
-                (s, getattr(chain.quote(s, right), side)) for s in chain.strikes(right)
-            ]
+            ladder = [(q.strike, getattr(q, side)) for q in quotes]
             ladder = [(s, p) for s, p in ladder if p is not None]
             for (_, prev), (strike, price) in zip(ladder, ladder[1:]):
-                bad = price >= prev if right is Right.CALL else price <= prev
-                if bad:
-                    direction = (
-                        "decreasing" if right is Right.CALL else "increasing"
-                    )
+                if price >= prev if right is Right.CALL else price <= prev:
                     report.append(
                         Violation(
                             kind="monotonicity",
@@ -382,26 +375,25 @@ def select_series(
     if n <= 0:
         raise MarketDataError(f"series length must be positive: {n}")
 
-    def pick(right: Right, anchor: int) -> list[OptionQuote]:
-        listed = chain.strikes(right)
+    def pick(right: Right, anchor: int) -> tuple[OptionQuote, ...]:
+        ladder = chain.ladder(right)
+        listed = [q.strike for q in ladder]
         if anchor not in listed:
             raise MarketDataError(f"{right.value} anchor {anchor} not listed")
         start = listed.index(anchor)
-        strikes = listed[start : start + n]
-        if len(strikes) < n:
+        quotes = ladder[start : start + n]
+        if len(quotes) < n:
             raise MarketDataError(
-                f"only {len(strikes)} {right.value} strikes listed from "
+                f"only {len(quotes)} {right.value} strikes listed from "
                 f"anchor {anchor}, need {n}"
             )
-        out = []
-        for s in strikes:
-            q = chain.quote(s, right)
-            assert q is not None
+        for q in quotes:
             for side in ("ask", "bid"):
                 if getattr(q, side) is None:
-                    raise MarketDataError(f"{right.value} {side} missing at strike {s}")
-            out.append(q)
-        return out
+                    raise MarketDataError(
+                        f"{right.value} {side} missing at strike {q.strike}"
+                    )
+        return quotes
 
     calls = pick(Right.CALL, call_anchor)
     puts = pick(Right.PUT, put_anchor)

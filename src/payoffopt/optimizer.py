@@ -162,7 +162,9 @@ def optimize(
 
     A solver failure propagates: :class:`SolverResourceError` for an
     exhausted budget, :class:`SolverError` itself for a backend failure or a
-    stage that misses the first optimum.
+    stage that misses the first optimum. A compiled objective that is not
+    the payoff engine's P&L of the decoded portfolio, a defect, raises
+    :class:`RuntimeError`.
     """
     equalities = equality_rows(spec, series)
     row = unreachable_row(equalities, spec.lower, spec.upper)
@@ -181,7 +183,9 @@ def optimize(
     combo, x = decode_combined(series.n, final)
     portfolio = Portfolio(series=series, calls=x[: series.n], puts=x[series.n :])
     # exact bookkeeping identity between the compiled objective and the engine
-    assert program.objective == pnl(portfolio, combo, spec.expected_price)
+    value = pnl(portfolio, combo, spec.expected_price)
+    if program.objective != value:
+        raise RuntimeError(f"objective {program.objective} is not the P&L {value}")
     return PortfolioSolution(
         portfolio=portfolio,
         combination=combo,

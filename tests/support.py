@@ -476,6 +476,15 @@ def seeded_strategies(seed: int, count: int):
 # the bundled fixture files, the paper's full-scale case
 FIXTURE_CHAIN = FIXTURES / "chain.csv"
 FIXTURE_SPEC = FIXTURES / "spec.json"
+# the golden commands and their outputs
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden_argv(name: str) -> list[str]:
+    """The command line of golden command ``name``; ``commands.json`` gives
+    fixture paths relative to the repository root, and these are absolute."""
+    argv = json.loads((GOLDEN / "commands.json").read_text())[name]["argv"]
+    return [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a for a in argv]
 
 
 def strategy(chain=FIXTURE_CHAIN, spec=FIXTURE_SPEC, **changes) -> tuple:

@@ -20,15 +20,15 @@ from payoffopt import SpecError, parse_chain
 from payoffopt.cli import CliError, _build_parser, load_run_config, run
 from payoffopt.model_builder import Relation, TailLossMode
 from support import (
+    GOLDEN,
     chain_to_json,
     fake_milp_runs,
+    golden_argv,
     marking,
     record_work,
     seeded_strategies,
     write_strategy,
 )
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CHAIN_CSV = (
     "underlying=99.50\n"
@@ -322,16 +322,35 @@ class TestOptimizeCommand:
         assert captured.out == ""
         assert captured.err == "error:internal:AssertionError: pnl identity broken\n"
 
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["asserts-on", "asserts-off"])
+    def test_broken_pnl_identity_is_an_internal_error(self, flags, chain_path, make_spec):
+        # optimize checks its objective against the payoff engine's P&L with
+        # python -O too, which strips assert statements
+        script = (
+            "import sys\n"
+            "import payoffopt.optimizer as optimizer\n"
+            "pnl = optimizer.pnl\n"
+            "optimizer.pnl = lambda *args: pnl(*args) + 1\n"
+            "from payoffopt.cli import run\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        argv = ["optimize", "--chain", str(chain_path), "--spec", str(make_spec())]
+        completed = subprocess.run(
+            [sys.executable, *flags, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            timeout=120,
+        )
+        assert (completed.returncode, completed.stdout) == (5, "")
+        assert completed.stderr == (
+            "error:internal:RuntimeError: objective 1410 is not the P&L 1411\n"
+        )
+
 
 FIXTURE_OPTIMIZE = (
     "optimize", "--chain", FIXTURES / "chain.csv", "--spec", FIXTURES / "spec.json",
 )
-
-
-def golden_argv(name):
-    """The command line of golden command ``name``, its paths absolute."""
-    argv = json.loads((GOLDEN / "commands.json").read_text())[name]["argv"]
-    return [str(FIXTURES.parent / a) if a.startswith("fixtures/") else a for a in argv]
 
 
 def subprocess_env(**overrides):
@@ -458,10 +477,8 @@ class TestFixtureCommand:
     def test_closed_stdout_still_writes_the_output_file(self, name, tmp_path):
         # every solve runs with fd 1 closed, where HiGHS has no output to
         # corrupt, and --output gets the golden text
-        argv = json.loads((GOLDEN / "commands.json").read_text())[name]["argv"]
-        argv = [FIXTURES.parent / a if a.startswith("fixtures/") else a for a in argv]
         path = tmp_path / "out.txt"
-        completed = self.run_with_stdout_closed(*argv, "--output", path)
+        completed = self.run_with_stdout_closed(*golden_argv(name), "--output", path)
         assert (completed.returncode, completed.stderr) == (0, "")
         assert path.read_bytes() == (GOLDEN / f"{name}.out").read_bytes()
 

@@ -29,6 +29,7 @@ def test_head_against_itself_answers_alike(monkeypatch, tmp_path):
     assert report["differences"] == []
     assert json.loads(bench.read_text()) == report
     assert report["checked"] == list(compare.golden_commands())
+    assert report["repeats"] == {"fixture-optimize": 5}
     assert len(report["checked"]) == 12
     assert set(report["machine"]) >= {"cores", "python", "scipy", "highs", "numpy"}
     assert [found["imported"] for found in report["measurements"].values()] == [
@@ -60,11 +61,16 @@ def test_a_changed_answer_is_a_difference(monkeypatch, tmp_path):
         found = pool.apply(
             compare.measure, (trees, commands, checked, warm_up, 1, str(tmp_path))
         )
-    *golden, difference = found["differences"]
+    # the fixture command runs, and differs, five times in its one round
+    golden, fixture = found["differences"][:3], found["differences"][3:]
     assert [(d["workload"], d["command"], d["differs"]) for d in golden] == [
         ("golden", name, ["stdout"])
         for name in ("optimize-csv-table", "sweep-liquidity-table", "sweep-cost-table")
     ]
+    assert compare.REPEATS == {"fixture-optimize": 5}
+    assert len(fixture) == 5 and all(d == fixture[0] for d in fixture)
+    difference = fixture[0]
+    assert (difference["workload"], difference["round"]) == ("fixture-optimize", 0)
     assert difference["differs"] == ["stdout"]
     code, stdout, stderr = difference["answers"]["payoffopt_0"]
     assert (code, stderr) == (0, "") and "max F" in stdout

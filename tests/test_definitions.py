@@ -7,6 +7,9 @@ an attribute anywhere in the package outside its own body; an attribute
 that a builtin type's method also names, as ``listed.index(anchor)`` does,
 is not counted. Dunders are exempt, since Python calls them. A helper in
 ``tests/support.py`` that no test refers to gets deleted too.
+
+The package holds no ``assert`` statement either: ``python -O`` strips
+them, so a check the package needs raises its error explicitly.
 """
 
 import ast
@@ -78,3 +81,13 @@ def test_an_unused_definition_is_found(tmp_path):
     # a use in another file counts, and only the defining files are checked
     (tmp_path / "test_mod.py").write_text("def test_it():\n    assert recursive(1)\n")
     assert orphans(tmp_path, "mod.py") == unused
+
+
+def test_the_package_has_no_assert_statement():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -13,28 +13,25 @@ After a change that is meant to alter the output, rewrite the files with
 import contextlib
 import io
 import json
-from pathlib import Path
 
 import pytest
 
 from payoffopt.cli import run
+from support import GOLDEN, golden_argv
 
-ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
-def invoke(argv: list[str]) -> tuple[int, str, str]:
-    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+def invoke(name: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        code = run(golden_argv(name))
     return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_fixture_command_output_is_unchanged(name):
-    code, out, err = invoke(COMMANDS[name]["argv"])
+    code, out, err = invoke(name)
     assert err == ""
     assert code == COMMANDS[name]["exit"]
     assert out == (GOLDEN / f"{name}.out").read_text()
@@ -42,7 +39,7 @@ def test_fixture_command_output_is_unchanged(name):
 
 if __name__ == "__main__":
     for name, command in COMMANDS.items():
-        command["exit"], out, err = invoke(command["argv"])
+        command["exit"], out, err = invoke(name)
         assert err == "", (name, err)
         (GOLDEN / f"{name}.out").write_text(out)
     (GOLDEN / "commands.json").write_text(json.dumps(COMMANDS, indent=2) + "\n")

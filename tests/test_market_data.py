@@ -1,5 +1,6 @@
 import datetime
 import json
+import random
 
 import pytest
 
@@ -45,10 +46,10 @@ def test_parse_small_chain():
     assert chain.valuation_date == datetime.date(2026, 8, 20)
     assert chain.expiry_date == datetime.date(2026, 9, 16)
     assert len(chain.quotes) == 4
-    q = chain.quote(100, Right.CALL)
-    assert (q.bid, q.ask, q.volume) == (400, 420, 120)
-    assert chain.strikes(Right.CALL) == (100, 110)
-    assert chain.strikes(Right.PUT) == (90, 100)
+    q = chain.ladder(Right.CALL)[0]
+    assert (q.strike, q.bid, q.ask, q.volume) == (100, 400, 420, 120)
+    assert [q.strike for q in chain.ladder(Right.CALL)] == [100, 110]
+    assert [q.strike for q in chain.ladder(Right.PUT)] == [90, 100]
 
 
 def test_parse_accepts_bytes():
@@ -65,8 +66,9 @@ def test_text_byte_order_mark_is_skipped(format):
 def test_missing_side_is_none():
     text = SMALL_CSV + "120,call,,0.55,3\n130,call,0.10,,2\n"
     chain = parse_chain(text)
-    assert chain.quote(120, Right.CALL).bid is None
-    assert chain.quote(130, Right.CALL).ask is None
+    calls = {q.strike: q for q in chain.ladder(Right.CALL)}
+    assert calls[120].bid is None
+    assert calls[130].ask is None
 
 
 def test_missing_header_is_schema_error():
@@ -201,6 +203,15 @@ def test_duplicate_quote_rejected():
         parse_chain(SMALL_CSV + "100,call,4.10,4.30,3\n")
 
 
+def test_first_repeat_in_file_order_is_named():
+    # two repeated pairs listed out of strike order: 110 call repeats first,
+    # though 100 call is the lower strike
+    records = ["110,call,1.00,1.10,80", "100,call,4.00,4.20,120", "90,put,0.80,0.90,60"]
+    text = "\n".join(SMALL_CSV.splitlines()[:3] + records + records[:2]) + "\n"
+    with pytest.raises(MarketDataError, match="^duplicate quote for strike 110 call$"):
+        parse_chain(text)
+
+
 def test_header_after_records_rejected():
     lines = SMALL_CSV.splitlines()
     shuffled = lines[1:4] + [lines[0]] + lines[4:]
@@ -223,6 +234,39 @@ def test_csv_round_trip_is_byte_exact():
     assert chain_to_csv(chain) == SMALL_CSV
     fixture_text = (FIXTURES / "chain.csv").read_text()
     assert chain_to_csv(parse_chain(fixture_text)) == fixture_text
+
+
+def out_of_order(text: str, seed: int | None) -> str:
+    """``text`` with its records after the three header lines reversed, or
+    shuffled with ``seed``."""
+    header, records = text.splitlines()[:3], text.splitlines()[3:]
+    if seed is None:
+        records.reverse()
+    else:
+        random.Random(seed).shuffle(records)
+    return "\n".join(header + records) + "\n"
+
+
+# SMALL_CSV plus a call ask that rises with strike, and a crossed 80 put
+# quoted above the 90 put
+FAULTY_CSV = SMALL_CSV + "120,call,0.50,1.20,5\n80,put,0.95,0.90,5\n"
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["reversed", "shuffled-1", "shuffled-2"])
+def test_record_order_does_not_matter(seed):
+    # each right is read in strike order; the chain keeps the file's order
+    fixture = (FIXTURES / "chain.csv").read_text()
+    spec = json.loads((FIXTURES / "spec.json").read_text())
+    anchors = spec["n"], spec["call_anchor"], spec["put_anchor"]
+    text = out_of_order(fixture, seed)
+    assert text != fixture
+    assert chain_to_csv(parse_chain(text)) == text
+    assert select_series(parse_chain(text), *anchors) == select_series(
+        parse_chain(fixture), *anchors
+    )
+    report = validate_chain(parse_chain(FAULTY_CSV))
+    assert {v.kind for v in report} == {"crossed", "monotonicity"}
+    assert validate_chain(parse_chain(out_of_order(FAULTY_CSV, seed))) == report
 
 
 def test_json_round_trip():
