@@ -3,7 +3,8 @@
 :func:`solve_ilp` is HiGHS's dual simplex and branch and cut (Huangfu & Hall,
 *Math. Prog. Comp.* 2018) with a zero optimality gap, driven through the
 binding scipy bundles. Each program is loaded once, into a HiGHS instance
-it holds alone, and every solve of it runs on that instance in place: the
+it holds alone, as plain Python sequences: its columns in one call and its
+rows in one more. Every solve of it runs on that instance in place: the
 root LP, and the first MILP with its presolve-off recheck when the root LP
 does not settle the program, in :func:`solve_ilp`, which then pins the
 objective at its optimum with one added row and returns the loaded
@@ -62,10 +63,10 @@ same contract.
 
 from __future__ import annotations
 
+import math
 import operator
-from typing import Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
 from scipy.optimize._highspy._core import (
     HighsModelStatus,
     HighsStatus,
@@ -129,6 +130,40 @@ def _failure(highs: _Highs, status: HighsModelStatus) -> str:
     return f"MILP backend failed (status {int(status)}): {text}"
 
 
+def _floats(values: Iterable[int | float]) -> list[float]:
+    """``values`` as floats; one beyond floating point raises
+    :class:`SolverError`."""
+    try:
+        return [float(v) for v in values]
+    except OverflowError as exc:
+        raise SolverError(f"program exceeds floating point: {exc}") from exc
+
+
+def _add_rows(highs: _Highs, rows: Sequence[Row]) -> None:
+    """Add ``rows`` to the model ``highs`` holds, in one call.
+
+    Each row goes to HiGHS as its two sides, an infinite one where the row
+    is open, and its nonzero coefficients. A number beyond floating point,
+    or a row HiGHS rejects (for instance a coefficient of 1e15 or more),
+    raises :class:`SolverError`.
+    """
+    lower, upper, starts, index, value = [], [], [], [], []
+    for row in rows:
+        lower.append(-math.inf if row.relation is Relation.LE else row.rhs)
+        upper.append(math.inf if row.relation is Relation.GE else row.rhs)
+        starts.append(len(index))
+        for j, c in enumerate(row.coeffs):
+            if c:
+                index.append(j)
+                value.append(c)
+    status = highs.addRows(
+        len(rows), _floats(lower), _floats(upper), len(index), starts, index,
+        _floats(value),
+    )
+    if status == HighsStatus.kError:
+        raise SolverError(_failure(highs, HighsModelStatus.kModelError))
+
+
 def _load(
     highs: _Highs,
     objective: Sequence[int],
@@ -140,43 +175,26 @@ def _load(
 
     The instance is cleared first: whatever an earlier program left on it,
     model, solver state or options, is gone, and the options are set as on a
-    new instance. The matrix goes to HiGHS once, column-wise, the layout it
-    stores. A number beyond floating point, or a model HiGHS rejects (for
-    instance a matrix entry of 1e15 or more), raises :class:`SolverError`.
+    new instance. The columns, their costs, boxes and integrality, go to
+    HiGHS in one call, and the rows in one more, by :func:`_add_rows`. A
+    number beyond floating point, or a model HiGHS rejects (for instance a
+    matrix entry of 1e15 or more), raises :class:`SolverError`.
     """
     num_vars = len(bounds)
-    try:
-        matrix = np.asarray([row.coeffs for row in rows], dtype=float)
-        rhs = np.asarray([row.rhs for row in rows], dtype=float)
-        box = np.asarray(bounds, dtype=float).reshape(num_vars, 2)
-        cost = -np.asarray(objective, dtype=float)
-    except OverflowError as exc:
-        raise SolverError(f"program exceeds floating point: {exc}") from exc
-    columns = matrix.reshape(len(rows), num_vars).T
-    col, row = np.nonzero(columns)
+    cost = _floats(-c for c in objective)
+    lower, upper = map(_floats, zip(*bounds))
     highs.clear()
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
     highs.setOptionValue("mip_max_nodes", NODE_BUDGET)
+    # no matrix yet: every entry comes with the rows
     status = highs.passModel(
-        num_vars,
-        len(rows),
-        len(row),
-        MatrixFormat.kColwise,
-        ObjSense.kMinimize,
-        0.0,
-        cost,
-        box[:, 0],
-        box[:, 1],
-        np.where([r.relation is Relation.LE for r in rows], -np.inf, rhs),
-        np.where([r.relation is Relation.GE for r in rows], np.inf, rhs),
-        np.searchsorted(col, np.arange(num_vars + 1)).astype(np.int32),
-        row.astype(np.int32),
-        columns[col, row],
-        np.full(num_vars, HighsVarType.kInteger, dtype=np.int32),
+        num_vars, 0, 0, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,
+        cost, lower, upper, [], [], [], [], [], [HighsVarType.kInteger] * num_vars,
     )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
+    _add_rows(highs, rows)
 
 
 # the options that make each kind of run (see the module docstring)
@@ -302,7 +320,7 @@ class Program:
         x = self._point() if status == HighsModelStatus.kOptimal else None
         if x is None:
             return status, None
-        value = sum(map(operator.mul, cost, x))
+        (value,) = _floats([sum(map(operator.mul, cost, x))])
         if abs(value - self.highs.getObjectiveValue()) >= 0.5:
             return status, None
         return status, x
@@ -337,7 +355,6 @@ class Program:
         if not _holds(x, self.rows, bounds):
             raise SolverError(f"seed point misses the optimum {self.objective}")
         num_vars = len(bounds)
-        columns = np.arange(num_vars, dtype=np.int32)
         j = 0
         while j < stop:
             if x[j] == bounds[j][0]:
@@ -351,9 +368,9 @@ class Program:
             for i in reversed(block):
                 cost[i] = weight
                 weight *= widths[i - j]
-            box = np.asarray(bounds, dtype=float)
-            self.highs.changeColsBounds(num_vars, columns, box[:, 0], box[:, 1])
-            self.highs.changeColsCost(num_vars, columns, np.asarray(cost, dtype=float))
+            lower, upper = zip(*bounds)
+            self.highs.changeColsBounds(num_vars, range(num_vars), lower, upper)
+            self.highs.changeColsCost(num_vars, range(num_vars), cost)
             self.bounds = tuple(bounds)
             _, x = self._relaxed_optimum(cost)
             if x is None:
@@ -390,11 +407,10 @@ def solve_ilp(problem: IlpProblem) -> Program | None:
         return None
     value = sum(map(operator.mul, problem.objective, x))
     # the objective pin, one more row on the instance for every refine
-    cost = np.asarray(problem.objective, dtype=float)
-    held = np.flatnonzero(cost).astype(np.int32)
-    program.highs.addRow(value, value, len(held), held, cost[held])
+    pin = Row("objective_pin", problem.objective, Relation.EQ, value)
+    _add_rows(program.highs, (pin,))
     for option, setting in _PINNED_OPTIONS:
         program.highs.setOptionValue(option, setting)
-    program.rows += (Row("objective_pin", problem.objective, Relation.EQ, value),)
+    program.rows += (pin,)
     program.x, program.objective = x, value
     return program

@@ -10,9 +10,12 @@ is not counted. Dunders are exempt, since Python calls them. A helper in
 
 The package holds no ``assert`` statement either: ``python -O`` strips
 them, so a check the package needs raises its error explicitly.
+Nor does it import anything outside the standard library but scipy's
+binding of HiGHS.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -91,3 +94,24 @@ def test_the_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+# the one module outside the standard library the package imports: scipy's
+# binding of HiGHS
+BINDING = "scipy.optimize._highspy._core"
+
+
+def test_the_package_imports_only_the_standard_library_and_highs():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append(node.module)
+    assert BINDING in found
+    assert [
+        name
+        for name in found
+        if name != BINDING and name.partition(".")[0] not in sys.stdlib_module_names
+    ] == []

@@ -8,7 +8,13 @@ import re
 from unittest.mock import Mock
 
 import pytest
-from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+from scipy.optimize._highspy._core import (
+    HighsModelStatus,
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    _Highs,
+)
 
 import payoffopt.ilp_solver
 from payoffopt.ilp_solver import (
@@ -24,7 +30,13 @@ from payoffopt.ilp_solver import (
     _holds,
     solve_ilp,
 )
-from payoffopt.model_builder import IlpProblem, Relation, Row, off_lattice_rows
+from payoffopt.model_builder import (
+    IlpProblem,
+    Relation,
+    Row,
+    build_combined,
+    off_lattice_rows,
+)
 from payoffopt.optimizer import Infeasible, _stdout_discarded, optimize
 from support import (
     BRUTE_FORCE_LIMIT,
@@ -427,20 +439,83 @@ def test_status_2_is_infeasible_only_when_highs_says_so(monkeypatch, status, kin
     assert [run.kind for run in work.runs] == kinds
 
 
-@pytest.mark.parametrize(
-    "coefficient, message",
-    [(10**15, "Model error"), (10**400, "exceeds floating point")],
-    ids=["1e15", "1e400"],
-)
-def test_unrepresentable_program_is_a_solver_error(coefficient, message):
-    problem = IlpProblem(
-        objective=(1,),
-        rows=(Row("huge", (coefficient,), Relation.LE, coefficient),),
-        bounds=((0, 1),),
+def one_slot(objective=1, coefficient=1, rhs=1, upper=1):
+    """``max objective * x`` with ``coefficient * x <= rhs``, ``0 <= x <= upper``."""
+    return IlpProblem(
+        objective=(objective,),
+        rows=(Row("huge", (coefficient,), Relation.LE, rhs),),
+        bounds=((0, upper),),
     )
+
+
+# how a number beyond floating point is reported
+OVERFLOW = "^program exceeds floating point: "
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        (one_slot(coefficient=10**15, rhs=10**15), "Model error"),
+        (one_slot(coefficient=10**400, rhs=10**400), OVERFLOW),
+        # each number alone, wherever it sits: the columns and the rows go to
+        # HiGHS in separate calls
+        (one_slot(objective=10**400), OVERFLOW),
+        (one_slot(upper=10**400), OVERFLOW),
+        (one_slot(coefficient=10**400), OVERFLOW),
+        (one_slot(rhs=10**400), OVERFLOW),
+        # every number fits, but the optimum, 1e310, does not
+        (
+            IlpProblem(objective=(10**300,), rows=(), bounds=((0, 10**10),)),
+            OVERFLOW,
+        ),
+    ],
+    ids=["1e15", "1e400", "objective", "bound", "coefficient", "rhs", "optimum"],
+)
+def test_unrepresentable_program_is_a_solver_error(problem, message):
     with pytest.raises(SolverError, match=message) as err:
         solve_ilp(problem)
     assert err.type is SolverError
+
+
+def loaded_model(highs):
+    """The model ``highs`` holds: each column's cost, box and integrality,
+    and each row's sides and dense coefficients."""
+    lp = highs.getLp()
+    matrix = lp.a_matrix_
+    dense = [[0.0] * lp.num_col_ for _ in range(lp.num_row_)]
+    outer = lp.num_col_ if matrix.format_ == MatrixFormat.kColwise else lp.num_row_
+    for i in range(outer):
+        for k in range(matrix.start_[i], matrix.start_[i + 1]):
+            if matrix.format_ == MatrixFormat.kColwise:
+                dense[matrix.index_[k]][i] = matrix.value_[k]
+            else:
+                dense[i][matrix.index_[k]] = matrix.value_[k]
+    columns = list(zip(lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.integrality_))
+    return columns, list(zip(lp.row_lower_, lp.row_upper_, dense))
+
+
+@pytest.mark.parametrize("case", ["fixture", "no rows"])
+def test_the_loaded_model_is_the_program(fixture_run_config, fixture_series, case):
+    # what HiGHS holds after the first solve is the program exactly: the
+    # negated objective, the box, every column integer, and every row, the
+    # pin included, with an infinite side where the row is open
+    if case == "fixture":
+        problem = build_combined(fixture_run_config.strategy, fixture_series)
+    else:
+        problem = IlpProblem(objective=(3, -2, 0), rows=(), bounds=((0, 4), (-1, 5), (2, 2)))
+    program = solve_ilp(problem)
+    assert program.rows[-1].name == "objective_pin"
+    sides = {
+        Relation.LE: lambda rhs: (-math.inf, rhs),
+        Relation.GE: lambda rhs: (rhs, math.inf),
+        Relation.EQ: lambda rhs: (rhs, rhs),
+    }
+    columns = [
+        (-c, lo, hi, HighsVarType.kInteger)
+        for c, (lo, hi) in zip(problem.objective, problem.bounds)
+    ]
+    rows = [(*sides[row.relation](row.rhs), list(row.coeffs)) for row in program.rows]
+    assert loaded_model(program.highs) == (columns, rows)
 
 
 @pytest.mark.parametrize("status", ["kSolutionLimit", "kIterationLimit", "kTimeLimit"])
@@ -557,7 +632,8 @@ def test_highs_binding_has_what_the_solver_calls():
     source = inspect.getsource(payoffopt.ilp_solver)
     methods = set(re.findall(r"highs\.(\w+)\(", source))
     assert {
-        "clear", "passModel", "run", "clearSolver", "changeColsCost", "getObjectiveValue"
+        "clear", "passModel", "addRows", "run", "clearSolver", "changeColsCost",
+        "getObjectiveValue",
     } <= methods
     for method in sorted(methods):
         assert callable(getattr(_Highs, method, None)), method
