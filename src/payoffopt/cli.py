@@ -141,13 +141,14 @@ _REQUIRED_KEYS = (
     "expected_price", "inflection", "max_loss", "lower", "upper",
     "n", "call_anchor", "put_anchor",
 )
+_KNOWN_KEYS = frozenset(_SPEC_READERS).union(_SERIES_KEYS)
 
 
 def load_run_config(data: object) -> RunConfig:
     """Validate and convert a strategy JSON object."""
     if not isinstance(data, dict):
         raise SpecError("strategy file must hold a JSON object")
-    unknown = set(data) - set(_SPEC_READERS) - set(_SERIES_KEYS)
+    unknown = data.keys() - _KNOWN_KEYS
     if unknown:
         raise SpecError(f"unknown key {sorted(unknown)[0]!r}")
     for key in _REQUIRED_KEYS:
@@ -166,9 +167,10 @@ def load_run_config(data: object) -> RunConfig:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every
-    :func:`run` call; ``parse_args`` does not change it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and each command's subparser, built once per
+    process and shared by every :func:`run` call; parsing does not change
+    them."""
     parser = argparse.ArgumentParser(
         prog="payoffopt",
         description="Option portfolio construction with a prescribed payoff shape.",
@@ -208,7 +210,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="report quote-quality violations")
     add_common(p_val, with_spec=False)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the argument parser's ``parse_args`` parses it,
+    with the same messages and exits.
+
+    argparse hands everything after a command's name to that command's
+    subparser, by ``parse_known_args``, and the top-level parser reports
+    what the subparser leaves over. A known command goes to its subparser
+    that way directly, which skips the top-level pass over ``argv``;
+    anything else (no arguments, ``-h``, an unknown command) goes through
+    the full parser.
+    """
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_chain(path: Path) -> OptionChain:
@@ -363,7 +386,7 @@ _COMMANDS = {
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, execute one command, return the exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

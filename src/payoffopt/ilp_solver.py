@@ -139,13 +139,31 @@ def _floats(values: Iterable[int | float]) -> list[float]:
         raise SolverError(f"program exceeds floating point: {exc}") from exc
 
 
+def _finite(
+    highs: _Highs, values: list[float], option: str, what: str
+) -> list[float]:
+    """``values``, each below the infinity that HiGHS's ``option`` sets in
+    magnitude; HiGHS would read a larger one as infinite, so it raises
+    :class:`SolverError` that names it."""
+    _, infinity = highs.getOptionValue(option)
+    if max(map(abs, values), default=0.0) >= infinity:
+        value = next(v for v in values if abs(v) >= infinity)
+        raise SolverError(
+            f"program exceeds the solver's range: {what} {value:g} "
+            f"reaches its {option} {infinity:g}"
+        )
+    return values
+
+
 def _add_rows(highs: _Highs, rows: Sequence[Row]) -> None:
     """Add ``rows`` to the model ``highs`` holds, in one call.
 
     Each row goes to HiGHS as its two sides, an infinite one where the row
     is open, and its nonzero coefficients. A number beyond floating point,
+    a coefficient that HiGHS would read as infinite (see :func:`_finite`),
     or a row HiGHS rejects (for instance a coefficient of 1e15 or more),
-    raises :class:`SolverError`.
+    raises :class:`SolverError`. A side of 1e20 or more is left to HiGHS,
+    which reads it as infinite, so the row is open on that side.
     """
     lower, upper, starts, index, value = [], [], [], [], []
     for row in rows:
@@ -156,9 +174,9 @@ def _add_rows(highs: _Highs, rows: Sequence[Row]) -> None:
             if c:
                 index.append(j)
                 value.append(c)
+    value = _finite(highs, _floats(value), "infinite_bound", "coefficient")
     status = highs.addRows(
-        len(rows), _floats(lower), _floats(upper), len(index), starts, index,
-        _floats(value),
+        len(rows), _floats(lower), _floats(upper), len(index), starts, index, value
     )
     if status == HighsStatus.kError:
         raise SolverError(_failure(highs, HighsModelStatus.kModelError))
@@ -177,8 +195,10 @@ def _load(
     model, solver state or options, is gone, and the options are set as on a
     new instance. The columns, their costs, boxes and integrality, go to
     HiGHS in one call, and the rows in one more, by :func:`_add_rows`. A
-    number beyond floating point, or a model HiGHS rejects (for instance a
-    matrix entry of 1e15 or more), raises :class:`SolverError`.
+    number beyond floating point, a cost, bound or matrix entry that HiGHS
+    would read as infinite (see :func:`_finite`), or a model HiGHS rejects
+    (for instance a matrix entry of 1e15 or more), raises
+    :class:`SolverError`.
     """
     num_vars = len(bounds)
     cost = _floats(-c for c in objective)
@@ -187,6 +207,8 @@ def _load(
     for option, value in _OPTIONS:
         highs.setOptionValue(option, value)
     highs.setOptionValue("mip_max_nodes", NODE_BUDGET)
+    _finite(highs, cost, "infinite_cost", "cost")
+    _finite(highs, lower + upper, "infinite_bound", "bound")
     # no matrix yet: every entry comes with the rows
     status = highs.passModel(
         num_vars, 0, 0, MatrixFormat.kColwise, ObjSense.kMinimize, 0.0,

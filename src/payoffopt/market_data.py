@@ -186,6 +186,10 @@ def parse_chain(source: str | bytes, format: str = "csv") -> OptionChain:
     raise ValueError(f"unknown chain format: {format!r}")
 
 
+# a required field that a JSON quote leaves out
+_MISSING = object()
+
+
 def _count(value: object, name: str) -> int:
     """A strike or volume: an integer (not a bool), or a string of ASCII
     digits; a fraction, a sign or surrounding space is an error."""
@@ -193,6 +197,8 @@ def _count(value: object, name: str) -> int:
         return value
     if isinstance(value, str) and is_digits(value):
         return int(value)  # past the int-string digit limit: a ValueError
+    if value is _MISSING:
+        raise MarketDataError(f"missing field {name!r}")
     raise MarketDataError(f"bad {name} {value!r}")
 
 
@@ -203,29 +209,35 @@ def _money(value: object, name: str) -> int:
         raise MarketDataError(f"bad {name} {value!r}") from exc
 
 
+_RIGHTS = {right.value: right for right in Right}
+
+
 def _right(value: object) -> Right:
     text = str(value)
-    try:
-        return Right(text.strip().lower())
-    except ValueError as exc:
-        raise MarketDataError(f"bad right {text!r} (expected call or put)") from exc
+    right = _RIGHTS.get(text.strip().lower())
+    if right is not None:
+        return right
+    if value is _MISSING:
+        raise MarketDataError("missing field 'right'")
+    raise MarketDataError(f"bad right {text!r} (expected call or put)")
 
 
-def _quote(label: str, record: Mapping[str, object]) -> OptionQuote:
-    """The quote of one record, in either format; any fault is one
-    :class:`MarketDataError` that starts with the record's ``label``. A bid or
-    ask of ``None`` is a side that is not quoted."""
-    bid, ask = record.get("bid"), record.get("ask")
+def _quote(
+    label: str, strike: object, right: object, bid: object, ask: object, volume: object
+) -> OptionQuote:
+    """The quote of one record's fields, in either format; any fault is one
+    :class:`MarketDataError` that starts with the record's ``label``, and the
+    fields are checked in this order. A bid or ask of ``None`` is a side that
+    is not quoted; a required field of ``_MISSING`` is one the record leaves
+    out."""
     try:
         return OptionQuote(
-            strike=_count(record["strike"], "strike"),
-            right=_right(record["right"]),
+            strike=_count(strike, "strike"),
+            right=_right(right),
             bid=None if bid is None else _money(bid, "bid"),
             ask=None if ask is None else _money(ask, "ask"),
-            volume=_count(record["volume"], "volume"),
+            volume=_count(volume, "volume"),
         )
-    except KeyError as exc:
-        raise MarketDataError(f"{label}: missing field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise MarketDataError(f"{label}: {exc}") from exc
 
@@ -257,12 +269,15 @@ def _chain(
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     """``json.loads``'s ``object_pairs_hook``: a key given twice raises
-    ``ValueError`` rather than silently keep its last value."""
-    obj: dict[str, object] = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"repeated key {key!r}")
-        obj[key] = value
+    ``ValueError`` rather than silently keep its last value. The message
+    names the first key seen a second time."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"repeated key {key!r}")
+            seen.add(key)
     return obj
 
 
@@ -273,23 +288,23 @@ def _parse_csv(text: str) -> OptionChain:
         line = line.strip()
         if not line:
             continue
-        key, eq, value = (part.strip() for part in line.partition("="))
+        key, eq, value = line.partition("=")
+        key = key.strip()
         if eq and key in _HEADER_KEYS:
             if quotes:
                 raise MarketDataError(f"row {row}: header {key!r} after records")
             if key in headers:
                 raise MarketDataError(f"row {row}: repeated header {key!r}")
-            headers[key] = value
+            headers[key] = value.strip()
             continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
         if len(fields) != 5:
             raise MarketDataError(f"row {row}: expected 5 fields, got {len(fields)}")
-        strike, right, bid, ask, volume = fields
+        strike, right, bid, ask, volume = [field.strip() for field in fields]
         # an empty bid or ask field is a side that is not quoted
-        record = dict(
-            strike=strike, right=right, bid=bid or None, ask=ask or None, volume=volume
+        quotes.append(
+            _quote(f"row {row}", strike, right, bid or None, ask or None, volume)
         )
-        quotes.append(_quote(f"row {row}", record))
     for key in _HEADER_KEYS:
         if key not in headers:
             raise MarketDataError(f"missing header: {key}")
@@ -316,7 +331,16 @@ def _parse_json(text: str) -> OptionChain:
     for row, item in enumerate(raw_quotes, start=1):
         if not isinstance(item, dict):
             raise MarketDataError(f"quote {row}: expected an object")
-        quotes.append(_quote(f"quote {row}", item))
+        quotes.append(
+            _quote(
+                f"quote {row}",
+                item.get("strike", _MISSING),
+                item.get("right", _MISSING),
+                item.get("bid"),
+                item.get("ask"),
+                item.get("volume", _MISSING),
+            )
+        )
     return _chain(data, header_keys, quotes)
 
 

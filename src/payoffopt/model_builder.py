@@ -199,48 +199,43 @@ class IlpProblem:
         return len(self.objective)
 
 
-def _rows(
-    spec: StrategySpec, series: SeriesSelection
-) -> Iterator[tuple[str, tuple[int, ...], tuple[int, ...], Relation | None, int]]:
-    """The objective, then every subproblem row in build order, each as
-    ``(name, ask, bid, relation, rhs)``: ``ask[i]`` is slot i's coefficient
-    when it trades at its ask, ``bid[i]`` when it trades at its bid.
+# a row as the generators below give it, ``(name, ask, bid, relation, rhs)``:
+# ``ask[i]`` is slot i's coefficient when it trades at its ask, ``bid[i]``
+# when it trades at its bid
+GeneratedRow = tuple[str, tuple[int, ...], tuple[int, ...], Relation | None, int]
 
-    The objective comes first, named ``objective``, with relation ``None``
-    and right-hand side 0. A row that reads no price gives one tuple for
-    both sides. An inflection that is not a strike raises before anything
-    is yielded.
-    """
+
+def _strikes(spec: StrategySpec, series: SeriesSelection) -> tuple[int, ...]:
+    """The series' unique strikes; an inflection that is not one of them
+    raises :class:`SpecError`."""
     strikes = series.unique_strikes
     if spec.inflection not in strikes:
         raise SpecError(
             f"inflection-not-in-K: {spec.inflection} not among strikes {strikes}"
         )
-    n = series.n
-    asks = series.call_asks + series.put_asks
-    bids = series.call_bids + series.put_bids
-    intrinsic = tuple(
-        [max(spec.expected_price - k * CENTS, 0) for k in series.call_strikes]
-        + [max(k * CENTS - spec.expected_price, 0) for k in series.put_strikes]
-    )
-    objective = (
-        tuple(map(operator.sub, intrinsic, asks)),
-        tuple(map(operator.sub, intrinsic, bids)),
-    )
-    yield "objective", *objective, None, 0
+    return strikes
 
+
+def _prices(series: SeriesSelection) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every slot's ask and every slot's bid, calls first."""
+    return series.call_asks + series.put_asks, series.call_bids + series.put_bids
+
+
+def _tail_rows(n: int) -> Iterator[GeneratedRow]:
+    """The two tail equalities: the call and the put quantities sum to 0."""
     calls, puts = (1,) * n + (0,) * n, (0,) * n + (1,) * n
     yield "tail_calls", calls, calls, Relation.EQ, 0
     yield "tail_puts", puts, puts, Relation.EQ, 0
-    for lo, hi in zip(strikes, strikes[1:]):
-        coeffs = tuple(
-            [1 if k <= lo else 0 for k in series.call_strikes]
-            + [-1 if k >= hi else 0 for k in series.put_strikes]
-        )
-        relation = Relation.GE if lo <= spec.inflection else Relation.LE
-        yield f"slope[{lo},{hi}]", coeffs, coeffs, relation, 0
 
-    pnl_mode = spec.tail_loss_mode is TailLossMode.PNL
+
+def _balance_rows(
+    spec: StrategySpec,
+    series: SeriesSelection,
+    asks: tuple[int, ...],
+    bids: tuple[int, ...],
+) -> Iterator[GeneratedRow]:
+    """The tail-balance equalities the spec asks for, left then right."""
+    n = series.n
     tails = []
     if spec.balance_left_tail:
         # left tail payoff constant is sum(put_strike * put_qty)
@@ -253,19 +248,59 @@ def _rows(
             ("balance_right", tuple(-k * CENTS for k in series.call_strikes) + (0,) * n)
         )
     for name, payoff_coeffs in tails:
-        if pnl_mode:
+        if spec.tail_loss_mode is TailLossMode.PNL:
             ask = tuple(map(operator.sub, payoff_coeffs, asks))
             bid = tuple(map(operator.sub, payoff_coeffs, bids))
             yield name, ask, bid, Relation.EQ, spec.max_loss
         else:
             yield name, payoff_coeffs, payoff_coeffs, Relation.EQ, -spec.max_loss
 
-    positivity = objective if pnl_mode else (intrinsic, intrinsic)
-    yield "positivity", *positivity, Relation.GE, spec.epsilon
 
+def _cost_rows(
+    spec: StrategySpec, asks: tuple[int, ...], bids: tuple[int, ...]
+) -> Iterator[GeneratedRow]:
+    """The cost row, when the spec has a cost target."""
     if spec.cost_target is not None:
         target = spec.cost_target
         yield "cost", asks, bids, target.comparator, target.value
+
+
+def _rows(spec: StrategySpec, series: SeriesSelection) -> Iterator[GeneratedRow]:
+    """The objective, then every subproblem row in build order.
+
+    The objective comes first, named ``objective``, with relation ``None``
+    and right-hand side 0. A row that reads no price gives one tuple for
+    both sides. An inflection that is not a strike raises before anything
+    is yielded.
+    """
+    strikes = _strikes(spec, series)
+    asks, bids = _prices(series)
+    intrinsic = tuple(
+        [max(spec.expected_price - k * CENTS, 0) for k in series.call_strikes]
+        + [max(k * CENTS - spec.expected_price, 0) for k in series.put_strikes]
+    )
+    objective = (
+        tuple(map(operator.sub, intrinsic, asks)),
+        tuple(map(operator.sub, intrinsic, bids)),
+    )
+    yield "objective", *objective, None, 0
+
+    yield from _tail_rows(series.n)
+    for lo, hi in zip(strikes, strikes[1:]):
+        coeffs = tuple(
+            [1 if k <= lo else 0 for k in series.call_strikes]
+            + [-1 if k >= hi else 0 for k in series.put_strikes]
+        )
+        relation = Relation.GE if lo <= spec.inflection else Relation.LE
+        yield f"slope[{lo},{hi}]", coeffs, coeffs, relation, 0
+
+    yield from _balance_rows(spec, series, asks, bids)
+
+    pnl_mode = spec.tail_loss_mode is TailLossMode.PNL
+    positivity = objective if pnl_mode else (intrinsic, intrinsic)
+    yield "positivity", *positivity, Relation.GE, spec.epsilon
+
+    yield from _cost_rows(spec, asks, bids)
 
 
 # an equality row as :func:`equality_rows` gives it: (name, ask, bid, rhs)
@@ -281,12 +316,20 @@ def equality_rows(
 
     These are the equality rows of :func:`build_combined` without side-bit
     coefficients, with ``ask`` on the ``p`` columns and ``bid`` on the ``r``
-    columns, computed without building that program. An inflection that is
+    columns, computed without building that program: only the generators
+    of :func:`_rows` that can give an equality run. An inflection that is
     not a strike raises :class:`SpecError`.
     """
+    _strikes(spec, series)
+    asks, bids = _prices(series)
+    rows = itertools.chain(
+        _tail_rows(series.n),
+        _balance_rows(spec, series, asks, bids),
+        _cost_rows(spec, asks, bids),
+    )
     return tuple(
         (name, ask, bid, rhs)
-        for name, ask, bid, relation, rhs in _rows(spec, series)
+        for name, ask, bid, relation, rhs in rows
         if relation is Relation.EQ
     )
 

@@ -8,7 +8,12 @@ than two decimal places so equality stays exact end to end.
 
 from __future__ import annotations
 
+import re
+
 CENTS = 100
+
+# an optional sign, ASCII digits, and optionally a point and more of them
+_AMOUNT = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?")
 
 
 def parse_money(value: int | float | str) -> int:
@@ -18,32 +23,26 @@ def parse_money(value: int | float | str) -> int:
     or ``"-100.00"``, and floats whose shortest repr is such a string; any
     other value raises :class:`ValueError`.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"not a money amount: {value!r}")
-    if isinstance(value, int):
+    # errors show the value's repr: a string quoted, a float bare
+    if isinstance(value, str):
+        text = value
+    elif isinstance(value, float):
+        text = repr(value)
+    elif isinstance(value, int) and not isinstance(value, bool):
         return value * CENTS
-    # errors quote a string and show a float bare, as its repr
-    if isinstance(value, float):
-        text = shown = repr(value)
-    elif isinstance(value, str):
-        text, shown = value, repr(value)
     else:
         raise ValueError(f"not a money amount: {value!r}")
-    text = text.strip()
-    sign = 1
-    if text.startswith(("+", "-")):
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    whole, dot, frac = text.partition(".")
-    if not is_digits(whole) or (dot and not is_digits(frac)):
-        raise ValueError(f"not a money amount: {shown}")
+    match = _AMOUNT.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a money amount: {value!r}")
+    sign, whole, frac = match.groups("")
     if len(frac) > 2:
-        raise ValueError(f"more than two decimal places: {shown}")
+        raise ValueError(f"more than two decimal places: {value!r}")
     try:
         cents = int(whole) * CENTS + int(frac.ljust(2, "0"))
     except ValueError as exc:  # beyond Python's int-string digit limit
         raise ValueError(f"amount has too many digits: {len(whole)}") from exc
-    return sign * cents
+    return -cents if sign == "-" else cents
 
 
 def is_digits(text: str) -> bool:

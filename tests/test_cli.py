@@ -17,7 +17,13 @@ import payoffopt
 import payoffopt.ilp_solver
 from conftest import FIXTURES
 from payoffopt import SpecError, parse_chain
-from payoffopt.cli import CliError, _build_parser, load_run_config, run
+from payoffopt.cli import (
+    CliError,
+    _parse_args,
+    _parsers,
+    load_run_config,
+    run,
+)
 from payoffopt.model_builder import Relation, TailLossMode
 from support import (
     GOLDEN,
@@ -1224,19 +1230,76 @@ class TestSweepCommand:
         assert "no values" in capsys.readouterr().err
 
 
+# argument lists for every command, with help, errors and "--" among them;
+# the names are placeholders, no file is read
+ARGV = [
+    ["optimize", "--chain", "c.csv", "--spec", "s.json"],
+    ["optimize", "--chain", "c.csv", "--spec", "s.json", "--format", "json", "-o", "o"],
+    ["optimize", "--chain=c.csv", "--spec=s.json", "--format=csv"],
+    ["optimize", "--ch", "c.csv", "--sp", "s.json"],
+    ["sweep", "--chain", "c", "--spec", "s", "--axis", "cost", "--values=-1.00,2"],
+    ["sweep", "--chain", "c", "--spec", "s", "--axis", "liquidity", "--values", "1"],
+    ["payoff", "--chain", "c", "--spec", "s", "--solution", "x.json"],
+    ["payoff", "--chain", "c", "--spec", "s"],
+    ["validate", "--chain", "c"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["optimize", "-h"],
+    ["sweep", "--help"],
+    ["validate", "-h", "extra"],
+    ["frobnicate"],
+    ["frobnicate", "--chain", "c"],
+    ["-x"],
+    ["--chain", "c", "optimize"],
+    ["optimize"],
+    ["optimize", "--bogus"],
+    ["optimize", "--chain", "c", "--spec", "s", "--bogus", "1"],
+    ["optimize", "--chain", "c"],
+    ["optimize", "--chain"],
+    ["sweep", "--chain", "c", "--spec", "s", "--values", "1"],
+    ["sweep", "--chain", "c", "--spec", "s", "--axis", "time", "--values", "1"],
+    ["optimize", "--chain", "c", "--spec", "s", "--format", "xml"],
+    ["optimize", "--chain", "c", "--spec", "s", "extra"],
+    ["validate", "--chain", "c", "extra", "more"],
+    ["validate", "--chain", "c", "-o"],
+    ["optimize", "--chain", "c", "--spec", "s", "--"],
+    ["optimize", "--", "--chain", "c", "--spec", "s"],
+    ["optimize", "--chain", "c", "--", "--spec", "s"],
+    ["--", "optimize", "--chain", "c", "--spec", "s"],
+    ["validate", "--chain", "c", "--", "extra"],
+]
+
+
 class TestArgumentParsing:
     def test_subcommand_required(self, capsys):
         assert run([]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_parsing_matches_argparse_alone(self, argv, capsys):
+        # run parses a known command with that command's subparser alone;
+        # the namespace, or the exit code and output, are the full parser's
+        def outcome(parse):
+            try:
+                parsed = vars(parse(list(argv)))
+            except SystemExit as exc:
+                parsed = exc.code
+            return parsed, *capsys.readouterr()
+
+        expected = outcome(_parsers()[0].parse_args)
+        assert outcome(_parse_args) == expected
+        if not isinstance(expected[0], dict):  # an exit: help or an error
+            assert (run(argv), *capsys.readouterr()) == expected
+
     def test_parser_is_built_once(self):
-        assert _build_parser() is _build_parser()
+        assert _parsers() is _parsers()
 
     def test_bad_arguments_leave_the_next_run_unchanged(
         self, chain_path, make_spec, capsys
     ):
         good = ("optimize", "--chain", chain_path, "--spec", make_spec(), "--format", "json")
-        _build_parser.cache_clear()
+        _parsers.cache_clear()
         alone = (invoke(*good), *capsys.readouterr())
         assert alone[0] == 0 and alone[1]
         assert invoke("optimize", "--chain", chain_path, "--format", "xml") == 2

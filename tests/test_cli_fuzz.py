@@ -21,78 +21,16 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from cli_inputs import (
+    BAD_BYTES,
+    CHAIN_CSV,
+    FILES,
+    ODD_FIELDS,
+    ODD_VALUES,
+    json_bytes,
+    repeat_member,
+)
 from payoffopt.cli import run
-
-CHAIN_CSV = (
-    "underlying=99.50\n"
-    "valuation=2026-08-20\n"
-    "expiry=2026-09-16\n"
-    "100,call,4.00,4.20,120\n"
-    "110,call,1.00,1.10,80\n"
-    "90,put,0.80,0.90,60\n"
-    "100,put,3.80,4.00,95\n"
-)
-
-CHAIN = {
-    "underlying_price": "99.50",
-    "valuation_date": "2026-08-20",
-    "expiry_date": "2026-09-16",
-    "quotes": [
-        {"strike": 100, "right": "call", "bid": "4.00", "ask": "4.20", "volume": 120},
-        {"strike": 110, "right": "call", "bid": 1.0, "ask": "1.10", "volume": "80"},
-        {"strike": 90, "right": "put", "bid": "0.80", "ask": "0.90", "volume": 60},
-        {"strike": 100, "right": "put", "bid": "3.80", "ask": 4, "volume": 95},
-    ],
-}
-
-SPEC = {
-    "expected_price": "105.00",
-    "inflection": 100,
-    "max_loss": "-5.00",
-    "cost_target": {"cmp": "<=", "value": "1.00", "convention": "debit"},
-    "lower": -3,
-    "upper": 3,
-    "epsilon": "0.01",
-    "tail_loss_mode": "pnl",
-    "balance_left_tail": False,
-    "balance_right_tail": False,
-    "call_anchor": 100,
-    "put_anchor": 90,
-    "n": 2,
-}
-
-SOLUTION = {
-    "combination": "1010",
-    "objective": "14.10",
-    "quantities": {"call": {"100": 3, "110": -3}, "put": {"90": 3, "100": -3}},
-}
-
-# values swapped in for a key: wrong types, non-ASCII digits, bad money,
-# signs, fractions and magnitudes no solver can represent
-ODD_VALUES = (
-    None, True, False, 0, -1, 2, 7.5, 10**15, 10**400, "", "x", "1.234",
-    "-0.01", " 7950", "١٠٠", "8067.6²", "call", "fwd",
-    "2026-02-30", [], {}, [1], {"cmp": "<"},
-)
-
-# text that replaces one CSV field or header value
-ODD_FIELDS = (
-    "", " ", "x", "1.234", "-1.00", "0", "2.5", "1e3", "١٠",
-    "100,call", "put", "fwd", "2026-13-01", "9" * 5000,
-)
-
-
-def _json_bytes(data) -> bytes:
-    return json.dumps(data).encode()
-
-
-# each file a command may read, unmutated
-FILES = {
-    "chain.csv": CHAIN_CSV.encode(),
-    "chain.json": _json_bytes(CHAIN),
-    "spec.json": _json_bytes(SPEC),
-    "solution.json": _json_bytes(SOLUTION),
-}
 
 
 def _pick_object(data: dict, draw) -> dict:
@@ -127,16 +65,10 @@ def _replace_key(data: dict, draw) -> None:
 def _repeat_member(data: dict, draw) -> bytes:
     """The document of ``data`` with one member of one of its objects
     written a second time, at the front of that object's text."""
-    text = json.dumps(data)
     target = _pick_object(data, draw)
     if not target:
-        return text.encode()
-    key = draw(st.sampled_from(sorted(target)))
-    member = f"{json.dumps(key)}: {json.dumps(target[key])}, "
-    # json.dumps writes a nested object as the same text it writes alone
-    before = json.dumps(target)
-    after = "{" + member + before[1:]
-    return text.replace(before, after, 1).encode()
+        return json_bytes(data)
+    return repeat_member(data, target, draw(st.sampled_from(sorted(target))))
 
 
 def _mutate_json(text: bytes, draw) -> bytes:
@@ -146,7 +78,7 @@ def _mutate_json(text: bytes, draw) -> bytes:
     if draw(st.integers(0, 3)) == 0:
         text = _repeat_member(data, draw)
     else:
-        text = _json_bytes(data)
+        text = json_bytes(data)
     return _mutate_bytes(text, draw) if draw(st.integers(0, 3)) == 0 else text
 
 
@@ -184,7 +116,7 @@ def _mutate_bytes(data: bytes, draw) -> bytes:
     """Insert a byte that is not UTF-8 on its own, or cut the document."""
     at = draw(st.integers(0, len(data)))
     if draw(st.booleans()):
-        byte = draw(st.sampled_from((b"\xe9", b"\xff", b"\x00")))
+        byte = draw(st.sampled_from(BAD_BYTES))
         return data[:at] + byte + data[at:]
     return data[:at]
 

@@ -450,6 +450,8 @@ def one_slot(objective=1, coefficient=1, rhs=1, upper=1):
 
 # how a number beyond floating point is reported
 OVERFLOW = "^program exceeds floating point: "
+# how a number HiGHS would read as infinite (1e20 or more) is reported
+INFINITE = "^program exceeds the solver's range: "
 
 
 @pytest.mark.parametrize(
@@ -463,18 +465,46 @@ OVERFLOW = "^program exceeds floating point: "
         (one_slot(upper=10**400), OVERFLOW),
         (one_slot(coefficient=10**400), OVERFLOW),
         (one_slot(rhs=10**400), OVERFLOW),
-        # every number fits, but the optimum, 1e310, does not
+        # every number fits floating point, and so would the optimum, 1e310,
+        # but HiGHS would read the objective as infinite
         (
             IlpProblem(objective=(10**300,), rows=(), bounds=((0, 10**10),)),
-            OVERFLOW,
+            INFINITE + "cost -1e\\+300 ",
         ),
+        # finite, but HiGHS would read each as infinite: the bounded
+        # programs would be unbounded, and the others model errors
+        (
+            IlpProblem(objective=(1,), rows=(), bounds=((0, 10**21),)),
+            INFINITE + "bound 1e\\+21 ",
+        ),
+        (
+            IlpProblem(objective=(1,), rows=(), bounds=((0, 10**20),)),
+            INFINITE + "bound 1e\\+20 ",
+        ),
+        (
+            IlpProblem(objective=(-1,), rows=(), bounds=((-(10**21), 0),)),
+            INFINITE + "bound -1e\\+21 ",
+        ),
+        (one_slot(objective=10**21), INFINITE + "cost -1e\\+21 "),
+        (one_slot(coefficient=10**21), INFINITE + "coefficient 1e\\+21 "),
     ],
-    ids=["1e15", "1e400", "objective", "bound", "coefficient", "rhs", "optimum"],
+    ids=[
+        "1e15", "1e400", "objective", "bound", "coefficient", "rhs", "optimum",
+        "upper 1e21", "upper 1e20", "lower -1e21", "objective 1e21",
+        "coefficient 1e21",
+    ],
 )
 def test_unrepresentable_program_is_a_solver_error(problem, message):
     with pytest.raises(SolverError, match=message) as err:
         solve_ilp(problem)
     assert err.type is SolverError
+
+
+def test_a_row_side_at_the_solver_infinity_leaves_the_row_open():
+    # HiGHS reads a right-hand side of 1e20 or more as infinite; a side that
+    # large is no bound on these programs, and the row stays
+    program = solve_ilp(one_slot(rhs=10**21, upper=5))
+    assert program.x == (5,)
 
 
 def loaded_model(highs):

@@ -78,6 +78,41 @@ def test_parse_rejects_too_many_digits_with_money_error():
         parse_money("9" * 5000)
 
 
+# each amount's cents, or the exact message it is refused with
+MONEY_LANGUAGE = [
+    ("+5", 500),
+    ("-0", 0),
+    ("-0.00", 0),
+    ("5.", "not a money amount: '5.'"),
+    (".5", "not a money amount: '.5'"),
+    ("5.5.5", "not a money amount: '5.5.5'"),
+    # int() reads "1_000" and the other scripts' digits; money does not
+    ("1_000", "not a money amount: '1_000'"),
+    ("\u0663", "not a money amount: '\u0663'"),  # Arabic-Indic three
+    ("\uff11", "not a money amount: '\uff11'"),  # fullwidth one
+    (" 5 ", 500),
+    ("5 .00", "not a money amount: '5 .00'"),
+    ("+-5", "not a money amount: '+-5'"),
+    ("1e3", "not a money amount: '1e3'"),
+    ("5.000", "more than two decimal places: '5.000'"),
+    ("9" * 5000, "amount has too many digits: 5000"),
+    (1e16, "not a money amount: 1e+16"),
+    (0.1 + 0.2, "more than two decimal places: 0.30000000000000004"),
+]
+
+
+@pytest.mark.parametrize(
+    "value, result", MONEY_LANGUAGE, ids=[repr(v)[:12] for v, _ in MONEY_LANGUAGE]
+)
+def test_the_money_language(value, result):
+    if isinstance(result, int):
+        assert parse_money(value) == result
+    else:
+        with pytest.raises(ValueError) as err:
+            parse_money(value)
+        assert str(err.value) == result
+
+
 def test_format_two_places():
     assert format_money(806760) == "8067.60"
     assert format_money(-10000) == "-100.00"

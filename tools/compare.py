@@ -18,19 +18,22 @@ the base twice. The control shows the ratio two copies of identical code
 read, including the lean the second imported copy gets.
 
 Every run of a command is captured at file descriptors 1 and 2, and its
-exit code, stdout and stderr must be the same on both trees. The commands
-of ``tests/golden/commands.json``, with their fixture paths made absolute,
-are compared the same way: once per tree in each measurement, untimed, so
-that every output format and command is checked, not only the workloads'
-``--format json``. Each difference is printed, and the tool exits 1 if
-there is any.
+exit code, stdout and stderr must be the same on both trees. Two fixed sets
+of commands are compared the same way, once per tree in each measurement,
+untimed: the commands of ``tests/golden/commands.json``, with their fixture
+paths made absolute, so that every output format and command is checked,
+not only the workloads' ``--format json``; and the malformed commands of
+:func:`malformed_commands`, so that every message of a bad input is
+checked. Each difference is printed, with the temporary directory's path
+shown as ``<tmp>``, and the tool exits 1 if there is any.
 
 ``BENCH_<label>.json`` at the root of the checkout records the machine,
 both revisions and, per measurement and workload, the ratio of the summed
 command times (working tree over base, or copy over base in the control),
 the quartiles of the per-command ratios, and each tree's summed, median and
-95th-percentile command time. The label defaults to the base's short
-commit.
+95th-percentile command time. The tool prints the ratios, each tree's
+median and 95th percentile, and the differences. The label defaults to the
+base's short commit.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ from scipy.optimize._highspy._core import _Highs
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ROOT / "benchmark"
 sys.path.insert(0, str(BENCHMARK))
+sys.path.insert(0, str(ROOT / "tests"))
 
+import cli_inputs  # noqa: E402
 import workloads  # noqa: E402
 from worker import captured  # noqa: E402
 
@@ -99,6 +104,55 @@ def golden_commands() -> dict[str, list[str]]:
     }
 
 
+# the command that reads each file of tests/cli_inputs.py, by the file's
+# name; a file name in it stands for that file's path, the unmutated file's
+# but for the one mutated
+READERS = {
+    "chain.csv": ("optimize", "--chain", "chain.csv", "--spec", "spec.json"),
+    "chain.json": ("optimize", "--chain", "chain.json", "--spec", "spec.json"),
+    "spec.json": ("optimize", "--chain", "chain.csv", "--spec", "spec.json"),
+    "solution.json": (
+        "payoff", "--chain", "chain.csv", "--spec", "spec.json",
+        "--solution", "solution.json",
+    ),
+}
+
+# argument lists that argparse refuses, or answers with help
+OPTIMIZE = ("optimize", "--chain", "chain.csv", "--spec", "spec.json")
+BAD_ARGV = {
+    "no arguments": (),
+    "help": ("-h",),
+    "optimize help": ("optimize", "-h"),
+    "unknown command": ("frobnicate",),
+    "unknown option": (*OPTIMIZE, "--bogus"),
+    "missing --spec": OPTIMIZE[:3],
+    "bad --format": (*OPTIMIZE, "--format", "xml"),
+    "trailing extra": (*OPTIMIZE, "extra"),
+}
+
+
+def malformed_commands(directory: Path) -> dict[str, list[str]]:
+    """Each malformed command by name, its files written under
+    ``directory``: every variant of ``tests/cli_inputs.py``'s
+    ``malformed_files`` through the command in :data:`READERS` that reads
+    it, and each of :data:`BAD_ARGV`."""
+    clean = {}
+    for name, data in cli_inputs.FILES.items():
+        clean[name] = str(directory / name)
+        Path(clean[name]).write_bytes(data)
+    commands = {
+        f"argv: {case}": [clean.get(a, a) for a in argv]
+        for case, argv in BAD_ARGV.items()
+    }
+    for i, (case, name, data) in enumerate(cli_inputs.malformed_files()):
+        path = directory / str(i) / name
+        path.parent.mkdir()
+        path.write_bytes(data)
+        paths = {**clean, name: str(path)}
+        commands[case] = [paths.get(a, a) for a in READERS[name]]
+    return commands
+
+
 def _import_tree(name: str, src: str):
     """The ``cli`` module of the payoffopt tree in ``src``, imported as the
     package ``name``; the package imports its own modules relatively."""
@@ -115,7 +169,7 @@ def _import_tree(name: str, src: str):
 def measure(
     trees: list[tuple[str, str]],
     commands: dict[str, list[list[str]]],
-    checked: dict[str, list[str]],
+    checked: dict[str, dict[str, list[str]]],
     warm_up: list[str],
     rounds: int,
     workdir: str,
@@ -123,11 +177,11 @@ def measure(
     """Each command's fastest time on each tree, and every answer that differs.
 
     ``trees`` are imported in order; each runs ``warm_up`` once, and each
-    command of ``checked`` once, untimed. Then every command of
+    command of each set in ``checked`` once, untimed. Then every command of
     ``commands`` runs on both trees in each of ``rounds`` rounds, first on
     the tree whose turn it is, and :data:`REPEATS` times over for its
-    workload. The captured output goes through files in
-    ``workdir``.
+    workload. The captured output goes through files in ``workdir``, and
+    a difference shows ``workdir`` as ``<tmp>``.
     """
     clis = [_import_tree(name, src) for name, src in trees]
     out = Path(workdir)
@@ -141,23 +195,28 @@ def measure(
 
     differences = []
 
-    def compare_answers(answers: list[tuple], **where) -> None:
+    def masked(text: str) -> str:
+        return text.replace(workdir, "<tmp>")
+
+    def compare_answers(answers: list[tuple], argv: list[str], **where) -> None:
         if answers[0] != answers[1]:
             fields = ("exit code", "stdout", "stderr")
             differences.append({
                 **where,
+                "argv": [masked(a) for a in argv],
                 "differs": [f for f, a, b in zip(fields, *answers) if a != b],
                 "answers": {
-                    name: [answer[0], answer[1].decode(), answer[2].decode()]
-                    for (name, _), answer in zip(trees, answers)
+                    name: [code, masked(stdout.decode()), masked(stderr.decode())]
+                    for (name, _), (code, stdout, stderr) in zip(trees, answers)
                 },
             })
 
     for cli in clis:
         run(cli, warm_up)
-    for name, argv in checked.items():
-        answers = [run(cli, argv)[1] for cli in clis]
-        compare_answers(answers, workload="golden", command=name, argv=argv)
+    for group, named in checked.items():
+        for name, argv in named.items():
+            answers = [run(cli, argv)[1] for cli in clis]
+            compare_answers(answers, argv, workload=group, command=name)
     best: dict[str, list[list[float]]] = {}
     turn = 0
     for r in range(rounds):
@@ -171,9 +230,7 @@ def measure(
                     for side in order:
                         seconds, answers[side] = run(clis[side], argv)
                         times[side][i] = min(times[side][i], seconds)
-                    compare_answers(
-                        answers, workload=workload, command=i, round=r, argv=argv
-                    )
+                    compare_answers(answers, argv, workload=workload, command=i, round=r)
     return {"best": best, "differences": differences}
 
 
@@ -248,7 +305,12 @@ def compare(
         sources = {"base": str(export(commit, tmp / "base")), "change": str(ROOT / "src")}
         sources["base copy"] = sources["base"]
         warm_up = list(workloads.warm_up_command(tmp).argv)
-        checked = golden_commands()
+        malformed = tmp / "malformed"
+        malformed.mkdir()
+        checked = {
+            "golden": golden_commands(),
+            "malformed": malformed_commands(malformed),
+        }
         report = {
             "machine": machine(),
             "revisions": {
@@ -262,7 +324,10 @@ def compare(
             },
             "rounds": rounds,
             "repeats": REPEATS,
-            "checked": list(checked),
+            "checked": {
+                "golden": list(checked["golden"]),
+                "malformed": len(checked["malformed"]),
+            },
             "measurements": {},
             "differences": [],
         }
@@ -303,10 +368,12 @@ def main(argv: list[str] | None = None) -> int:
     for title, found in report["measurements"].items():
         for workload, s in found["workloads"].items():
             q1, median, q3 = s["command_ratio_quartiles"]
+            base, other = s["base"], s["other"]
             print(
                 f"{title:13} {workload:17} ratio {s['ratio']:.3f}"
                 f"  per command {q1:.3f} / {median:.3f} / {q3:.3f}"
-                f"  p95 {s['base']['p95_s'] * 1e3:.3f} -> {s['other']['p95_s'] * 1e3:.3f} ms"
+                f"  p50 {base['p50_s'] * 1e3:.3f} -> {other['p50_s'] * 1e3:.3f} ms"
+                f"  p95 {base['p95_s'] * 1e3:.3f} -> {other['p95_s'] * 1e3:.3f} ms"
             )
     for d in report["differences"]:
         where = f" round {d['round']}" if "round" in d else ""
